@@ -66,7 +66,11 @@ def _read_points(path) -> np.ndarray:
         if len(row) != p:
             raise ValueError(f"{path}:{lineno}: expected {p} fields")
         out.append([float(v) for v in row])
-    return np.array(out)
+    xs = np.array(out)
+    bad = np.flatnonzero(~np.isfinite(xs).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{bad[0] + 2}: non-finite feature value")
+    return xs
 
 
 def _check_dim(model_x: np.ndarray, xs: np.ndarray, what: str) -> None:

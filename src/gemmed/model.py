@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .dataset import class_index
 from .gem import GemStats
 from .kernels import KernelSpec
 
@@ -142,8 +141,12 @@ class DualState:
 
 
 def per_sample_class_values(values_by_slot: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Expand a 2-vector of per-class values to one entry per sample."""
-    slots = np.fromiter((class_index(v) for v in y), dtype=int, count=len(y))
+    """Expand a 2-vector of per-class values to one entry per sample.
+
+    Labels in {-1, +1}, int or float, map to slots (y + 1) // 2, the same
+    slots ``dataset.class_index`` gives one label at a time.
+    """
+    slots = (np.asarray(y).astype(int) + 1) // 2
     return np.asarray(values_by_slot)[slots]
 
 

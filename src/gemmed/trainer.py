@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import entr, expit
 from scipy.stats import norm, t as student_t
 
 from .baselines import solve_svm_dual
-from .dataset import LabeledDataset, class_index
+from .dataset import LabeledDataset
 from .errors import TrainingFailure
 from .gem import GemConfig, compute_gem_stats, knn_distance_sum, loo_threshold
 from .kernels import GramMatrix, KernelSpec, gram_matrix, kernel_cross
@@ -38,7 +39,7 @@ from .model import (DualState, HyperParams, TrainedModel, eta_logits,
                     resolve_p0)
 
 __all__ = [
-    "GibbsExpectations", "init_duals", "sample_f_given_eta", "eta_conditional",
+    "GibbsExpectations", "init_duals", "sample_f_given_eta",
     "gibbs_expectations", "dual_gradient", "train", "decision_function",
     "predict", "anomaly_score", "anomaly_scores", "detect",
 ]
@@ -72,18 +73,6 @@ def sample_f_given_eta(state: DualState, eta: np.ndarray, gram: GramMatrix,
     """
     mean = gram.values @ (state.lam * eta * y)
     return mean + gram.factor @ rng.standard_normal(gram.n)
-
-
-def eta_conditional(state: DualState, f_n: float, n_idx: int, y: np.ndarray,
-                    d_tilde: np.ndarray, p0: np.ndarray, n_total: int) -> float:
-    """Probability that sample n_idx is nominal given its decision value."""
-    p = p0[n_idx]
-    slot = class_index(y[n_idx])
-    logit = (np.log(p) - np.log1p(-p)
-             + state.lam[n_idx] * y[n_idx] * f_n
-             - state.mu[slot] * d_tilde[n_idx]
-             + state.kappa[slot] / n_total)
-    return float(expit(logit))
 
 
 @dataclass
@@ -123,9 +112,15 @@ def _batch_se(rows: np.ndarray) -> np.ndarray:
     size = n // n_batches
     trimmed = rows[n - n_batches * size:]
     batches = trimmed.reshape(n_batches, size, -1).mean(axis=1)
+    return (_t_correction(n_batches) * batches.std(axis=0, ddof=1)
+            / np.sqrt(n_batches))
+
+
+@lru_cache(maxsize=None)  # n_batches takes at most 24 values
+def _t_correction(n_batches: int) -> float:
+    """Student-t to normal ratio of the 3-sigma band's half-width."""
     level = 2.0 * norm.sf(3.0)  # two-sided tail mass of the 3-sigma band
-    correction = student_t.isf(level / 2.0, df=n_batches - 1) / 3.0
-    return correction * batches.std(axis=0, ddof=1) / np.sqrt(n_batches)
+    return float(student_t.isf(level / 2.0, df=n_batches - 1) / 3.0)
 
 
 def gibbs_expectations(state: DualState, y: np.ndarray, gram: GramMatrix,

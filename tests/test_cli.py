@@ -80,6 +80,19 @@ def test_predict_rejects_dimension_mismatch(workdir, tmp_path, capsys):
     assert "feature column" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["predict", "detect"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_query_rows_must_be_finite(workdir, tmp_path, capsys, command, value):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"x1,x2\n0.0,0.0\n1.0,{value}\n")
+    out = tmp_path / "out.csv"
+    rc = main([command, "--model", str(workdir / "model.json"),
+               "--data", str(pts), "--out", str(out)])
+    assert rc == 2
+    assert f"{pts}:3: non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_detect_writes_scores_and_calls(workdir, tmp_path):
     out = tmp_path / "det.csv"
     rc = main(["detect", "--model", str(workdir / "model.json"),

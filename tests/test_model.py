@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gemmed.dataset import class_index
 from gemmed.model import (DualState, HyperParams, eta_logits,
                           per_sample_class_values, resolve_p0)
 
@@ -60,6 +63,22 @@ def test_per_sample_class_values():
     vals = np.array([10.0, 20.0])
     y = np.array([1, -1, -1, 1])
     assert per_sample_class_values(vals, y).tolist() == [20.0, 10.0, 10.0, 20.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(labels=st.lists(st.sampled_from([-1, 1]), max_size=40),
+       dtype=st.sampled_from([np.int64, np.float64]),
+       values=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+@example(labels=[], dtype=np.int64, values=(1.0, 2.0))
+@example(labels=[], dtype=np.float64, values=(1.0, 2.0))
+@example(labels=[-1], dtype=np.int64, values=(1.0, 2.0))
+@example(labels=[1], dtype=np.float64, values=(1.0, 2.0))
+def test_per_sample_class_values_matches_class_index(labels, dtype, values):
+    vals = np.array(values)
+    y = np.array(labels, dtype=dtype)
+    out = per_sample_class_values(vals, y)
+    assert out.shape == (len(labels),)
+    assert out.tolist() == [vals[class_index(v)] for v in y]
 
 
 def test_eta_logits_hand_computed():

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from scipy.special import expit
+from scipy.stats import norm, t as student_t
 
 from gemmed import trainer
-from gemmed.dataset import LabeledDataset
+from gemmed.dataset import LabeledDataset, class_index
 from gemmed.errors import TrainingFailure
 from gemmed.experiments import random_instance
-from gemmed.gem import GemConfig
+from gemmed.gem import GemConfig, compute_gem_stats
 from gemmed.kernels import KernelSpec, gram_matrix
-from gemmed.model import DualState, HyperParams, TrainedModel
+from gemmed.model import DualState, HyperParams, TrainedModel, resolve_p0
 from gemmed.oracle import exact_posterior
 from gemmed.synthdata import RingExperimentConfig, generate
 from gemmed.trainer import (GibbsExpectations, _batch_se, dual_gradient,
@@ -37,21 +39,6 @@ def test_f_sampler_moments():
     assert np.all(np.abs(draws.mean(axis=0) - target_mean) < 4 * se)
     emp_cov = np.cov(draws.T)
     np.testing.assert_allclose(emp_cov, gram.values, atol=0.05)
-
-
-def test_eta_conditional_matches_vectorized_logits():
-    from gemmed.model import eta_logits
-    from scipy.special import expit
-    gram, y = _fixed_instance()
-    state = DualState(lam=np.array([0.8, 0.3, 0.5, 0.2]),
-                      mu=np.array([0.7, 0.1]), kappa=np.array([0.2, 0.9]))
-    f = np.array([0.3, -0.2, 1.1, 0.0])
-    d_tilde = np.array([0.1, 0.4, 0.2, 0.3])
-    p0 = np.array([0.6, 0.7, 0.8, 0.55])
-    vec = expit(eta_logits(state, f, y, d_tilde, p0, 4))
-    for i in range(4):
-        assert trainer.eta_conditional(state, f[i], i, y, d_tilde, p0, 4) \
-            == pytest.approx(vec[i], rel=1e-12)
 
 
 def test_decoupled_chain_recovers_prior():
@@ -85,6 +72,93 @@ def test_gibbs_is_bit_reproducible():
     assert np.array_equal(a.eta_hat, b.eta_hat)
     assert np.array_equal(a.se_sum_eta, b.se_sum_eta)
     assert not np.array_equal(a.eta_hat, c.eta_hat)
+
+
+def _reference_batch_se(rows):
+    """Batch-means SE with the t-correction recomputed on every call."""
+    n = rows.shape[0]
+    if n < 2:
+        return np.full(rows.shape[1], np.inf)
+    n_batches = int(np.clip(np.floor(np.sqrt(n)), 2, 25))
+    size = n // n_batches
+    trimmed = rows[n - n_batches * size:]
+    batches = trimmed.reshape(n_batches, size, -1).mean(axis=1)
+    level = 2.0 * norm.sf(3.0)
+    correction = student_t.isf(level / 2.0, df=n_batches - 1) / 3.0
+    return correction * batches.std(axis=0, ddof=1) / np.sqrt(n_batches)
+
+
+def _reference_gibbs(state, y, gram, d_tilde, p0, hyper, rng):
+    """The sampler written sweep by sweep, class slots looked up one label
+    at a time through class_index; the optimized sampler must match it
+    bit for bit."""
+    n = gram.n
+    yf = y.astype(float)
+
+    def class_values(values):
+        slots = np.fromiter((class_index(v) for v in yf), dtype=int, count=n)
+        return values[slots]
+
+    eta_state = np.ones(n)
+    rec_eyf, rec_eta = [], []
+    for t in range(1, hyper.gibbs_sweeps + 1):
+        f = sample_f_given_eta(state, eta_state, gram, yf, rng)
+        logit = (np.log(p0) - np.log1p(-p0) + state.lam * yf * f
+                 - class_values(state.mu) * d_tilde
+                 + class_values(state.kappa) / n)
+        draws = rng.random((hyper.inner_draws, n)) < expit(logit)
+        eta_bar = draws.mean(axis=0)
+        eta_state = draws[-1].astype(float)
+        if t > hyper.burn_in:
+            rec_eyf.append(eta_bar * yf * f)
+            rec_eta.append(eta_bar)
+    rec_eyf, rec_eta = np.array(rec_eyf), np.array(rec_eta)
+    masks = np.stack([y == -1, y == 1])
+    rec_sum_eta_d = np.stack([rec_eta[:, m] @ d_tilde[m] for m in masks], axis=1)
+    rec_sum_eta = np.stack([rec_eta[:, m].sum(axis=1) for m in masks], axis=1)
+    return GibbsExpectations(
+        e_eta_y_f=rec_eyf.mean(axis=0),
+        e_sum_eta_d=rec_sum_eta_d.mean(axis=0),
+        e_sum_eta=rec_sum_eta.mean(axis=0),
+        eta_hat=rec_eta.mean(axis=0),
+        se_eta_y_f=_reference_batch_se(rec_eyf),
+        se_sum_eta_d=_reference_batch_se(rec_sum_eta_d),
+        se_sum_eta=_reference_batch_se(rec_sum_eta),
+        se_eta_hat=_reference_batch_se(rec_eta),
+        n_sweeps=len(rec_eta),
+    )
+
+
+def _ring_instance():
+    """The n=200 cell of the R=55, ra=0.2 grid at its training settings."""
+    train_set, _ = generate(RingExperimentConfig(R=55.0, r_a=0.2,
+                                                 n_test_per_class=1, seed=3))
+    gem_config = GemConfig(target_coverage=0.8)
+    hyper = HyperParams(lambda_cap=0.4)
+    gram = gram_matrix(KernelSpec("rbf", gamma=0.1), train_set.x)
+    stats = compute_gem_stats(train_set, gem_config)
+    lam = init_duals(train_set, gram, hyper).lam
+    state = DualState(lam=lam, mu=np.array([0.9, 0.3]),
+                      kappa=np.array([0.2, 0.6]))
+    p0 = resolve_p0(hyper, gem_config.target_coverage, train_set.n)
+    return (state, train_set.y.astype(float), gram, stats.d_tilde, p0, hyper)
+
+
+@pytest.mark.parametrize("case", [(4, 0), (7, 1), (12, 5), (30, 2), "ring"])
+def test_gibbs_matches_reference_sampler_bitwise(case):
+    if case == "ring":
+        args = _ring_instance()
+    else:
+        inst = random_instance(*case, hyper=HyperParams(
+            gibbs_sweeps=40, inner_draws=10, burn_in=7))
+        args = (inst.state, inst.y, inst.gram, inst.d_tilde, inst.p0,
+                inst.hyper)
+    got = gibbs_expectations(*args, np.random.default_rng(11))
+    want = _reference_gibbs(*args, np.random.default_rng(11))
+    for name in ("e_eta_y_f", "e_sum_eta_d", "e_sum_eta", "eta_hat",
+                 "se_eta_y_f", "se_sum_eta_d", "se_sum_eta", "se_eta_hat"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.n_sweeps == want.n_sweeps
 
 
 def test_gibbs_tracks_oracle_loosely():
