@@ -119,8 +119,11 @@ class TwoStageModel:
         return self.svm.predict(xs)
 
     def anomaly_scores(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.array([knn_distance_sum(row, self.svm.x, self.k) for row in xs])
+        """k-NN distance sum of each query row into the survivors.
+
+        A 1-D xs is one query. All rows are scored in one batched call.
+        """
+        return knn_distance_sum(np.atleast_2d(xs), self.svm.x, self.k)
 
     def detect(self, xs: np.ndarray) -> np.ndarray:
         return self.anomaly_scores(xs) > self.theta

@@ -117,16 +117,44 @@ def bipartite_partition(dataset: LabeledDataset, label: int, ratio: float,
     return ev, ref
 
 
-def knn_distance_sum(x, refs: np.ndarray, k: int) -> float:
-    """Sum of the k smallest Euclidean distances from x to the rows of refs."""
+# Query-reference distances held at once by knn_distance_sum; bounds its
+# working memory whatever the batch size.
+KNN_BLOCK = 1 << 16
+
+
+def knn_distance_sum(x, refs: np.ndarray, k: int) -> float | np.ndarray:
+    """Sum of the k smallest Euclidean distances from queries to the rows of refs.
+
+    A 1-D x is one point and gives a float; a 2-D x holds one query per
+    row and gives one sum per row, also for a single row. The queries are
+    scored in blocks of about KNN_BLOCK distances. The result equals,
+    bit for bit, ``np.sort(np.linalg.norm(refs - q, axis=1))[:k].sum()``
+    per query q for widths up to 7. cdist adds the squared coordinate
+    differences in order, while from width 8 on NumPy adds those of a
+    norm pairwise, so there the two agree to within a few ulps.
+    """
     refs = np.atleast_2d(np.asarray(refs, dtype=float))
-    x = np.asarray(x, dtype=float).ravel()
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"queries must be 1-D or 2-D, got {x.ndim}-D")
+    queries = np.atleast_2d(x)
+    if queries.shape[1] != refs.shape[1]:
+        raise ValueError(
+            f"queries have {queries.shape[1]} feature column(s) but the "
+            f"reference points have {refs.shape[1]}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if refs.shape[0] < k:
-        raise ValueError(f"need at least k={k} reference points, got {refs.shape[0]}")
-    d = np.linalg.norm(refs - x[None, :], axis=1)
-    return float(np.sort(d)[:k].sum())
+    m = refs.shape[0]
+    if m < k:
+        raise ValueError(f"need at least k={k} reference points, got {m}")
+    sums = np.empty(queries.shape[0])
+    step = max(1, KNN_BLOCK // m)
+    for start in range(0, queries.shape[0], step):
+        d = cdist(queries[start:start + step], refs)
+        # sorted, so the k smallest are added in the per-query order
+        nearest = np.partition(d, k - 1, axis=1)[:, :k]
+        sums[start:start + step] = np.sort(nearest, axis=1).sum(axis=1)
+    return float(sums[0]) if x.ndim == 1 else sums
 
 
 def local_entropy(dk_sum: float, k: int, m_count: int, dim: int) -> float:
@@ -170,27 +198,20 @@ def gamma_hat(d_values: np.ndarray, k_keep: int, epsilon: float, n_total: int) -
 def loo_threshold(points: np.ndarray, k: int, alpha: float) -> float:
     """(1 - alpha) quantile of leave-one-out k-NN distance sums.
 
-    Each point is scored against the remaining points; the quantile is
-    linearly interpolated. Needs at least k + 1 points.
+    Each point is scored against the remaining points (see loo_scores);
+    the quantile is linearly interpolated. Needs at least k + 1 points.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = points.shape[0]
-    if m < k + 1:
-        raise ValueError(f"need at least k+1={k + 1} points, got {m}")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    d = cdist(points, points)
-    np.fill_diagonal(d, np.inf)
-    part = np.partition(d, k - 1, axis=1)[:, :k]
-    scores = part.sum(axis=1)
-    return float(np.quantile(scores, 1.0 - alpha, method="linear"))
+    return float(np.quantile(loo_scores(points, k), 1.0 - alpha, method="linear"))
 
 
 def loo_scores(points: np.ndarray, k: int) -> np.ndarray:
     """Leave-one-out k-NN distance sums for each point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] < k + 1:
-        raise ValueError(f"need at least k+1={k + 1} points")
+    m = points.shape[0]
+    if m < k + 1:
+        raise ValueError(f"need at least k+1={k + 1} points, got {m}")
     d = cdist(points, points)
     np.fill_diagonal(d, np.inf)
     return np.partition(d, k - 1, axis=1)[:, :k].sum(axis=1)

@@ -319,9 +319,12 @@ def anomaly_score(model: TrainedModel, x) -> float:
 
 
 def anomaly_scores(model: TrainedModel, xs: np.ndarray) -> np.ndarray:
-    pts = _nominal_points(model)
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    return np.array([knn_distance_sum(row, pts, model.k) for row in xs])
+    """k-NN distance sum of each query row into the nominal support.
+
+    A 1-D xs is one query. All rows are scored in one batched call.
+    """
+    return knn_distance_sum(np.atleast_2d(xs), _nominal_points(model),
+                            model.k)
 
 
 def detect(model: TrainedModel, xs: np.ndarray):

@@ -144,6 +144,17 @@ def test_two_stage_screens_planted_outliers():
     assert scores[0] > model.theta
 
 
+def test_two_stage_detector_rejects_mismatched_queries():
+    ds, _ = _planted_dataset()
+    config = GemConfig(k=2, partition_ratio=0.4, target_coverage=10.0 / 12.0,
+                       seed=1)
+    model = train_two_stage(ds, KernelSpec("linear"), config)
+    with pytest.raises(ValueError, match="1 feature column.* have 2"):
+        model.anomaly_scores(np.array([30.0]))
+    with pytest.raises(ValueError, match="3 feature column.* have 2"):
+        model.detect(np.zeros((2, 3)))
+
+
 def test_two_stage_survival_scores():
     ds, planted = _planted_dataset()
     config = GemConfig(k=2, partition_ratio=0.4, target_coverage=10.0 / 12.0,

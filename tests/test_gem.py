@@ -1,11 +1,14 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from gemmed import gem
 from gemmed.dataset import LabeledDataset, class_index
 from gemmed.gem import (GemConfig, bipartite_partition, compute_gem_stats,
                         gamma_hat, gem_me_set, knn_distance_sum,
@@ -35,6 +38,74 @@ def test_knn_distance_sum_brute_force():
         k = int(rng.integers(1, 9))
         expected = sorted(math.dist(x, r) for r in refs)
         assert knn_distance_sum(x, refs, k) == pytest.approx(sum(expected[:k]))
+
+
+def _per_row_knn(xs, refs, k):
+    """The scoring loop before batching: one norm, sort and sum per query."""
+    return np.array([float(np.sort(np.linalg.norm(refs - x[None, :], axis=1))[:k].sum())
+                     for x in xs], dtype=float)
+
+
+# small integers give duplicate points and tied distances
+_coords = st.one_of(st.integers(-3, 3).map(float),
+                    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _knn_cases(draw):
+    p = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 12]))
+    refs = draw(hnp.arrays(float, (draw(st.integers(1, 10)), p), elements=_coords))
+    refs = np.vstack([refs, refs[:draw(st.integers(0, refs.shape[0]))]])
+    m = refs.shape[0]
+    xs = draw(hnp.arrays(float, (draw(st.sampled_from([0, 1, 2, 7, 25])), p),
+                         elements=_coords))
+    xs = np.vstack([xs, refs[:draw(st.integers(0, 2))]])  # zero distances
+    k = draw(st.integers(1, m))
+    block = draw(st.integers(1, 4 * m))  # 1 to 4 query rows per block
+    return xs, refs, k, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(_knn_cases())
+def test_knn_distance_sum_batched_matches_per_row(case):
+    xs, refs, k, block = case
+    with mock.patch.object(gem, "KNN_BLOCK", block):
+        got = knn_distance_sum(xs, refs, k)
+        singles = [knn_distance_sum(x, refs, k) for x in xs]
+        first = knn_distance_sum(xs[:1], refs, k)
+    want = _per_row_knn(xs, refs, k)
+    assert isinstance(got, np.ndarray) and got.dtype == float
+    assert got.shape == (xs.shape[0],)
+    assert all(type(v) is float for v in singles)
+    assert isinstance(first, np.ndarray) and first.shape == (min(1, xs.shape[0]),)
+    if refs.shape[1] < 8:
+        assert np.array_equal(got, want)
+        assert np.array_equal(singles, want)
+    else:  # NumPy sums rows of 8 or more values pairwise
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(singles, want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("p", [2, 7])
+@pytest.mark.parametrize("k", [5, 100])  # k=100: np.partition leaves some rows unsorted
+def test_knn_distance_sum_spans_several_blocks(p, k):
+    rng = np.random.default_rng(p)
+    refs = rng.normal(size=(1000, p))
+    rows = 3 * (gem.KNN_BLOCK // refs.shape[0]) + 5
+    xs = rng.normal(size=(rows, p))
+    assert np.array_equal(knn_distance_sum(xs, refs, k), _per_row_knn(xs, refs, k))
+
+
+def test_knn_distance_sum_rejects_mismatched_queries():
+    refs = np.array([[1.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(ValueError, match="1 feature column.* have 2"):
+        knn_distance_sum([3.0], refs, 1)
+    with pytest.raises(ValueError, match="3 feature column.* have 2"):
+        knn_distance_sum(np.zeros((4, 3)), refs, 1)
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        knn_distance_sum(np.zeros((1, 1, 2)), refs, 1)
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        knn_distance_sum(3.0, refs, 1)
 
 
 def test_local_entropy_frozen_values():

@@ -344,6 +344,50 @@ def test_detector_unusable_without_support():
         trainer.anomaly_scores(model, np.array([[0.0, 0.0]]))
 
 
+def test_detector_rejects_mismatched_queries():
+    model = _toy_model([1.0, 1.0, 0.2])
+    with pytest.raises(ValueError, match="1 feature column.* have 2"):
+        trainer.anomaly_score(model, [3.0])
+    with pytest.raises(ValueError, match="3 feature column.* have 2"):
+        trainer.anomaly_scores(model, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="1 feature column.* have 2"):
+        trainer.detect(model, np.array([3.0]))
+    with pytest.raises(ValueError, match="4 feature column.* have 2"):
+        trainer.detect(model, np.zeros((2, 4)))
+
+
+def _per_row_scores(xs, refs, k):
+    """Detector scores as computed before batching: one query row at a time."""
+    return np.array([float(np.sort(np.linalg.norm(refs - x[None, :], axis=1))[:k].sum())
+                     for x in xs])
+
+
+def test_detectors_match_per_row_scoring_bitwise():
+    from gemmed.baselines import train_two_stage
+    train_set, test_set = generate(RingExperimentConfig(
+        R=55.0, r_a=0.2, n_test_per_class=100, seed=3))
+    kernel, gem_config = KernelSpec("rbf", gamma=0.1), GemConfig(target_coverage=0.8)
+    joint = trainer.train(train_set, kernel, gem_config, HyperParams(lambda_cap=0.4))
+    two_stage = train_two_stage(train_set, kernel, gem_config)
+    # queries: fresh test points and every training point, nominal or not
+    xs = np.vstack([test_set.x, train_set.x])
+
+    want = _per_row_scores(xs, joint.x[joint.nominal_idx], joint.k)
+    assert np.array_equal(trainer.anomaly_scores(joint, xs), want)
+    assert np.array_equal(trainer.detect(joint, xs), want > joint.theta)
+    assert 0 < np.count_nonzero(want > joint.theta) < xs.shape[0]
+    for i in (0, 250):
+        assert trainer.anomaly_score(joint, xs[i]) == want[i]
+        call = trainer.detect(joint, xs[i])
+        assert type(call) is bool and call == (want[i] > joint.theta)
+
+    want = _per_row_scores(xs, train_set.x[two_stage.kept_idx], two_stage.k)
+    assert np.array_equal(two_stage.anomaly_scores(xs), want)
+    assert np.array_equal(two_stage.detect(xs), want > two_stage.theta)
+    assert 0 < np.count_nonzero(want > two_stage.theta) < xs.shape[0]
+    assert np.array_equal(two_stage.anomaly_scores(xs[7]), want[7:8])
+
+
 def test_med_reduction_equals_svm_rule():
     """Freezing every indicator at 1 with mu = kappa = 0 reduces the
     decision rule to the plain kernel machine with the same duals."""
