@@ -42,40 +42,87 @@ class SvmModel:
         return np.where(d < 0, -1, 1)
 
 
+def _is_symmetric(K: np.ndarray) -> bool:
+    """K == K.T exactly, compared one row block at a time.
+
+    Each block holds about 65k entries, so no n x n temporary is made.
+    """
+    n = K.shape[0]
+    rows = max(1, 65536 // max(n, 1))
+    return all(np.array_equal(K[s:s + rows], K[:, s:s + rows].T)
+               for s in range(0, n, rows))
+
+
 def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
                    max_passes: int = 200, tol: float = 1e-3):
     """Coordinate ascent on the box-constrained SVM dual.
 
-    Returns (alpha, converged, objective_trace). Each coordinate update
+    Returns (alpha, converged, objective_trace). Each pass visits the
+    coordinates in index order (cyclic dual coordinate ascent, Hsieh et
+    al. 2008) and skips those with K[i, i] <= 0. Each coordinate update
     is an exact 1-D maximization, so the objective never decreases.
     Convergence is declared when every sample satisfies its
     Karush-Kuhn-Tucker condition within tol.
+
+    K must be square and exactly symmetric, and y must hold one label
+    per row, each -1 or +1; anything else raises ValueError. K and y
+    are not modified.
+
+    The loop carries f = K (alpha * y) and adds (delta * y_i) * K[i] to
+    it after each step, reading the contiguous row K[i] in place of the
+    column K[:, i]. The margin y_i * f_i differs from carrying y * f
+    directly only by sign flips, which are exact for labels of +-1
+    under symmetric round-to-nearest, and the row of an exactly
+    symmetric K holds the column's values. So alpha, converged and the
+    trace are bit-identical to updating y * f column by column.
     """
-    n = K.shape[0]
+    K = np.asarray(K, dtype=float)
+    y = np.asarray(y, dtype=float)
     if C <= 0:
         raise ValueError("C must be positive")
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"K must be a square matrix, got shape {K.shape}")
+    n = K.shape[0]
+    if y.shape != (n,):
+        raise ValueError(f"y must hold {n} labels, one per row of K, "
+                         f"got shape {y.shape}")
+    if not np.all((y == 1.0) | (y == -1.0)):
+        raise ValueError("labels must be -1 or +1")
+    if not _is_symmetric(K):
+        raise ValueError("K must be exactly symmetric")
     alpha = np.zeros(n)
-    yf = np.zeros(n)  # y_i * f(x_i) with f = K (alpha * y)
-    diag = np.diag(K).copy()
+    f = np.zeros(n)  # f = K (alpha * y)
+    step = np.empty(n)
+    a = alpha.tolist()
+    cap = float(C)
+    item, multiply, add = f.item, np.multiply, np.add
+    # (i, y_i, K[i, i], K[i]) for every coordinate the pass updates
+    coords = [(i, yi, di, K[i])
+              for i, (yi, di) in enumerate(zip(y.tolist(), np.diag(K).tolist()))
+              if not di <= 0]
     trace = []
 
     def objective():
-        a = alpha * y
-        return float(alpha.sum() - 0.5 * a @ K @ a)
+        ay = alpha * y
+        return float(alpha.sum() - 0.5 * ay @ K @ ay)
 
     converged = False
     for _ in range(max_passes):
-        for i in range(n):
-            if diag[i] <= 0:
-                continue
-            new = alpha[i] + (1.0 - yf[i]) / diag[i]
-            new = min(max(new, 0.0), C)
-            delta = new - alpha[i]
+        for i, yi, di, row in coords:
+            ai = a[i]
+            new = ai + (1.0 - yi * item(i)) / di
+            if new < 0.0:
+                new = 0.0
+            elif new > cap:
+                new = cap
+            delta = new - ai
             if delta != 0.0:
-                yf += delta * y[i] * y * K[:, i]
-                alpha[i] = new
+                multiply(row, delta * yi, out=step)
+                add(f, step, out=f)
+                a[i] = new
+        alpha[:] = a
         trace.append(objective())
-        grad = 1.0 - yf
+        grad = 1.0 - y * f
         ok_zero = (alpha <= 0) & (grad <= tol)
         ok_cap = (alpha >= C) & (grad >= -tol)
         ok_mid = (alpha > 0) & (alpha < C) & (np.abs(grad) <= tol)

@@ -1,13 +1,17 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gemmed.baselines import (SvmModel, TwoStageModel, solve_svm_dual,
                               train_svm, train_two_stage)
 from gemmed.dataset import LabeledDataset
 from gemmed.gem import GemConfig, loo_threshold
-from gemmed.kernels import KernelSpec, kernel_matrix
+from gemmed.kernels import KernelSpec, gram_matrix, kernel_matrix
+from gemmed.synthdata import RingExperimentConfig, generate
 
 
 def brute_force_box_qp(K, y, C):
@@ -107,6 +111,171 @@ def test_solver_input_validation():
     with pytest.raises(ValueError, match="both classes"):
         train_svm(LabeledDataset(np.zeros((2, 1)), np.array([1, 1])),
                   KernelSpec("linear"))
+
+
+@pytest.mark.parametrize("K, y, match", [
+    (np.ones((2, 3)), np.array([1.0, -1.0]), "square"),
+    (np.ones(3), np.array([1.0, -1.0, 1.0]), "square"),
+    (np.array([[1.0, 0.5], [np.nextafter(0.5, 1.0), 1.0]]),
+     np.array([1.0, -1.0]), "symmetric"),
+    (np.eye(3), np.array([1.0, -1.0]), "3 labels"),
+    (np.eye(2), np.array([[1.0, -1.0]]), "2 labels"),
+    (np.eye(2), np.array([1.0, 0.0]), "-1 or \\+1"),
+    (np.eye(2), np.array([2, -1]), "-1 or \\+1"),
+    (np.eye(2), np.array([1.0, np.nan]), "-1 or \\+1"),
+])
+def test_solver_rejects_malformed_problems(K, y, match):
+    with pytest.raises(ValueError, match=match):
+        solve_svm_dual(K, y, C=1.0)
+
+
+def test_solver_checks_symmetry_in_every_row_block():
+    # 300 rows compare in blocks of 218; both entries of the one
+    # asymmetric pair sit in the last, partial block
+    rng = np.random.default_rng(4)
+    K = kernel_matrix(KernelSpec("linear"), rng.normal(size=(300, 2)))
+    y = rng.choice([-1.0, 1.0], size=300)
+    K[299, 250] = np.nextafter(K[299, 250], np.inf)
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_svm_dual(K, y, C=1.0)
+
+
+def test_solver_leaves_inputs_unchanged():
+    rng = np.random.default_rng(6)
+    K = kernel_matrix(KernelSpec("rbf", gamma=0.5), rng.normal(size=(20, 2)))
+    for y in (rng.choice([-1.0, 1.0], size=20), rng.choice([-1, 1], size=20)):
+        K_before, y_before = K.copy(), y.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            solve_svm_dual(K, y, C=1.0, max_passes=20)
+        assert np.array_equal(K, K_before) and np.array_equal(y, y_before)
+
+
+def reference_solve_svm_dual(K, y, C, max_passes=200, tol=1e-3):
+    """The cyclic solver as written before it tracked f by rows.
+
+    It updates y * f column by column; solve_svm_dual must return the
+    same alpha, converged flag and trace bit for bit.
+    """
+    n = K.shape[0]
+    if C <= 0:
+        raise ValueError("C must be positive")
+    alpha = np.zeros(n)
+    yf = np.zeros(n)  # y_i * f(x_i) with f = K (alpha * y)
+    diag = np.diag(K).copy()
+    trace = []
+
+    def objective():
+        a = alpha * y
+        return float(alpha.sum() - 0.5 * a @ K @ a)
+
+    converged = False
+    for _ in range(max_passes):
+        for i in range(n):
+            if diag[i] <= 0:
+                continue
+            new = alpha[i] + (1.0 - yf[i]) / diag[i]
+            new = min(max(new, 0.0), C)
+            delta = new - alpha[i]
+            if delta != 0.0:
+                yf += delta * y[i] * y * K[:, i]
+                alpha[i] = new
+        trace.append(objective())
+        grad = 1.0 - yf
+        ok_zero = (alpha <= 0) & (grad <= tol)
+        ok_cap = (alpha >= C) & (grad >= -tol)
+        ok_mid = (alpha > 0) & (alpha < C) & (np.abs(grad) <= tol)
+        if np.all(ok_zero | ok_cap | ok_mid):
+            converged = True
+            break
+    if not converged:
+        warnings.warn(
+            f"SVM dual did not reach tol={tol:g} within {max_passes} passes; "
+            "returning the best iterate", stacklevel=2)
+    return alpha, converged, trace
+
+
+def assert_matches_reference(K, y, C, max_passes=200, tol=1e-3):
+    with warnings.catch_warnings(record=True) as ref_warns:
+        warnings.simplefilter("always")
+        ref = reference_solve_svm_dual(K, y, C, max_passes=max_passes, tol=tol)
+    with warnings.catch_warnings(record=True) as new_warns:
+        warnings.simplefilter("always")
+        alpha, converged, trace = solve_svm_dual(K, y, C,
+                                                 max_passes=max_passes, tol=tol)
+    # equal_nan only matters for the overflowing cases below
+    assert np.array_equal(alpha, ref[0], equal_nan=True)
+    assert converged == ref[1]
+    assert np.array_equal(trace, ref[2], equal_nan=True)
+    assert ([(w.category, str(w.message)) for w in new_warns]
+            == [(w.category, str(w.message)) for w in ref_warns])
+    assert [w.category for w in new_warns] == ([] if converged
+                                               else [UserWarning])
+    return converged
+
+
+# small integers and halves give tied entries and exact cancellations;
+# the arbitrary floats exercise rounding in the f update
+_entries = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+                     st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def _dual_problems(draw):
+    m = draw(st.integers(1, 6))
+    base = np.array(draw(st.lists(_entries, min_size=m * m, max_size=m * m)))
+    base = base.reshape(m, m)
+    base = np.triu(base) + np.triu(base, 1).T
+    if draw(st.booleans()):
+        base = base @ base.T + np.eye(m)  # positive definite, still symmetric
+        base = np.triu(base) + np.triu(base, 1).T
+    # rows drawn with repetition make repeated rows and columns
+    idx = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=9))
+    K = base[np.ix_(idx, idx)]
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(idx),
+                           max_size=len(idx)))
+    y = np.array(labels, dtype=draw(st.sampled_from([np.float64, np.int64])))
+    return (K, y, draw(st.sampled_from([0.5, 1.0, 5.0])),
+            draw(st.integers(1, 50)),
+            draw(st.sampled_from([1e-12, 1e-6, 1e-3, 0.1, 1.0, 50.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dual_problems())
+def test_solver_matches_reference_bitwise(problem):
+    K, y, C, max_passes, tol = problem
+    assert_matches_reference(K, y, C, max_passes=max_passes, tol=tol)
+
+
+@pytest.mark.parametrize("K", [
+    np.array([[5e-324, 1.0], [1.0, 1.0]]),     # the step overflows to inf
+    np.array([[1.0, 1e308], [1e308, 1e-308]]),  # f overflows, then NaN
+    np.array([[np.inf, 1.0], [1.0, 1.0]]),
+    np.array([[1.0, np.inf], [np.inf, 1.0]]),
+])
+@pytest.mark.parametrize("y", [[1.0, -1.0], [1.0, 1.0]])
+def test_solver_matches_reference_on_extreme_entries(K, y):
+    with np.errstate(all="ignore"):
+        assert_matches_reference(K, np.array(y), C=1.0, max_passes=5)
+
+
+def test_solver_matches_reference_on_ring_instances():
+    train_set, _ = generate(RingExperimentConfig(R=55.0, r_a=0.2,
+                                                 n_test_per_class=1, seed=3))
+    y = train_set.y.astype(float)
+    # the linear SVM cell; it stops at the 200-pass cap
+    K = kernel_matrix(KernelSpec("linear"), train_set.x)
+    assert not assert_matches_reference(K, y, C=1.0)
+    # the init_duals path: jittered RBF Gram matrix, labels as int64
+    gram = gram_matrix(KernelSpec("rbf", gamma=0.1), train_set.x)
+    assert_matches_reference(gram.values, train_set.y, C=1.0)
+
+    big, _ = generate(RingExperimentConfig(R=55.0, r_a=0.2,
+                                           n_train_per_class=500,
+                                           n_test_per_class=1, seed=4))
+    K = kernel_matrix(KernelSpec("linear"), big.x)
+    assert not assert_matches_reference(K, big.y.astype(float), C=1.0,
+                                        max_passes=3)
 
 
 def _planted_dataset():
