@@ -11,7 +11,7 @@ from .baselines import SvmModel, TwoStageModel, train_svm, train_two_stage
 from .dataset import CLASSES, LabeledDataset, class_index
 from .errors import GemMedError, NumericsError, TrainingFailure
 from .gem import GemConfig, GemStats, compute_gem_stats, gem_me_set, \
-    knn_distance_sum, local_entropy, loo_threshold
+    knn_distance_sum, loo_threshold
 from .kernels import KernelSpec, gram_matrix, kernel_matrix, \
     median_heuristic_gamma, resolve_kernel
 from .metrics import auc, detection_accuracy, misclassification_error, \
@@ -21,8 +21,7 @@ from .oracle import OracleResult, exact_posterior, finite_diff_dual, \
     oracle_gradient
 from .persist import load_model, save_model
 from .synthdata import RingExperimentConfig, generate
-from .trainer import anomaly_score, anomaly_scores, decision_function, \
-    detect, predict, train
+from .trainer import anomaly_scores, decision_function, detect, predict, train
 
 __version__ = "0.1.0"
 
@@ -30,11 +29,11 @@ __all__ = [
     "CLASSES", "DualState", "GemConfig", "GemMedError", "GemStats",
     "HyperParams", "KernelSpec", "LabeledDataset", "NumericsError",
     "OracleResult", "RingExperimentConfig", "SvmModel", "TrainedModel",
-    "TrainingFailure", "TwoStageModel", "anomaly_score", "anomaly_scores",
-    "auc", "class_index", "compute_gem_stats", "decision_function", "detect",
+    "TrainingFailure", "TwoStageModel", "anomaly_scores", "auc",
+    "class_index", "compute_gem_stats", "decision_function", "detect",
     "detection_accuracy", "exact_posterior", "finite_diff_dual", "gem_me_set",
     "generate", "gram_matrix", "kernel_matrix", "knn_distance_sum",
-    "load_model", "local_entropy", "loo_threshold", "median_heuristic_gamma",
+    "load_model", "loo_threshold", "median_heuristic_gamma",
     "misclassification_error", "oracle_gradient", "precision_recall_curve",
     "predict", "resolve_kernel", "save_model", "train", "train_svm",
     "train_two_stage", "__version__",

@@ -13,7 +13,7 @@ survivors and calibrates a leave-one-out detection threshold on them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class SvmModel:
     alpha: np.ndarray
     C: float
     converged: bool
-    objective_trace: list = field(default_factory=list)
 
     def decision_function(self, xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -51,6 +50,11 @@ def _is_symmetric(K: np.ndarray) -> bool:
     rows = max(1, 65536 // max(n, 1))
     return all(np.array_equal(K[s:s + rows], K[:, s:s + rows].T)
                for s in range(0, n, rows))
+
+
+def _report_overflow(num: float, di: float) -> None:
+    """Redo num / di on NumPy scalars, which report the overflow per np.errstate."""
+    np.float64(num) / di
 
 
 def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
@@ -74,7 +78,9 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
     directly only by sign flips, which are exact for labels of +-1
     under symmetric round-to-nearest, and the row of an exactly
     symmetric K holds the column's values. So alpha, converged and the
-    trace are bit-identical to updating y * f column by column.
+    trace are bit-identical to updating y * f column by column. A step
+    that overflows to +-inf is clipped like any other, and the overflow
+    is reported as NumPy reports it for the column-by-column update.
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -95,7 +101,7 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
     step = np.empty(n)
     a = alpha.tolist()
     cap = float(C)
-    item, multiply, add = f.item, np.multiply, np.add
+    item, multiply, add, inf = f.item, np.multiply, np.add, np.inf
     # (i, y_i, K[i, i], K[i]) for every coordinate the pass updates
     coords = [(i, yi, di, K[i])
               for i, (yi, di) in enumerate(zip(y.tolist(), np.diag(K).tolist()))
@@ -112,8 +118,12 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
             ai = a[i]
             new = ai + (1.0 - yi * item(i)) / di
             if new < 0.0:
+                if new == -inf:
+                    _report_overflow(1.0 - yi * item(i), di)
                 new = 0.0
             elif new > cap:
+                if new == inf:
+                    _report_overflow(1.0 - yi * item(i), di)
                 new = cap
             delta = new - ai
             if delta != 0.0:
@@ -142,10 +152,10 @@ def train_svm(dataset: LabeledDataset, kernel: KernelSpec, C: float = 1.0,
     if len(np.unique(dataset.y)) < 2:
         raise ValueError("training data must contain both classes")
     K = kernel_matrix(kernel, dataset.x)
-    alpha, converged, trace = solve_svm_dual(K, dataset.y.astype(float), C,
-                                             max_passes=max_passes, tol=tol)
+    alpha, converged, _ = solve_svm_dual(K, dataset.y.astype(float), C,
+                                         max_passes=max_passes, tol=tol)
     return SvmModel(kernel=kernel, x=dataset.x.copy(), y=dataset.y.copy(),
-                    alpha=alpha, C=C, converged=converged, objective_trace=trace)
+                    alpha=alpha, C=C, converged=converged)
 
 
 @dataclass
@@ -174,12 +184,6 @@ class TwoStageModel:
 
     def detect(self, xs: np.ndarray) -> np.ndarray:
         return self.anomaly_scores(xs) > self.theta
-
-    def survival_scores(self, n_total: int) -> np.ndarray:
-        """1 for kept training rows, 0 for removed; usable as a ranking."""
-        scores = np.zeros(n_total)
-        scores[self.kept_idx] = 1.0
-        return scores
 
 
 def train_two_stage(dataset: LabeledDataset, kernel: KernelSpec,

@@ -115,7 +115,10 @@ def cmd_train(args) -> int:
                 f"--gamma must be a number or 'auto', got {gamma!r}") from None
     kernel = resolve_kernel(args.kernel, gamma, data.x, args.jitter)
     phi, psi, tau = _parse_triple(args.rates, "--rates")
-    sweeps, inner, burn = (int(v) for v in _parse_triple(args.gibbs, "--gibbs"))
+    schedule = _parse_triple(args.gibbs, "--gibbs")
+    if not all(v.is_integer() for v in schedule):
+        raise ValueError(f"--gibbs expects whole numbers, got {args.gibbs!r}")
+    sweeps, inner, burn = (int(v) for v in schedule)
     hyper = HyperParams(c=args.c, lambda_cap=args.lambda_cap,
                         a_eta=args.a_eta, p0=args.p0, steps=args.steps,
                         rate_lambda=phi, rate_mu=psi, rate_kappa=tau,
@@ -185,7 +188,14 @@ def _read_column(path, name, cast):
         if header is None or name not in header:
             raise ValueError(f"{path}: expected a '{name}' column")
         col = header.index(name)
-        return np.array([cast(row[col]) for row in reader if row])
+        values = []
+        for row in filter(None, reader):
+            try:
+                values.append(cast(row[col]))
+            except (IndexError, ValueError, OverflowError):
+                raise ValueError(f"{path}:{reader.line_num}: bad or missing "
+                                 f"'{name}' value") from None
+        return np.array(values)
 
 
 def cmd_evaluate(args) -> int:

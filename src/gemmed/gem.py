@@ -42,8 +42,6 @@ class GemConfig:
     epsilon_gamma : float
         Slack added to the minimal statistic sum before normalization,
         so the all-nominal configuration is strictly feasible.
-    intrinsic_dim : int or None
-        Dimension used by the entropy diagnostic; None means ambient.
     alpha : float
         False-alarm level for the leave-one-out detection threshold.
     seed : int
@@ -54,7 +52,6 @@ class GemConfig:
     partition_ratio: float = 0.3
     target_coverage: float = 0.8
     epsilon_gamma: float = 1e-3
-    intrinsic_dim: int | None = None
     alpha: float = 0.05
     seed: int = 0
 
@@ -67,8 +64,6 @@ class GemConfig:
             raise ValueError("target_coverage must lie in (0, 1]")
         if self.epsilon_gamma <= 0:
             raise ValueError("epsilon_gamma must be positive")
-        if self.intrinsic_dim is not None and self.intrinsic_dim < 1:
-            raise ValueError("intrinsic_dim must be positive")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
 
@@ -77,22 +72,16 @@ class GemConfig:
 class GemStats:
     """Per-sample statistics plus per-class constraint levels.
 
-    d_raw holds plain distance sums, d_tilde the same in 1/n units,
-    h the local entropy diagnostic. gamma_hat, beta_hat and k_set are
-    arrays indexed by class slot (0 for label -1, 1 for label +1), as
-    are the partition index tuples.
+    d_raw holds plain distance sums and d_tilde the same in 1/n units.
+    gamma_hat, beta_hat and k_set (the kept count K_z) are arrays
+    indexed by class slot (0 for label -1, 1 for label +1).
     """
 
     d_raw: np.ndarray
     d_tilde: np.ndarray
-    h: np.ndarray
     gamma_hat: np.ndarray
     beta_hat: np.ndarray
     k_set: np.ndarray
-    eval_part: tuple
-    ref_part: tuple
-    k: int
-    target_coverage: float
 
 
 def bipartite_partition(dataset: LabeledDataset, label: int, ratio: float,
@@ -157,24 +146,6 @@ def knn_distance_sum(x, refs: np.ndarray, k: int) -> float | np.ndarray:
     return float(sums[0]) if x.ndim == 1 else sums
 
 
-def local_entropy(dk_sum: float, k: int, m_count: int, dim: int) -> float:
-    """Local entropy diagnostic: dim*log(dk_sum) - log((k-1)/(m_count*c_d)).
-
-    c_d is the volume of the unit ball in `dim` dimensions. A zero
-    distance sum yields -inf (degenerate duplicate point).
-    """
-    if k < 2:
-        raise ValueError("local entropy needs k >= 2")
-    if m_count < 1 or dim < 1:
-        raise ValueError("m_count and dim must be positive")
-    if dk_sum < 0:
-        raise ValueError("distance sum must be nonnegative")
-    if dk_sum == 0:
-        return float("-inf")
-    c_d = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
-    return dim * math.log(dk_sum) - math.log((k - 1) / (m_count * c_d))
-
-
 def gem_me_set(d_values: np.ndarray, k_keep: int) -> np.ndarray:
     """Indices of the k_keep smallest values; ties go to the lower index."""
     d_values = np.asarray(d_values, dtype=float)
@@ -225,11 +196,7 @@ def compute_gem_stats(dataset: LabeledDataset, config: GemConfig) -> GemStats:
     themselves, so every training sample carries a statistic.
     """
     n = dataset.n
-    dim = config.intrinsic_dim if config.intrinsic_dim is not None else dataset.dim
     d_raw = np.zeros(n)
-    h = np.full(n, np.nan)
-    eval_part: list[np.ndarray] = [None, None]
-    ref_part: list[np.ndarray] = [None, None]
     gamma = np.zeros(2)
     beta = np.zeros(2)
     k_set = np.zeros(2, dtype=int)
@@ -243,7 +210,6 @@ def compute_gem_stats(dataset: LabeledDataset, config: GemConfig) -> GemStats:
                 f"class {label}: reference part has {ref.size} points but k="
                 f"{config.k}; raise partition_ratio or lower k"
             )
-        eval_part[slot], ref_part[slot] = ev, ref
         refs = dataset.x[ref]
 
         d_ev = cdist(dataset.x[ev], refs)
@@ -251,14 +217,6 @@ def compute_gem_stats(dataset: LabeledDataset, config: GemConfig) -> GemStats:
         d_rr = cdist(refs, refs)
         np.fill_diagonal(d_rr, np.inf)
         d_raw[ref] = np.sort(d_rr, axis=1)[:, : config.k].sum(axis=1)
-
-        if config.k >= 2:
-            for i in ev:
-                dk = max(d_raw[i], np.finfo(float).eps)
-                h[i] = local_entropy(dk, config.k, ref.size, dim)
-            for i in ref:
-                dk = max(d_raw[i], np.finfo(float).eps)
-                h[i] = local_entropy(dk, config.k, ref.size - 1, dim)
 
         cls_idx = dataset.class_indices(label)
         size = cls_idx.size
@@ -268,15 +226,5 @@ def compute_gem_stats(dataset: LabeledDataset, config: GemConfig) -> GemStats:
         gamma[slot] = gamma_hat(d_raw[cls_idx], kz, config.epsilon_gamma, n)
         beta[slot] = config.target_coverage * size / n
 
-    return GemStats(
-        d_raw=d_raw,
-        d_tilde=d_raw / n,
-        h=h,
-        gamma_hat=gamma,
-        beta_hat=beta,
-        k_set=k_set,
-        eval_part=tuple(eval_part),
-        ref_part=tuple(ref_part),
-        k=config.k,
-        target_coverage=config.target_coverage,
-    )
+    return GemStats(d_raw=d_raw, d_tilde=d_raw / n, gamma_hat=gamma,
+                    beta_hat=beta, k_set=k_set)

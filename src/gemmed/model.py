@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .gem import GemStats
 from .kernels import KernelSpec
 
 RATE_LAMBDA_RANGE = (1e-4, 1e-2)
@@ -39,9 +38,11 @@ class HyperParams:
     left unset, in which case it follows the coverage target (clipped
     to [0.5, 0.99]) so that unpenalized samples sit on the nominal side.
 
-    ``steps`` counts dual ascent iterations; each runs ``gibbs_sweeps``
-    sampler sweeps with ``inner_draws`` indicator draws per sweep, and
-    expectation averages start after ``burn_in`` sweeps.
+    Training always runs all ``steps`` dual ascent iterations, moving
+    lam, mu and kappa by ``rate_lambda``, ``rate_mu`` and ``rate_kappa``
+    times their gradients. Each step runs ``gibbs_sweeps`` sampler sweeps
+    with ``inner_draws`` indicator draws per sweep, and expectation
+    averages start after ``burn_in`` sweeps. ``seed`` seeds the sampler.
     """
 
     c: float = 10.0
@@ -56,9 +57,6 @@ class HyperParams:
     inner_draws: int = 20
     burn_in: int = 10
     seed: int = 0
-    early_stop: bool = False
-    stop_tol: float = 1e-3
-    stop_patience: int = 5
 
     def __post_init__(self):
         if self.c <= 0:
@@ -77,23 +75,13 @@ class HyperParams:
             raise ValueError("gibbs_sweeps and inner_draws must be at least 1")
         if not 0 <= self.burn_in < self.gibbs_sweeps:
             raise ValueError("burn_in must leave at least one sweep")
-        if self.stop_patience < 1 or self.stop_tol <= 0:
-            raise ValueError("stop_patience and stop_tol must be positive")
-        lo, hi = RATE_LAMBDA_RANGE
-        if not lo <= self.rate_lambda <= hi:
-            warnings.warn(
-                f"rate_lambda={self.rate_lambda:g} outside the stable range "
-                f"[{lo:g}, {hi:g}]", stacklevel=2)
-        lo, hi = RATE_MU_RANGE
-        if not lo <= self.rate_mu <= hi:
-            warnings.warn(
-                f"rate_mu={self.rate_mu:g} outside the stable range "
-                f"[{lo:g}, {hi:g}]", stacklevel=2)
-        lo, hi = RATE_KAPPA_RANGE
-        if not lo <= self.rate_kappa <= hi:
-            warnings.warn(
-                f"rate_kappa={self.rate_kappa:g} outside the stable range "
-                f"[{lo:g}, {hi:g}]", stacklevel=2)
+        for name, (lo, hi) in (("rate_lambda", RATE_LAMBDA_RANGE),
+                               ("rate_mu", RATE_MU_RANGE),
+                               ("rate_kappa", RATE_KAPPA_RANGE)):
+            rate = getattr(self, name)
+            if not lo <= rate <= hi:
+                warnings.warn(f"{name}={rate:g} outside the stable range "
+                              f"[{lo:g}, {hi:g}]", stacklevel=2)
 
     @property
     def resolved_cap(self) -> float:
@@ -127,17 +115,6 @@ class DualState:
     lam: np.ndarray
     mu: np.ndarray
     kappa: np.ndarray
-
-    def copy(self) -> "DualState":
-        return DualState(self.lam.copy(), self.mu.copy(), self.kappa.copy())
-
-    def validate(self, cap: float, c: float) -> None:
-        if np.any(self.lam < 0) or np.any(self.lam > cap):
-            raise ValueError("lam outside [0, lambda_cap]")
-        if np.any(self.lam >= c):
-            raise ValueError("lam must stay below c")
-        if np.any(self.mu < 0) or np.any(self.kappa < 0):
-            raise ValueError("mu and kappa must be nonnegative")
 
 
 def per_sample_class_values(values_by_slot: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -184,7 +161,6 @@ class TrainedModel:
     target_coverage: float
     trace: list = field(default_factory=list)
     hyper: HyperParams | None = None
-    gem: GemStats | None = None
 
     @property
     def nominal_idx(self) -> np.ndarray:

@@ -3,7 +3,8 @@
 All model kinds share an envelope with ``format_version`` and
 ``model_kind``; floats go through Python's repr-based JSON encoding,
 which round-trips float64 exactly, so reloaded models reproduce
-predictions bit for bit.
+predictions bit for bit. The two-stage model stores its SVM's fields
+first, under the same keys as an SVM file.
 """
 
 from __future__ import annotations
@@ -20,64 +21,109 @@ from .model import HyperParams, TrainedModel
 
 FORMAT_VERSION = 1
 
+# HyperParams fields that older files may carry; loading drops them.
+RETIRED_HYPER_KEYS = frozenset({"early_stop", "stop_tol", "stop_patience"})
 
-def _kernel_to_dict(spec: KernelSpec) -> dict:
-    return {"kind": spec.kind, "gamma": spec.gamma, "jitter": spec.jitter}
+
+def _object(payload: dict, key: str) -> dict:
+    value = payload[key]
+    if not isinstance(value, dict):
+        raise ValueError(f"field '{key}' must be an object")
+    return value
 
 
-def _kernel_from_dict(d: dict) -> KernelSpec:
-    return KernelSpec(kind=d["kind"], gamma=d["gamma"], jitter=d["jitter"])
+def _by_class(payload: dict, key: str) -> np.ndarray:
+    return np.array([_object(payload, key)[slot] for slot in ("-1", "1")])
+
+
+def _hyper(payload: dict) -> HyperParams | None:
+    if not payload.get("hyper"):
+        return None
+    hyper = _object(payload, "hyper")
+    unknown = set(hyper) - RETIRED_HYPER_KEYS - set(HyperParams.__dataclass_fields__)
+    if unknown:
+        raise ValueError(
+            f"unknown key '{sorted(unknown)[0]}' in field 'hyper'")
+    return HyperParams(**{k: v for k, v in hyper.items()
+                          if k not in RETIRED_HYPER_KEYS})
+
+
+def _base_fields(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> dict:
+    """The kernel, x and y fields every model kind writes first."""
+    return {"kernel": {"kind": spec.kind, "gamma": spec.gamma,
+                       "jitter": spec.jitter},
+            "x": x.tolist(), "y": y.tolist()}
+
+
+def _base(payload: dict) -> dict:
+    d = _object(payload, "kernel")
+    return {"kernel": KernelSpec(kind=d["kind"], gamma=d["gamma"],
+                                 jitter=d["jitter"]),
+            "x": np.array(payload["x"], dtype=float),
+            "y": np.array(payload["y"], dtype=int)}
+
+
+def _joint_fields(m: TrainedModel) -> dict:
+    return {**_base_fields(m.kernel, m.x, m.y), "lambda": m.lam.tolist(),
+            "eta_hat": m.eta_hat.tolist(),
+            "gamma_hat": {"-1": m.gamma_hat[0], "1": m.gamma_hat[1]},
+            "beta_hat": {"-1": m.beta_hat[0], "1": m.beta_hat[1]},
+            "theta": m.theta, "k": m.k, "alpha": m.alpha,
+            "target_coverage": m.target_coverage, "trace": list(m.trace),
+            "hyper": asdict(m.hyper) if m.hyper is not None else None}
+
+
+def _joint_model(p: dict) -> TrainedModel:
+    return TrainedModel(
+        **_base(p), lam=np.array(p["lambda"], dtype=float),
+        eta_hat=np.array(p["eta_hat"], dtype=float),
+        gamma_hat=_by_class(p, "gamma_hat"), beta_hat=_by_class(p, "beta_hat"),
+        theta=float(p["theta"]), k=int(p["k"]), alpha=float(p["alpha"]),
+        target_coverage=float(p["target_coverage"]),
+        trace=list(p.get("trace", [])), hyper=_hyper(p))
+
+
+def _svm_fields(m: SvmModel) -> dict:
+    return {**_base_fields(m.kernel, m.x, m.y), "alpha": m.alpha.tolist(),
+            "C": m.C, "converged": m.converged}
+
+
+def _svm_model(p: dict) -> SvmModel:
+    return SvmModel(**_base(p), alpha=np.array(p["alpha"], dtype=float),
+                    C=float(p["C"]), converged=bool(p["converged"]))
+
+
+def _two_stage_fields(m: TwoStageModel) -> dict:
+    return {**_svm_fields(m.svm), "kept_idx": m.kept_idx.tolist(),
+            "removed_idx": m.removed_idx.tolist(), "theta": m.theta,
+            "k": m.k, "alpha_level": m.alpha_level}
+
+
+def _two_stage_model(p: dict) -> TwoStageModel:
+    return TwoStageModel(
+        svm=_svm_model(p), kept_idx=np.array(p["kept_idx"], dtype=int),
+        removed_idx=np.array(p["removed_idx"], dtype=int),
+        theta=float(p["theta"]), k=int(p["k"]),
+        alpha_level=float(p["alpha_level"]))
+
+
+# (class, model_kind tag, field writer, reader) per model kind
+_KINDS = (
+    (TrainedModel, "gemmed", _joint_fields, _joint_model),
+    (SvmModel, "svm", _svm_fields, _svm_model),
+    (TwoStageModel, "two_stage", _two_stage_fields, _two_stage_model),
+)
 
 
 def save_model(model, path) -> None:
     """Serialize a trained model (joint, svm, or two_stage) to JSON."""
-    if isinstance(model, TrainedModel):
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "model_kind": "gemmed",
-            "kernel": _kernel_to_dict(model.kernel),
-            "x": model.x.tolist(),
-            "y": model.y.tolist(),
-            "lambda": model.lam.tolist(),
-            "eta_hat": model.eta_hat.tolist(),
-            "gamma_hat": {"-1": model.gamma_hat[0], "1": model.gamma_hat[1]},
-            "beta_hat": {"-1": model.beta_hat[0], "1": model.beta_hat[1]},
-            "theta": model.theta,
-            "k": model.k,
-            "alpha": model.alpha,
-            "target_coverage": model.target_coverage,
-            "trace": list(model.trace),
-            "hyper": asdict(model.hyper) if model.hyper is not None else None,
-        }
-    elif isinstance(model, SvmModel):
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "model_kind": "svm",
-            "kernel": _kernel_to_dict(model.kernel),
-            "x": model.x.tolist(),
-            "y": model.y.tolist(),
-            "alpha": model.alpha.tolist(),
-            "C": model.C,
-            "converged": model.converged,
-        }
-    elif isinstance(model, TwoStageModel):
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "model_kind": "two_stage",
-            "kernel": _kernel_to_dict(model.svm.kernel),
-            "x": model.svm.x.tolist(),
-            "y": model.svm.y.tolist(),
-            "alpha": model.svm.alpha.tolist(),
-            "C": model.svm.C,
-            "converged": model.svm.converged,
-            "kept_idx": model.kept_idx.tolist(),
-            "removed_idx": model.removed_idx.tolist(),
-            "theta": model.theta,
-            "k": model.k,
-            "alpha_level": model.alpha_level,
-        }
+    for cls, kind, fields, _ in _KINDS:
+        if isinstance(model, cls):
+            break
     else:
         raise ValueError(f"cannot serialize {type(model).__name__}")
+    payload = {"format_version": FORMAT_VERSION, "model_kind": kind,
+               **fields(model)}
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
@@ -93,53 +139,14 @@ def load_model(path):
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format_version {version!r}")
     kind = payload["model_kind"]
+    for _, tag, _, reader in _KINDS:
+        if tag == kind:
+            break
+    else:
+        raise ValueError(f"{path}: unknown model_kind {kind!r}")
     try:
-        if kind == "gemmed":
-            hyper = payload.get("hyper")
-            return TrainedModel(
-                kernel=_kernel_from_dict(payload["kernel"]),
-                x=np.array(payload["x"], dtype=float),
-                y=np.array(payload["y"], dtype=int),
-                lam=np.array(payload["lambda"], dtype=float),
-                eta_hat=np.array(payload["eta_hat"], dtype=float),
-                gamma_hat=np.array([payload["gamma_hat"]["-1"],
-                                    payload["gamma_hat"]["1"]]),
-                beta_hat=np.array([payload["beta_hat"]["-1"],
-                                   payload["beta_hat"]["1"]]),
-                theta=float(payload["theta"]),
-                k=int(payload["k"]),
-                alpha=float(payload["alpha"]),
-                target_coverage=float(payload["target_coverage"]),
-                trace=list(payload.get("trace", [])),
-                hyper=HyperParams(**hyper) if hyper else None,
-                gem=None,
-            )
-        if kind == "svm":
-            return SvmModel(
-                kernel=_kernel_from_dict(payload["kernel"]),
-                x=np.array(payload["x"], dtype=float),
-                y=np.array(payload["y"], dtype=int),
-                alpha=np.array(payload["alpha"], dtype=float),
-                C=float(payload["C"]),
-                converged=bool(payload["converged"]),
-            )
-        if kind == "two_stage":
-            svm = SvmModel(
-                kernel=_kernel_from_dict(payload["kernel"]),
-                x=np.array(payload["x"], dtype=float),
-                y=np.array(payload["y"], dtype=int),
-                alpha=np.array(payload["alpha"], dtype=float),
-                C=float(payload["C"]),
-                converged=bool(payload["converged"]),
-            )
-            return TwoStageModel(
-                svm=svm,
-                kept_idx=np.array(payload["kept_idx"], dtype=int),
-                removed_idx=np.array(payload["removed_idx"], dtype=int),
-                theta=float(payload["theta"]),
-                k=int(payload["k"]),
-                alpha_level=float(payload["alpha_level"]),
-            )
+        return reader(payload)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
-    raise ValueError(f"{path}: unknown model_kind {kind!r}")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

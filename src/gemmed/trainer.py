@@ -41,7 +41,7 @@ from .model import (DualState, HyperParams, TrainedModel, eta_logits,
 __all__ = [
     "GibbsExpectations", "init_duals", "sample_f_given_eta",
     "gibbs_expectations", "dual_gradient", "train", "decision_function",
-    "predict", "anomaly_score", "anomaly_scores", "detect",
+    "predict", "anomaly_scores", "detect",
 ]
 
 
@@ -234,28 +234,18 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
 
     trace: list[float] = []
     eta_hat: np.ndarray | None = None
-    calm_steps = 0
     for _ in range(hyper.steps):
         exps = gibbs_expectations(state, y, gram, stats.d_tilde, p0, hyper, rng)
         eta_hat = exps.eta_hat
         g_lam, g_mu, g_kappa = dual_gradient(state, exps, stats.gamma_hat,
                                              stats.beta_hat, dataset.n, hyper)
-        new_lam = np.clip(state.lam + hyper.rate_lambda * g_lam, 0.0, cap)
-        new_mu = np.maximum(state.mu + hyper.rate_mu * g_mu, 0.0)
-        new_kappa = np.maximum(state.kappa + hyper.rate_kappa * g_kappa, 0.0)
-        residual = max(
-            np.max(np.abs(new_lam - state.lam)) / hyper.rate_lambda,
-            np.max(np.abs(new_mu - state.mu)) / hyper.rate_mu,
-            np.max(np.abs(new_kappa - state.kappa)) / hyper.rate_kappa,
-        )
-        state = DualState(new_lam, new_mu, new_kappa)
+        state = DualState(
+            np.clip(state.lam + hyper.rate_lambda * g_lam, 0.0, cap),
+            np.maximum(state.mu + hyper.rate_mu * g_mu, 0.0),
+            np.maximum(state.kappa + hyper.rate_kappa * g_kappa, 0.0))
         trace.append(mean_field_dual_estimate(state, gram, y, stats.d_tilde,
                                               stats.gamma_hat, stats.beta_hat,
                                               p0, exps.eta_hat, hyper))
-        if hyper.early_stop:
-            calm_steps = calm_steps + 1 if residual < hyper.stop_tol else 0
-            if calm_steps >= hyper.stop_patience:
-                break
     if eta_hat is None:
         exps = gibbs_expectations(state, y, gram, stats.d_tilde, p0, hyper, rng)
         eta_hat = exps.eta_hat
@@ -287,7 +277,6 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
         target_coverage=gem_config.target_coverage,
         trace=trace,
         hyper=hyper,
-        gem=stats,
     )
 
 
@@ -313,10 +302,6 @@ def _nominal_points(model: TrainedModel) -> np.ndarray:
         )
     return model.x[nominal]
 
-def anomaly_score(model: TrainedModel, x) -> float:
-    """k-NN distance sum from one query into the nominal support."""
-    return knn_distance_sum(x, _nominal_points(model), model.k)
-
 
 def anomaly_scores(model: TrainedModel, xs: np.ndarray) -> np.ndarray:
     """k-NN distance sum of each query row into the nominal support.
@@ -328,8 +313,7 @@ def anomaly_scores(model: TrainedModel, xs: np.ndarray) -> np.ndarray:
 
 
 def detect(model: TrainedModel, xs: np.ndarray):
-    """True where the anomaly score exceeds the calibrated threshold."""
+    """True where the anomaly score exceeds theta; a bool for one 1-D query."""
     arr = np.asarray(xs, dtype=float)
-    if arr.ndim == 1:
-        return bool(anomaly_score(model, arr) > model.theta)
-    return anomaly_scores(model, arr) > model.theta
+    calls = anomaly_scores(model, arr) > model.theta
+    return bool(calls[0]) if arr.ndim == 1 else calls

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gemmed.baselines import (SvmModel, TwoStageModel, solve_svm_dual,
@@ -209,8 +209,9 @@ def assert_matches_reference(K, y, C, max_passes=200, tol=1e-3):
     assert np.array_equal(trace, ref[2], equal_nan=True)
     assert ([(w.category, str(w.message)) for w in new_warns]
             == [(w.category, str(w.message)) for w in ref_warns])
-    assert [w.category for w in new_warns] == ([] if converged
-                                               else [UserWarning])
+    # NumPy's RuntimeWarnings, if any, were compared with the reference above
+    assert ([w.category for w in new_warns if w.category is UserWarning]
+            == ([] if converged else [UserWarning]))
     return converged
 
 
@@ -240,8 +241,16 @@ def _dual_problems(draw):
             draw(st.sampled_from([1e-12, 1e-6, 1e-3, 0.1, 1.0, 50.0])))
 
 
+def _overflowing_step_problem():
+    """The step 5 / K[5, 5] overflows to inf on the second coordinate."""
+    K = np.full((6, 6), -2.0)
+    K[4, 4], K[5, 5] = 0.5, 2.2250738585072014e-308
+    return K, np.full(6, -1.0), 5.0, 1, 1e-12
+
+
 @settings(max_examples=300, deadline=None)
 @given(_dual_problems())
+@example(_overflowing_step_problem())
 def test_solver_matches_reference_bitwise(problem):
     K, y, C, max_passes, tol = problem
     assert_matches_reference(K, y, C, max_passes=max_passes, tol=tol)
@@ -324,22 +333,10 @@ def test_two_stage_detector_rejects_mismatched_queries():
         model.detect(np.zeros((2, 3)))
 
 
-def test_two_stage_survival_scores():
-    ds, planted = _planted_dataset()
-    config = GemConfig(k=2, partition_ratio=0.4, target_coverage=10.0 / 12.0,
-                       seed=1)
-    model = train_two_stage(ds, KernelSpec("linear"), config)
-    s = model.survival_scores(ds.n)
-    assert s.shape == (ds.n,)
-    assert np.all(s[model.kept_idx] == 1.0)
-    assert np.all(s[planted] == 0.0)
-
-
 def test_models_round_trip_through_dataclass_fields():
     ds, _ = _planted_dataset()
     model = train_svm(ds, KernelSpec("rbf", gamma=0.2), C=1.0)
     assert isinstance(model, SvmModel)
-    assert model.objective_trace  # populated by default
     clone = SvmModel(kernel=model.kernel, x=model.x, y=model.y,
                      alpha=model.alpha, C=model.C, converged=model.converged)
     grid = np.random.default_rng(0).normal(size=(20, 2)) * 5

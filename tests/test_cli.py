@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +149,21 @@ def test_evaluate_detection_accuracy(workdir, tmp_path, capsys):
     assert 0.0 <= report["detection_accuracy"] <= 1.0
 
 
+@pytest.mark.parametrize("flag,text", [
+    ("--predictions", "id,label\n0,1\n1\n"),      # short row
+    ("--predictions", "label\n1\ninf\n"),          # int(inf) overflows
+    ("--predictions", "label\n1\nyes\n"),
+    ("--detections", "score,call\n1.0,1\n2.0,nan\n"),
+])
+def test_evaluate_rejects_bad_rows(workdir, tmp_path, capsys, flag, text):
+    path = tmp_path / "col.csv"
+    path.write_text(text)
+    truth = "--truth" if flag == "--predictions" else "--detection-truth"
+    rc = main(["evaluate", flag, str(path), truth, str(workdir / "test.csv")])
+    assert rc == 2
+    assert f"{path}:3: bad" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["evaluate"],
     ["evaluate", "--predictions", "x.csv"],
@@ -182,6 +199,20 @@ def test_train_bad_gamma_and_rates(workdir, tmp_path, capsys):
                "--rates", "1e-3,2e-2", "--model-out", str(tmp_path / "m.json")])
     assert rc == 2
     assert "--rates" in capsys.readouterr().err
+
+
+def test_train_gibbs_schedule_must_be_whole_numbers(workdir, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    argv = ["train", "--data", str(workdir / "train.csv"), "--kernel", "rbf",
+            "--gamma", "0.1", "--k", "3", "--lambda-cap", "0.4",
+            "--steps", "2", "--seed", "0", "--model-out", str(out)]
+    assert main(argv + ["--gibbs", "30.7,20.2,10.9"]) == 2
+    assert "--gibbs" in capsys.readouterr().err
+    assert not out.exists()
+    # whole numbers written as floats still work
+    assert main(argv + ["--gibbs", "8.0,8,2e0"]) == 0
+    assert out.read_bytes() == (workdir / "model.json").read_bytes()
+    capsys.readouterr()
 
 
 def test_train_failure_maps_to_exit_one(workdir, tmp_path, capsys):
@@ -260,11 +291,28 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     ({"gem": {"seed": 4}}, "unknown key 'seed'"),
     ({"svm": {"epochs": 3}}, "unknown key 'epochs'"),
     ({"gemmed": {"hyper": {"lr": 0.1}}}, "unknown key 'lr'"),
+    ({"gem": {"intrinsic_dim": None}}, "unknown key 'intrinsic_dim'"),
+    ({"gemmed": {"hyper": {"early_stop": True}}}, "unknown key 'early_stop'"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)
     assert main(["sweep", "--config", str(config)]) == 2
     assert needle in capsys.readouterr().err
+
+
+def test_readme_sweep_config_is_accepted(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    config = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    config["seeds"] = config["seeds"][:1]
+    config["gemmed"]["hyper"]["steps"] = 2
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    cells = len(config["methods"]) * len(config["R"]) * len(config["ra"])
+    assert len(rows) == 1 + cells
+    capsys.readouterr()
 
 
 def test_sweep_requires_grid_keys(tmp_path, capsys):
@@ -289,3 +337,22 @@ def test_missing_files_exit_two(tmp_path, capsys):
     assert main(["predict", "--model", str(tmp_path / "no.json"),
                  "--data", str(tmp_path / "no.csv")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field,value,needle", [
+    ("hyper", {"c": 10.0, "bogus": 1}, "unknown key 'bogus' in field 'hyper'"),
+    ("gamma_hat", [0.1, 0.2], "'gamma_hat' must be an object"),
+    ("beta_hat", 0.5, "'beta_hat' must be an object"),
+    ("kernel", "rbf", "'kernel' must be an object"),
+])
+def test_predict_rejects_malformed_model_fields(workdir, tmp_path, capsys,
+                                                field, value, needle):
+    payload = json.loads((workdir / "model.json").read_text())
+    payload[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    rc = main(["predict", "--model", str(path),
+               "--data", str(workdir / "test.csv"),
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert needle in capsys.readouterr().err

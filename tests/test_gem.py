@@ -12,7 +12,7 @@ from gemmed import gem
 from gemmed.dataset import LabeledDataset, class_index
 from gemmed.gem import (GemConfig, bipartite_partition, compute_gem_stats,
                         gamma_hat, gem_me_set, knn_distance_sum,
-                        local_entropy, loo_scores, loo_threshold)
+                        loo_scores, loo_threshold)
 
 
 def test_knn_distance_sum_frozen():
@@ -108,24 +108,6 @@ def test_knn_distance_sum_rejects_mismatched_queries():
         knn_distance_sum(3.0, refs, 1)
 
 
-def test_local_entropy_frozen_values():
-    # dim 1: unit ball volume 2, so h = -log((k-1)/(m*2)) at unit distance sum
-    assert local_entropy(1.0, k=2, m_count=4, dim=1) == pytest.approx(math.log(8.0))
-    # dim 2: unit ball volume pi
-    assert local_entropy(2.0, k=3, m_count=5, dim=2) == pytest.approx(
-        math.log(10.0 * math.pi))
-
-
-def test_local_entropy_edge_cases():
-    assert local_entropy(0.0, k=2, m_count=3, dim=2) == float("-inf")
-    with pytest.raises(ValueError):
-        local_entropy(1.0, k=1, m_count=3, dim=2)
-    with pytest.raises(ValueError):
-        local_entropy(-0.5, k=2, m_count=3, dim=2)
-    with pytest.raises(ValueError):
-        local_entropy(1.0, k=2, m_count=0, dim=2)
-
-
 def test_gem_me_set_tie_breaks_to_lower_index():
     keep = gem_me_set(np.array([1.0, 1.0, 0.5]), 2)
     assert list(keep) == [2, 0]
@@ -211,13 +193,10 @@ def test_compute_gem_stats_against_direct_recomputation():
     stats = compute_gem_stats(ds, config)
 
     assert np.array_equal(stats.d_tilde, stats.d_raw / ds.n)
-    assert stats.k == 2 and stats.target_coverage == 0.75
 
     for label in (-1, 1):
         slot = class_index(label)
         ev, ref = bipartite_partition(ds, label, 0.3, seed=9)
-        assert np.array_equal(stats.eval_part[slot], ev)
-        assert np.array_equal(stats.ref_part[slot], ref)
         # recompute the statistics sample by sample
         for i in ev:
             dists = sorted(math.dist(ds.x[i], ds.x[j]) for j in ref)
@@ -232,8 +211,6 @@ def test_compute_gem_stats_against_direct_recomputation():
         lowest = np.sort(stats.d_raw[cls])[:kz]
         assert stats.gamma_hat[slot] == pytest.approx((lowest.sum() + 1e-3) / ds.n)
         assert stats.beta_hat[slot] == pytest.approx(0.75 * cls.size / ds.n)
-
-    assert np.all(np.isfinite(stats.h))  # k >= 2 so the diagnostic exists
 
 
 def test_compute_gem_stats_needs_reference_headroom():
@@ -253,8 +230,6 @@ def test_gem_config_validation():
         GemConfig(epsilon_gamma=0.0)
     with pytest.raises(ValueError):
         GemConfig(alpha=1.0)
-    with pytest.raises(ValueError):
-        GemConfig(intrinsic_dim=0)
 
 
 @settings(max_examples=25, deadline=None)

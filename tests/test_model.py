@@ -36,8 +36,6 @@ def test_hyper_validation():
         HyperParams(gibbs_sweeps=0)
     with pytest.raises(ValueError):
         HyperParams(burn_in=30, gibbs_sweeps=30)
-    with pytest.raises(ValueError):
-        HyperParams(stop_tol=0.0)
 
 
 def test_hyper_warns_outside_stable_rate_band():
@@ -95,16 +93,3 @@ def test_eta_logits_hand_computed():
     assert out[1] == pytest.approx(math.log(3.0) + 1.9)
 
 
-def test_dual_state_validate():
-    state = DualState(lam=np.array([0.5]), mu=np.zeros(2), kappa=np.zeros(2))
-    state.validate(cap=1.0, c=10.0)
-    with pytest.raises(ValueError, match="lam"):
-        DualState(np.array([-0.1]), np.zeros(2), np.zeros(2)).validate(1.0, 10.0)
-    with pytest.raises(ValueError, match="lam"):
-        DualState(np.array([1.5]), np.zeros(2), np.zeros(2)).validate(1.0, 10.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        DualState(np.array([0.5]), np.array([-1.0, 0.0]),
-                  np.zeros(2)).validate(1.0, 10.0)
-    copy = state.copy()
-    copy.lam[0] = 0.9
-    assert state.lam[0] == 0.5  # copies detach storage

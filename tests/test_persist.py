@@ -43,6 +43,31 @@ def test_joint_model_round_trip(cell, tmp_path):
                                   trainer.detect(model, test_set.x))
 
 
+def test_joint_model_with_retired_hyper_keys_loads(cell, tmp_path):
+    train_set, test_set = cell
+    hyper = HyperParams(lambda_cap=0.4, steps=3, gibbs_sweeps=8,
+                        inner_draws=8, burn_in=2, seed=0)
+    model = trainer.train(train_set, KernelSpec("rbf", gamma=0.1),
+                          GemConfig(k=3, seed=0), hyper)
+    path = tmp_path / "joint.json"
+    save_model(model, path)
+    # files written before early stopping was removed carry its three keys
+    payload = json.loads(path.read_text())
+    payload["hyper"].update(early_stop=False, stop_tol=1e-3, stop_patience=5)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload, indent=1) + "\n")
+    back = load_model(old)
+    assert back.hyper == model.hyper
+    for fn in (trainer.predict, trainer.decision_function,
+               trainer.anomaly_scores, trainer.detect):
+        np.testing.assert_array_equal(fn(back, test_set.x),
+                                      fn(model, test_set.x))
+    # saving again writes the current format, without the retired keys
+    again = tmp_path / "again.json"
+    save_model(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_svm_round_trip(cell, tmp_path):
     train_set, test_set = cell
     model = train_svm(train_set, KernelSpec("linear"), C=1.0)

@@ -331,7 +331,8 @@ def test_detect_uses_nominal_support_only():
     model = _toy_model([1.0, 1.0, 0.2])
     assert model.nominal_idx.tolist() == [0, 1]
     # nearest nominal point to (5, 5) is (1, 0), distance sqrt(41)
-    assert trainer.anomaly_score(model, [5.0, 5.0]) == pytest.approx(np.sqrt(41.0))
+    assert trainer.anomaly_scores(model, [5.0, 5.0]).tolist() == pytest.approx(
+        [np.sqrt(41.0)])
     assert trainer.detect(model, np.array([5.0, 5.0])) is True
     assert trainer.detect(model, np.array([0.5, 0.0])) is False
     calls = trainer.detect(model, np.array([[5.0, 5.0], [0.5, 0.0]]))
@@ -347,7 +348,7 @@ def test_detector_unusable_without_support():
 def test_detector_rejects_mismatched_queries():
     model = _toy_model([1.0, 1.0, 0.2])
     with pytest.raises(ValueError, match="1 feature column.* have 2"):
-        trainer.anomaly_score(model, [3.0])
+        trainer.anomaly_scores(model, [3.0])
     with pytest.raises(ValueError, match="3 feature column.* have 2"):
         trainer.anomaly_scores(model, np.zeros((4, 3)))
     with pytest.raises(ValueError, match="1 feature column.* have 2"):
@@ -377,7 +378,8 @@ def test_detectors_match_per_row_scoring_bitwise():
     assert np.array_equal(trainer.detect(joint, xs), want > joint.theta)
     assert 0 < np.count_nonzero(want > joint.theta) < xs.shape[0]
     for i in (0, 250):
-        assert trainer.anomaly_score(joint, xs[i]) == want[i]
+        assert np.array_equal(trainer.anomaly_scores(joint, xs[i]),
+                              want[i:i + 1])
         call = trainer.detect(joint, xs[i])
         assert type(call) is bool and call == (want[i] > joint.theta)
 
