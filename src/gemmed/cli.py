@@ -80,10 +80,10 @@ def _check_dim(model_x: np.ndarray, xs: np.ndarray, what: str) -> None:
             f"expects {model_x.shape[1]}")
 
 
-def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
+def _parse_floats(text: str, flag: str, count: int) -> tuple[float, ...]:
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"{flag} expects three comma-separated values")
+    if len(parts) != count:
+        raise ValueError(f"{flag} expects {count} comma-separated values")
     return tuple(float(v) for v in parts)
 
 
@@ -114,15 +114,15 @@ def cmd_train(args) -> int:
             raise ValueError(
                 f"--gamma must be a number or 'auto', got {gamma!r}") from None
     kernel = resolve_kernel(args.kernel, gamma, data.x, args.jitter)
-    phi, psi, tau = _parse_triple(args.rates, "--rates")
-    schedule = _parse_triple(args.gibbs, "--gibbs")
+    phi, psi, tau = _parse_floats(args.rates, "--rates", 3)
+    schedule = _parse_floats(args.gibbs, "--gibbs", 2)
     if not all(v.is_integer() for v in schedule):
         raise ValueError(f"--gibbs expects whole numbers, got {args.gibbs!r}")
-    sweeps, inner, burn = (int(v) for v in schedule)
+    sweeps, burn = (int(v) for v in schedule)
     hyper = HyperParams(c=args.c, lambda_cap=args.lambda_cap,
                         a_eta=args.a_eta, p0=args.p0, steps=args.steps,
                         rate_lambda=phi, rate_mu=psi, rate_kappa=tau,
-                        gibbs_sweeps=sweeps, inner_draws=inner, burn_in=burn,
+                        gibbs_sweeps=sweeps, burn_in=burn,
                         seed=args.seed)
     gem_config = GemConfig(k=args.k, target_coverage=args.coverage,
                            alpha=args.alpha, seed=args.seed)
@@ -180,7 +180,7 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _read_column(path, name, cast):
+def _read_column(path, name, allowed: tuple[float, ...]) -> np.ndarray:
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -191,10 +191,14 @@ def _read_column(path, name, cast):
         values = []
         for row in filter(None, reader):
             try:
-                values.append(cast(row[col]))
-            except (IndexError, ValueError, OverflowError):
+                value = float(row[col])
+            except (IndexError, ValueError):
+                value = None
+            if value not in allowed:
+                expected = " or ".join(f"{v:g}" for v in allowed)
                 raise ValueError(f"{path}:{reader.line_num}: bad or missing "
-                                 f"'{name}' value") from None
+                                 f"'{name}' value; expected {expected}")
+            values.append(value)
         return np.array(values)
 
 
@@ -203,7 +207,7 @@ def cmd_evaluate(args) -> int:
     if args.predictions:
         if not args.truth:
             raise ValueError("--predictions requires --truth")
-        predicted = _read_column(args.predictions, "label", lambda v: int(float(v)))
+        predicted = _read_column(args.predictions, "label", (-1.0, 1.0))
         truth = LabeledDataset.from_csv(args.truth)
         report["error"] = misclassification_error(predicted, truth.y)
     if args.model:
@@ -227,8 +231,7 @@ def cmd_evaluate(args) -> int:
     if args.detections:
         if not args.detection_truth:
             raise ValueError("--detections requires --detection-truth")
-        calls = _read_column(args.detections, "call",
-                             lambda v: int(float(v)) != 0)
+        calls = _read_column(args.detections, "call", (0.0, 1.0)) != 0
         flags = LabeledDataset.from_csv(args.detection_truth).anomaly
         if flags is None:
             raise ValueError(f"{args.detection_truth}: no is_anomaly column")
@@ -279,8 +282,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_oracle_compare(args) -> int:
     """Sampler expectations vs exact enumeration, in standard-error units."""
     _require_small(args.n)
-    hyper = HyperParams(gibbs_sweeps=args.sweeps, inner_draws=args.inner,
-                        burn_in=args.burn_in)
+    hyper = HyperParams(gibbs_sweeps=args.sweeps, burn_in=args.burn_in)
     total = within = 0
     trials_ok = 0
     worst = 0.0
@@ -477,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates", default="2e-3,2e-2,2e-2",
                    help="ascent rates phi,psi,tau")
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--gibbs", default="30,20,10",
-                   help="sampler schedule sweeps,inner_draws,burn_in")
+    p.add_argument("--gibbs", default="30,10",
+                   help="sampler schedule sweeps,burn_in")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model-out", default="model.json")
     p.set_defaults(func=cmd_train)
@@ -522,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweeps", type=int, default=200)
-    p.add_argument("--inner", type=int, default=50)
     p.add_argument("--burn-in", type=int, default=20)
     p.set_defaults(func=cmd_oracle_compare)
 

@@ -178,14 +178,14 @@ def loo_threshold(points: np.ndarray, k: int, alpha: float) -> float:
 
 
 def loo_scores(points: np.ndarray, k: int) -> np.ndarray:
-    """Leave-one-out k-NN distance sums for each point."""
+    """Leave-one-out k-NN distance sums for each point, added in sorted order."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m = points.shape[0]
     if m < k + 1:
         raise ValueError(f"need at least k+1={k + 1} points, got {m}")
     d = cdist(points, points)
     np.fill_diagonal(d, np.inf)
-    return np.partition(d, k - 1, axis=1)[:, :k].sum(axis=1)
+    return np.sort(np.partition(d, k - 1, axis=1)[:, :k], axis=1).sum(axis=1)
 
 
 def compute_gem_stats(dataset: LabeledDataset, config: GemConfig) -> GemStats:

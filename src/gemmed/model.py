@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 from scipy.special import expit
@@ -40,9 +41,9 @@ class HyperParams:
 
     Training always runs all ``steps`` dual ascent iterations, moving
     lam, mu and kappa by ``rate_lambda``, ``rate_mu`` and ``rate_kappa``
-    times their gradients. Each step runs ``gibbs_sweeps`` sampler sweeps
-    with ``inner_draws`` indicator draws per sweep, and expectation
-    averages start after ``burn_in`` sweeps. ``seed`` seeds the sampler.
+    times their gradients. Each step averages ``gibbs_sweeps - burn_in``
+    sweeps of one persistent sampler chain, which discards its first
+    ``burn_in`` sweeps. ``seed`` seeds the sampler.
     """
 
     c: float = 10.0
@@ -54,11 +55,14 @@ class HyperParams:
     rate_mu: float = 2e-2
     rate_kappa: float = 2e-2
     gibbs_sweeps: int = 30
-    inner_draws: int = 20
     burn_in: int = 10
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("steps", "gibbs_sweeps", "burn_in", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.c <= 0:
             raise ValueError("c must be positive")
         cap = self.resolved_cap
@@ -71,10 +75,9 @@ class HyperParams:
         for rate in (self.rate_lambda, self.rate_mu, self.rate_kappa):
             if rate <= 0:
                 raise ValueError("learning rates must be positive")
-        if self.gibbs_sweeps < 1 or self.inner_draws < 1:
-            raise ValueError("gibbs_sweeps and inner_draws must be at least 1")
         if not 0 <= self.burn_in < self.gibbs_sweeps:
-            raise ValueError("burn_in must leave at least one sweep")
+            raise ValueError("need 0 <= burn_in < gibbs_sweeps: the sampler "
+                             "averages at least one sweep")
         for name, (lo, hi) in (("rate_lambda", RATE_LAMBDA_RANGE),
                                ("rate_mu", RATE_MU_RANGE),
                                ("rate_kappa", RATE_KAPPA_RANGE)):

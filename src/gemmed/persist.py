@@ -22,7 +22,7 @@ from .model import HyperParams, TrainedModel
 FORMAT_VERSION = 1
 
 # HyperParams fields that older files may carry; loading drops them.
-RETIRED_HYPER_KEYS = frozenset({"early_stop", "stop_tol", "stop_patience"})
+RETIRED_HYPER_KEYS = frozenset({"early_stop", "stop_tol", "stop_patience", "inner_draws"})
 
 
 def _object(payload: dict, key: str) -> dict:

@@ -65,14 +65,13 @@ def init_duals(dataset: LabeledDataset, gram: GramMatrix,
 
 
 def sample_f_given_eta(state: DualState, eta: np.ndarray, gram: GramMatrix,
-                       y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+                       y: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Draw decision values from the exact Gaussian conditional.
 
-    f | eta is Normal with mean K (lam * eta * y) and covariance K;
-    the cached Cholesky factor supplies the correlated noise.
+    f | eta is Normal with mean K (lam * eta * y) and covariance K; noise
+    is one draw of L z, L the cached Cholesky factor of K, z ~ N(0, I).
     """
-    mean = gram.values @ (state.lam * eta * y)
-    return mean + gram.factor @ rng.standard_normal(gram.n)
+    return gram.values @ (state.lam * eta * y) + noise
 
 
 @dataclass
@@ -83,7 +82,8 @@ class GibbsExpectations:
     per-class E[sum eta_n dt_n] (1/n units); e_sum_eta the per-class
     raw indicator sums E[sum eta_n]. eta_hat is the averaged indicator
     mean. Standard errors come from nonoverlapping batch means, which
-    absorbs the sweep-to-sweep correlation of the chain.
+    absorbs the sweep-to-sweep correlation of the chain. eta_last is the
+    chain's final indicator vector, or None where no chain ran.
     """
 
     e_eta_y_f: np.ndarray
@@ -95,6 +95,7 @@ class GibbsExpectations:
     se_sum_eta: np.ndarray
     se_eta_hat: np.ndarray
     n_sweeps: int
+    eta_last: np.ndarray | None = None
 
 
 def _batch_se(rows: np.ndarray) -> np.ndarray:
@@ -125,52 +126,46 @@ def _t_correction(n_batches: int) -> float:
 
 def gibbs_expectations(state: DualState, y: np.ndarray, gram: GramMatrix,
                        d_tilde: np.ndarray, p0: np.ndarray,
-                       hyper: HyperParams,
-                       rng: np.random.Generator) -> GibbsExpectations:
+                       hyper: HyperParams, rng: np.random.Generator,
+                       eta_start: np.ndarray | None = None
+                       ) -> GibbsExpectations:
     """Run the blocked sampler and average the gradient expectations.
 
-    Sweep t draws f from its Gaussian conditional given the previous
-    sweep's binary indicator vector, then draws ``inner_draws``
-    independent indicator vectors given f; their mean feeds the
-    averages (a conditional-mean estimate with lower variance) and the
-    last of them carries the chain, so the (f, eta) sequence is an
-    exact blocked Gibbs chain for the joint density. Only sweeps after
-    ``burn_in`` contribute to the returned averages. Output is
-    bit-reproducible for a fixed generator state.
+    Each sweep draws f given the chain's binary indicators, then one new
+    indicator vector given f: an exact blocked Gibbs chain. Given f the
+    indicators are independent with mean prob, so the averages use prob,
+    not the draw (Rao-Blackwellization). A cold chain starts at all ones
+    and discards ``burn_in`` sweeps; one continued from ``eta_start``
+    discards none. Either way ``gibbs_sweeps - burn_in`` sweeps are
+    averaged. All f noise, then all uniforms, are drawn up front.
     """
     n = gram.n
     yf_sign = y.astype(float)
-    eta_state = np.ones(n)  # binary chain state, all-ones start
     n_post = hyper.gibbs_sweeps - hyper.burn_in
+    burn = hyper.burn_in if eta_start is None else 0
+    eta_state = np.ones(n) if eta_start is None else eta_start.astype(float)
+    noise = rng.standard_normal((burn + n_post, n)) @ gram.factor.T
+    uniforms = rng.random((burn + n_post, n))
+    # the logit is affine in f; its f-free part is the logit at f = 0
+    offset = eta_logits(state, np.zeros(n), yf_sign, d_tilde, p0, n)
     rec_eyf = np.empty((n_post, n))
     rec_eta = np.empty((n_post, n))
-    row = 0
-    for t in range(1, hyper.gibbs_sweeps + 1):
-        f = sample_f_given_eta(state, eta_state, gram, yf_sign, rng)
-        prob = expit(eta_logits(state, f, yf_sign, d_tilde, p0, n))
-        draws = rng.random((hyper.inner_draws, n)) < prob
-        eta_bar = draws.mean(axis=0)
-        eta_state = draws[-1].astype(float)
-        if t > hyper.burn_in:
-            rec_eyf[row] = eta_bar * yf_sign * f
-            rec_eta[row] = eta_bar
-            row += 1
+    for t in range(burn + n_post):
+        yf = yf_sign * sample_f_given_eta(state, eta_state, gram, yf_sign,
+                                          noise[t])
+        prob = expit(offset + state.lam * yf)
+        eta_state = (uniforms[t] < prob).astype(float)
+        if t >= burn:
+            rec_eyf[t - burn] = prob * yf
+            rec_eta[t - burn] = prob
 
-    masks = np.stack([y == -1, y == 1])  # class slots 0, 1
-    rec_sum_eta_d = np.stack([rec_eta[:, m] @ d_tilde[m] for m in masks], axis=1)
-    rec_sum_eta = np.stack([rec_eta[:, m].sum(axis=1) for m in masks], axis=1)
-
-    return GibbsExpectations(
-        e_eta_y_f=rec_eyf.mean(axis=0),
-        e_sum_eta_d=rec_sum_eta_d.mean(axis=0),
-        e_sum_eta=rec_sum_eta.mean(axis=0),
-        eta_hat=rec_eta.mean(axis=0),
-        se_eta_y_f=_batch_se(rec_eyf),
-        se_sum_eta_d=_batch_se(rec_sum_eta_d),
-        se_sum_eta=_batch_se(rec_sum_eta),
-        se_eta_hat=_batch_se(rec_eta),
-        n_sweeps=n_post,
-    )
+    slots = np.stack([y == -1, y == 1], axis=1).astype(float)  # one-hot
+    # one column block per averaged field, in field order
+    rows = np.hstack([rec_eyf, rec_eta @ (slots * d_tilde[:, None]),
+                      rec_eta @ slots, rec_eta])
+    cuts = (n, n + 2, n + 4)
+    return GibbsExpectations(*np.split(rows.mean(axis=0), cuts),
+                             *np.split(_batch_se(rows), cuts), n_post, eta_state)
 
 
 def dual_gradient(state: DualState, exps: GibbsExpectations,
@@ -200,12 +195,11 @@ def mean_field_dual_estimate(state: DualState, gram: GramMatrix, y: np.ndarray,
     a_bar = a * eta_bar
     quad = 0.5 * a_bar @ gram.values @ a_bar
     quad += 0.5 * np.sum(a * a * np.diag(gram.values) * eta_bar * (1.0 - eta_bar))
-    mu_n = state.mu[np.where(y > 0, 1, 0)]
-    kap_n = state.kappa[np.where(y > 0, 1, 0)]
-    linear = eta_bar @ (kap_n / n - mu_n * d_tilde)
-    prior = np.sum(eta_bar * np.log(p0) + (1.0 - eta_bar) * np.log1p(-p0))
+    # the f-free logit holds the linear and the prior terms
+    linear = (eta_bar @ eta_logits(state, np.zeros(n), y, d_tilde, p0, n)
+              + np.sum(np.log1p(-p0)))
     entropy = np.sum(entr(eta_bar) + entr(1.0 - eta_bar))
-    elbo = quad + linear + prior + entropy
+    elbo = quad + linear + entropy
     closed = np.sum(state.lam + np.log1p(-state.lam / hyper.c))
     closed += -state.mu @ gamma_hat + state.kappa @ beta_hat
     return float(closed - elbo)
@@ -217,6 +211,8 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
 
     Each step estimates the gradient expectations with the blocked
     sampler at the current duals, then takes a projected ascent step.
+    The sampler's chain persists across steps, so only the first step
+    discards burn-in sweeps.
     With ``steps`` = 0 the duals stay at their initialization and one
     sampler pass still produces eta_hat. After the loop the nominal
     support is {n : eta_hat_n > 1/2}; training fails if it is empty or
@@ -233,10 +229,11 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
     rng = np.random.default_rng(hyper.seed)
 
     trace: list[float] = []
-    eta_hat: np.ndarray | None = None
-    for _ in range(hyper.steps):
-        exps = gibbs_expectations(state, y, gram, stats.d_tilde, p0, hyper, rng)
-        eta_hat = exps.eta_hat
+    exps = gibbs_expectations(state, y, gram, stats.d_tilde, p0, hyper, rng)
+    for step in range(hyper.steps):
+        if step:  # continue the chain at the updated duals
+            exps = gibbs_expectations(state, y, gram, stats.d_tilde, p0,
+                                      hyper, rng, exps.eta_last)
         g_lam, g_mu, g_kappa = dual_gradient(state, exps, stats.gamma_hat,
                                              stats.beta_hat, dataset.n, hyper)
         state = DualState(
@@ -246,9 +243,7 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
         trace.append(mean_field_dual_estimate(state, gram, y, stats.d_tilde,
                                               stats.gamma_hat, stats.beta_hat,
                                               p0, exps.eta_hat, hyper))
-    if eta_hat is None:
-        exps = gibbs_expectations(state, y, gram, stats.d_tilde, p0, hyper, rng)
-        eta_hat = exps.eta_hat
+    eta_hat = exps.eta_hat
 
     nominal = np.flatnonzero(eta_hat > 0.5)
     if nominal.size == 0:

@@ -96,7 +96,7 @@ def test_criterion_1_gradients_match_finite_differences():
 
 def test_criterion_2_sampler_matches_oracle():
     t0 = time.perf_counter()
-    hyper = HyperParams(gibbs_sweeps=200, inner_draws=50, burn_in=20)
+    hyper = HyperParams(gibbs_sweeps=200, burn_in=20)
     trials_ok = 0
     for t in range(100):
         inst = random_instance(6, t, hyper=hyper)

@@ -23,7 +23,7 @@ def workdir(tmp_path_factory):
     assert rc == 0
     rc = main(["train", "--data", str(root / "train.csv"),
                "--kernel", "rbf", "--gamma", "0.1", "--k", "3",
-               "--lambda-cap", "0.4", "--steps", "2", "--gibbs", "8,8,2",
+               "--lambda-cap", "0.4", "--steps", "2", "--gibbs", "8,2",
                "--seed", "0", "--model-out", str(root / "model.json")])
     assert rc == 0
     return root
@@ -46,7 +46,7 @@ def test_train_is_deterministic(workdir, tmp_path):
     out = tmp_path / "again.json"
     rc = main(["train", "--data", str(workdir / "train.csv"),
                "--kernel", "rbf", "--gamma", "0.1", "--k", "3",
-               "--lambda-cap", "0.4", "--steps", "2", "--gibbs", "8,8,2",
+               "--lambda-cap", "0.4", "--steps", "2", "--gibbs", "8,2",
                "--seed", "0", "--model-out", str(out)])
     assert rc == 0
     assert out.read_bytes() == (workdir / "model.json").read_bytes()
@@ -153,7 +153,10 @@ def test_evaluate_detection_accuracy(workdir, tmp_path, capsys):
     ("--predictions", "id,label\n0,1\n1\n"),      # short row
     ("--predictions", "label\n1\ninf\n"),          # int(inf) overflows
     ("--predictions", "label\n1\nyes\n"),
+    ("--predictions", "label\n1\n-1.9\n"),        # not a label, not truncated
+    ("--predictions", "label\n-1\n1.5\n"),
     ("--detections", "score,call\n1.0,1\n2.0,nan\n"),
+    ("--detections", "score,call\n1.0,0\n2.0,2\n"),
 ])
 def test_evaluate_rejects_bad_rows(workdir, tmp_path, capsys, flag, text):
     path = tmp_path / "col.csv"
@@ -162,6 +165,16 @@ def test_evaluate_rejects_bad_rows(workdir, tmp_path, capsys, flag, text):
     rc = main(["evaluate", flag, str(path), truth, str(workdir / "test.csv")])
     assert rc == 2
     assert f"{path}:3: bad" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_zero_labels(workdir, tmp_path, capsys):
+    path = tmp_path / "zeros.csv"
+    path.write_text("label\n" + "0\n" * 80)
+    rc = main(["evaluate", "--predictions", str(path),
+               "--truth", str(workdir / "test.csv")])
+    assert rc == 2
+    assert f"{path}:2: bad or missing 'label' value; expected -1 or 1" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -206,11 +219,11 @@ def test_train_gibbs_schedule_must_be_whole_numbers(workdir, tmp_path, capsys):
     argv = ["train", "--data", str(workdir / "train.csv"), "--kernel", "rbf",
             "--gamma", "0.1", "--k", "3", "--lambda-cap", "0.4",
             "--steps", "2", "--seed", "0", "--model-out", str(out)]
-    assert main(argv + ["--gibbs", "30.7,20.2,10.9"]) == 2
+    assert main(argv + ["--gibbs", "30.7,10.9"]) == 2
     assert "--gibbs" in capsys.readouterr().err
     assert not out.exists()
     # whole numbers written as floats still work
-    assert main(argv + ["--gibbs", "8.0,8,2e0"]) == 0
+    assert main(argv + ["--gibbs", "8.0,2e0"]) == 0
     assert out.read_bytes() == (workdir / "model.json").read_bytes()
     capsys.readouterr()
 
@@ -219,7 +232,7 @@ def test_train_failure_maps_to_exit_one(workdir, tmp_path, capsys):
     rc = main(["train", "--data", str(workdir / "train.csv"),
                "--kernel", "rbf", "--gamma", "0.1", "--k", "3",
                "--p0", "0.001", "--lambda-cap", "0.001", "--steps", "0",
-               "--gibbs", "8,8,2", "--model-out", str(tmp_path / "m.json")])
+               "--gibbs", "8,2", "--model-out", str(tmp_path / "m.json")])
     assert rc == 1
     assert "eta_hat" in capsys.readouterr().err
 
@@ -293,6 +306,10 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     ({"gemmed": {"hyper": {"lr": 0.1}}}, "unknown key 'lr'"),
     ({"gem": {"intrinsic_dim": None}}, "unknown key 'intrinsic_dim'"),
     ({"gemmed": {"hyper": {"early_stop": True}}}, "unknown key 'early_stop'"),
+    ({"gemmed": {"hyper": {"inner_draws": 20}}}, "unknown key 'inner_draws'"),
+    ({"gemmed": {"hyper": {"gibbs_sweeps": 8.5}}},
+     "gibbs_sweeps must be an integer"),
+    ({"gemmed": {"hyper": {"steps": 2.0}}}, "steps must be an integer"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)

@@ -51,7 +51,7 @@ def test_random_instance_respects_tight_cap():
 def _tiny_gemmed_settings():
     return MethodSettings(kernel="rbf", gamma=0.1,
                           hyper=HyperParams(lambda_cap=0.4, steps=4,
-                                            gibbs_sweeps=8, inner_draws=8,
+                                            gibbs_sweeps=8,
                                             burn_in=2))
 
 

@@ -178,6 +178,16 @@ def test_loo_scores_and_threshold_frozen():
     assert loo_threshold(pts, k=1, alpha=0.05) == pytest.approx(3.7)
 
 
+def test_loo_scores_sum_sorted_distances_bitwise():
+    # the k smallest are added in sorted order, not in np.partition's order
+    pts = np.random.default_rng(5).normal(size=(800, 2))
+    k = 100
+    want = np.array([
+        np.sort(np.delete(np.linalg.norm(pts - p, axis=1), i))[:k].sum()
+        for i, p in enumerate(pts)])
+    assert np.array_equal(loo_scores(pts, k), want)
+
+
 def test_loo_threshold_errors():
     pts = np.array([[0.0], [1.0]])
     with pytest.raises(ValueError, match="points"):

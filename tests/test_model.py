@@ -36,6 +36,12 @@ def test_hyper_validation():
         HyperParams(gibbs_sweeps=0)
     with pytest.raises(ValueError):
         HyperParams(burn_in=30, gibbs_sweeps=30)
+    for name in ("steps", "gibbs_sweeps", "burn_in", "seed"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            HyperParams(**{name: 3.0})
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        HyperParams(seed=True)
+    assert HyperParams(seed=np.int64(3)).seed == 3
 
 
 def test_hyper_warns_outside_stable_rate_band():

@@ -22,7 +22,7 @@ def cell():
 def test_joint_model_round_trip(cell, tmp_path):
     train_set, test_set = cell
     hyper = HyperParams(lambda_cap=0.4, steps=3, gibbs_sweeps=8,
-                        inner_draws=8, burn_in=2, seed=0)
+                        burn_in=2, seed=0)
     model = trainer.train(train_set, KernelSpec("rbf", gamma=0.1),
                           GemConfig(k=3, seed=0), hyper)
     path = tmp_path / "joint.json"
@@ -46,14 +46,17 @@ def test_joint_model_round_trip(cell, tmp_path):
 def test_joint_model_with_retired_hyper_keys_loads(cell, tmp_path):
     train_set, test_set = cell
     hyper = HyperParams(lambda_cap=0.4, steps=3, gibbs_sweeps=8,
-                        inner_draws=8, burn_in=2, seed=0)
+                        burn_in=2, seed=0)
     model = trainer.train(train_set, KernelSpec("rbf", gamma=0.1),
                           GemConfig(k=3, seed=0), hyper)
     path = tmp_path / "joint.json"
     save_model(model, path)
-    # files written before early stopping was removed carry its three keys
+    # files written before early stopping was removed carry its three
+    # keys, and files written before the Rao-Blackwellized sampler carry
+    # inner_draws
     payload = json.loads(path.read_text())
-    payload["hyper"].update(early_stop=False, stop_tol=1e-3, stop_patience=5)
+    payload["hyper"].update(early_stop=False, stop_tol=1e-3, stop_patience=5,
+                            inner_draws=8)
     old = tmp_path / "old.json"
     old.write_text(json.dumps(payload, indent=1) + "\n")
     back = load_model(old)

@@ -32,9 +32,9 @@ def test_f_sampler_moments():
                       mu=np.zeros(2), kappa=np.zeros(2))
     eta = np.array([1.0, 0.0, 1.0, 1.0])
     target_mean = gram.values @ (state.lam * eta * y)
-    rng = np.random.default_rng(123)
-    draws = np.array([sample_f_given_eta(state, eta, gram, y, rng)
-                      for _ in range(20000)])
+    noise = np.random.default_rng(123).standard_normal((20000, 4)) @ gram.factor.T
+    draws = np.array([sample_f_given_eta(state, eta, gram, y, row)
+                      for row in noise])
     se = np.sqrt(np.diag(gram.values) / 20000)
     assert np.all(np.abs(draws.mean(axis=0) - target_mean) < 4 * se)
     emp_cov = np.cov(draws.T)
@@ -47,7 +47,7 @@ def test_decoupled_chain_recovers_prior():
     gram, y = _fixed_instance()
     state = DualState(lam=np.zeros(4), mu=np.zeros(2), kappa=np.zeros(2))
     p0 = np.array([0.7, 0.4, 0.6, 0.85])
-    hyper = HyperParams(gibbs_sweeps=60, inner_draws=50, burn_in=10)
+    hyper = HyperParams(gibbs_sweeps=60, burn_in=10)
     exps = gibbs_expectations(state, y, gram, np.full(4, 0.2), p0, hyper,
                               np.random.default_rng(0))
     assert np.all(np.abs(exps.eta_hat - p0) < 0.05)
@@ -61,7 +61,7 @@ def test_gibbs_is_bit_reproducible():
                       mu=np.array([0.5, 0.2]), kappa=np.array([0.1, 0.3]))
     d_tilde = np.array([0.1, 0.4, 0.2, 0.3])
     p0 = np.full(4, 0.7)
-    hyper = HyperParams(gibbs_sweeps=20, inner_draws=10, burn_in=5)
+    hyper = HyperParams(gibbs_sweeps=20, burn_in=5)
     a = gibbs_expectations(state, y, gram, d_tilde, p0, hyper,
                            np.random.default_rng(7))
     b = gibbs_expectations(state, y, gram, d_tilde, p0, hyper,
@@ -88,10 +88,11 @@ def _reference_batch_se(rows):
     return correction * batches.std(axis=0, ddof=1) / np.sqrt(n_batches)
 
 
-def _reference_gibbs(state, y, gram, d_tilde, p0, hyper, rng):
-    """The sampler written sweep by sweep, class slots looked up one label
-    at a time through class_index; the optimized sampler must match it
-    bit for bit."""
+def _reference_gibbs(state, y, gram, d_tilde, p0, hyper, rng, eta_start=None):
+    """The sampler written sweep by sweep: the f mean and the whole logit
+    computed in place each sweep, class slots looked up one label at a
+    time through class_index; the optimized sampler must match it bit
+    for bit."""
     n = gram.n
     yf = y.astype(float)
 
@@ -99,23 +100,27 @@ def _reference_gibbs(state, y, gram, d_tilde, p0, hyper, rng):
         slots = np.fromiter((class_index(v) for v in yf), dtype=int, count=n)
         return values[slots]
 
-    eta_state = np.ones(n)
+    burn = hyper.burn_in if eta_start is None else 0
+    eta = np.ones(n) if eta_start is None else eta_start.astype(float)
+    total = burn + hyper.gibbs_sweeps - hyper.burn_in
+    noise = rng.standard_normal((total, n)) @ gram.factor.T
+    uniforms = rng.random((total, n))
     rec_eyf, rec_eta = [], []
-    for t in range(1, hyper.gibbs_sweeps + 1):
-        f = sample_f_given_eta(state, eta_state, gram, yf, rng)
-        logit = (np.log(p0) - np.log1p(-p0) + state.lam * yf * f
-                 - class_values(state.mu) * d_tilde
-                 + class_values(state.kappa) / n)
-        draws = rng.random((hyper.inner_draws, n)) < expit(logit)
-        eta_bar = draws.mean(axis=0)
-        eta_state = draws[-1].astype(float)
-        if t > hyper.burn_in:
-            rec_eyf.append(eta_bar * yf * f)
-            rec_eta.append(eta_bar)
+    for t in range(total):
+        f = gram.values @ (state.lam * eta * yf) + noise[t]
+        logit = ((np.log(p0) - np.log1p(-p0)
+                  - class_values(state.mu) * d_tilde
+                  + class_values(state.kappa) / n)
+                 + state.lam * (yf * f))
+        prob = expit(logit)
+        eta = (uniforms[t] < prob).astype(float)
+        if t >= burn:
+            rec_eyf.append(prob * (yf * f))
+            rec_eta.append(prob)
     rec_eyf, rec_eta = np.array(rec_eyf), np.array(rec_eta)
-    masks = np.stack([y == -1, y == 1])
-    rec_sum_eta_d = np.stack([rec_eta[:, m] @ d_tilde[m] for m in masks], axis=1)
-    rec_sum_eta = np.stack([rec_eta[:, m].sum(axis=1) for m in masks], axis=1)
+    in_class = np.stack([y == -1, y == 1], axis=1).astype(float)
+    rec_sum_eta_d = rec_eta @ (in_class * d_tilde[:, None])
+    rec_sum_eta = rec_eta @ in_class
     return GibbsExpectations(
         e_eta_y_f=rec_eyf.mean(axis=0),
         e_sum_eta_d=rec_sum_eta_d.mean(axis=0),
@@ -126,6 +131,7 @@ def _reference_gibbs(state, y, gram, d_tilde, p0, hyper, rng):
         se_sum_eta=_reference_batch_se(rec_sum_eta),
         se_eta_hat=_reference_batch_se(rec_eta),
         n_sweeps=len(rec_eta),
+        eta_last=eta,
     )
 
 
@@ -150,20 +156,45 @@ def test_gibbs_matches_reference_sampler_bitwise(case):
         args = _ring_instance()
     else:
         inst = random_instance(*case, hyper=HyperParams(
-            gibbs_sweeps=40, inner_draws=10, burn_in=7))
+            gibbs_sweeps=40, burn_in=7))
         args = (inst.state, inst.y, inst.gram, inst.d_tilde, inst.p0,
                 inst.hyper)
     got = gibbs_expectations(*args, np.random.default_rng(11))
     want = _reference_gibbs(*args, np.random.default_rng(11))
+    _assert_same_expectations(got, want)
+
+
+def _assert_same_expectations(got, want):
     for name in ("e_eta_y_f", "e_sum_eta_d", "e_sum_eta", "eta_hat",
-                 "se_eta_y_f", "se_sum_eta_d", "se_sum_eta", "se_eta_hat"):
+                 "se_eta_y_f", "se_sum_eta_d", "se_sum_eta", "se_eta_hat",
+                 "eta_last"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.n_sweeps == want.n_sweeps
 
 
+def test_warm_started_call_runs_no_burn_in():
+    inst = random_instance(7, 1, hyper=HyperParams(gibbs_sweeps=40,
+                                                   burn_in=7))
+    args = (inst.state, inst.y, inst.gram, inst.d_tilde, inst.p0, inst.hyper)
+    cold = gibbs_expectations(*args, np.random.default_rng(11))
+    assert set(np.unique(cold.eta_last)) <= {0.0, 1.0}
+    start = cold.eta_last.copy()
+    rng = np.random.default_rng(12)
+    warm = gibbs_expectations(*args, rng, start)
+    assert np.array_equal(start, cold.eta_last)  # the start is not mutated
+    _assert_same_expectations(
+        warm, _reference_gibbs(*args, np.random.default_rng(12), start))
+    assert warm.n_sweeps == cold.n_sweeps == 33
+    # a warm call consumes the noise and uniforms of 33 sweeps, not 40
+    used = np.random.default_rng(12)
+    used.standard_normal((33, 7))
+    used.random((33, 7))
+    assert rng.random() == used.random()
+    assert set(np.unique(warm.eta_last)) <= {0.0, 1.0}
+
+
 def test_gibbs_tracks_oracle_loosely():
     inst = random_instance(5, 0, hyper=HyperParams(gibbs_sweeps=300,
-                                                   inner_draws=50,
                                                    burn_in=20))
     oracle = exact_posterior(inst.state, inst.y, inst.K, inst.d_tilde,
                              inst.gamma_hat, inst.beta_hat, inst.p0,
@@ -260,7 +291,7 @@ def _small_cell(seed=0, n=30):
 def test_train_end_to_end_small():
     train_set, test_set = _small_cell()
     hyper = HyperParams(lambda_cap=0.4, steps=5, gibbs_sweeps=10,
-                        inner_draws=10, burn_in=3, seed=0)
+                        burn_in=3, seed=0)
     config = GemConfig(k=3, target_coverage=0.8, seed=0)
     model = trainer.train(train_set, KernelSpec("rbf", gamma=0.1), config,
                           hyper)
@@ -280,11 +311,31 @@ def test_train_end_to_end_small():
 def test_train_zero_steps_still_produces_indicators():
     train_set, _ = _small_cell()
     hyper = HyperParams(lambda_cap=0.4, steps=0, gibbs_sweeps=8,
-                        inner_draws=8, burn_in=2, seed=0)
+                        burn_in=2, seed=0)
     model = trainer.train(train_set, KernelSpec("rbf", gamma=0.1),
                           GemConfig(k=3, seed=0), hyper)
     assert model.trace == []
     assert model.eta_hat.shape == (train_set.n,)
+
+
+def test_train_continues_one_chain_across_steps(monkeypatch):
+    starts, ends = [], []
+    sampler = trainer.gibbs_expectations
+
+    def spy(*args):
+        exps = sampler(*args)
+        starts.append(args[7] if len(args) > 7 else None)
+        ends.append(exps.eta_last)
+        return exps
+
+    monkeypatch.setattr(trainer, "gibbs_expectations", spy)
+    train_set, _ = _small_cell()
+    hyper = HyperParams(lambda_cap=0.4, steps=4, gibbs_sweeps=8, burn_in=2,
+                        seed=0)
+    trainer.train(train_set, KernelSpec("rbf", gamma=0.1),
+                  GemConfig(k=3, seed=0), hyper)
+    assert len(starts) == 4 and starts[0] is None
+    assert all(s is e for s, e in zip(starts[1:], ends))
 
 
 def test_train_rejects_single_class():
@@ -298,7 +349,7 @@ def test_train_rejects_single_class():
 def test_training_failure_when_prior_rules_everything_out():
     train_set, _ = _small_cell()
     hyper = HyperParams(p0=1e-3, lambda_cap=1e-3, steps=0, gibbs_sweeps=8,
-                        inner_draws=8, burn_in=2, seed=0)
+                        burn_in=2, seed=0)
     with pytest.raises(TrainingFailure, match="eta_hat"):
         trainer.train(train_set, KernelSpec("rbf", gamma=0.1),
                       GemConfig(k=3, seed=0), hyper)
