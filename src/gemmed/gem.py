@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -56,6 +57,10 @@ class GemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if not 0 < self.partition_ratio < 1:

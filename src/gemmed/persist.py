@@ -85,12 +85,16 @@ def _joint_model(p: dict) -> TrainedModel:
 
 def _svm_fields(m: SvmModel) -> dict:
     return {**_base_fields(m.kernel, m.x, m.y), "alpha": m.alpha.tolist(),
-            "C": m.C, "converged": m.converged}
+            "C": m.C, "converged": m.converged,
+            "kkt_violation": m.kkt_violation}
 
 
 def _svm_model(p: dict) -> SvmModel:
+    # files without kkt_violation load with None, meaning not recorded
+    violation = p.get("kkt_violation")
     return SvmModel(**_base(p), alpha=np.array(p["alpha"], dtype=float),
-                    C=float(p["C"]), converged=bool(p["converged"]))
+                    C=float(p["C"]), converged=bool(p["converged"]),
+                    kkt_violation=None if violation is None else float(violation))
 
 
 def _two_stage_fields(m: TwoStageModel) -> dict:

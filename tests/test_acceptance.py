@@ -2,13 +2,16 @@
 simulated benchmark. Each test prints one `criterion N: PASS/FAIL` line
 (run with -s to see them on passing tests too).
 
-Criterion 4 carries two clauses. The margin over the reference SVM
-holds with room to spare; the absolute error target does not, because
-the clean-test Bayes error of the data generator already exceeds it
+Criterion 4 carries two clauses, and neither can hold on this data.
+The clean-test Bayes error of the data generator is already near 24%
 (the class means are 6*sqrt(2) apart under a covariance whose
 along-the-gap variance is 36, giving a Mahalanobis separation of
-sqrt(2) and an optimal error near 24%). That half is expected to fail
-honestly rather than be weakened; see the test body.
+sqrt(2)), and the Bayes rule is the linear rule through the origin,
+with error Phi(-1/sqrt(2)) ~= 24.0%. The reference SVM fits that rule
+and is solved to its optimum, so the margin clause (beat the SVM by 2
+points) fails first: joint 24.64% against SVM 24.41% over the 10 seeds.
+The absolute 15% target is out of reach for any classifier. Both are
+expected to fail honestly rather than be weakened; see the test body.
 """
 
 import itertools

@@ -310,6 +310,8 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     ({"gemmed": {"hyper": {"gibbs_sweeps": 8.5}}},
      "gibbs_sweeps must be an integer"),
     ({"gemmed": {"hyper": {"steps": 2.0}}}, "steps must be an integer"),
+    ({"gem": {"k": 2.5}}, "k must be an integer"),
+    ({"gem": {"k": True}}, "k must be an integer"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)

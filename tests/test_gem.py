@@ -240,6 +240,12 @@ def test_gem_config_validation():
         GemConfig(epsilon_gamma=0.0)
     with pytest.raises(ValueError):
         GemConfig(alpha=1.0)
+    for bad in ({"k": 2.5}, {"k": 3.0}, {"k": True}, {"seed": 1.5},
+                {"seed": False}):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GemConfig(**bad)
+    assert GemConfig(k=np.int64(3), seed=np.int64(7)).k == 3
 
 
 @settings(max_examples=25, deadline=None)

@@ -79,8 +79,68 @@ def test_svm_round_trip(cell, tmp_path):
     back = load_model(path)
     assert back.C == 1.0
     assert back.converged == model.converged
+    assert back.kkt_violation == model.kkt_violation
     np.testing.assert_array_equal(back.predict(test_set.x),
                                   model.predict(test_set.x))
+
+
+def test_solver_outcome_round_trips(cell, tmp_path):
+    train_set, _ = cell
+    svm = train_svm(train_set, KernelSpec("linear"), C=1.0)
+    two_stage = train_two_stage(train_set, KernelSpec("linear"),
+                                GemConfig(k=3, seed=0, target_coverage=0.8))
+    for model, fitted in ((svm, svm), (two_stage, two_stage.svm)):
+        assert fitted.converged and 0.0 <= fitted.kkt_violation <= 1e-3
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        assert payload["converged"] is True
+        assert payload["kkt_violation"] == fitted.kkt_violation
+        back = load_model(path)
+        back_fitted = back if model is svm else back.svm
+        assert back_fitted.converged is True
+        assert back_fitted.kkt_violation == fitted.kkt_violation
+
+
+@pytest.mark.parametrize("kind", ["svm", "two_stage"])
+def test_files_without_kkt_violation_load(cell, tmp_path, kind):
+    # the layout written before the KKT violation was recorded: the same
+    # fields minus kkt_violation, at the same format_version
+    train_set, test_set = cell
+    if kind == "svm":
+        model = train_svm(train_set, KernelSpec("linear"), C=1.0)
+    else:
+        model = train_two_stage(train_set, KernelSpec("linear"),
+                                GemConfig(k=3, seed=0, target_coverage=0.8))
+    path = tmp_path / "new.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    del payload["kkt_violation"]
+    assert payload["format_version"] == 1
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload, indent=1) + "\n")
+    back = load_model(old)
+    fitted = back if kind == "svm" else back.svm
+    assert fitted.kkt_violation is None
+    assert fitted.converged == (model if kind == "svm" else model.svm).converged
+    np.testing.assert_array_equal(back.decision_function(test_set.x),
+                                  model.decision_function(test_set.x))
+    # saving it again writes the field as null
+    again = tmp_path / "again.json"
+    save_model(back, again)
+    assert json.loads(again.read_text())["kkt_violation"] is None
+
+
+def test_literal_svm_file_without_kkt_violation_loads(tmp_path):
+    path = tmp_path / "svm.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "model_kind": "svm",
+        "kernel": {"kind": "linear", "gamma": None, "jitter": 1e-08},
+        "x": [[-1.0], [1.0]], "y": [-1, 1], "alpha": [0.5, 0.5],
+        "C": 10.0, "converged": True}))
+    back = load_model(path)
+    assert back.converged is True and back.kkt_violation is None
+    assert back.decision_function(np.array([[2.0]])).tolist() == [2.0]
 
 
 def test_two_stage_round_trip(cell, tmp_path):
