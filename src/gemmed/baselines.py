@@ -316,14 +316,14 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
     return alpha, converged, trace
 
 
-def train_svm(dataset: LabeledDataset, kernel: KernelSpec, C: float = 1.0,
-              max_passes: int = 200, tol: float = 1e-3) -> SvmModel:
+def train_svm(dataset: LabeledDataset, kernel: KernelSpec,
+              C: float = 1.0) -> SvmModel:
     """Fit the soft-margin kernel SVM on the full dataset."""
     if len(np.unique(dataset.y)) < 2:
         raise ValueError("training data must contain both classes")
     K = kernel_matrix(kernel, dataset.x)
     y = dataset.y.astype(float)
-    alpha, converged, _ = solve_svm_dual(K, y, C, max_passes=max_passes, tol=tol)
+    alpha, converged, _ = solve_svm_dual(K, y, C)
     return SvmModel(kernel=kernel, x=dataset.x.copy(), y=dataset.y.copy(),
                     alpha=alpha, C=C, converged=converged,
                     kkt_violation=kkt_violation(K, y, alpha, C))
@@ -358,8 +358,7 @@ class TwoStageModel:
 
 
 def train_two_stage(dataset: LabeledDataset, kernel: KernelSpec,
-                    gem_config: GemConfig, C: float = 1.0,
-                    max_passes: int = 200, tol: float = 1e-3) -> TwoStageModel:
+                    gem_config: GemConfig, C: float = 1.0) -> TwoStageModel:
     """Drop the highest-statistic fraction per class, then fit the SVM.
 
     Per class z the k-NN statistics are computed on the full data and
@@ -379,7 +378,7 @@ def train_two_stage(dataset: LabeledDataset, kernel: KernelSpec,
     survivors = dataset.subset(kept_idx)
     if len(np.unique(survivors.y)) < 2:
         raise ValueError("screening left a class empty; lower the removal fraction")
-    svm = train_svm(survivors, kernel, C=C, max_passes=max_passes, tol=tol)
+    svm = train_svm(survivors, kernel, C=C)
     theta = loo_threshold(survivors.x, gem_config.k, gem_config.alpha)
     return TwoStageModel(svm=svm, kept_idx=kept_idx, removed_idx=removed_idx,
                          theta=theta, k=gem_config.k, alpha_level=gem_config.alpha)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import trainer
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, feature_columns, features, read_csv
 from .errors import GemMedError
 from .experiments import (METHODS, MethodSettings, default_settings,
                           random_instance, run_cell)
@@ -32,10 +32,9 @@ from .metrics import auc, detection_accuracy, misclassification_error, \
     precision_recall_curve
 from .model import HyperParams
 from .oracle import MAX_EXACT, exact_posterior, finite_diff_dual, oracle_gradient
-from .persist import load_model, save_model
+from .persist import json_object, load_model, save_model
 from .synthdata import RingExperimentConfig, generate
 
-HYPER_FIELDS = set(HyperParams.__dataclass_fields__)
 GEM_FIELDS = set(GemConfig.__dataclass_fields__)
 
 
@@ -46,31 +45,7 @@ def _fmt(value) -> str:
 
 def _read_points(path) -> np.ndarray:
     """Feature rows from either a dataset CSV or a bare x1..xp CSV."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        rows = [r for r in reader if r]
-    if header and header[0] == "y":
-        return LabeledDataset.from_csv(path).x
-    p = len(header)
-    if header != [f"x{j + 1}" for j in range(p)]:
-        raise ValueError(f"{path}: expected columns y,x1..xp or x1..xp")
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    out = []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != p:
-            raise ValueError(f"{path}:{lineno}: expected {p} fields")
-        out.append([float(v) for v in row])
-    xs = np.array(out)
-    bad = np.flatnonzero(~np.isfinite(xs).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}:{bad[0] + 2}: non-finite feature value")
-    return xs
+    return features(*read_csv(path, feature_columns))
 
 
 def _check_dim(model_x: np.ndarray, xs: np.ndarray, what: str) -> None:
@@ -180,26 +155,13 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _read_column(path, name, allowed: tuple[float, ...]) -> np.ndarray:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or name not in header:
-            raise ValueError(f"{path}: expected a '{name}' column")
-        col = header.index(name)
-        values = []
-        for row in filter(None, reader):
-            try:
-                value = float(row[col])
-            except (IndexError, ValueError):
-                value = None
-            if value not in allowed:
-                expected = " or ".join(f"{v:g}" for v in allowed)
-                raise ValueError(f"{path}:{reader.line_num}: bad or missing "
-                                 f"'{name}' value; expected {expected}")
-            values.append(value)
-        return np.array(values)
+def _read_column(path, name: str) -> np.ndarray:
+    """One column of a predict or detect output file, checked by name."""
+    def pick(header):
+        if name not in header:
+            raise ValueError(f"expected a '{name}' column")
+        return [name]
+    return read_csv(path, pick)[1][:, 0]
 
 
 def cmd_evaluate(args) -> int:
@@ -207,7 +169,7 @@ def cmd_evaluate(args) -> int:
     if args.predictions:
         if not args.truth:
             raise ValueError("--predictions requires --truth")
-        predicted = _read_column(args.predictions, "label", (-1.0, 1.0))
+        predicted = _read_column(args.predictions, "label")
         truth = LabeledDataset.from_csv(args.truth)
         report["error"] = misclassification_error(predicted, truth.y)
     if args.model:
@@ -231,7 +193,7 @@ def cmd_evaluate(args) -> int:
     if args.detections:
         if not args.detection_truth:
             raise ValueError("--detections requires --detection-truth")
-        calls = _read_column(args.detections, "call", (0.0, 1.0)) != 0
+        calls = _read_column(args.detections, "call") != 0
         flags = LabeledDataset.from_csv(args.detection_truth).anomaly
         if flags is None:
             raise ValueError(f"{args.detection_truth}: no is_anomaly column")
@@ -341,24 +303,12 @@ def _method_settings(config: dict, method: str) -> MethodSettings:
     base = default_settings(method)
     if section is None:
         return base
-    if not isinstance(section, dict):
-        raise ValueError(f"sweep config key '{method}' must be an object")
-    unknown = set(section) - METHOD_KEYS
-    if unknown:
-        raise ValueError(
-            f"unknown key '{sorted(unknown)[0]}' in sweep config section "
-            f"'{method}'")
+    json_object(section, f"sweep config section '{method}'", METHOD_KEYS)
     hyper = base.hyper
     if "hyper" in section:
-        hd = section["hyper"]
-        if not isinstance(hd, dict):
-            raise ValueError(f"'{method}.hyper' must be an object")
-        unknown = set(hd) - HYPER_FIELDS
-        if unknown:
-            raise ValueError(
-                f"unknown key '{sorted(unknown)[0]}' in sweep config "
-                f"section '{method}.hyper'")
-        hyper = HyperParams(**hd)
+        hyper = HyperParams(**json_object(section["hyper"],
+                                          f"sweep config section '{method}.hyper'",
+                                          HyperParams.__dataclass_fields__))
     return MethodSettings(
         kernel=section.get("kernel", base.kernel),
         gamma=section.get("gamma", base.gamma),
@@ -374,11 +324,7 @@ def cmd_sweep(args) -> int:
         config = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    unknown = set(config) - SWEEP_TOP_KEYS
-    if unknown:
-        raise ValueError(f"unknown key '{sorted(unknown)[0]}' in sweep config")
+    json_object(config, "sweep config", SWEEP_TOP_KEYS)
     for key in ("R", "ra", "seeds"):
         if key not in config:
             raise ValueError(f"sweep config is missing required key '{key}'")
@@ -390,14 +336,9 @@ def cmd_sweep(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method '{m}' in sweep config")
-    gem_raw = config.get("gem", {})
-    if not isinstance(gem_raw, dict):
-        raise ValueError("sweep config key 'gem' must be an object")
-    unknown = set(gem_raw) - (GEM_FIELDS - {"seed", "target_coverage"})
-    if unknown:
-        raise ValueError(
-            f"unknown key '{sorted(unknown)[0]}' in sweep config section 'gem'")
-    gem_config = GemConfig(**gem_raw)
+    gem_config = GemConfig(**json_object(config.get("gem", {}),
+                                         "sweep config section 'gem'",
+                                         GEM_FIELDS - {"seed", "target_coverage"}))
     # validate every method section present, not just the selected ones,
     # so a typo in an inactive section cannot hide
     settings = {m: _method_settings(config, m) for m in METHODS}

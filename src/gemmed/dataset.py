@@ -2,12 +2,13 @@
 
 The on-disk format is a plain CSV with header ``y,x1,...,xp`` and an
 optional trailing ``is_anomaly`` column (training files only). Labels
-are restricted to {-1, +1}.
+are restricted to {-1, +1}. read_csv reads every CSV file the CLI takes.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,10 +16,89 @@ import numpy as np
 
 CLASSES = (-1, 1)
 
+# Values a column of this name must hold; read_csv wants others finite.
+EXACT_VALUES = {"y": (-1.0, 1.0), "label": (-1.0, 1.0),
+                "is_anomaly": (0.0, 1.0), "call": (0.0, 1.0)}
+
 
 def class_index(label: int) -> int:
     """Map a label in {-1, +1} to the fixed per-class array slot {0, 1}."""
     return (int(label) + 1) // 2
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def read_csv(path, columns) -> tuple[list[str], np.ndarray]:
+    """Read the columns ``columns(header)`` names as float64, in one pass.
+
+    columns raises ValueError for a header it does not accept. Blank rows
+    are skipped; each field read is one ``float()``. ValueError names the
+    file, and for a bad row its physical line: no header, no data rows, a
+    row not as wide as the header, a value not finite or not in EXACT_VALUES.
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(filter(None, reader), None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            try:
+                names = columns(header)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            picks = None if names == header else [header.index(c) for c in names]
+            rows, lines = [], []
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValueError(f"{path}:{reader.line_num}: bad row; expected "
+                                     f"{len(header)} fields, got {len(row)}")
+                fields = row if picks is None else [row[j] for j in picks]
+                try:
+                    rows.append(list(map(float, fields)))
+                except ValueError:   # NaN marks the fields the check below names
+                    rows.append(list(map(_float_or_nan, fields)))
+                lines.append(reader.line_num)
+        except csv.Error as exc:   # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    table = np.array(rows)
+    ok = np.isfinite(table)
+    for j, name in enumerate(names):
+        if name in EXACT_VALUES:
+            ok[:, j] = np.isin(table[:, j], EXACT_VALUES[name])
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0]
+        where, name = f"{path}:{lines[i]}", names[j]
+        if name not in EXACT_VALUES:
+            raise ValueError(f"{where}: non-finite or non-numeric '{name}' value")
+        expected = " or ".join(f"{v:g}" for v in EXACT_VALUES[name])
+        raise ValueError(f"{where}: bad or missing '{name}' value; expected {expected}")
+    return names, table
+
+
+def feature_columns(header: list[str]) -> list[str]:
+    """Accept a ``y,x1..xp[,is_anomaly]`` or ``x1..xp`` header; return it."""
+    start = int(header[0] == "y")
+    p = len(header) - start - int(start and header[-1] == "is_anomaly")
+    if p < 1:
+        raise ValueError("no feature columns found")
+    if header[start:start + p] != [f"x{j + 1}" for j in range(p)]:
+        raise ValueError(f"feature columns must be named x1..x{p}")
+    return header
+
+
+def features(names: list[str], table: np.ndarray) -> np.ndarray:
+    """The x1..xp block of a table read with feature_columns, C-contiguous."""
+    start = int(names[0] == "y")
+    stop = len(names) - int(names[-1] == "is_anomaly")
+    return np.ascontiguousarray(table[:, start:stop])
 
 
 @dataclass(frozen=True)
@@ -55,9 +135,10 @@ class LabeledDataset:
             raise ValueError("labels must be -1 or +1")
         anomaly = self.anomaly
         if anomaly is not None:
-            anomaly = np.asarray(anomaly).astype(bool)
-            if anomaly.shape != (x.shape[0],):
-                raise ValueError("anomaly flags must match the number of rows")
+            anomaly = np.asarray(anomaly)
+            if anomaly.shape != (x.shape[0],) or not np.isin(anomaly, (0, 1)).all():
+                raise ValueError("anomaly flags must be 0 or 1, one per row")
+            anomaly = anomaly.astype(bool)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", yi)
         object.__setattr__(self, "anomaly", anomaly)
@@ -94,31 +175,13 @@ class LabeledDataset:
 
     @classmethod
     def from_csv(cls, path) -> "LabeledDataset":
-        path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty file") from None
-            rows = [r for r in reader if r]
-        if not header or header[0] != "y":
-            raise ValueError(f"{path}: first column must be 'y'")
-        has_flags = header[-1] == "is_anomaly"
-        p = len(header) - 1 - int(has_flags)
-        if p < 1:
-            raise ValueError(f"{path}: no feature columns found")
-        expected = [f"x{j + 1}" for j in range(p)]
-        if header[1 : 1 + p] != expected:
-            raise ValueError(f"{path}: feature columns must be named x1..x{p}")
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
-        y, xs, flags = [], [], []
-        for lineno, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
-            y.append(int(float(row[0])))
-            xs.append([float(v) for v in row[1 : 1 + p]])
-            if has_flags:
-                flags.append(int(float(row[-1])) != 0)
-        return cls(np.array(xs), np.array(y), np.array(flags) if has_flags else None)
+        """Read a ``y,x1..xp[,is_anomaly]`` file with read_csv."""
+        names, table = read_csv(path, _labeled_columns)
+        flags = table[:, -1] if names[-1] == "is_anomaly" else None
+        return cls(features(names, table), table[:, 0], flags)
+
+
+def _labeled_columns(header: list[str]) -> list[str]:
+    if header[0] != "y":
+        raise ValueError("first column must be 'y'")
+    return feature_columns(header)

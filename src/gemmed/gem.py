@@ -216,12 +216,8 @@ def compute_gem_stats(dataset: LabeledDataset, config: GemConfig) -> GemStats:
                 f"{config.k}; raise partition_ratio or lower k"
             )
         refs = dataset.x[ref]
-
-        d_ev = cdist(dataset.x[ev], refs)
-        d_raw[ev] = np.sort(d_ev, axis=1)[:, : config.k].sum(axis=1)
-        d_rr = cdist(refs, refs)
-        np.fill_diagonal(d_rr, np.inf)
-        d_raw[ref] = np.sort(d_rr, axis=1)[:, : config.k].sum(axis=1)
+        d_raw[ev] = knn_distance_sum(dataset.x[ev], refs, config.k)
+        d_raw[ref] = loo_scores(refs, config.k)
 
         cls_idx = dataset.class_indices(label)
         size = cls_idx.size

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .model import DualState, HyperParams, per_sample_class_values
+from .trainer import dual_gradient
 
 MAX_EXACT = 16
 
@@ -103,12 +104,9 @@ def exact_posterior(state: DualState, y: np.ndarray, K: np.ndarray,
 
 def oracle_gradient(state: DualState, y, K, d_tilde, gamma_hat, beta_hat, p0,
                     hyper: HyperParams):
-    """Analytic dual gradient evaluated at the exact expectations."""
+    """trainer.dual_gradient evaluated at the exact expectations."""
     res = exact_posterior(state, y, K, d_tilde, gamma_hat, beta_hat, p0, hyper)
-    g_lam = 1.0 - 1.0 / (hyper.c - state.lam) - res.e_eta_y_f
-    g_mu = res.e_sum_eta_d - np.asarray(gamma_hat, dtype=float)
-    g_kappa = np.asarray(beta_hat, dtype=float) - res.e_sum_eta / y.size
-    return g_lam, g_mu, g_kappa
+    return dual_gradient(state, res, gamma_hat, beta_hat, y.size, hyper)
 
 
 def finite_diff_dual(state: DualState, y, K, d_tilde, gamma_hat, beta_hat, p0,

@@ -25,25 +25,26 @@ FORMAT_VERSION = 1
 RETIRED_HYPER_KEYS = frozenset({"early_stop", "stop_tol", "stop_patience", "inner_draws"})
 
 
-def _object(payload: dict, key: str) -> dict:
-    value = payload[key]
+def json_object(value, name: str, allowed) -> dict:
+    """value itself if it is a dict with no key outside allowed."""
     if not isinstance(value, dict):
-        raise ValueError(f"field '{key}' must be an object")
+        raise ValueError(f"{name} must be an object")
+    unknown = set(value) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown key '{sorted(unknown)[0]}' in {name}")
     return value
 
 
 def _by_class(payload: dict, key: str) -> np.ndarray:
-    return np.array([_object(payload, key)[slot] for slot in ("-1", "1")])
+    slots = json_object(payload[key], f"field '{key}'", ("-1", "1"))
+    return np.array([slots[slot] for slot in ("-1", "1")])
 
 
 def _hyper(payload: dict) -> HyperParams | None:
     if not payload.get("hyper"):
         return None
-    hyper = _object(payload, "hyper")
-    unknown = set(hyper) - RETIRED_HYPER_KEYS - set(HyperParams.__dataclass_fields__)
-    if unknown:
-        raise ValueError(
-            f"unknown key '{sorted(unknown)[0]}' in field 'hyper'")
+    hyper = json_object(payload["hyper"], "field 'hyper'",
+                        RETIRED_HYPER_KEYS.union(HyperParams.__dataclass_fields__))
     return HyperParams(**{k: v for k, v in hyper.items()
                           if k not in RETIRED_HYPER_KEYS})
 
@@ -56,7 +57,7 @@ def _base_fields(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> dict:
 
 
 def _base(payload: dict) -> dict:
-    d = _object(payload, "kernel")
+    d = json_object(payload["kernel"], "field 'kernel'", ("kind", "gamma", "jitter"))
     return {"kernel": KernelSpec(kind=d["kind"], gamma=d["gamma"],
                                  jitter=d["jitter"]),
             "x": np.array(payload["x"], dtype=float),

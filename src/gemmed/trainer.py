@@ -171,7 +171,7 @@ def gibbs_expectations(state: DualState, y: np.ndarray, gram: GramMatrix,
 def dual_gradient(state: DualState, exps: GibbsExpectations,
                   gamma_hat: np.ndarray, beta_hat: np.ndarray, n_total: int,
                   hyper: HyperParams):
-    """Exact dual gradient at the supplied expectations."""
+    """Exact dual gradient at sampled or exact (oracle.OracleResult) expectations."""
     if np.any(state.lam >= hyper.c):
         raise ValueError("lam must stay strictly below c")
     g_lam = 1.0 - 1.0 / (hyper.c - state.lam) - exps.e_eta_y_f

@@ -157,6 +157,9 @@ def test_evaluate_detection_accuracy(workdir, tmp_path, capsys):
     ("--predictions", "label\n-1\n1.5\n"),
     ("--detections", "score,call\n1.0,1\n2.0,nan\n"),
     ("--detections", "score,call\n1.0,0\n2.0,2\n"),
+    ("--predictions", "label\n1\nnan\n"),
+    ("--detections", "score,call\n1.0,1\n2.0,0.5\n"),
+    ("--detections", "score,call\n1.0,1\n2.0,inf\n"),
 ])
 def test_evaluate_rejects_bad_rows(workdir, tmp_path, capsys, flag, text):
     path = tmp_path / "col.csv"
@@ -175,6 +178,78 @@ def test_evaluate_rejects_zero_labels(workdir, tmp_path, capsys):
     assert rc == 2
     assert f"{path}:2: bad or missing 'label' value; expected -1 or 1" in \
         capsys.readouterr().err
+
+
+def _corrupt(src, dest, line, column, value):
+    """Copy a dataset CSV with two blank lines before data row `line` - 2
+    and `column` of that row set to `value`; returns its physical line."""
+    rows = _read_rows(src)
+    rows[line - 1][rows[0].index(column)] = value
+    text = [",".join(r) for r in rows]
+    text[line - 1:line - 1] = ["", ""]
+    dest.write_text("\n".join(text) + "\n")
+    return line + 2
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+@pytest.mark.parametrize("column,value", [
+    ("y", "1.5"), ("y", "-1.9"), ("y", "inf"), ("y", "nan"),
+    ("is_anomaly", "0.5"), ("is_anomaly", "inf"),
+])
+def test_bad_labels_and_flags_exit_two(workdir, tmp_path, capsys, command,
+                                       column, value):
+    # neither truncated to a label nor cast to a flag: exit 2 at the line
+    bad = tmp_path / "bad.csv"
+    line = _corrupt(workdir / "train.csv", bad, 7, column, value)
+    if command == "train":
+        argv = ["train", "--data", str(bad), "--k", "3",
+                "--model-out", str(tmp_path / "m.json")]
+    elif command == "predict":
+        argv = ["predict", "--model", str(workdir / "model.json"),
+                "--data", str(bad), "--out", str(tmp_path / "p.csv")]
+    elif column == "y":
+        pred = tmp_path / "pred.csv"
+        pred.write_text("label\n" + "1\n" * 60)
+        argv = ["evaluate", "--predictions", str(pred), "--truth", str(bad)]
+    else:
+        det = tmp_path / "det.csv"
+        det.write_text("score,call\n" + "1.0,0\n" * 60)
+        argv = ["evaluate", "--detections", str(det),
+                "--detection-truth", str(bad)]
+    assert main(argv) == 2
+    expected = "-1 or 1" if column == "y" else "0 or 1"
+    assert (f"{bad}:{line}: bad or missing '{column}' value; expected "
+            f"{expected}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text", [
+    ("train", "y,x1,x2\n\n1,0,0\n\n\n-1,1,1\n\n1,2\n"),
+    ("predict", "y,x1,x2\n\n1,0,0\n\n\n-1,1,1\n\n1,2\n"),
+    ("predict", "x1,x2\n\n0,0\n\n\n1,1\n\n2\n"),
+    ("detect", "x1,x2\n\n0,0\n\n\n1,1\n\n2\n"),
+])
+def test_short_row_names_its_physical_line(workdir, tmp_path, capsys,
+                                           command, text):
+    path = tmp_path / "short.csv"
+    path.write_text(text)
+    if command == "train":
+        argv = ["train", "--data", str(path),
+                "--model-out", str(tmp_path / "m.json")]
+    else:
+        argv = [command, "--model", str(workdir / "model.json"),
+                "--data", str(path), "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    width = len(text.partition("\n")[0].split(","))
+    assert (f"{path}:8: bad row; expected {width} fields, got {width - 1}"
+            in capsys.readouterr().err)
+
+
+def test_evaluate_reads_only_the_named_column(workdir, tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("id,label\n" + "".join(f"row{i},1\n" for i in range(80)))
+    assert main(["evaluate", "--predictions", str(pred),
+                 "--truth", str(workdir / "test.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["error"] == 0.5
 
 
 @pytest.mark.parametrize("argv", [
@@ -312,6 +387,9 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     ({"gemmed": {"hyper": {"steps": 2.0}}}, "steps must be an integer"),
     ({"gem": {"k": 2.5}}, "k must be an integer"),
     ({"gem": {"k": True}}, "k must be an integer"),
+    ({"svm": [1]}, "sweep config section 'svm' must be an object"),
+    ({"gemmed": {"hyper": 1}}, "'gemmed.hyper' must be an object"),
+    ({"gem": 3}, "'gem' must be an object"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)
@@ -363,6 +441,10 @@ def test_missing_files_exit_two(tmp_path, capsys):
     ("gamma_hat", [0.1, 0.2], "'gamma_hat' must be an object"),
     ("beta_hat", 0.5, "'beta_hat' must be an object"),
     ("kernel", "rbf", "'kernel' must be an object"),
+    ("kernel", {"kind": "rbf", "gamma": 0.1, "jitter": 1e-8, "width": 2.0},
+     "unknown key 'width' in field 'kernel'"),
+    ("beta_hat", {"-1": 0.4, "1": 0.4, "0": 0.2},
+     "unknown key '0' in field 'beta_hat'"),
 ])
 def test_predict_rejects_malformed_model_fields(workdir, tmp_path, capsys,
                                                 field, value, needle):

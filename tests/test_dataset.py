@@ -43,6 +43,8 @@ def test_rejects_shape_mismatch_and_nonfinite():
 def test_anomaly_flags_validated():
     with pytest.raises(ValueError, match="anomaly"):
         LabeledDataset(np.zeros((2, 1)), np.array([1, -1]), np.array([True]))
+    with pytest.raises(ValueError, match="anomaly flags must be 0 or 1"):
+        LabeledDataset(np.zeros((2, 1)), np.array([1, -1]), [0.5, 1.0])
 
 
 def test_class_indices_and_subset():
@@ -95,11 +97,23 @@ def test_csv_header_written(tmp_path):
     ("y,x2,x1\n1,0,0\n", "feature columns"),
     ("y,x1\n", "no data rows"),
     ("y,x1\n1\n", "expected 2 fields"),
+    ("\n\ny,x1\n\n1,0\n\n\n1\n", r"bad\.csv:8: bad row; expected 2 fields, got 1"),
+    ("y,x1\n1,0\n\n1.5,0\n", r"bad\.csv:4: bad or missing 'y' value"),
+    ("y,x1\n1,0\n-1,abc\n", r"bad\.csv:3: non-finite or non-numeric 'x1'"),
+    ("y,x1,is_anomaly\n1,0,1\n-1,2,0.5\n", "bad or missing 'is_anomaly'"),
+    ("\n\n", "empty"),
 ])
 def test_from_csv_rejects_malformed(tmp_path, text, msg):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=msg):
+        LabeledDataset.from_csv(path)
+
+
+def test_from_csv_reports_csv_module_errors_by_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("y,x1\n1,0\n1," + "1" * 200_000 + "\n")
+    with pytest.raises(ValueError, match=r"big\.csv:3: field larger than"):
         LabeledDataset.from_csv(path)
 
 
