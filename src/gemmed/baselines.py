@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CLASSES, LabeledDataset, class_index
-from .gem import GemConfig, compute_gem_stats, gem_me_set, knn_distance_sum, loo_threshold
+from .dataset import LabeledDataset
+from .gem import GemConfig, compute_gem_stats, knn_distance_sum, loo_threshold
 from .kernels import KernelSpec, kernel_cross, kernel_matrix
 
 
@@ -61,19 +61,11 @@ FINISH_ROUNDS = 5
 
 
 def _check_gram(K: np.ndarray) -> None:
-    """Raise unless K is finite and K == K.T exactly.
-
-    K is read one row block of about 65k entries at a time, so no n x n
-    temporary is made.
-    """
-    n = K.shape[0]
-    rows = max(1, 65536 // max(n, 1))
-    for s in range(0, n, rows):
-        block = K[s:s + rows]
-        if not np.isfinite(block).all():
-            raise ValueError("K must be finite")
-        if not np.array_equal(block, K[:, s:s + rows].T):
-            raise ValueError("K must be exactly symmetric")
+    """Raise unless K is finite and K == K.T exactly."""
+    if not np.isfinite(K).all():
+        raise ValueError("K must be finite")
+    if not np.array_equal(K, K.T):
+        raise ValueError("K must be exactly symmetric")
 
 
 def _violation(alpha: np.ndarray, grad: np.ndarray, C: float) -> float:
@@ -123,6 +115,7 @@ def _pivoted_cholesky(K: np.ndarray) -> np.ndarray:
     return G[:r]
 
 
+@np.errstate(over="ignore")
 def _line_search(u: np.ndarray, s: np.ndarray, slope: float, curv: float,
                  C: float, h: float) -> float:
     """Exact minimizer t > 0 of F(w + t d) along a descent direction d.
@@ -133,8 +126,9 @@ def _line_search(u: np.ndarray, s: np.ndarray, slope: float, curv: float,
         slope + curv t - C sum_i s_i clip((u_i - t s_i) / h, 0, 1),
 
     is nondecreasing and linear between the breakpoints where some
-    u_i - t s_i crosses 0 or h. Bisection over the sorted breakpoints
-    finds the piece holding its root, which is then exact.
+    u_i - t s_i crosses 0 or h; one that overflows is never reached.
+    Bisection over the sorted breakpoints finds the piece holding its
+    root, which is then exact.
     """
     def deriv(t):
         return slope + curv * t - C * (s @ np.clip((u - t * s) / h, 0.0, 1.0))
@@ -144,7 +138,7 @@ def _line_search(u: np.ndarray, s: np.ndarray, slope: float, curv: float,
     moving = s != 0
     sm = s[moving]
     breaks = np.concatenate([u[moving] / sm, (u[moving] - h) / sm])
-    breaks = np.sort(breaks[breaks > 0])
+    breaks = np.sort(breaks[(breaks > 0) & (breaks < np.inf)])
     lo, hi = 0, len(breaks)
     while lo < hi:  # first breakpoint where the derivative is >= 0
         mid = (lo + hi) // 2
@@ -263,8 +257,9 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
         # sample that a line search left exactly on a kink keeps its
         # curvature. It is solved in the smaller of its two forms
         # (Woodbury when fewer such samples than pivots).
-        # An exactly singular solve is possible only when C max diag(K) / h
-        # leaves the identity term below rounding; the finish takes over.
+        # An exactly singular or overflowing system is possible only when
+        # C max diag(K) / h leaves the identity term below rounding; the
+        # finish takes over.
         Gf = G[:, piece == 0]
         try:
             if Gf.shape[1] < Gf.shape[0]:
@@ -272,7 +267,10 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
                 M[np.diag_indices_from(M)] += h / C
                 d = Gf @ np.linalg.solve(M, Gf.T @ grad) - grad
             else:
-                H = (C / h) * (Gf @ Gf.T)
+                with np.errstate(over="ignore"):
+                    H = (C / h) * (Gf @ Gf.T)
+                if not np.isfinite(H).all():
+                    break
                 H[np.diag_indices_from(H)] += 1.0
                 d = -np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
@@ -359,25 +357,14 @@ class TwoStageModel:
 
 def train_two_stage(dataset: LabeledDataset, kernel: KernelSpec,
                     gem_config: GemConfig, C: float = 1.0) -> TwoStageModel:
-    """Drop the highest-statistic fraction per class, then fit the SVM.
+    """Fit the SVM on the GEM-ME set, the survivors of the k-NN screen.
 
-    Per class z the k-NN statistics are computed on the full data and
-    the round(coverage * |class z|) lowest-statistic samples are kept.
+    The survivors are compute_gem_stats' kept set: per class z, the
+    max(1, round(coverage * |class z|)) lowest-statistic samples.
     """
-    stats = compute_gem_stats(dataset, gem_config)
-    kept: list[np.ndarray] = []
-    for label in CLASSES:
-        cls_idx = dataset.class_indices(label)
-        kz = int(stats.k_set[class_index(label)])
-        keep_local = gem_me_set(stats.d_raw[cls_idx], kz)
-        kept.append(cls_idx[keep_local])
-        if kz == 0:
-            raise ValueError(f"class {label}: screening left no survivors")
-    kept_idx = np.sort(np.concatenate(kept))
+    kept_idx = compute_gem_stats(dataset, gem_config).kept
     removed_idx = np.setdiff1d(np.arange(dataset.n), kept_idx)
     survivors = dataset.subset(kept_idx)
-    if len(np.unique(survivors.y)) < 2:
-        raise ValueError("screening left a class empty; lower the removal fraction")
     svm = train_svm(survivors, kernel, C=C)
     theta = loo_threshold(survivors.x, gem_config.k, gem_config.alpha)
     return TwoStageModel(svm=svm, kept_idx=kept_idx, removed_idx=removed_idx,

@@ -115,7 +115,8 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     xs = _read_points(args.data)
-    _check_dim(model.x, xs, args.data)
+    # a two-stage model keeps its training rows on its SVM
+    _check_dim(getattr(model, "svm", model).x, xs, args.data)
     if hasattr(model, "predict"):
         labels = model.predict(xs)
     else:

@@ -7,9 +7,9 @@ against the reference part minus themselves). Low d_n means the sample
 sits in a high-density region of its class.
 
 Per-class coverage targets turn these statistics into constraint
-levels: keeping the K_z lowest-d_n samples of class z, where
-K_z = round(coverage * |class z|), gives the minimal total statistic
-L_z; gamma_z = (L_z + eps) / n is the budget the trainer holds the
+levels: keeping the K_z lowest-d_n samples of class z (the GEM-ME
+set), where K_z = max(1, round(coverage * |class z|)), gives the
+minimal total statistic L_z; gamma_z = (L_z + eps) / n is the budget the trainer holds the
 eta-weighted statistic sum to, and beta_z = coverage * |class z| / n
 is the matching floor on the eta-weighted sample fraction. All
 quantities fed to the trainer are expressed in 1/n units.
@@ -78,15 +78,16 @@ class GemStats:
     """Per-sample statistics plus per-class constraint levels.
 
     d_raw holds plain distance sums and d_tilde the same in 1/n units.
-    gamma_hat, beta_hat and k_set (the kept count K_z) are arrays
-    indexed by class slot (0 for label -1, 1 for label +1).
+    gamma_hat and beta_hat are arrays indexed by class slot (0 for
+    label -1, 1 for label +1). kept holds the sorted sample indices of
+    the GEM-ME set: the K_z lowest-statistic samples of each class.
     """
 
     d_raw: np.ndarray
     d_tilde: np.ndarray
     gamma_hat: np.ndarray
     beta_hat: np.ndarray
-    k_set: np.ndarray
+    kept: np.ndarray
 
 
 def bipartite_partition(dataset: LabeledDataset, label: int, ratio: float,
@@ -160,17 +161,6 @@ def gem_me_set(d_values: np.ndarray, k_keep: int) -> np.ndarray:
     return order[:k_keep]
 
 
-def gamma_hat(d_values: np.ndarray, k_keep: int, epsilon: float, n_total: int) -> float:
-    """(sum of the k_keep smallest values + epsilon) / n_total."""
-    d_values = np.asarray(d_values, dtype=float)
-    if n_total < 1:
-        raise ValueError("n_total must be positive")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    keep = gem_me_set(d_values, k_keep)
-    return float((d_values[keep].sum() + epsilon) / n_total)
-
-
 def loo_threshold(points: np.ndarray, k: int, alpha: float) -> float:
     """(1 - alpha) quantile of leave-one-out k-NN distance sums.
 
@@ -204,7 +194,7 @@ def compute_gem_stats(dataset: LabeledDataset, config: GemConfig) -> GemStats:
     d_raw = np.zeros(n)
     gamma = np.zeros(2)
     beta = np.zeros(2)
-    k_set = np.zeros(2, dtype=int)
+    kept: list[np.ndarray] = []
 
     for label in CLASSES:
         slot = class_index(label)
@@ -221,11 +211,12 @@ def compute_gem_stats(dataset: LabeledDataset, config: GemConfig) -> GemStats:
 
         cls_idx = dataset.class_indices(label)
         size = cls_idx.size
-        kz = int(round(config.target_coverage * size))
-        kz = min(max(kz, 1), size)
-        k_set[slot] = kz
-        gamma[slot] = gamma_hat(d_raw[cls_idx], kz, config.epsilon_gamma, n)
+        kz = max(1, int(round(config.target_coverage * size)))  # <= size
+        keep = cls_idx[gem_me_set(d_raw[cls_idx], kz)]
+        kept.append(keep)
+        # summed in ascending-statistic order, before the indices are sorted
+        gamma[slot] = (d_raw[keep].sum() + config.epsilon_gamma) / n
         beta[slot] = config.target_coverage * size / n
 
     return GemStats(d_raw=d_raw, d_tilde=d_raw / n, gamma_hat=gamma,
-                    beta_hat=beta, k_set=k_set)
+                    beta_hat=beta, kept=np.sort(np.concatenate(kept)))

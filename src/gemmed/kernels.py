@@ -82,8 +82,6 @@ def kernel_matrix(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
         # mirror the lower triangle so values[i, j] == values[j, i] exactly
         values = np.tril(values) + np.tril(values, -1).T
         return values
-    if xs.shape[0] == 1:
-        return np.ones((1, 1))
     d2 = squareform(pdist(xs, "sqeuclidean"))
     return np.exp(-spec.gamma * d2)
 
@@ -91,10 +89,15 @@ def kernel_matrix(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
 def gram_matrix(spec: KernelSpec, xs: np.ndarray) -> GramMatrix:
     """Build the jittered Gram matrix and factor it.
 
-    Raises NumericsError when the Cholesky factorization fails; the fix
-    is almost always a larger jitter.
+    Raises ValueError when the kernel matrix is not finite, which
+    rescaled features avoid, and NumericsError when the Cholesky
+    factorization fails; the fix for that is almost always a larger
+    jitter.
     """
-    values = kernel_matrix(spec, xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        values = kernel_matrix(spec, xs)
+    if not np.isfinite(values).all():
+        raise ValueError("kernel matrix is not finite; rescale the features")
     values = values + spec.jitter * np.eye(values.shape[0])
     try:
         factor = np.linalg.cholesky(values)

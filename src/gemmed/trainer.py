@@ -22,7 +22,6 @@ lam in [0, lambda_cap] and mu, kappa nonnegative.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,18 +49,11 @@ def init_duals(dataset: LabeledDataset, gram: GramMatrix,
     """Initial duals: mu = kappa = 0, lam from the plain SVM solution.
 
     The SVM is solved at its default box C = 1 and the resulting
-    coefficients are clipped into [0, lambda_cap]. If the solver fails
-    outright, lam falls back to lambda_cap / 2 everywhere.
+    coefficients are clipped into [0, lambda_cap].
     """
-    cap = hyper.resolved_cap
-    try:
-        alpha, _, _ = solve_svm_dual(gram.values, dataset.y.astype(float), C=1.0)
-        lam = np.clip(alpha, 0.0, cap)
-    except Exception:  # degenerate Gram; keep training able to start
-        warnings.warn("SVM initializer failed; starting from lambda_cap / 2",
-                      stacklevel=2)
-        lam = np.full(dataset.n, cap / 2.0)
-    return DualState(lam=lam, mu=np.zeros(2), kappa=np.zeros(2))
+    alpha, _, _ = solve_svm_dual(gram.values, dataset.y.astype(float), C=1.0)
+    return DualState(lam=np.clip(alpha, 0.0, hyper.resolved_cap),
+                     mu=np.zeros(2), kappa=np.zeros(2))
 
 
 def sample_f_given_eta(state: DualState, eta: np.ndarray, gram: GramMatrix,

@@ -156,8 +156,7 @@ def test_solver_rejects_malformed_problems(K, y, match):
 
 
 def test_solver_checks_symmetry_in_every_row_block():
-    # 300 rows compare in blocks of 218; both entries of the one
-    # asymmetric pair sit in the last, partial block
+    # the one asymmetric pair sits in the last rows, far off the diagonal
     rng = np.random.default_rng(4)
     K = kernel_matrix(KernelSpec("linear"), rng.normal(size=(300, 2)))
     y = rng.choice([-1.0, 1.0], size=300)
@@ -326,6 +325,21 @@ def test_solver_survives_a_numerically_singular_newton_system():
                                             tol=1e-6)
         assert converged == kkt_holds(K, y, alpha, 45.0, 1e-6)
     assert np.all(np.isfinite(alpha) & (alpha >= 0) & (alpha <= 45.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("y, max_passes", [
+    ([-1.0, 1.0], 1),   # a line-search breakpoint overflows
+    ([-1.0, -1.0], 2),  # the Newton system (C / h) Gf Gf' overflows
+])
+def test_solver_overflow_raises_no_runtime_warning(y, max_passes):
+    K = np.array([[-2.0, -2.0], [-2.0, 3.23142107e-304]])
+    y = np.array(y)
+    alpha, converged, _ = solve_quietly(solve_svm_dual, K, y, 0.5,
+                                        max_passes=max_passes, tol=1e-12)
+    assert np.all((alpha >= 0) & (alpha <= 0.5))
+    if converged:
+        assert kkt_holds(K, y, alpha, 0.5, 1e-12)
 
 
 def test_solver_beats_reference_on_ring_instances():

@@ -8,8 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gemmed.baselines import train_svm, train_two_stage
 from gemmed.cli import main
 from gemmed.dataset import LabeledDataset
+from gemmed.gem import GemConfig
+from gemmed.kernels import KernelSpec
+from gemmed.persist import save_model
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +31,19 @@ def workdir(tmp_path_factory):
                "--seed", "0", "--model-out", str(root / "model.json")])
     assert rc == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def baselines(workdir):
+    """An SVM and a two-stage model on the shared training set, saved as
+    svm.json and two-stage.json next to it."""
+    ds = LabeledDataset.from_csv(workdir / "train.csv")
+    models = {"svm": train_svm(ds, KernelSpec("linear")),
+              "two-stage": train_two_stage(ds, KernelSpec("linear"),
+                                           GemConfig(k=3))}
+    for kind, model in models.items():
+        save_model(model, workdir / f"{kind}.json")
+    return models
 
 
 def _read_rows(path):
@@ -106,6 +123,29 @@ def test_detect_writes_scores_and_calls(workdir, tmp_path):
     for r in rows[1:]:
         assert float(r[0]) >= 0
         assert r[1] in {"0", "1"}
+
+
+@pytest.mark.parametrize("kind", ["svm", "two-stage"])
+def test_predict_with_a_baseline_model(workdir, baselines, tmp_path, kind):
+    out = tmp_path / "pred.csv"
+    rc = main(["predict", "--model", str(workdir / f"{kind}.json"),
+               "--data", str(workdir / "test.csv"), "--out", str(out)])
+    assert rc == 0
+    xs = LabeledDataset.from_csv(workdir / "test.csv").x
+    labels = [int(r[0]) for r in _read_rows(out)[1:]]
+    assert labels == baselines[kind].predict(xs).tolist()
+
+
+def test_detect_with_a_two_stage_model(workdir, baselines, tmp_path):
+    out = tmp_path / "det.csv"
+    rc = main(["detect", "--model", str(workdir / "two-stage.json"),
+               "--data", str(workdir / "test.csv"), "--out", str(out)])
+    assert rc == 0
+    xs = LabeledDataset.from_csv(workdir / "test.csv").x
+    model = baselines["two-stage"]
+    rows = _read_rows(out)[1:]
+    assert [float(r[0]) for r in rows] == model.anomaly_scores(xs).tolist()
+    assert [r[1] == "1" for r in rows] == model.detect(xs).tolist()
 
 
 def test_evaluate_prediction_error(workdir, tmp_path, capsys):
@@ -263,15 +303,35 @@ def test_evaluate_incomplete_inputs(workdir, argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_detect_requires_a_detector(workdir, tmp_path, capsys):
-    # a plain SVM sweep cell has no detector; build one via the API
-    from gemmed.baselines import train_svm
-    from gemmed.kernels import KernelSpec
-    from gemmed.persist import save_model
-    ds = LabeledDataset.from_csv(workdir / "train.csv")
-    path = tmp_path / "svm.json"
-    save_model(train_svm(ds, KernelSpec("linear")), path)
-    rc = main(["detect", "--model", str(path),
+@pytest.mark.parametrize("args,needle", [
+    ("--model svm.json --anomaly-truth train.csv", "needs the joint model"),
+    ("--model model.json --anomaly-truth unflagged.csv",
+     "unflagged.csv: no is_anomaly column"),
+    ("--detections calls.csv --detection-truth unflagged.csv",
+     "unflagged.csv: no is_anomaly column"),
+    ("--predictions calls.csv --truth test.csv",
+     "calls.csv: expected a 'label' column"),
+])
+def test_evaluate_rejects_missing_inputs(workdir, baselines, tmp_path, capsys,
+                                         args, needle):
+    rows = _read_rows(workdir / "train.csv")
+    (tmp_path / "unflagged.csv").write_text(
+        "".join(",".join(r[:3]) + "\n" for r in rows))
+    (tmp_path / "calls.csv").write_text("score,call\n" + "1.0,1\n" * 60)
+
+    def path(name):
+        return str(tmp_path / name if (tmp_path / name).exists()
+                   else workdir / name)
+
+    rc = main(["evaluate"] + [a if a.startswith("--") else path(a)
+                              for a in args.split()])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_detect_requires_a_detector(workdir, baselines, tmp_path, capsys):
+    # a plain SVM sweep cell has no detector
+    rc = main(["detect", "--model", str(workdir / "svm.json"),
                "--data", str(workdir / "test.csv"),
                "--out", str(tmp_path / "d.csv")])
     assert rc == 2
@@ -310,6 +370,28 @@ def test_train_failure_maps_to_exit_one(workdir, tmp_path, capsys):
                "--gibbs", "8,2", "--model-out", str(tmp_path / "m.json")])
     assert rc == 1
     assert "eta_hat" in capsys.readouterr().err
+
+
+def test_train_fails_below_k_plus_one_nominal_points(workdir, tmp_path, capsys):
+    rc = main(["train", "--data", str(workdir / "train.csv"),
+               "--kernel", "rbf", "--gamma", "0.1", "--k", "8",
+               "--p0", "0.4", "--lambda-cap", "0.4", "--steps", "0",
+               "--gibbs", "8,2", "--model-out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert "nominal support has 4 point(s); need at least k+1=9" in \
+        capsys.readouterr().err
+
+
+def test_train_rejects_a_non_finite_kernel_matrix(workdir, tmp_path, capsys):
+    rows = _read_rows(workdir / "train.csv")
+    scaled = [rows[0]] + [[r[0], repr(float(r[1]) * 1e200),
+                           repr(float(r[2]) * 1e200), r[3]] for r in rows[1:]]
+    data = tmp_path / "huge.csv"
+    data.write_text("".join(",".join(r) + "\n" for r in scaled))
+    rc = main(["train", "--data", str(data), "--kernel", "linear",
+               "--steps", "1", "--model-out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_gradcheck_passes_and_fails_by_tolerance(capsys):

@@ -11,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 from gemmed import gem
 from gemmed.dataset import LabeledDataset, class_index
 from gemmed.gem import (GemConfig, bipartite_partition, compute_gem_stats,
-                        gamma_hat, gem_me_set, knn_distance_sum,
-                        loo_scores, loo_threshold)
+                        gem_me_set, knn_distance_sum, loo_scores,
+                        loo_threshold)
 
 
 def test_knn_distance_sum_frozen():
@@ -133,15 +133,6 @@ def test_gem_me_set_matches_subset_enumeration():
         assert d[keep].sum() == pytest.approx(best, abs=1e-12)
 
 
-def test_gamma_hat_frozen():
-    d = np.array([0.5, 0.2, 0.9, 0.4])
-    assert gamma_hat(d, k_keep=2, epsilon=1e-3, n_total=2) == pytest.approx(0.3005)
-    with pytest.raises(ValueError):
-        gamma_hat(d, 2, epsilon=0.0, n_total=2)
-    with pytest.raises(ValueError):
-        gamma_hat(d, 2, epsilon=1e-3, n_total=0)
-
-
 def _toy_dataset(n_per_class=10, seed=0):
     rng = np.random.default_rng(seed)
     x = np.vstack([rng.normal(loc=-2.0, size=(n_per_class, 2)),
@@ -203,6 +194,7 @@ def test_compute_gem_stats_against_direct_recomputation():
     stats = compute_gem_stats(ds, config)
 
     assert np.array_equal(stats.d_tilde, stats.d_raw / ds.n)
+    assert np.array_equal(stats.kept, np.unique(stats.kept))  # sorted
 
     for label in (-1, 1):
         slot = class_index(label)
@@ -217,10 +209,23 @@ def test_compute_gem_stats_against_direct_recomputation():
 
         cls = ds.class_indices(label)
         kz = int(round(0.75 * cls.size))
-        assert stats.k_set[slot] == kz
+        kept = np.intersect1d(stats.kept, cls)
+        assert kept.size == kz
         lowest = np.sort(stats.d_raw[cls])[:kz]
+        assert np.array_equal(np.sort(stats.d_raw[kept]), lowest)
         assert stats.gamma_hat[slot] == pytest.approx((lowest.sum() + 1e-3) / ds.n)
         assert stats.beta_hat[slot] == pytest.approx(0.75 * cls.size / ds.n)
+
+
+def test_compute_gem_stats_keeps_at_least_one_sample_per_class():
+    ds = _toy_dataset(n_per_class=12, seed=3)
+    stats = compute_gem_stats(ds, GemConfig(k=2, target_coverage=0.01))
+    assert ds.y[stats.kept].tolist() == [-1, 1]
+    for label in (-1, 1):
+        cls = ds.class_indices(label)
+        lowest = stats.d_raw[cls].min()
+        assert stats.d_raw[np.intersect1d(stats.kept, cls)].tolist() == [lowest]
+        assert stats.gamma_hat[class_index(label)] == (lowest + 1e-3) / ds.n
 
 
 def test_compute_gem_stats_needs_reference_headroom():

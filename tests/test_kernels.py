@@ -66,6 +66,7 @@ def test_rbf_diagonal_is_one():
     xs = np.random.default_rng(2).normal(size=(5, 2))
     K = kernel_matrix(KernelSpec("rbf", gamma=2.0), xs)
     assert np.array_equal(np.diag(K), np.ones(5))
+    assert kernel_matrix(KernelSpec("rbf", gamma=2.0), xs[:1]).tolist() == [[1.0]]
 
 
 def test_gram_factor_reconstructs():
@@ -89,6 +90,14 @@ def test_gram_failure_raises_numerics_error():
     with pytest.raises(NumericsError, match="jitter"):
         gram_matrix(spec, xs)
     gram_matrix(KernelSpec("linear", jitter=1e-8), xs)  # jitter rescues it
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gram_rejects_a_non_finite_kernel_matrix():
+    # x . x overflows, to +-inf and to nan where inf - inf
+    xs = np.random.default_rng(0).normal(size=(20, 2)) * 1e200
+    with pytest.raises(ValueError, match="not finite; rescale the features"):
+        gram_matrix(KernelSpec("linear"), xs)
 
 
 def test_median_heuristic_frozen():
