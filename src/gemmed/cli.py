@@ -14,7 +14,7 @@ calibrated threshold) as anomalous.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import trainer
-from .dataset import LabeledDataset, feature_columns, features, read_csv
+from .dataset import LabeledDataset, feature_columns, features, read_csv, \
+    write_csv
 from .errors import GemMedError
 from .experiments import (METHODS, MethodSettings, default_settings,
                           random_instance, run_cell)
@@ -121,11 +122,7 @@ def cmd_predict(args) -> int:
         labels = model.predict(xs)
     else:
         labels = trainer.predict(model, xs)
-    with Path(args.out).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"])
-        for v in np.atleast_1d(labels):
-            writer.writerow([str(int(v))])
+    write_csv(args.out, ["label"], zip(map(str, labels.tolist())))
     print(f"wrote {xs.shape[0]} predictions to {args.out}")
     return 0
 
@@ -146,11 +143,9 @@ def cmd_detect(args) -> int:
         theta = model.theta
     else:
         raise ValueError("this model kind has no anomaly detector")
-    with Path(args.out).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["score", "call"])
-        for s, c in zip(scores, np.atleast_1d(calls)):
-            writer.writerow([_fmt(s), str(int(c))])
+    write_csv(args.out, ["score", "call"],
+              zip(map(repr, scores.tolist()),
+                  map(str, calls.astype(int).tolist())))
     print(f"wrote {xs.shape[0]} detection calls to {args.out} "
           f"(threshold {theta!r}; score above threshold means anomaly)")
     return 0
@@ -185,11 +180,8 @@ def cmd_evaluate(args) -> int:
         curve = precision_recall_curve(np.clip(model.eta_hat, 0.0, 1.0), flags)
         report["auc"] = auc(curve)
         if args.curve_out:
-            with Path(args.curve_out).open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["rho", "precision", "recall"])
-                for rho, prec, rec in curve:
-                    writer.writerow([_fmt(rho), _fmt(prec), _fmt(rec)])
+            write_csv(args.curve_out, ["rho", "precision", "recall"],
+                      (map(repr, row) for row in curve.tolist()))
             report["curve_csv"] = str(args.curve_out)
     if args.detections:
         if not args.detection_truth:
@@ -368,21 +360,19 @@ def cmd_sweep(args) -> int:
                     rows.append(cell)
                     print(f"{method} R={R:g} ra={ra:g} seed={seed}: "
                           f"error={cell.error:.4f}")
-    with Path(out).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "R", "r_a", "seed", "error", "auc",
-                         "det_acc"])
-        for cell in rows:
-            writer.writerow([cell.method, _fmt(cell.R), _fmt(cell.r_a),
-                             str(cell.seed), _fmt(cell.error), _fmt(cell.auc),
-                             _fmt(cell.det_acc)])
+    write_csv(out, ["method", "R", "r_a", "seed", "error", "auc", "det_acc"],
+              ([cell.method, _fmt(cell.R), _fmt(cell.r_a), str(cell.seed),
+                _fmt(cell.error), _fmt(cell.auc), _fmt(cell.det_acc)]
+               for cell in rows))
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
 # ------------------------------------------------------------------ parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gemmed parser, built once per process and shared: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="gemmed",
         description="Robust kernel classification with joint anomaly "

@@ -34,14 +34,67 @@ def _float_or_nan(text: str) -> float:
 
 
 def read_csv(path, columns) -> tuple[list[str], np.ndarray]:
-    """Read the columns ``columns(header)`` names as float64, in one pass.
+    """Read the columns ``columns(header)`` names as float64.
 
     columns raises ValueError for a header it does not accept. Blank rows
-    are skipped; each field read is one ``float()``. ValueError names the
-    file, and for a bad row its physical line: no header, no data rows, a
-    row not as wide as the header, a value not finite or not in EXACT_VALUES.
+    are skipped; each field read equals its ``float()``. ValueError names
+    the file, and for a bad row its physical line: no header, no data
+    rows, a row not as wide as the header, a value not finite or not in
+    EXACT_VALUES. A file is parsed in one vectorized pass; one that fails
+    it is re-read row by row, which finds and names the error.
     """
     path = Path(path)
+    try:
+        with path.open(newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:   # raised again, unchanged, by the row loop
+        return _read_rows(path, columns)
+    return _parse_text(text, columns) or _read_rows(path, columns)
+
+
+# np.loadtxt strips \x1c-\x1f around a number, which float() rejects;
+# str.splitlines breaks lines at \x0b-\x0c and \x1c-\x1e, which csv does
+# not; a quote or NUL needs the csv module.
+_ROW_LOOP_CHARS = '"\x00\x0b\x0c\x1c\x1d\x1e\x1f'
+
+
+def _parse_text(text: str, columns) -> tuple[list[str], np.ndarray] | None:
+    """read_csv's result for a text it accepts, from one np.loadtxt call.
+
+    None where the text might need the csv module, loadtxt refuses it, or
+    a check fails; _read_rows then decides. On ASCII text free of
+    _ROW_LOOP_CHARS a line holds one csv row of unquoted fields, and
+    loadtxt reads exactly the fields float() reads, to the same bits.
+    """
+    if not text.isascii() or any(c in text for c in _ROW_LOOP_CHARS):
+        return None
+    lines = list(filter(None, text.splitlines()))
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines[0].split(",")
+    try:
+        names = columns(header)
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(lines) - 1, len(header)):
+        return None
+    if names != header:
+        table = table[:, [header.index(c) for c in names]]
+    return (names, table) if _valid_cells(names, table).all() else None
+
+
+def _valid_cells(names: list[str], table: np.ndarray) -> np.ndarray:
+    """Mask of the cells that are finite, or in EXACT_VALUES for their column."""
+    ok = np.isfinite(table)
+    for j, name in enumerate(names):
+        if name in EXACT_VALUES:
+            ok[:, j] = np.isin(table[:, j], EXACT_VALUES[name])
+    return ok
+
+
+def _read_rows(path: Path, columns) -> tuple[list[str], np.ndarray]:
+    """read_csv one csv row at a time, numbering rows by physical line."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -69,10 +122,7 @@ def read_csv(path, columns) -> tuple[list[str], np.ndarray]:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     table = np.array(rows)
-    ok = np.isfinite(table)
-    for j, name in enumerate(names):
-        if name in EXACT_VALUES:
-            ok[:, j] = np.isin(table[:, j], EXACT_VALUES[name])
+    ok = _valid_cells(names, table)
     if not ok.all():
         i, j = np.argwhere(~ok)[0]
         where, name = f"{path}:{lines[i]}", names[j]
@@ -81,6 +131,19 @@ def read_csv(path, columns) -> tuple[list[str], np.ndarray]:
         expected = " or ".join(f"{v:g}" for v in EXACT_VALUES[name])
         raise ValueError(f"{where}: bad or missing '{name}' value; expected {expected}")
     return names, table
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header and rows of str cells in one write.
+
+    The bytes are those of ``csv.writer``'s default dialect: cells joined
+    by ",", every row ended by CR LF. So no cell may hold a comma, quote
+    or line break, and no row may be one empty cell. Format floats with
+    repr of ``.tolist()`` values, which round-trips float64 exactly.
+    """
+    lines = [",".join(header), *map(",".join, rows), ""]
+    with Path(path).open("w", newline="") as fh:
+        fh.write("\r\n".join(lines))
 
 
 def feature_columns(header: list[str]) -> list[str]:
@@ -160,18 +223,13 @@ class LabeledDataset:
 
     def to_csv(self, path) -> None:
         """Write ``y,x1..xp[,is_anomaly]`` rows; flags only when present."""
-        path = Path(path)
         header = ["y"] + [f"x{j + 1}" for j in range(self.dim)]
+        cols = [map(str, self.y.tolist())]
+        cols += [map(repr, col) for col in self.x.T.tolist()]
         if self.anomaly is not None:
             header.append("is_anomaly")
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(self.n):
-                row = [str(int(self.y[i]))] + [repr(float(v)) for v in self.x[i]]
-                if self.anomaly is not None:
-                    row.append(str(int(self.anomaly[i])))
-                writer.writerow(row)
+            cols.append(map(str, self.anomaly.astype(int).tolist()))
+        write_csv(path, header, zip(*cols))
 
     @classmethod
     def from_csv(cls, path) -> "LabeledDataset":

@@ -188,7 +188,8 @@ def compute_gem_stats(dataset: LabeledDataset, config: GemConfig) -> GemStats:
 
     Evaluation-part members score against the full reference part;
     reference members score against the reference part minus
-    themselves, so every training sample carries a statistic.
+    themselves, so every training sample carries a statistic. Raises
+    ValueError when a distance sum overflows.
     """
     n = dataset.n
     d_raw = np.zeros(n)
@@ -218,5 +219,7 @@ def compute_gem_stats(dataset: LabeledDataset, config: GemConfig) -> GemStats:
         gamma[slot] = (d_raw[keep].sum() + config.epsilon_gamma) / n
         beta[slot] = config.target_coverage * size / n
 
+    if not np.isfinite(d_raw).all():
+        raise ValueError("k-NN statistics are not finite; rescale the features")
     return GemStats(d_raw=d_raw, d_tilde=d_raw / n, gamma_hat=gamma,
                     beta_hat=beta, kept=np.sort(np.concatenate(kept)))

@@ -13,6 +13,7 @@ from gemmed.cli import main
 from gemmed.dataset import LabeledDataset
 from gemmed.gem import GemConfig
 from gemmed.kernels import KernelSpec
+from gemmed.model import TrainedModel
 from gemmed.persist import save_model
 
 
@@ -123,6 +124,33 @@ def test_detect_writes_scores_and_calls(workdir, tmp_path):
     for r in rows[1:]:
         assert float(r[0]) >= 0
         assert r[1] in {"0", "1"}
+
+
+def test_predict_and_detect_output_bytes(tmp_path):
+    # integer points: every decision value and distance sum is exact
+    # or a sum of correctly rounded square roots, so the bytes are portable
+    model = TrainedModel(
+        kernel=KernelSpec("linear"),
+        x=np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0], [-2.0, 0.0]]),
+        y=np.array([1, 1, -1, -1]), lam=np.full(4, 0.5),
+        eta_hat=np.array([0.9, 0.8, 0.7, 0.2]),
+        gamma_hat=np.array([0.1, 0.1]), beta_hat=np.array([0.4, 0.4]),
+        theta=3.0, k=2, alpha=0.05, target_coverage=0.8)
+    save_model(model, tmp_path / "model.json")
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2\n0,0\n3,0\n-1,2\n-3,-1\n")
+    for command in ("predict", "detect"):
+        assert main([command, "--model", str(tmp_path / "model.json"),
+                     "--data", str(pts),
+                     "--out", str(tmp_path / f"{command}.csv")]) == 0
+    assert (tmp_path / "predict.csv").read_bytes() == \
+        b"label\r\n1\r\n1\r\n1\r\n-1\r\n"
+    assert (tmp_path / "detect.csv").read_bytes() == (
+        b"score,call\r\n"
+        b"1.4142135623730951,0\r\n"         # 0 + sqrt(2)
+        b"5.23606797749979,1\r\n"           # sqrt(5) + 3
+        b"4.47213595499958,1\r\n"           # 2 sqrt(5)
+        b"7.63441361516796,1\r\n")          # sqrt(10) + sqrt(20)
 
 
 @pytest.mark.parametrize("kind", ["svm", "two-stage"])

@@ -1,9 +1,14 @@
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemmed.dataset import CLASSES, LabeledDataset, class_index
+from gemmed import dataset
+from gemmed.dataset import CLASSES, LabeledDataset, class_index, \
+    feature_columns, read_csv, write_csv
 
 
 def test_class_index_slots():
@@ -117,6 +122,14 @@ def test_from_csv_reports_csv_module_errors_by_line(tmp_path):
         LabeledDataset.from_csv(path)
 
 
+def test_from_csv_refuses_an_overlong_finite_field(tmp_path):
+    # float() reads it as 0.0, but the csv module refuses the field
+    path = tmp_path / "long.csv"
+    path.write_text("y,x1\n1,0\n1,0." + "0" * 200_000 + "1\n")
+    with pytest.raises(ValueError, match=r"long\.csv:3: field larger than"):
+        LabeledDataset.from_csv(path)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 10_000))
 def test_round_trip_property(tmp_path_factory, n, p, seed):
@@ -130,3 +143,125 @@ def test_round_trip_property(tmp_path_factory, n, p, seed):
     assert np.array_equal(back.x, ds.x)
     assert np.array_equal(back.y, ds.y)
     assert np.array_equal(back.anomaly, ds.anomaly)
+
+
+def _pick(name):
+    def columns(header):
+        if name not in header:
+            raise ValueError(f"expected a '{name}' column")
+        return [name]
+    return columns
+
+
+COLUMNS = {"labeled": dataset._labeled_columns, "features": feature_columns,
+           "label": _pick("label"), "call": _pick("call")}
+# header -> the reader it is meant for; the test also tries the others
+HEADERS = {"y,x1": "labeled", "y,x1,x2": "labeled",
+           "y,x1,is_anomaly": "labeled", "x1,x2": "features",
+           "x1": "features", "label": "label", "score,call": "call",
+           "call,label": "label", "y,x2": "labeled", " y,x1": "labeled",
+           "y,x1 ": "labeled"}
+EXACT = {"y": ["-1", "1", "-1.0", " 1", "1e0"], "label": ["-1", "1"],
+         "is_anomaly": ["0", "1", "-0", "0.0 "], "call": ["0", "1"]}
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.floats(-1e3, 1e3).map(lambda v: f"{v:.3g}"),
+    st.sampled_from(["0", "-0", "1.", ".5", "+2", "1E5", "001", "5e-324"]),
+)
+PADDED = st.tuples(st.sampled_from(["", "", " ", "\t"]), NUMBERS,
+                   st.sampled_from(["", "", " ", "\t"])).map("".join)
+ODD_FIELDS = st.sampled_from([
+    "", " ", "  ", "\t", "nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+    "+infinity", "1_0", "1__0", "0x10", "1e400", "-1e400", "1e-400", "abc",
+    '"1"', '"1,0"', '""', "1 2", "1e", ".", "\x0c1", "1\x0b", "\x1c1",
+    "1\x1f", "1\x00", "\u00a01", "\uff11", "1\x85", "True", "0.5", "2",
+    "1.5", "-1.5",
+])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, reader kind): a header and rows drawn to hit every branch
+    of read_csv, most of them valid."""
+    header = draw(st.sampled_from(sorted(HEADERS)))
+    kind = draw(st.sampled_from([HEADERS[header]] * 12 + sorted(COLUMNS)))
+    names = header.split(",")
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(["row"] * 9 + ["blank", "space", "odd",
+                                                    "short", "long"]))
+        if shape == "blank":
+            lines.append("")
+            continue
+        if shape == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+            continue
+        row = [draw(st.sampled_from(EXACT[name])) if name in EXACT
+               else draw(PADDED) for name in names]
+        if shape == "odd":
+            row[draw(st.integers(0, len(row) - 1))] = draw(ODD_FIELDS)
+        elif shape == "short":
+            row = row[:-1]
+        elif shape == "long":
+            row.append(draw(PADDED))
+        lines.append(",".join(row))
+    lines[:0] = [""] * draw(st.integers(0, 2))
+    text = "".join(line + draw(LINE_ENDS) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return (text if draw(st.sampled_from([True] * 30 + [False])) else ""), kind
+
+
+def _outcome(read, path, columns):
+    try:
+        names, table = read(path, columns)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("table", names, table.dtype, table.shape, table.tobytes())
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None)
+@given(drawn=csv_texts())
+def test_read_csv_matches_the_row_loop(tmp_path_factory, drawn):
+    text, kind = drawn
+    path = tmp_path_factory.mktemp("rd") / "d.csv"
+    path.write_text(text, newline="")
+    columns = COLUMNS[kind]
+    assert _outcome(read_csv, path, columns) == \
+        _outcome(dataset._read_rows, path, columns)
+
+
+def test_read_csv_parses_a_valid_file_in_one_pass(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("\r\ny,x1,x2\r\n1,0.5,-2\r\n\r\n-1, 3 ,1e-3\r1,4,5\n",
+                    newline="")
+    with mock.patch.object(dataset, "_read_rows",
+                           side_effect=AssertionError("row loop ran")):
+        names, table = read_csv(path, feature_columns)
+    assert names == ["y", "x1", "x2"]
+    assert table.tolist() == [[1, 0.5, -2], [-1, 3, 1e-3], [1, 4, 5]]
+
+
+def test_read_csv_reads_a_refused_file_row_by_row(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text('y,x1\n1,"2"\n')
+    with mock.patch.object(dataset, "_read_rows",
+                           wraps=dataset._read_rows) as rows:
+        names, table = read_csv(path, feature_columns)
+    rows.assert_called_once()
+    assert table.tolist() == [[1.0, 2.0]]
+
+
+@pytest.mark.parametrize("rows", [
+    [["1", "0.5"], ["-1", "", "x"]], [["a"], ["b"]], [], [["1e-05", "nan"]],
+])
+def test_write_csv_matches_csv_writer(tmp_path, rows):
+    header = ["h1", "h2"]
+    write_csv(tmp_path / "fast.csv", header, iter(rows))
+    with (tmp_path / "ref.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    assert (tmp_path / "fast.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()

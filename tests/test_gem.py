@@ -234,6 +234,15 @@ def test_compute_gem_stats_needs_reference_headroom():
         compute_gem_stats(ds, GemConfig(k=5, partition_ratio=0.3))
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_compute_gem_stats_rejects_overflowing_distances(scale):
+    ds = _toy_dataset(n_per_class=12, seed=3)
+    huge = LabeledDataset(ds.x * scale, ds.y)
+    assert np.isfinite(huge.x).all()
+    with pytest.raises(ValueError, match="k-NN statistics are not finite"):
+        compute_gem_stats(huge, GemConfig(k=2))
+
+
 def test_gem_config_validation():
     with pytest.raises(ValueError):
         GemConfig(k=0)
