@@ -2,7 +2,8 @@
 
 The on-disk format is a plain CSV with header ``y,x1,...,xp`` and an
 optional trailing ``is_anomaly`` column (training files only). Labels
-are restricted to {-1, +1}. read_csv reads every CSV file the CLI takes.
+are restricted to {-1, +1}. read_csv reads every CSV file the CLI takes,
+and write_csv writes every CSV file the package writes.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _parse_text(text: str, columns) -> tuple[list[str], np.ndarray] | None:
     None where the text might need the csv module, loadtxt refuses it, or
     a check fails; _read_rows then decides. On ASCII text free of
     _ROW_LOOP_CHARS a line holds one csv row of unquoted fields, and
-    loadtxt reads exactly the fields float() reads, to the same bits.
+    float() reads every field loadtxt accepts to the same bits.
     """
     if not text.isascii() or any(c in text for c in _ROW_LOOP_CHARS):
         return None
