@@ -47,7 +47,6 @@ class SvmModel:
     kkt_violation: float | None = None
 
     def decision_function(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
         coef = self.alpha * self.y
         return kernel_cross(self.kernel, xs, self.x) @ coef
 

@@ -56,6 +56,14 @@ def _check_dim(model_x: np.ndarray, xs: np.ndarray, what: str) -> None:
             f"expects {model_x.shape[1]}")
 
 
+def _whole_number(value, what: str) -> int:
+    if isinstance(value, float) and value.is_integer():  # false for inf, nan
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} expects whole numbers, got {value!r}")
+    return value
+
+
 def _parse_floats(text: str, flag: str, count: int) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != count:
@@ -91,10 +99,8 @@ def cmd_train(args) -> int:
                 f"--gamma must be a number or 'auto', got {gamma!r}") from None
     kernel = resolve_kernel(args.kernel, gamma, data.x, args.jitter)
     phi, psi, tau = _parse_floats(args.rates, "--rates", 3)
-    schedule = _parse_floats(args.gibbs, "--gibbs", 2)
-    if not all(v.is_integer() for v in schedule):
-        raise ValueError(f"--gibbs expects whole numbers, got {args.gibbs!r}")
-    sweeps, burn = (int(v) for v in schedule)
+    sweeps, burn = (_whole_number(v, "--gibbs")
+                    for v in _parse_floats(args.gibbs, "--gibbs", 2))
     hyper = HyperParams(c=args.c, lambda_cap=args.lambda_cap,
                         a_eta=args.a_eta, p0=args.p0, steps=args.steps,
                         rate_lambda=phi, rate_mu=psi, rate_kappa=tau,
@@ -203,9 +209,11 @@ def cmd_evaluate(args) -> int:
 
 # ------------------------------------------------- gradcheck/oracle-compare
 
-def _require_small(n: int) -> None:
+def _require_small(n: int, trials: int) -> None:
     if not 2 <= n <= MAX_EXACT:
         raise ValueError(f"--n must lie in [2, {MAX_EXACT}], got {n}")
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
 
 
 def cmd_gradcheck(args) -> int:
@@ -213,7 +221,7 @@ def cmd_gradcheck(args) -> int:
 
     Error per coordinate is |analytic - numeric| / max(1, |numeric|).
     """
-    _require_small(args.n)
+    _require_small(args.n, args.trials)
     worst = 0.0
     for t in range(args.trials):
         inst = random_instance(args.n, args.seed + t)
@@ -236,7 +244,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     """Sampler expectations vs exact enumeration, in standard-error units."""
-    _require_small(args.n)
+    _require_small(args.n, args.trials)
     hyper = HyperParams(gibbs_sweeps=args.sweeps, burn_in=args.burn_in)
     total = within = 0
     trials_ok = 0
@@ -323,7 +331,8 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"sweep config is missing required key '{key}'")
     grid_R = [float(v) for v in _as_list(config["R"], "R")]
     grid_ra = [float(v) for v in _as_list(config["ra"], "ra")]
-    seeds = [int(v) for v in _as_list(config["seeds"], "seeds")]
+    seeds = [_whole_number(v, "sweep config key 'seeds'")
+             for v in _as_list(config["seeds"], "seeds")]
     methods = config.get("methods", list(METHODS))
     methods = [str(m) for m in _as_list(methods, "methods")]
     for m in methods:
@@ -338,10 +347,10 @@ def cmd_sweep(args) -> int:
     coverage = config.get("coverage")
     if coverage is not None:
         coverage = float(coverage)
-    n_train = int(config.get("n_train_per_class", 100))
-    n_test = int(config.get("n_test_per_class", 2000))
-    detect_ring = int(config.get("detect_ring", 200))
-    detect_clean = int(config.get("detect_clean", 2000))
+    n_train, n_test, detect_ring, detect_clean = (
+        _whole_number(config.get(key, default), f"sweep config key '{key}'")
+        for key, default in (("n_train_per_class", 100), ("n_test_per_class", 2000),
+                             ("detect_ring", 200), ("detect_clean", 2000)))
     out = args.out or config.get("out", "sweep.csv")
 
     rows = []

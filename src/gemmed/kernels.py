@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import NumericsError
 
@@ -77,13 +77,8 @@ def kernel_cross(spec: KernelSpec, xs1: np.ndarray, xs2: np.ndarray) -> np.ndarr
 def kernel_matrix(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
     """Plain symmetric kernel matrix on one point set, no jitter."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if spec.kind == "linear":
-        values = xs @ xs.T
-        # mirror the lower triangle so values[i, j] == values[j, i] exactly
-        values = np.tril(values) + np.tril(values, -1).T
-        return values
-    d2 = squareform(pdist(xs, "sqeuclidean"))
-    return np.exp(-spec.gamma * d2)
+    # one array as both operands keeps K == K.T exact (see the README)
+    return kernel_cross(spec, xs, xs)
 
 
 def gram_matrix(spec: KernelSpec, xs: np.ndarray) -> GramMatrix:

@@ -15,7 +15,6 @@ cannot drift apart.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 
@@ -24,9 +23,8 @@ from scipy.special import expit
 
 from .kernels import KernelSpec
 
-RATE_LAMBDA_RANGE = (1e-4, 1e-2)
-RATE_MU_RANGE = (1e-3, 1e-1)
-RATE_KAPPA_RANGE = (1e-3, 1e-1)
+RATE_RANGES = {"rate_lambda": (1e-4, 1e-2), "rate_mu": (1e-3, 1e-1),
+               "rate_kappa": (1e-3, 1e-1)}
 
 
 @dataclass(frozen=True)
@@ -78,13 +76,6 @@ class HyperParams:
         if not 0 <= self.burn_in < self.gibbs_sweeps:
             raise ValueError("need 0 <= burn_in < gibbs_sweeps: the sampler "
                              "averages at least one sweep")
-        for name, (lo, hi) in (("rate_lambda", RATE_LAMBDA_RANGE),
-                               ("rate_mu", RATE_MU_RANGE),
-                               ("rate_kappa", RATE_KAPPA_RANGE)):
-            rate = getattr(self, name)
-            if not lo <= rate <= hi:
-                warnings.warn(f"{name}={rate:g} outside the stable range "
-                              f"[{lo:g}, {hi:g}]", stacklevel=2)
 
     @property
     def resolved_cap(self) -> float:

@@ -22,6 +22,7 @@ lam in [0, lambda_cap] and mu, kappa nonnegative.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,8 +35,8 @@ from .dataset import LabeledDataset
 from .errors import TrainingFailure
 from .gem import GemConfig, compute_gem_stats, knn_distance_sum, loo_threshold
 from .kernels import GramMatrix, KernelSpec, gram_matrix, kernel_cross
-from .model import (DualState, HyperParams, TrainedModel, eta_logits,
-                    resolve_p0)
+from .model import (RATE_RANGES, DualState, HyperParams, TrainedModel,
+                    eta_logits, resolve_p0)
 
 __all__ = [
     "GibbsExpectations", "init_duals", "sample_f_given_eta",
@@ -209,7 +210,12 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
     sampler pass still produces eta_hat. After the loop the nominal
     support is {n : eta_hat_n > 1/2}; training fails if it is empty or
     too small to calibrate the leave-one-out detection threshold.
+    Each call warns once per ascent rate outside its stable range.
     """
+    for name, (lo, hi) in RATE_RANGES.items():
+        if not lo <= (rate := getattr(hyper, name)) <= hi:
+            warnings.warn(f"{name}={rate:g} outside the stable range "
+                          f"[{lo:g}, {hi:g}]", stacklevel=2)
     if len(np.unique(dataset.y)) < 2:
         raise ValueError("training data must contain both classes")
     gram = gram_matrix(kernel, dataset.x)
@@ -269,8 +275,7 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
 
 def decision_function(model: TrainedModel, xs: np.ndarray) -> np.ndarray:
     coef = model.eta_hat * model.lam * model.y
-    return kernel_cross(model.kernel, np.atleast_2d(np.asarray(xs, dtype=float)),
-                        model.x) @ coef
+    return kernel_cross(model.kernel, xs, model.x) @ coef
 
 
 def predict(model: TrainedModel, xs: np.ndarray):

@@ -14,7 +14,7 @@ from gemmed.dataset import LabeledDataset
 from gemmed.gem import GemConfig
 from gemmed.kernels import KernelSpec
 from gemmed.model import TrainedModel
-from gemmed.persist import save_model
+from gemmed.persist import load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -366,6 +366,22 @@ def test_detect_requires_a_detector(workdir, baselines, tmp_path, capsys):
     assert "detector" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_unstable_rates_warn_in_train_only(workdir, tmp_path, capsys):
+    model = tmp_path / "fast.json"
+    with pytest.warns(UserWarning, match="rate_lambda=0.05 outside"):
+        rc = main(["train", "--data", str(workdir / "train.csv"),
+                   "--kernel", "rbf", "--gamma", "0.1", "--k", "3",
+                   "--lambda-cap", "0.4", "--steps", "2", "--gibbs", "8,2",
+                   "--rates", "5e-2,2e-2,2e-2", "--model-out", str(model)])
+    assert rc == 0
+    assert load_model(model).hyper.rate_lambda == 0.05
+    for command, data in (("predict", "test.csv"), ("detect", "train.csv")):
+        assert main([command, "--model", str(model), "--data",
+                     str(workdir / data), "--out", str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_train_bad_gamma_and_rates(workdir, tmp_path, capsys):
     rc = main(["train", "--data", str(workdir / "train.csv"),
                "--gamma", "wide", "--model-out", str(tmp_path / "m.json")])
@@ -444,6 +460,14 @@ def test_oracle_compare_rejects_big_instances(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["oracle-compare", "gradcheck"])
+def test_oracle_commands_reject_zero_trials(command, capsys):
+    assert main([command, "--n", "4", "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "--trials must be at least 1, got 0" in captured.err
+    assert "OK" not in captured.out
+
+
 def _sweep_config(root, **overrides):
     config = {
         "R": [40.0], "ra": [0.2], "seeds": [1], "methods": ["svm"],
@@ -500,6 +524,15 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     ({"svm": [1]}, "sweep config section 'svm' must be an object"),
     ({"gemmed": {"hyper": 1}}, "'gemmed.hyper' must be an object"),
     ({"gem": 3}, "'gem' must be an object"),
+    ({"seeds": [1.7]}, "key 'seeds' expects whole numbers, got 1.7"),
+    ({"seeds": [True]}, "key 'seeds' expects whole numbers, got True"),
+    ({"n_train_per_class": "20"},
+     "key 'n_train_per_class' expects whole numbers, got '20'"),
+    ({"n_train_per_class": float("inf")},  # what 1e400 in a file loads as
+     "key 'n_train_per_class' expects whole numbers, got inf"),
+    ({"n_test_per_class": None}, "key 'n_test_per_class' expects whole numbers"),
+    ({"detect_ring": 2.5}, "key 'detect_ring' expects whole numbers, got 2.5"),
+    ({"detect_clean": [200]}, "key 'detect_clean' expects whole numbers"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)

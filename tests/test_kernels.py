@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 from gemmed.errors import NumericsError
 from gemmed.kernels import (GramMatrix, KernelSpec, gram_matrix, kernel_cross,
@@ -51,6 +52,33 @@ def test_kernel_matrix_matches_pairwise_eval():
                 assert K[i, j] == pytest.approx(kernel_eval(spec, xs[i], xs[j]),
                                                 rel=1e-12, abs=1e-12)
         assert np.array_equal(K, K.T)  # exact symmetry, not approximate
+
+
+def _mirrored_kernel_matrix(spec, xs):
+    """The construction kernel_matrix used before it called kernel_cross:
+    the lower triangle of x @ x.T mirrored up, or squareform of pdist."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if spec.kind == "linear":
+        v = xs @ xs.T
+        return np.tril(v) + np.tril(v, -1).T
+    return np.exp(-spec.gamma * squareform(pdist(xs, "sqeuclidean")))
+
+
+@pytest.mark.parametrize("kind", ["linear", "rbf"])
+def test_kernel_matrix_is_bitwise_the_mirrored_construction(kind):
+    rng = np.random.default_rng(4)
+    for width in (1, 2, 7, 13):
+        spec = KernelSpec(kind, gamma=None if kind == "linear" else 0.5 / width)
+        for n in (1, 257, 1000):
+            x = rng.normal(size=(n, width))
+            x[n // 2] = x[0]  # a duplicate row (the same row when n == 1)
+            # products of integers near 1e8 round, so coercing them twice
+            # (two operand arrays, no symmetric product) changes the bits
+            for xs in (x, np.asfortranarray(x),
+                       np.rint(x * 1e8).astype(np.int64)):
+                K = kernel_matrix(spec, xs)
+                assert K.tobytes() == _mirrored_kernel_matrix(spec, xs).tobytes()
+                assert K.tobytes() == K.T.tobytes()
 
 
 def test_kernel_cross_matches_eval():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gemmed.dataset import class_index
+from gemmed.gem import GemConfig
+from gemmed.kernels import KernelSpec
 from gemmed.model import (DualState, HyperParams, eta_logits,
                           per_sample_class_values, resolve_p0)
+from gemmed.synthdata import RingExperimentConfig, generate
+from gemmed.trainer import train
 
 
 def test_hyper_defaults_and_cap():
@@ -45,10 +50,20 @@ def test_hyper_validation():
 
 
 def test_hyper_warns_outside_stable_rate_band():
-    with pytest.warns(UserWarning, match="rate_lambda"):
-        HyperParams(rate_lambda=5e-2)
-    with pytest.warns(UserWarning, match="rate_mu"):
-        HyperParams(rate_mu=5e-4)
+    # the rates are checked where they are used, once per train call and
+    # at the caller's line; building (or loading) the parameters is silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hyper = HyperParams(lambda_cap=0.4, steps=1, gibbs_sweeps=8,
+                            burn_in=2, rate_lambda=5e-2, rate_mu=5e-4)
+    train_set, _ = generate(RingExperimentConfig(
+        R=55.0, r_a=0.2, n_train_per_class=20, n_test_per_class=5, seed=0))
+    with pytest.warns(UserWarning) as record:
+        train(train_set, KernelSpec("rbf", gamma=0.1), GemConfig(k=3), hyper)
+    assert [str(w.message) for w in record] == [
+        "rate_lambda=0.05 outside the stable range [0.0001, 0.01]",
+        "rate_mu=0.0005 outside the stable range [0.001, 0.1]"]
+    assert {w.filename for w in record} == {__file__}
 
 
 def test_resolve_p0_priority_chain():
