@@ -26,7 +26,8 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .gem import GemConfig, compute_gem_stats, knn_distance_sum, loo_threshold
-from .kernels import KernelSpec, kernel_cross, kernel_matrix
+from .kernels import (KernelSpec, compact_expansion, finite_decisions,
+                      kernel_cross, kernel_matrix)
 
 
 @dataclass
@@ -47,8 +48,17 @@ class SvmModel:
     kkt_violation: float | None = None
 
     def decision_function(self, xs: np.ndarray) -> np.ndarray:
-        coef = self.alpha * self.y
-        return kernel_cross(self.kernel, xs, self.x) @ coef
+        """sum_j alpha_j y_j k(x, x_j) for each query row.
+
+        A linear model scores through its weight vector in O(d) per
+        query; an rbf model builds one row of n kernel values per query.
+        Raises ValueError when any value is not finite.
+        """
+        centers, coef = compact_expansion(self.kernel, self.x,
+                                          self.alpha * self.y)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            values = kernel_cross(self.kernel, xs, centers) @ coef
+        return finite_decisions(values)
 
     def predict(self, xs: np.ndarray) -> np.ndarray:
         d = self.decision_function(xs)

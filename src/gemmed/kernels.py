@@ -74,6 +74,34 @@ def kernel_cross(spec: KernelSpec, xs1: np.ndarray, xs2: np.ndarray) -> np.ndarr
     return np.exp(-spec.gamma * cdist(xs1, xs2, "sqeuclidean"))
 
 
+def compact_expansion(spec: KernelSpec, centers: np.ndarray,
+                      coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and coefficients of the cheapest form of the expansion
+    f(x) = sum_j coef_j k(x, centers_j).
+
+    A linear expansion is <x, w> with w = coef @ centers (the primal
+    weight vector), so it collapses to the one center w with coefficient
+    1 and scores each query in O(d). An rbf expansion is returned as is.
+    """
+    if spec.kind == "linear":
+        return np.atleast_2d(coef @ centers), np.ones(1)
+    return centers, coef
+
+
+def finite_decisions(values: np.ndarray) -> np.ndarray:
+    """Return the decision values, or raise ValueError naming bad rows.
+
+    Query rows large enough to overflow the kernel give an infinite or
+    NaN decision value, which has no sign to label.
+    """
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(
+            f"decision value is not finite for {bad.size} of {values.size} "
+            f"query rows (first: row {bad[0]}); rescale the features")
+    return values
+
+
 def kernel_matrix(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
     """Plain symmetric kernel matrix on one point set, no jitter."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))

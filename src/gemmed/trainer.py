@@ -34,7 +34,8 @@ from .baselines import solve_svm_dual
 from .dataset import LabeledDataset
 from .errors import TrainingFailure
 from .gem import GemConfig, compute_gem_stats, knn_distance_sum, loo_threshold
-from .kernels import GramMatrix, KernelSpec, gram_matrix, kernel_cross
+from .kernels import (GramMatrix, KernelSpec, compact_expansion,
+                      finite_decisions, gram_matrix, kernel_cross)
 from .model import (RATE_RANGES, DualState, HyperParams, TrainedModel,
                     eta_logits, resolve_p0)
 
@@ -274,8 +275,17 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
 
 
 def decision_function(model: TrainedModel, xs: np.ndarray) -> np.ndarray:
-    coef = model.eta_hat * model.lam * model.y
-    return kernel_cross(model.kernel, xs, model.x) @ coef
+    """sum_j eta_j lambda_j y_j k(x, x_j) for each query row.
+
+    A linear model scores through its weight vector in O(d) per query;
+    an rbf model builds one row of n kernel values per query. Raises
+    ValueError when any value is not finite.
+    """
+    centers, coef = compact_expansion(model.kernel, model.x,
+                                      model.eta_hat * model.lam * model.y)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        values = kernel_cross(model.kernel, xs, centers) @ coef
+    return finite_decisions(values)
 
 
 def predict(model: TrainedModel, xs: np.ndarray):

@@ -437,3 +437,20 @@ def test_models_round_trip_through_dataclass_fields():
                      alpha=model.alpha, C=model.C, converged=model.converged)
     grid = np.random.default_rng(0).normal(size=(20, 2)) * 5
     assert np.array_equal(model.predict(grid), clone.predict(grid))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_decision_values_raise():
+    # w = (10, -10): row 1 overflows <x, w> to inf, row 2 to inf - inf = nan
+    svm = SvmModel(kernel=KernelSpec("linear"), x=np.eye(2),
+                   y=np.array([1, -1]), alpha=np.array([10.0, 10.0]),
+                   C=10.0, converged=True)
+    two_stage = TwoStageModel(svm=svm, kept_idx=np.arange(2),
+                              removed_idx=np.arange(0), theta=1.0, k=1,
+                              alpha_level=0.05)
+    xs = np.array([[1.0, 2.0], [1e308, -1e308], [1e308, 1e308]])
+    for score in (svm.decision_function, svm.predict,
+                  two_stage.decision_function, two_stage.predict):
+        with pytest.raises(ValueError, match=r"not finite for 2 of 3 query "
+                           r"rows \(first: row 1\); rescale the features"):
+            score(xs)

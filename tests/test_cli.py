@@ -153,6 +153,29 @@ def test_predict_and_detect_output_bytes(tmp_path):
         b"7.63441361516796,1\r\n")          # sqrt(10) + sqrt(20)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_predict_refuses_non_finite_decision_values(workdir, tmp_path, capsys):
+    model = tmp_path / "linear.json"
+    assert main(["train", "--data", str(workdir / "train.csv"),
+                 "--kernel", "linear", "--k", "3", "--lambda-cap", "0.4",
+                 "--steps", "2", "--gibbs", "8,2", "--seed", "0",
+                 "--model-out", str(model)]) == 0
+    # Finite rows, but <x, w> overflows for the sign pattern of w, whose
+    # entries are far above 1 on this training set.
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2\n0.0,0.0\n1.7e308,1.7e308\n1.7e308,-1.7e308\n"
+                   "-1.7e308,1.7e308\n-1.7e308,-1.7e308\n")
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(model), "--data", str(pts),
+               "--out", str(out)])
+    assert rc == 2
+    assert re.search(r"decision value is not finite for [1-4] of 5 query "
+                     r"rows \(first: row [1-4]\); rescale the features",
+                     capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["svm", "two-stage"])
 def test_predict_with_a_baseline_model(workdir, baselines, tmp_path, kind):
     out = tmp_path / "pred.csv"

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 from gemmed.errors import NumericsError
-from gemmed.kernels import (GramMatrix, KernelSpec, gram_matrix, kernel_cross,
-                            kernel_eval, kernel_matrix,
-                            median_heuristic_gamma, resolve_kernel)
+from gemmed.kernels import (GramMatrix, KernelSpec, compact_expansion,
+                            gram_matrix, kernel_cross, kernel_eval,
+                            kernel_matrix, median_heuristic_gamma,
+                            resolve_kernel)
 
 
 def test_spec_validation():
@@ -88,6 +89,17 @@ def test_kernel_cross_matches_eval():
     C = kernel_cross(spec, a, b)
     assert C.shape == (4, 3)
     assert C[2, 1] == pytest.approx(kernel_eval(spec, a[2], b[1]), rel=1e-12)
+
+
+def test_compact_expansion():
+    rng = np.random.default_rng(4)
+    centers, coef = rng.normal(size=(6, 3)), rng.normal(size=6)
+    w, one = compact_expansion(KernelSpec("linear"), centers, coef)
+    assert w.shape == (1, 3) and one.tolist() == [1.0]
+    np.testing.assert_array_equal(w[0], coef @ centers)
+    rbf = KernelSpec("rbf", gamma=0.3)
+    kept, same = compact_expansion(rbf, centers, coef)
+    assert kept is centers and same is coef
 
 
 def test_rbf_diagonal_is_one():

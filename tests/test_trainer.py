@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -8,7 +11,7 @@ from gemmed.dataset import LabeledDataset, class_index
 from gemmed.errors import TrainingFailure
 from gemmed.experiments import random_instance
 from gemmed.gem import GemConfig, compute_gem_stats
-from gemmed.kernels import KernelSpec, gram_matrix
+from gemmed.kernels import KernelSpec, gram_matrix, kernel_cross
 from gemmed.model import DualState, HyperParams, TrainedModel, resolve_p0
 from gemmed.oracle import exact_posterior
 from gemmed.synthdata import RingExperimentConfig, generate
@@ -450,17 +453,97 @@ def test_med_reduction_equals_svm_rule():
     y = rng.choice([-1, 1], size=20)
     y[0], y[1] = -1, 1
     lam = rng.uniform(0.0, 2.0, size=20)
-    kernel = KernelSpec("rbf", gamma=0.3)
-    joint = TrainedModel(kernel=kernel, x=x, y=y, lam=lam,
-                         eta_hat=np.ones(20), gamma_hat=np.zeros(2),
-                         beta_hat=np.zeros(2), theta=1.0, k=1, alpha=0.05,
-                         target_coverage=0.8)
-    svm = SvmModel(kernel=kernel, x=x, y=y, alpha=lam, C=10.0, converged=True)
     grid = rng.normal(scale=2.0, size=(200, 2))
-    np.testing.assert_array_equal(trainer.predict(joint, grid),
-                                  svm.predict(grid))
-    np.testing.assert_allclose(trainer.decision_function(joint, grid),
-                               svm.decision_function(grid), rtol=1e-12)
+    for kernel in (KernelSpec("rbf", gamma=0.3), KernelSpec("linear")):
+        joint = TrainedModel(kernel=kernel, x=x, y=y, lam=lam,
+                             eta_hat=np.ones(20), gamma_hat=np.zeros(2),
+                             beta_hat=np.zeros(2), theta=1.0, k=1,
+                             alpha=0.05, target_coverage=0.8)
+        svm = SvmModel(kernel=kernel, x=x, y=y, alpha=lam, C=10.0,
+                       converged=True)
+        np.testing.assert_array_equal(trainer.predict(joint, grid),
+                                      svm.predict(grid))
+        np.testing.assert_allclose(trainer.decision_function(joint, grid),
+                                   svm.decision_function(grid), rtol=1e-12)
+        _assert_matches_full_expansion(trainer.decision_function(joint, grid),
+                                       kernel, grid, x, lam * y)
+        _assert_matches_full_expansion(svm.decision_function(grid),
+                                       kernel, grid, x, lam * y)
+
+
+def _assert_matches_full_expansion(got, kernel, xs, centers, coef):
+    """An rbf model's scores are the kernel expansion over every training
+    row, bit for bit. A linear model's weight-vector scores agree with it
+    to 1e-12 of the summed term magnitudes sum_j |coef_j k(x, x_j)|: the
+    terms cancel, so the expansion's own rounding is far above 1e-12 of
+    a decision value near 0."""
+    block = kernel_cross(kernel, xs, centers)
+    full = block @ coef
+    if kernel.kind == "rbf":
+        np.testing.assert_array_equal(got, full)
+    else:
+        assert np.all(np.abs(got - full) <= 1e-12 * (np.abs(block)
+                                                     @ np.abs(coef)))
+    return full
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fitted_linear_models_score_as_their_kernel_expansion(seed):
+    """Linear SVM, two-stage and joint models label a 1000-row ring test
+    set exactly as the full kernel expansion over their training rows."""
+    from gemmed.baselines import train_svm, train_two_stage
+    cfg = RingExperimentConfig(R=55.0, r_a=0.2, n_train_per_class=100,
+                               n_test_per_class=500, seed=seed)
+    train_set, test_set = generate(cfg)
+    kernel = KernelSpec("linear")
+    config = GemConfig(target_coverage=0.8, seed=seed)
+    svm = train_svm(train_set, kernel)
+    two_stage = train_two_stage(train_set, kernel, config)
+    joint = trainer.train(train_set, kernel, config,
+                          HyperParams(lambda_cap=0.4, steps=50, seed=seed))
+    xs = test_set.x
+    cases = [
+        (svm.decision_function(xs), svm.predict(xs), svm.x,
+         svm.alpha * svm.y),
+        (two_stage.decision_function(xs), two_stage.predict(xs),
+         two_stage.svm.x, two_stage.svm.alpha * two_stage.svm.y),
+        (trainer.decision_function(joint, xs), trainer.predict(joint, xs),
+         joint.x, joint.eta_hat * joint.lam * joint.y),
+    ]
+    for scores, labels, centers, coef in cases:
+        full = _assert_matches_full_expansion(scores, kernel, xs, centers,
+                                              coef)
+        np.testing.assert_array_equal(labels, np.where(full < 0, -1, 1))
+
+
+@pytest.mark.parametrize("kind", ["svm", "joint"])
+def test_linear_scoring_memory_stays_near_the_query_size(kind):
+    """A linear model scores 20000 queries against 1000 training rows
+    without a queries x training-rows kernel block (160 MB)."""
+    from gemmed.baselines import train_svm
+    train_set, _ = generate(RingExperimentConfig(
+        R=55.0, r_a=0.2, n_train_per_class=500, n_test_per_class=1, seed=0))
+    kernel = KernelSpec("linear")
+    if kind == "svm":
+        score = train_svm(train_set, kernel).decision_function
+    else:
+        rng = np.random.default_rng(5)
+        n = train_set.n
+        model = TrainedModel(kernel=kernel, x=train_set.x, y=train_set.y,
+                             lam=rng.uniform(0.0, 0.4, size=n),
+                             eta_hat=rng.uniform(size=n),
+                             gamma_hat=np.zeros(2), beta_hat=np.zeros(2),
+                             theta=1.0, k=3, alpha=0.05,
+                             target_coverage=0.8)
+        score = functools.partial(trainer.decision_function, model)
+    xs = np.random.default_rng(6).normal(scale=60.0, size=(20000, 2))
+    tracemalloc.start()
+    try:
+        score(xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * xs.nbytes, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_training_is_equivariant_under_global_negation():
