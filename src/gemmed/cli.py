@@ -110,9 +110,8 @@ def cmd_train(args) -> int:
                            alpha=args.alpha, seed=args.seed)
     model = trainer.train(data, kernel, gem_config, hyper)
     save_model(model, args.model_out)
-    final = model.trace[-1] if model.trace else float("nan")
     print(f"wrote model to {args.model_out}")
-    print(f"final dual objective estimate: {final:.6g}")
+    print(f"final dual objective estimate: {model.dual_estimate:.6g}")
     print(f"mean eta_hat: {float(model.eta_hat.mean()):.6g}")
     return 0
 
@@ -290,7 +289,11 @@ SWEEP_TOP_KEYS = {
     "coverage", "detect_ring", "detect_clean", "gem", "out",
     "gemmed", "svm", "two-stage",
 }
-METHOD_KEYS = {"kernel", "gamma", "jitter", "C", "hyper"}
+# the keys each method's section may set: only the joint model factors a
+# jittered Gram matrix and has HyperParams; only the SVMs have a box C
+METHOD_KEYS = {"gemmed": {"kernel", "gamma", "jitter", "hyper"},
+               "svm": {"kernel", "gamma", "C"},
+               "two-stage": {"kernel", "gamma", "C"}}
 
 
 def _as_list(value, key):
@@ -304,7 +307,8 @@ def _method_settings(config: dict, method: str) -> MethodSettings:
     base = default_settings(method)
     if section is None:
         return base
-    json_object(section, f"sweep config section '{method}'", METHOD_KEYS)
+    json_object(section, f"sweep config section '{method}'",
+                METHOD_KEYS[method])
     hyper = base.hyper
     if "hyper" in section:
         hyper = HyperParams(**json_object(section["hyper"],

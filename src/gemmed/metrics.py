@@ -31,20 +31,17 @@ def precision_recall_curve(scores: np.ndarray, is_anomaly: np.ndarray) -> np.nda
     is_anomaly = np.asarray(is_anomaly).astype(bool)
     if scores.shape != is_anomaly.shape or scores.size == 0:
         raise ValueError("scores and anomaly flags must be nonempty and aligned")
-    if np.any(scores < 0) or np.any(scores > 1):
+    if not np.all((scores >= 0) & (scores <= 1)):  # NaN fails too
         raise ValueError("scores must lie in [0, 1]")
     n_anom = int(is_anomaly.sum())
     if n_anom == 0:
         raise ValueError("ground truth contains no anomalies")
     cutoffs = np.unique(np.concatenate([scores, [0.0, 1.0]]))
-    rows = []
-    for rho in cutoffs:
-        flagged = scores <= rho
-        hits = int(np.sum(flagged & is_anomaly))
-        precision = hits / flagged.sum() if flagged.any() else 1.0
-        recall = hits / n_anom
-        rows.append((rho, precision, recall))
-    return np.array(rows)
+    # counts of scores <= rho: all of them, and the anomalous ones
+    flagged = np.searchsorted(np.sort(scores), cutoffs, side="right")
+    hits = np.searchsorted(np.sort(scores[is_anomaly]), cutoffs, side="right")
+    precision = np.where(flagged > 0, hits / np.maximum(flagged, 1), 1.0)
+    return np.column_stack([cutoffs, precision, hits / n_anom])
 
 
 def auc(curve: np.ndarray) -> float:

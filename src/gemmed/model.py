@@ -15,7 +15,7 @@ cannot drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
@@ -140,6 +140,8 @@ class TrainedModel:
     Prediction uses sign(sum_n eta_hat_n lam_n y_n K(x, x_n)) with ties
     to +1. Detection scores a query by its k-NN distance sum into the
     nominal support (eta_hat > 1/2) and compares against theta.
+    ``dual_estimate`` is the mean-field dual objective estimate at the
+    final duals, or None for a model file that does not record it.
     """
 
     kernel: KernelSpec
@@ -153,7 +155,7 @@ class TrainedModel:
     k: int
     alpha: float
     target_coverage: float
-    trace: list = field(default_factory=list)
+    dual_estimate: float | None = None
     hyper: HyperParams | None = None
 
     @property

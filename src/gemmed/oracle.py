@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .model import DualState, HyperParams, per_sample_class_values
+from .model import DualState, HyperParams, eta_logits
 from .trainer import dual_gradient
 
 MAX_EXACT = 16
@@ -69,9 +69,8 @@ def exact_posterior(state: DualState, y: np.ndarray, K: np.ndarray,
 
     configs = _enumerate_configs(n)  # (2^n, n)
     a = state.lam * y
-    mu_n = per_sample_class_values(state.mu, y)
-    kap_n = per_sample_class_values(state.kappa, y)
-    theta = kap_n / n - mu_n * d_tilde + np.log(p0) - np.log1p(-p0)
+    # the f-free logit: per-sample weight of eta_n = 1 beyond the quadratic
+    theta = eta_logits(state, np.zeros(n), y, d_tilde, p0, n)
 
     scaled = configs * a[None, :]
     quad = 0.5 * np.einsum("ci,ij,cj->c", scaled, K, scaled)
@@ -120,42 +119,27 @@ def finite_diff_dual(state: DualState, y, K, d_tilde, gamma_hat, beta_hat, p0,
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    cap = hyper.resolved_cap
+    cuts = (state.lam.size, state.lam.size + state.mu.size)
+    point = np.concatenate([state.lam, state.mu, state.kappa])
+    upper = np.full(point.size, np.inf)
+    upper[:cuts[0]] = hyper.resolved_cap
 
-    def value(s: DualState) -> float:
-        return exact_posterior(s, y, K, d_tilde, gamma_hat, beta_hat, p0,
+    def value(i: int, v: float) -> float:
+        moved = point.copy()
+        moved[i] = v
+        return exact_posterior(DualState(*np.split(moved, cuts)), y, K,
+                               d_tilde, gamma_hat, beta_hat, p0,
                                hyper).dual_value
 
-    def diff_vector(vec: np.ndarray, assign, lower, upper):
-        grads = np.zeros(vec.size)
-        flags = np.zeros(vec.size, dtype=bool)
-        for i in range(vec.size):
-            v = vec[i]
-            lo_ok = v - h >= lower
-            hi_ok = (upper is None) or (v + h <= upper)
-            if lo_ok and hi_ok:
-                grads[i] = (value(assign(i, v + h)) - value(assign(i, v - h))) / (2 * h)
-            elif hi_ok:
-                grads[i] = (value(assign(i, v + h)) - value(assign(i, v))) / h
-                flags[i] = True
-            else:
-                grads[i] = (value(assign(i, v)) - value(assign(i, v - h))) / h
-                flags[i] = True
-        return grads, flags
-
-    def with_lam(i, v):
-        lam = state.lam.copy(); lam[i] = v
-        return DualState(lam, state.mu.copy(), state.kappa.copy())
-
-    def with_mu(i, v):
-        mu = state.mu.copy(); mu[i] = v
-        return DualState(state.lam.copy(), mu, state.kappa.copy())
-
-    def with_kappa(i, v):
-        kap = state.kappa.copy(); kap[i] = v
-        return DualState(state.lam.copy(), state.mu.copy(), kap)
-
-    g_lam, f_lam = diff_vector(state.lam, with_lam, 0.0, cap)
-    g_mu, f_mu = diff_vector(state.mu, with_mu, 0.0, None)
-    g_kappa, f_kappa = diff_vector(state.kappa, with_kappa, 0.0, None)
+    grads = np.zeros(point.size)
+    flags = np.zeros(point.size, dtype=bool)
+    for i, v in enumerate(point):
+        hi_ok = v + h <= upper[i]
+        lo_ok = v - h >= 0.0 or not hi_ok  # backward when the upper bound binds
+        flags[i] = not (lo_ok and hi_ok)
+        grads[i] = ((value(i, v + h if hi_ok else v)
+                     - value(i, v - h if lo_ok else v))
+                    / (h if flags[i] else 2 * h))
+    g_lam, g_mu, g_kappa = np.split(grads, cuts)
+    f_lam, f_mu, f_kappa = np.split(flags, cuts)
     return g_lam, g_mu, g_kappa, {"lam": f_lam, "mu": f_mu, "kappa": f_kappa}

@@ -70,18 +70,22 @@ def _joint_fields(m: TrainedModel) -> dict:
             "gamma_hat": {"-1": m.gamma_hat[0], "1": m.gamma_hat[1]},
             "beta_hat": {"-1": m.beta_hat[0], "1": m.beta_hat[1]},
             "theta": m.theta, "k": m.k, "alpha": m.alpha,
-            "target_coverage": m.target_coverage, "trace": list(m.trace),
+            "target_coverage": m.target_coverage,
+            "dual_estimate": m.dual_estimate,
             "hyper": asdict(m.hyper) if m.hyper is not None else None}
 
 
 def _joint_model(p: dict) -> TrainedModel:
+    # files before dual_estimate load with None; their "trace" is ignored
+    estimate = p.get("dual_estimate")
     return TrainedModel(
         **_base(p), lam=np.array(p["lambda"], dtype=float),
         eta_hat=np.array(p["eta_hat"], dtype=float),
         gamma_hat=_by_class(p, "gamma_hat"), beta_hat=_by_class(p, "beta_hat"),
         theta=float(p["theta"]), k=int(p["k"]), alpha=float(p["alpha"]),
         target_coverage=float(p["target_coverage"]),
-        trace=list(p.get("trace", [])), hyper=_hyper(p))
+        dual_estimate=None if estimate is None else float(estimate),
+        hyper=_hyper(p))
 
 
 def _svm_fields(m: SvmModel) -> dict:

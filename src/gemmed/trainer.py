@@ -182,7 +182,9 @@ def mean_field_dual_estimate(state: DualState, gram: GramMatrix, y: np.ndarray,
 
     Bounds log Z from below with the usual evidence bound at the
     current indicator means, so the returned value upper-bounds the
-    true dual objective. Used only for monitoring.
+    true dual objective. ``train`` evaluates it once per run, at the
+    final duals and indicator means, and stores it on the model; nothing
+    else depends on it.
     """
     n = gram.n
     a = state.lam * y
@@ -208,9 +210,11 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
     The sampler's chain persists across steps, so only the first step
     discards burn-in sweeps.
     With ``steps`` = 0 the duals stay at their initialization and one
-    sampler pass still produces eta_hat. After the loop the nominal
-    support is {n : eta_hat_n > 1/2}; training fails if it is empty or
-    too small to calibrate the leave-one-out detection threshold.
+    sampler pass still produces eta_hat. After the loop the mean-field
+    dual estimate is evaluated once, at the final duals and eta_hat, and
+    the nominal support is {n : eta_hat_n > 1/2}; training fails if it
+    is empty or too small to calibrate the leave-one-out detection
+    threshold.
     Each call warns once per ascent rate outside its stable range.
     """
     for name, (lo, hi) in RATE_RANGES.items():
@@ -227,7 +231,6 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
     state = init_duals(dataset, gram, hyper)
     rng = np.random.default_rng(hyper.seed)
 
-    trace: list[float] = []
     exps = gibbs_expectations(state, y, gram, stats.d_tilde, p0, hyper, rng)
     for step in range(hyper.steps):
         if step:  # continue the chain at the updated duals
@@ -239,10 +242,10 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
             np.clip(state.lam + hyper.rate_lambda * g_lam, 0.0, cap),
             np.maximum(state.mu + hyper.rate_mu * g_mu, 0.0),
             np.maximum(state.kappa + hyper.rate_kappa * g_kappa, 0.0))
-        trace.append(mean_field_dual_estimate(state, gram, y, stats.d_tilde,
-                                              stats.gamma_hat, stats.beta_hat,
-                                              p0, exps.eta_hat, hyper))
     eta_hat = exps.eta_hat
+    estimate = mean_field_dual_estimate(state, gram, y, stats.d_tilde,
+                                        stats.gamma_hat, stats.beta_hat, p0,
+                                        eta_hat, hyper)
 
     nominal = np.flatnonzero(eta_hat > 0.5)
     if nominal.size == 0:
@@ -269,7 +272,7 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
         k=gem_config.k,
         alpha=gem_config.alpha,
         target_coverage=gem_config.target_coverage,
-        trace=trace,
+        dual_estimate=estimate,
         hyper=hyper,
     )
 

@@ -556,6 +556,13 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     ({"n_test_per_class": None}, "key 'n_test_per_class' expects whole numbers"),
     ({"detect_ring": 2.5}, "key 'detect_ring' expects whole numbers, got 2.5"),
     ({"detect_clean": [200]}, "key 'detect_clean' expects whole numbers"),
+    # keys another method reads but this one never does
+    ({"svm": {"hyper": {"steps": 3}}},
+     "unknown key 'hyper' in sweep config section 'svm'"),
+    ({"two-stage": {"jitter": 5.0}},
+     "unknown key 'jitter' in sweep config section 'two-stage'"),
+    ({"gemmed": {"C": 123.0}},
+     "unknown key 'C' in sweep config section 'gemmed'"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)

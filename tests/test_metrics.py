@@ -42,6 +42,8 @@ def test_curve_hand_computed():
 def test_curve_validation():
     with pytest.raises(ValueError, match="0, 1"):
         precision_recall_curve(np.array([1.2]), np.array([True]))
+    with pytest.raises(ValueError, match="0, 1"):
+        precision_recall_curve(np.array([0.5, np.nan]), np.array([True, False]))
     with pytest.raises(ValueError, match="no anomalies"):
         precision_recall_curve(np.array([0.5]), np.array([False]))
     with pytest.raises(ValueError, match="aligned"):
@@ -77,6 +79,17 @@ def test_detection_accuracy_frozen():
         detection_accuracy(np.array([], dtype=bool), np.array([], dtype=bool))
 
 
+def _loop_curve(scores, is_anomaly):
+    """The curve cutoff by cutoff: the reference for the vectorized one."""
+    rows = []
+    for rho in np.unique(np.concatenate([scores, [0.0, 1.0]])):
+        flagged = scores <= rho
+        hits = int(np.sum(flagged & is_anomaly))
+        precision = hits / flagged.sum() if flagged.any() else 1.0
+        rows.append((rho, precision, hits / int(is_anomaly.sum())))
+    return np.array(rows)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 30))
 def test_curve_properties(seed, n):
@@ -93,3 +106,8 @@ def test_curve_properties(seed, n):
     assert np.all((curve[:, 1] >= 0) & (curve[:, 1] <= 1))
     a = auc(curve)
     assert 0.0 <= a <= 1.0
+    # bit for bit the loop's curve, also with ties and scores at 0 and 1
+    tied = np.round(scores * 4) / 4
+    for s in (scores, tied):
+        assert (precision_recall_curve(s, flags).tobytes()
+                == _loop_curve(s, flags).tobytes())

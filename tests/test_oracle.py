@@ -164,11 +164,24 @@ def test_finite_diff_boundary_coordinates_are_flagged():
     state = DualState(inst.state.lam.copy(), np.zeros(2),
                       inst.state.kappa.copy())
     state.lam[0] = 0.0
-    *_, flags = finite_diff_dual(state, inst.y, inst.K, inst.d_tilde,
-                                 inst.gamma_hat, inst.beta_hat, inst.p0,
-                                 inst.hyper)
+    state.lam[1] = inst.hyper.resolved_cap
+    g_lam, *_, flags = finite_diff_dual(state, inst.y, inst.K, inst.d_tilde,
+                                        inst.gamma_hat, inst.beta_hat,
+                                        inst.p0, inst.hyper)
     assert flags["lam"][0]
+    assert flags["lam"][1] and not flags["lam"][2:].any()
     assert flags["mu"].all()  # both at the lower boundary
+
+    def dual(lam1):
+        lam = state.lam.copy()
+        lam[1] = lam1
+        return exact_posterior(DualState(lam, state.mu, state.kappa), inst.y,
+                               inst.K, inst.d_tilde, inst.gamma_hat,
+                               inst.beta_hat, inst.p0, inst.hyper).dual_value
+
+    # lam at the cap takes the backward difference
+    h = 1e-4
+    assert g_lam[1] == (dual(state.lam[1]) - dual(state.lam[1] - h)) / h
     with pytest.raises(ValueError, match="h"):
         finite_diff_dual(inst.state, inst.y, inst.K, inst.d_tilde,
                          inst.gamma_hat, inst.beta_hat, inst.p0, inst.hyper,

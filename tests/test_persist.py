@@ -33,6 +33,7 @@ def test_joint_model_round_trip(cell, tmp_path):
     assert np.array_equal(back.lam, model.lam)
     assert np.array_equal(back.eta_hat, model.eta_hat)
     assert back.theta == model.theta
+    assert back.dual_estimate == model.dual_estimate
     assert back.hyper == model.hyper
     np.testing.assert_array_equal(trainer.predict(back, test_set.x),
                                   trainer.predict(model, test_set.x))
@@ -69,6 +70,19 @@ def test_joint_model_with_retired_hyper_keys_loads(cell, tmp_path):
     again = tmp_path / "again.json"
     save_model(back, again)
     assert again.read_bytes() == path.read_bytes()
+    # files written before dual_estimate carry a per-step trace instead
+    del payload["dual_estimate"]
+    payload["trace"] = [-3.5, -2.25, -1.5, -1.25, -1.0]
+    old.write_text(json.dumps(payload, indent=1) + "\n")
+    back = load_model(old)
+    assert back.dual_estimate is None
+    for fn in (trainer.predict, trainer.decision_function,
+               trainer.anomaly_scores, trainer.detect):
+        np.testing.assert_array_equal(fn(back, test_set.x),
+                                      fn(model, test_set.x))
+    save_model(back, again)
+    saved = json.loads(again.read_text())
+    assert "trace" not in saved and saved["dual_estimate"] is None
 
 
 def test_svm_round_trip(cell, tmp_path):

@@ -299,7 +299,7 @@ def test_train_end_to_end_small():
     model = trainer.train(train_set, KernelSpec("rbf", gamma=0.1), config,
                           hyper)
     assert isinstance(model, TrainedModel)
-    assert len(model.trace) == 5
+    assert np.isfinite(model.dual_estimate)
     assert np.all((model.eta_hat >= 0) & (model.eta_hat <= 1))
     assert model.theta > 0
     assert model.nominal_idx.size >= 4
@@ -317,8 +317,26 @@ def test_train_zero_steps_still_produces_indicators():
                         burn_in=2, seed=0)
     model = trainer.train(train_set, KernelSpec("rbf", gamma=0.1),
                           GemConfig(k=3, seed=0), hyper)
-    assert model.trace == []
+    assert np.isfinite(model.dual_estimate)
     assert model.eta_hat.shape == (train_set.n,)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 4])
+def test_train_evaluates_the_dual_estimate_once(monkeypatch, steps):
+    calls = []
+    estimate = trainer.mean_field_dual_estimate
+
+    def spy(*args):
+        calls.append(estimate(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(trainer, "mean_field_dual_estimate", spy)
+    train_set, _ = _small_cell()
+    hyper = HyperParams(lambda_cap=0.4, steps=steps, gibbs_sweeps=8,
+                        burn_in=2, seed=0)
+    model = trainer.train(train_set, KernelSpec("rbf", gamma=0.1),
+                          GemConfig(k=3, seed=0), hyper)
+    assert calls == [model.dual_estimate]
 
 
 def test_train_continues_one_chain_across_steps(monkeypatch):
