@@ -50,9 +50,9 @@ class SvmModel:
     def decision_function(self, xs: np.ndarray) -> np.ndarray:
         """sum_j alpha_j y_j k(x, x_j) for each query row.
 
-        A linear model scores through its weight vector in O(d) per
-        query; an rbf model builds one row of n kernel values per query.
-        Raises ValueError when any value is not finite.
+        A 1-D xs is one query. A linear model scores through its weight
+        vector in O(d) per query; an rbf model builds one row of n kernel
+        values per query. Raises ValueError when any value is not finite.
         """
         centers, coef = compact_expansion(self.kernel, self.x,
                                           self.alpha * self.y)
@@ -61,8 +61,11 @@ class SvmModel:
         return finite_decisions(values)
 
     def predict(self, xs: np.ndarray) -> np.ndarray:
-        d = self.decision_function(xs)
-        return np.where(d < 0, -1, 1)
+        """Label each query row by the sign of its decision value.
+
+        Ties go to +1. A 1-D xs is one query.
+        """
+        return np.where(self.decision_function(xs) < 0, -1, 1)
 
 
 # Rounds of exact free-set solves that may follow the Newton steps.
@@ -358,9 +361,10 @@ class TwoStageModel:
 
         A 1-D xs is one query. All rows are scored in one batched call.
         """
-        return knn_distance_sum(np.atleast_2d(xs), self.svm.x, self.k)
+        return knn_distance_sum(xs, self.svm.x, self.k)
 
     def detect(self, xs: np.ndarray) -> np.ndarray:
+        """True for each query row whose anomaly score exceeds theta."""
         return self.anomaly_scores(xs) > self.theta
 
 

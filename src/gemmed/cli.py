@@ -134,25 +134,21 @@ def cmd_predict(args) -> int:
 
 def cmd_detect(args) -> int:
     model = load_model(args.model)
+    if not hasattr(model, "theta"):               # plain SVM
+        raise ValueError("this model kind has no anomaly detector")
+    xs = _read_points(args.data)
+    _check_dim(getattr(model, "svm", model).x, xs, args.data)
     if hasattr(model, "anomaly_scores"):          # two-stage baseline
-        xs = _read_points(args.data)
-        _check_dim(model.svm.x, xs, args.data)
         scores = model.anomaly_scores(xs)
-        calls = model.detect(xs)
-        theta = model.theta
-    elif hasattr(model, "eta_hat"):               # joint model
-        xs = _read_points(args.data)
-        _check_dim(model.x, xs, args.data)
+        calls = scores > model.theta
+    else:                                         # joint model
         scores = trainer.anomaly_scores(model, xs)
         calls = trainer.detect(model, xs)
-        theta = model.theta
-    else:
-        raise ValueError("this model kind has no anomaly detector")
     write_csv(args.out, ["score", "call"],
               zip(map(repr, scores.tolist()),
                   map(str, calls.astype(int).tolist())))
     print(f"wrote {xs.shape[0]} detection calls to {args.out} "
-          f"(threshold {theta!r}; score above threshold means anomaly)")
+          f"(threshold {model.theta!r}; score above threshold means anomaly)")
     return 0
 
 

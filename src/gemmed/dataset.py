@@ -22,9 +22,12 @@ EXACT_VALUES = {"y": (-1.0, 1.0), "label": (-1.0, 1.0),
                 "is_anomaly": (0.0, 1.0), "call": (0.0, 1.0)}
 
 
-def class_index(label: int) -> int:
-    """Map a label in {-1, +1} to the fixed per-class array slot {0, 1}."""
-    return (int(label) + 1) // 2
+def class_index(labels) -> np.ndarray:
+    """Per-class array slot of each label: 0 for -1, 1 for +1.
+
+    Labels may be int or float; a scalar label gives a 0-d array.
+    """
+    return (np.asarray(labels).astype(int) + 1) // 2
 
 
 def _float_or_nan(text: str) -> float:

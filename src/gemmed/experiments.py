@@ -11,6 +11,7 @@ gradients against finite differences.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,9 +80,10 @@ def run_cell(method: str, R: float, r_a: float, seed: int,
              n_detect_ring: int = 200, n_detect_clean: int = 2000) -> CellResult:
     """Generate the cell's data, fit one method, evaluate it.
 
-    Coverage defaults to 1 - r_a. Detection metrics use held-out ring
-    draws plus a fresh clean sample (half per class); methods without
-    a detector (plain SVM) report None for the anomaly metrics.
+    Coverage defaults to 1 - r_a. The error comes from the method's
+    predict. Detection metrics come from its detect on held-out ring
+    draws plus a fresh clean sample (half per class); a method without
+    a detector (plain SVM) draws neither and reports None for them.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -98,49 +100,38 @@ def run_cell(method: str, R: float, r_a: float, seed: int,
     kernel = resolve_kernel(settings.kernel, settings.gamma, train_set.x,
                             settings.jitter)
 
-    detect_x = detect_truth = None
-    if n_detect_ring > 0 or n_detect_clean > 0:
-        ring_rng = np.random.default_rng(seed + RING_SEED_OFFSET)
-        ring = sample_ring(ring_rng, n_detect_ring, R)
-        clean_rng = np.random.default_rng(seed + CLEAN_SEED_OFFSET)
-        clean = np.vstack([
-            sample_nominal(clean_rng, n_detect_clean - n_detect_clean // 2, -1),
-            sample_nominal(clean_rng, n_detect_clean // 2, 1),
-        ])
-        detect_x = np.vstack([ring, clean])
-        detect_truth = np.concatenate(
-            [np.ones(len(ring), dtype=bool), np.zeros(len(clean), dtype=bool)])
-
     if method == "gemmed":
-        hyper = settings.hyper.with_seed(seed)
-        model = trainer.train(train_set, kernel, gem_config, hyper)
-        error = misclassification_error(trainer.predict(model, test_set.x),
-                                        test_set.y)
-        curve = precision_recall_curve(np.clip(model.eta_hat, 0.0, 1.0),
-                                       train_set.anomaly)
-        area = auc(curve)
-        det = tpr = far = None
-        if detect_x is not None:
-            calls = trainer.detect(model, detect_x)
-            det, tpr, far = _detection_summary(calls, detect_truth)
-        return CellResult(method, R, r_a, seed, error, area, det, tpr, far)
-
-    if method == "svm":
+        model = trainer.train(train_set, kernel, gem_config,
+                              replace(settings.hyper, seed=seed))
+        predict = functools.partial(trainer.predict, model)
+        detect = functools.partial(trainer.detect, model)
+        area = auc(precision_recall_curve(np.clip(model.eta_hat, 0.0, 1.0),
+                                          train_set.anomaly))
+    elif method == "svm":
         model = train_svm(train_set, kernel, C=settings.C)
-        error = misclassification_error(model.predict(test_set.x), test_set.y)
-        return CellResult(method, R, r_a, seed, error, None, None)
+        predict, detect, area = model.predict, None, None
+    else:
+        model = train_two_stage(train_set, kernel, gem_config, C=settings.C)
+        # The survival ranking is binary, so its precision-recall curve
+        # collapses to a single recall value and the area under it is not
+        # meaningful; the column stays empty for this method.
+        predict, detect, area = model.predict, model.detect, None
 
-    model = train_two_stage(train_set, kernel, gem_config, C=settings.C)
-    error = misclassification_error(model.predict(test_set.x), test_set.y)
-    # The survival ranking is binary, so its precision-recall curve
-    # collapses to a single recall value and the area under it is not
-    # meaningful; the column stays empty for this method.
-    area = None
+    error = misclassification_error(predict(test_set.x), test_set.y)
     det = tpr = far = None
-    if detect_x is not None:
-        calls = model.detect(detect_x)
-        det, tpr, far = _detection_summary(calls, detect_truth)
+    if detect is not None and (n_detect_ring > 0 or n_detect_clean > 0):
+        xs, truth = _detection_points(R, seed, n_detect_ring, n_detect_clean)
+        det, tpr, far = _detection_summary(detect(xs), truth)
     return CellResult(method, R, r_a, seed, error, area, det, tpr, far)
+
+
+def _detection_points(R: float, seed: int, n_ring: int, n_clean: int):
+    """Held-out ring draws, then clean draws; True marks a ring draw."""
+    ring = sample_ring(np.random.default_rng(seed + RING_SEED_OFFSET), n_ring, R)
+    clean_rng = np.random.default_rng(seed + CLEAN_SEED_OFFSET)
+    clean = np.vstack([sample_nominal(clean_rng, n_clean - n_clean // 2, -1),
+                       sample_nominal(clean_rng, n_clean // 2, 1)])
+    return np.vstack([ring, clean]), np.arange(n_ring + n_clean) < n_ring
 
 
 def _detection_summary(calls, truth):
@@ -168,8 +159,8 @@ class SmallInstance:
         return self.gram.values
 
 
-def random_instance(n: int, seed: int, hyper: HyperParams | None = None,
-                    lam_high: float = 1.5) -> SmallInstance:
+def random_instance(n: int, seed: int,
+                    hyper: HyperParams | None = None) -> SmallInstance:
     """Random feasible instance: rbf Gram on random points, interior duals."""
     if n < 2:
         raise ValueError("instances need at least two samples")
@@ -183,7 +174,7 @@ def random_instance(n: int, seed: int, hyper: HyperParams | None = None,
     gamma_hat = rng.uniform(0.2, 1.5, size=2)
     beta_hat = rng.uniform(0.1, 0.5, size=2)
     p0 = rng.uniform(0.3, 0.9, size=n)
-    high = min(lam_high, hyper.resolved_cap - 0.05)
+    high = min(1.5, hyper.resolved_cap - 0.05)
     state = DualState(
         lam=rng.uniform(0.05, high, size=n),
         mu=rng.uniform(0.05, 1.5, size=2),

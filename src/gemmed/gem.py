@@ -117,16 +117,16 @@ def bipartite_partition(dataset: LabeledDataset, label: int, ratio: float,
 KNN_BLOCK = 1 << 16
 
 
-def knn_distance_sum(x, refs: np.ndarray, k: int) -> float | np.ndarray:
+def knn_distance_sum(x, refs: np.ndarray, k: int) -> np.ndarray:
     """Sum of the k smallest Euclidean distances from queries to the rows of refs.
 
-    A 1-D x is one point and gives a float; a 2-D x holds one query per
-    row and gives one sum per row, also for a single row. The queries are
-    scored in blocks of about KNN_BLOCK distances. The result equals,
-    bit for bit, ``np.sort(np.linalg.norm(refs - q, axis=1))[:k].sum()``
-    per query q for widths up to 7. cdist adds the squared coordinate
-    differences in order, while from width 8 on NumPy adds those of a
-    norm pairwise, so there the two agree to within a few ulps.
+    A 2-D x holds one query per row and a 1-D x is one query; the result
+    holds one sum per query row. The queries are scored in blocks of
+    about KNN_BLOCK distances. The result equals, bit for bit,
+    ``np.sort(np.linalg.norm(refs - q, axis=1))[:k].sum()`` per query q
+    for widths up to 7. cdist adds the squared coordinate differences in
+    order, while from width 8 on NumPy adds those of a norm pairwise, so
+    there the two agree to within a few ulps.
     """
     refs = np.atleast_2d(np.asarray(refs, dtype=float))
     x = np.asarray(x, dtype=float)
@@ -149,7 +149,7 @@ def knn_distance_sum(x, refs: np.ndarray, k: int) -> float | np.ndarray:
         # sorted, so the k smallest are added in the per-query order
         nearest = np.partition(d, k - 1, axis=1)[:, :k]
         sums[start:start + step] = np.sort(nearest, axis=1).sum(axis=1)
-    return float(sums[0]) if x.ndim == 1 else sums
+    return sums
 
 
 def gem_me_set(d_values: np.ndarray, k_keep: int) -> np.ndarray:

@@ -53,20 +53,11 @@ class GramMatrix:
         return self.values.shape[0]
 
 
-def kernel_eval(spec: KernelSpec, x1, x2) -> float:
-    """Evaluate the kernel on a single pair of points."""
-    a = np.asarray(x1, dtype=float).ravel()
-    b = np.asarray(x2, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError("points must share a dimension")
-    if spec.kind == "linear":
-        return float(np.dot(a, b))
-    d2 = float(np.dot(a - b, a - b))
-    return float(np.exp(-spec.gamma * d2))
-
-
 def kernel_cross(spec: KernelSpec, xs1: np.ndarray, xs2: np.ndarray) -> np.ndarray:
-    """Kernel matrix between two point sets, shape (len(xs1), len(xs2))."""
+    """Kernel matrix between two point sets, shape (len(xs1), len(xs2)).
+
+    The one kernel evaluator of the package; a 1-D set is one point.
+    """
     xs1 = np.atleast_2d(np.asarray(xs1, dtype=float))
     xs2 = np.atleast_2d(np.asarray(xs2, dtype=float))
     if spec.kind == "linear":

@@ -15,12 +15,13 @@ cannot drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 from scipy.special import expit
 
+from .dataset import class_index
 from .kernels import KernelSpec
 
 RATE_RANGES = {"rate_lambda": (1e-4, 1e-2), "rate_mu": (1e-3, 1e-1),
@@ -81,9 +82,6 @@ class HyperParams:
     def resolved_cap(self) -> float:
         return 0.99 * self.c if self.lambda_cap is None else self.lambda_cap
 
-    def with_seed(self, seed: int) -> "HyperParams":
-        return replace(self, seed=seed)
-
 
 def resolve_p0(hyper: HyperParams, coverage: float, n: int) -> np.ndarray:
     """Per-sample nominal prior as an (n,) vector.
@@ -114,11 +112,10 @@ class DualState:
 def per_sample_class_values(values_by_slot: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Expand a 2-vector of per-class values to one entry per sample.
 
-    Labels in {-1, +1}, int or float, map to slots (y + 1) // 2, the same
-    slots ``dataset.class_index`` gives one label at a time.
+    Labels in {-1, +1}, int or float, pick their ``dataset.class_index``
+    slot.
     """
-    slots = (np.asarray(y).astype(int) + 1) // 2
-    return np.asarray(values_by_slot)[slots]
+    return np.asarray(values_by_slot)[class_index(y)]
 
 
 def eta_logits(state: DualState, f: np.ndarray, y: np.ndarray,

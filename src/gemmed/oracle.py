@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .dataset import class_index
 from .model import DualState, HyperParams, eta_logits
 from .trainer import dual_gradient
 
@@ -83,7 +84,7 @@ def exact_posterior(state: DualState, y: np.ndarray, K: np.ndarray,
     e_eta_y_f = probs @ (configs * y[None, :] * mean_f)
     eta_hat = probs @ configs
 
-    masks = np.stack([y == -1, y == 1])
+    masks = class_index(y) == np.arange(2)[:, None]  # one row per class slot
     e_sum_eta_d = np.array([probs @ (configs[:, m] @ d_tilde[m]) for m in masks])
     e_sum_eta = np.array([probs @ configs[:, m].sum(axis=1) for m in masks])
 

@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import entr, expit
-from scipy.stats import norm, t as student_t
+from scipy.special import entr, expit, ndtr, stdtrit
 
 from .baselines import solve_svm_dual
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, class_index
 from .errors import TrainingFailure
 from .gem import GemConfig, compute_gem_stats, knn_distance_sum, loo_threshold
 from .kernels import (GramMatrix, KernelSpec, compact_expansion,
@@ -111,11 +109,14 @@ def _batch_se(rows: np.ndarray) -> np.ndarray:
             / np.sqrt(n_batches))
 
 
-@lru_cache(maxsize=None)  # n_batches takes at most 24 values
 def _t_correction(n_batches: int) -> float:
-    """Student-t to normal ratio of the 3-sigma band's half-width."""
-    level = 2.0 * norm.sf(3.0)  # two-sided tail mass of the 3-sigma band
-    return float(student_t.isf(level / 2.0, df=n_batches - 1) / 3.0)
+    """Student-t to normal ratio of the 3-sigma band's half-width.
+
+    The two scipy.special ufuncs behind scipy.stats' norm.sf and t.isf,
+    to the same bits, without importing scipy.stats.
+    """
+    level = 2.0 * ndtr(-3.0)  # two-sided tail mass of the 3-sigma band
+    return float(-stdtrit(n_batches - 1, level / 2.0) / 3.0)
 
 
 def gibbs_expectations(state: DualState, y: np.ndarray, gram: GramMatrix,
@@ -153,7 +154,7 @@ def gibbs_expectations(state: DualState, y: np.ndarray, gram: GramMatrix,
             rec_eyf[t - burn] = prob * yf
             rec_eta[t - burn] = prob
 
-    slots = np.stack([y == -1, y == 1], axis=1).astype(float)  # one-hot
+    slots = np.eye(2)[class_index(y)]  # one-hot class of each sample
     # one column block per averaged field, in field order
     rows = np.hstack([rec_eyf, rec_eta @ (slots * d_tilde[:, None]),
                       rec_eta @ slots, rec_eta])
@@ -280,9 +281,9 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
 def decision_function(model: TrainedModel, xs: np.ndarray) -> np.ndarray:
     """sum_j eta_j lambda_j y_j k(x, x_j) for each query row.
 
-    A linear model scores through its weight vector in O(d) per query;
-    an rbf model builds one row of n kernel values per query. Raises
-    ValueError when any value is not finite.
+    A 1-D xs is one query. A linear model scores through its weight
+    vector in O(d) per query; an rbf model builds one row of n kernel
+    values per query. Raises ValueError when any value is not finite.
     """
     centers, coef = compact_expansion(model.kernel, model.x,
                                       model.eta_hat * model.lam * model.y)
@@ -291,11 +292,12 @@ def decision_function(model: TrainedModel, xs: np.ndarray) -> np.ndarray:
     return finite_decisions(values)
 
 
-def predict(model: TrainedModel, xs: np.ndarray):
-    """Label queries by the sign of the decision function; ties go to +1."""
-    arr = np.asarray(xs, dtype=float)
-    labels = np.where(decision_function(model, arr) < 0, -1, 1)
-    return int(labels[0]) if arr.ndim == 1 else labels
+def predict(model: TrainedModel, xs: np.ndarray) -> np.ndarray:
+    """Label each query row by the sign of the decision function.
+
+    Ties go to +1. A 1-D xs is one query.
+    """
+    return np.where(decision_function(model, xs) < 0, -1, 1)
 
 
 def _nominal_points(model: TrainedModel) -> np.ndarray:
@@ -313,12 +315,12 @@ def anomaly_scores(model: TrainedModel, xs: np.ndarray) -> np.ndarray:
 
     A 1-D xs is one query. All rows are scored in one batched call.
     """
-    return knn_distance_sum(np.atleast_2d(xs), _nominal_points(model),
-                            model.k)
+    return knn_distance_sum(xs, _nominal_points(model), model.k)
 
 
-def detect(model: TrainedModel, xs: np.ndarray):
-    """True where the anomaly score exceeds theta; a bool for one 1-D query."""
-    arr = np.asarray(xs, dtype=float)
-    calls = anomaly_scores(model, arr) > model.theta
-    return bool(calls[0]) if arr.ndim == 1 else calls
+def detect(model: TrainedModel, xs: np.ndarray) -> np.ndarray:
+    """True for each query row whose anomaly score exceeds theta.
+
+    A 1-D xs is one query.
+    """
+    return anomaly_scores(model, xs) > model.theta

@@ -2,16 +2,20 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gemmed
 from gemmed.baselines import train_svm, train_two_stage
 from gemmed.cli import main
 from gemmed.dataset import LabeledDataset
-from gemmed.gem import GemConfig
+from gemmed.gem import GemConfig, knn_distance_sum
 from gemmed.kernels import KernelSpec
 from gemmed.model import TrainedModel
 from gemmed.persist import load_model, save_model
@@ -187,11 +191,21 @@ def test_predict_with_a_baseline_model(workdir, baselines, tmp_path, kind):
     assert labels == baselines[kind].predict(xs).tolist()
 
 
-def test_detect_with_a_two_stage_model(workdir, baselines, tmp_path):
+def test_detect_with_a_two_stage_model(workdir, baselines, tmp_path,
+                                      monkeypatch):
+    passes = []
+
+    def spy(*args):
+        passes.append(len(args[0]))
+        return knn_distance_sum(*args)
+
+    monkeypatch.setattr("gemmed.baselines.knn_distance_sum", spy)
     out = tmp_path / "det.csv"
     rc = main(["detect", "--model", str(workdir / "two-stage.json"),
                "--data", str(workdir / "test.csv"), "--out", str(out)])
     assert rc == 0
+    assert passes == [80]  # the calls reuse the scores: one k-NN pass
+    monkeypatch.undo()
     xs = LabeledDataset.from_csv(workdir / "test.csv").x
     model = baselines["two-stage"]
     rows = _read_rows(out)[1:]
@@ -378,6 +392,29 @@ def test_evaluate_rejects_missing_inputs(workdir, baselines, tmp_path, capsys,
                               for a in args.split()])
     assert rc == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["model.json", "two-stage.json"])
+def test_detect_rejects_dimension_mismatch(workdir, baselines, tmp_path,
+                                           capsys, model):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,x3\n0.0,0.0,0.0\n")
+    rc = main(["detect", "--model", str(workdir / model),
+               "--data", str(pts), "--out", str(tmp_path / "d.csv")])
+    assert rc == 2
+    assert "has 3 feature column(s) but the model expects 2" in (
+        capsys.readouterr().err)
+
+
+def test_importing_the_commands_skips_scipy_stats():
+    # scipy.stats is most of an import of scipy; no command needs it
+    code = ("import sys, gemmed, gemmed.cli, gemmed.experiments; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(gemmed.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_detect_requires_a_detector(workdir, baselines, tmp_path, capsys):

@@ -14,6 +14,10 @@ from gemmed.dataset import CLASSES, LabeledDataset, class_index, \
 def test_class_index_slots():
     assert class_index(-1) == 0
     assert class_index(1) == 1
+    for labels in ([1, -1, -1, 1], [1.0, -1.0, -1.0, 1.0]):
+        slots = class_index(np.array(labels))
+        assert slots.dtype.kind == "i" and slots.tolist() == [1, 0, 0, 1]
+    assert class_index(np.array([], dtype=int)).shape == (0,)
 
 
 def test_basic_construction():

@@ -8,9 +8,16 @@ from scipy.spatial.distance import pdist, squareform
 
 from gemmed.errors import NumericsError
 from gemmed.kernels import (GramMatrix, KernelSpec, compact_expansion,
-                            gram_matrix, kernel_cross, kernel_eval,
-                            kernel_matrix, median_heuristic_gamma,
-                            resolve_kernel)
+                            gram_matrix, kernel_cross, kernel_matrix,
+                            median_heuristic_gamma, resolve_kernel)
+
+
+def _pair(spec, a, b):
+    """The kernel of one pair of points in closed form."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if spec.kind == "linear":
+        return float(np.dot(a, b))
+    return math.exp(-spec.gamma * float(np.dot(a - b, a - b)))
 
 
 def test_spec_validation():
@@ -28,19 +35,21 @@ def test_spec_validation():
 def test_rbf_known_value():
     spec = KernelSpec(kind="rbf", gamma=1.0)
     # unit separation at gamma 1 gives exactly exp(-1)
-    assert kernel_eval(spec, [0.0, 0.0], [1.0, 0.0]) == pytest.approx(math.exp(-1.0), rel=0, abs=1e-15)
-    assert kernel_eval(spec, [2.0, 3.0], [2.0, 3.0]) == 1.0
+    assert kernel_cross(spec, [0.0, 0.0], [1.0, 0.0])[0, 0] == pytest.approx(
+        math.exp(-1.0), rel=0, abs=1e-15)
+    assert kernel_cross(spec, [2.0, 3.0], [2.0, 3.0]).tolist() == [[1.0]]
 
 
 def test_linear_is_dot_product():
     spec = KernelSpec(kind="linear")
-    assert kernel_eval(spec, [1.0, 2.0], [3.0, -1.0]) == 1.0
-    assert kernel_eval(spec, [0.0], [5.0]) == 0.0
+    assert kernel_cross(spec, [1.0, 2.0], [3.0, -1.0]).tolist() == [[1.0]]
+    assert kernel_cross(spec, [0.0], [5.0]).tolist() == [[0.0]]
 
 
-def test_kernel_eval_dim_mismatch():
-    with pytest.raises(ValueError, match="dimension"):
-        kernel_eval(KernelSpec(kind="linear"), [1.0], [1.0, 2.0])
+def test_kernel_cross_dim_mismatch():
+    for spec in (KernelSpec("linear"), KernelSpec("rbf", gamma=1.0)):
+        with pytest.raises(ValueError):
+            kernel_cross(spec, [[1.0]], [[1.0, 2.0]])
 
 
 def test_kernel_matrix_matches_pairwise_eval():
@@ -50,7 +59,7 @@ def test_kernel_matrix_matches_pairwise_eval():
         K = kernel_matrix(spec, xs)
         for i in range(6):
             for j in range(6):
-                assert K[i, j] == pytest.approx(kernel_eval(spec, xs[i], xs[j]),
+                assert K[i, j] == pytest.approx(_pair(spec, xs[i], xs[j]),
                                                 rel=1e-12, abs=1e-12)
         assert np.array_equal(K, K.T)  # exact symmetry, not approximate
 
@@ -88,7 +97,7 @@ def test_kernel_cross_matches_eval():
     spec = KernelSpec("rbf", gamma=0.3)
     C = kernel_cross(spec, a, b)
     assert C.shape == (4, 3)
-    assert C[2, 1] == pytest.approx(kernel_eval(spec, a[2], b[1]), rel=1e-12)
+    assert C[2, 1] == pytest.approx(_pair(spec, a[2], b[1]), rel=1e-12)
 
 
 def test_compact_expansion():

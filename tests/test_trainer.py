@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from scipy.special import expit
 from scipy.stats import norm, t as student_t
 
 from gemmed import trainer
-from gemmed.dataset import LabeledDataset, class_index
+from gemmed.dataset import LabeledDataset
 from gemmed.errors import TrainingFailure
 from gemmed.experiments import random_instance
-from gemmed.gem import GemConfig, compute_gem_stats
+from gemmed.gem import GemConfig, compute_gem_stats, knn_distance_sum
 from gemmed.kernels import KernelSpec, gram_matrix, kernel_cross
 from gemmed.model import DualState, HyperParams, TrainedModel, resolve_p0
 from gemmed.oracle import exact_posterior
@@ -77,8 +78,21 @@ def test_gibbs_is_bit_reproducible():
     assert not np.array_equal(a.eta_hat, c.eta_hat)
 
 
+def _scipy_stats_t_correction(n_batches):
+    """The Student-t correction as scipy.stats computes it."""
+    level = 2.0 * norm.sf(3.0)
+    return float(student_t.isf(level / 2.0, df=n_batches - 1) / 3.0)
+
+
+def test_t_correction_matches_scipy_stats_bitwise():
+    # _batch_se uses 2 to 25 batches
+    for n_batches in range(2, 26):
+        assert (trainer._t_correction(n_batches)
+                == _scipy_stats_t_correction(n_batches)), n_batches
+
+
 def _reference_batch_se(rows):
-    """Batch-means SE with the t-correction recomputed on every call."""
+    """Batch-means SE with the scipy.stats t-correction."""
     n = rows.shape[0]
     if n < 2:
         return np.full(rows.shape[1], np.inf)
@@ -86,22 +100,19 @@ def _reference_batch_se(rows):
     size = n // n_batches
     trimmed = rows[n - n_batches * size:]
     batches = trimmed.reshape(n_batches, size, -1).mean(axis=1)
-    level = 2.0 * norm.sf(3.0)
-    correction = student_t.isf(level / 2.0, df=n_batches - 1) / 3.0
+    correction = _scipy_stats_t_correction(n_batches)
     return correction * batches.std(axis=0, ddof=1) / np.sqrt(n_batches)
 
 
 def _reference_gibbs(state, y, gram, d_tilde, p0, hyper, rng, eta_start=None):
     """The sampler written sweep by sweep: the f mean and the whole logit
     computed in place each sweep, class slots looked up one label at a
-    time through class_index; the optimized sampler must match it bit
-    for bit."""
+    time; the optimized sampler must match it bit for bit."""
     n = gram.n
     yf = y.astype(float)
 
     def class_values(values):
-        slots = np.fromiter((class_index(v) for v in yf), dtype=int, count=n)
-        return values[slots]
+        return values[[0 if v == -1 else 1 for v in yf]]
 
     burn = hyper.burn_in if eta_start is None else 0
     eta = np.ones(n) if eta_start is None else eta_start.astype(float)
@@ -393,8 +404,8 @@ def test_predict_breaks_ties_positive():
         theta=1.0, k=1, alpha=0.05, target_coverage=0.8)
     # coef = eta*lam*y = [0.5, -0.5]; decision(x) = 0.5 x - 0.5 (-x) = x
     assert trainer.decision_function(model, np.array([[2.0]]))[0] == pytest.approx(2.0)
-    assert trainer.predict(model, np.array([0.0])) == 1
-    assert trainer.predict(model, np.array([-0.25])) == -1
+    assert trainer.predict(model, np.array([0.0])).tolist() == [1]
+    assert trainer.predict(model, np.array([-0.25])).tolist() == [-1]
     labels = trainer.predict(model, np.array([[0.0], [3.0], [-3.0]]))
     assert labels.tolist() == [1, 1, -1]
 
@@ -405,8 +416,8 @@ def test_detect_uses_nominal_support_only():
     # nearest nominal point to (5, 5) is (1, 0), distance sqrt(41)
     assert trainer.anomaly_scores(model, [5.0, 5.0]).tolist() == pytest.approx(
         [np.sqrt(41.0)])
-    assert trainer.detect(model, np.array([5.0, 5.0])) is True
-    assert trainer.detect(model, np.array([0.5, 0.0])) is False
+    assert trainer.detect(model, np.array([5.0, 5.0])).tolist() == [True]
+    assert trainer.detect(model, np.array([0.5, 0.0])).tolist() == [False]
     calls = trainer.detect(model, np.array([[5.0, 5.0], [0.5, 0.0]]))
     assert calls.tolist() == [True, False]
 
@@ -452,14 +463,39 @@ def test_detectors_match_per_row_scoring_bitwise():
     for i in (0, 250):
         assert np.array_equal(trainer.anomaly_scores(joint, xs[i]),
                               want[i:i + 1])
-        call = trainer.detect(joint, xs[i])
-        assert type(call) is bool and call == (want[i] > joint.theta)
+        assert np.array_equal(trainer.detect(joint, xs[i]),
+                              want[i:i + 1] > joint.theta)
 
     want = _per_row_scores(xs, train_set.x[two_stage.kept_idx], two_stage.k)
     assert np.array_equal(two_stage.anomaly_scores(xs), want)
     assert np.array_equal(two_stage.detect(xs), want > two_stage.theta)
     assert 0 < np.count_nonzero(want > two_stage.theta) < xs.shape[0]
     assert np.array_equal(two_stage.anomaly_scores(xs[7]), want[7:8])
+
+
+def test_a_1d_query_is_one_row_for_every_scorer():
+    from gemmed.baselines import train_svm, train_two_stage
+    train_set, test_set = _small_cell()
+    kernel, config = KernelSpec("rbf", gamma=0.1), GemConfig(k=3, seed=0)
+    joint = trainer.train(train_set, kernel, config, HyperParams(
+        lambda_cap=0.4, steps=2, gibbs_sweeps=8, burn_in=2, seed=0))
+    svm = train_svm(train_set, kernel)
+    two_stage = train_two_stage(train_set, kernel, config)
+    scorers = {
+        "trainer.predict": functools.partial(trainer.predict, joint),
+        "trainer.detect": functools.partial(trainer.detect, joint),
+        "trainer.anomaly_scores": functools.partial(trainer.anomaly_scores,
+                                                    joint),
+        "SvmModel.predict": svm.predict,
+        "TwoStageModel.detect": two_stage.detect,
+        "knn_distance_sum": lambda xs: knn_distance_sum(xs, train_set.x, 3),
+    }
+    for name, score in scorers.items():
+        for row in test_set.x[:3]:
+            one, as_row = score(row), score(row[None, :])
+            assert isinstance(one, np.ndarray) and one.shape == (1,), name
+            assert one.dtype == as_row.dtype, name
+            assert np.array_equal(one, as_row), name
 
 
 def test_med_reduction_equals_svm_rule():
@@ -579,9 +615,9 @@ def test_training_is_equivariant_under_global_negation():
         flipped_test = LabeledDataset(-test_set.x, -test_set.y)
         config = GemConfig(target_coverage=0.8, seed=seed)
         m1 = trainer.train(train_set, KernelSpec("rbf", gamma=0.1), config,
-                           hyper.with_seed(seed))
+                           replace(hyper, seed=seed))
         m2 = trainer.train(flipped_train, KernelSpec("rbf", gamma=0.1),
-                           config, hyper.with_seed(seed))
+                           config, replace(hyper, seed=seed))
         errs.append(misclassification_error(
             trainer.predict(m1, test_set.x), test_set.y))
         errs_neg.append(misclassification_error(
