@@ -62,7 +62,10 @@ def kernel_cross(spec: KernelSpec, xs1: np.ndarray, xs2: np.ndarray) -> np.ndarr
     xs2 = np.atleast_2d(np.asarray(xs2, dtype=float))
     if spec.kind == "linear":
         return xs1 @ xs2.T
-    return np.exp(-spec.gamma * cdist(xs1, xs2, "sqeuclidean"))
+    # in place: one n x m array, the same bits as exp(-gamma * d)
+    d = cdist(xs1, xs2, "sqeuclidean")
+    d *= -spec.gamma
+    return np.exp(d, out=d)
 
 
 def compact_expansion(spec: KernelSpec, centers: np.ndarray,

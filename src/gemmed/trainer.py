@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import entr, expit, ndtr, stdtrit
@@ -56,14 +57,17 @@ def init_duals(dataset: LabeledDataset, gram: GramMatrix,
                      mu=np.zeros(2), kappa=np.zeros(2))
 
 
-def sample_f_given_eta(state: DualState, eta: np.ndarray, gram: GramMatrix,
-                       y: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Draw decision values from the exact Gaussian conditional.
+def sample_f_given_eta(coef: np.ndarray, gram: GramMatrix, noise: np.ndarray,
+                       out: np.ndarray) -> np.ndarray:
+    """Draw decision values from the exact Gaussian conditional into out.
 
-    f | eta is Normal with mean K (lam * eta * y) and covariance K; noise
-    is one draw of L z, L the cached Cholesky factor of K, z ~ N(0, I).
+    f | eta is Normal with mean K coef, coef = lam * eta * y, and
+    covariance K; noise is one draw of L z, L the cached Cholesky factor
+    of K, z ~ N(0, I). Returns out.
     """
-    return gram.values @ (state.lam * eta * y) + noise
+    np.matmul(gram.values, coef, out=out)
+    out += noise
+    return out
 
 
 @dataclass
@@ -73,21 +77,31 @@ class GibbsExpectations:
     e_eta_y_f approximates E[eta_n y_n f_n] per sample; e_sum_eta_d the
     per-class E[sum eta_n dt_n] (1/n units); e_sum_eta the per-class
     raw indicator sums E[sum eta_n]. eta_hat is the averaged indicator
-    mean. Standard errors come from nonoverlapping batch means, which
-    absorbs the sweep-to-sweep correlation of the chain. eta_last is the
-    chain's final indicator vector, or None where no chain ran.
+    mean, and eta_last the chain's final indicator vector. ``rows``
+    holds the per-sweep values behind the first three averages; their
+    standard errors come from nonoverlapping batch means of those rows,
+    which absorbs the sweep-to-sweep correlation of the chain, and are
+    computed on first read.
     """
 
     e_eta_y_f: np.ndarray
     e_sum_eta_d: np.ndarray
     e_sum_eta: np.ndarray
     eta_hat: np.ndarray
-    se_eta_y_f: np.ndarray
-    se_sum_eta_d: np.ndarray
-    se_sum_eta: np.ndarray
-    se_eta_hat: np.ndarray
-    n_sweeps: int
-    eta_last: np.ndarray | None = None
+    eta_last: np.ndarray
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @cached_property
+    def se_eta_y_f(self) -> np.ndarray:
+        return _batch_se(self.rows[0])
+
+    @cached_property
+    def se_sum_eta_d(self) -> np.ndarray:
+        return _batch_se(self.rows[1])
+
+    @cached_property
+    def se_sum_eta(self) -> np.ndarray:
+        return _batch_se(self.rows[2])
 
 
 def _batch_se(rows: np.ndarray) -> np.ndarray:
@@ -132,35 +146,38 @@ def gibbs_expectations(state: DualState, y: np.ndarray, gram: GramMatrix,
     not the draw (Rao-Blackwellization). A cold chain starts at all ones
     and discards ``burn_in`` sweeps; one continued from ``eta_start``
     discards none. Either way ``gibbs_sweeps - burn_in`` sweeps are
-    averaged. All f noise, then all uniforms, are drawn up front.
+    averaged. All f noise, then all uniforms, are drawn up front, and the
+    sweeps write f and prob into rows allocated once per call.
     """
     n = gram.n
     yf_sign = y.astype(float)
     n_post = hyper.gibbs_sweeps - hyper.burn_in
     burn = hyper.burn_in if eta_start is None else 0
-    eta_state = np.ones(n) if eta_start is None else eta_start.astype(float)
     noise = rng.standard_normal((burn + n_post, n)) @ gram.factor.T
     uniforms = rng.random((burn + n_post, n))
     # the logit is affine in f; its f-free part is the logit at f = 0
     offset = eta_logits(state, np.zeros(n), yf_sign, d_tilde, p0, n)
-    rec_eyf = np.empty((n_post, n))
-    rec_eta = np.empty((n_post, n))
-    for t in range(burn + n_post):
-        yf = yf_sign * sample_f_given_eta(state, eta_state, gram, yf_sign,
-                                          noise[t])
-        prob = expit(offset + state.lam * yf)
-        eta_state = (uniforms[t] < prob).astype(float)
-        if t >= burn:
-            rec_eyf[t - burn] = prob * yf
-            rec_eta[t - burn] = prob
+    # eta is 0/1 and y is +-1, so a * eta is lam * eta * y and a * f is
+    # lam * (y * f), both to the bit
+    a = state.lam * yf_sign
+    coef = a.copy() if eta_start is None else a * eta_start
+    f_rec = np.empty_like(noise)
+    prob_rec = np.empty_like(noise)
+    draw = np.empty(n, dtype=bool)
+    for f, prob, z, u in zip(f_rec, prob_rec, noise, uniforms):
+        sample_f_given_eta(coef, gram, z, f)
+        np.multiply(a, f, out=prob)
+        prob += offset
+        expit(prob, out=prob)
+        np.less(u, prob, out=draw)
+        np.multiply(a, draw, out=coef)
 
+    prob, f = prob_rec[burn:], f_rec[burn:]
     slots = np.eye(2)[class_index(y)]  # one-hot class of each sample
-    # one column block per averaged field, in field order
-    rows = np.hstack([rec_eyf, rec_eta @ (slots * d_tilde[:, None]),
-                      rec_eta @ slots, rec_eta])
-    cuts = (n, n + 2, n + 4)
-    return GibbsExpectations(*np.split(rows.mean(axis=0), cuts),
-                             *np.split(_batch_se(rows), cuts), n_post, eta_state)
+    rows = (prob * (yf_sign * f), prob @ (slots * d_tilde[:, None]),
+            prob @ slots)
+    return GibbsExpectations(*(r.mean(axis=0) for r in rows),
+                             prob.mean(axis=0), draw.astype(float), rows)
 
 
 def dual_gradient(state: DualState, exps: GibbsExpectations,

@@ -29,7 +29,7 @@ from gemmed.gem import gem_me_set
 from gemmed.kernels import KernelSpec
 from gemmed.model import HyperParams
 from gemmed.oracle import exact_posterior, finite_diff_dual
-from gemmed.trainer import GibbsExpectations, dual_gradient, gibbs_expectations
+from gemmed.trainer import dual_gradient, gibbs_expectations
 
 
 def report(num, ok, detail):
@@ -78,12 +78,7 @@ def test_criterion_1_gradients_match_finite_differences():
                                  inst.gamma_hat, inst.beta_hat, inst.p0,
                                  inst.hyper)
         # route the exact expectations through the production gradient
-        exps = GibbsExpectations(
-            e_eta_y_f=oracle.e_eta_y_f, e_sum_eta_d=oracle.e_sum_eta_d,
-            e_sum_eta=oracle.e_sum_eta, eta_hat=oracle.eta_hat,
-            se_eta_y_f=np.zeros(6), se_sum_eta_d=np.zeros(2),
-            se_sum_eta=np.zeros(2), se_eta_hat=np.zeros(6), n_sweeps=1)
-        analytic = dual_gradient(inst.state, exps, inst.gamma_hat,
+        analytic = dual_gradient(inst.state, oracle, inst.gamma_hat,
                                  inst.beta_hat, 6, inst.hyper)
         *numeric, _ = finite_diff_dual(inst.state, inst.y, inst.K,
                                        inst.d_tilde, inst.gamma_hat,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from gemmed.errors import NumericsError
 from gemmed.kernels import (GramMatrix, KernelSpec, compact_expansion,
@@ -98,6 +98,18 @@ def test_kernel_cross_matches_eval():
     C = kernel_cross(spec, a, b)
     assert C.shape == (4, 3)
     assert C[2, 1] == pytest.approx(_pair(spec, a[2], b[1]), rel=1e-12)
+
+
+def test_rbf_kernel_cross_is_bitwise_the_out_of_place_formula():
+    rng = np.random.default_rng(5)
+    for n, m, width in ((1, 1, 1), (4, 3, 2), (37, 129, 5), (300, 70, 13)):
+        a, b = rng.normal(size=(n, width)), rng.normal(size=(m, width))
+        b[0] = 1e3  # far enough from a that exp underflows to 0
+        for gamma in (1e-3, 0.5, 30.0):
+            got = kernel_cross(KernelSpec("rbf", gamma=gamma), a, b)
+            want = np.exp(-gamma * cdist(a, b, "sqeuclidean"))
+            assert got.tobytes() == want.tobytes()
+            assert np.all(got[:, 0] == 0.0)
 
 
 def test_compact_expansion():

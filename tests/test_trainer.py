@@ -1,6 +1,7 @@
 import functools
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gemmed.kernels import KernelSpec, gram_matrix, kernel_cross
 from gemmed.model import DualState, HyperParams, TrainedModel, resolve_p0
 from gemmed.oracle import exact_posterior
 from gemmed.synthdata import RingExperimentConfig, generate
-from gemmed.trainer import (GibbsExpectations, _batch_se, dual_gradient,
+from gemmed.trainer import (_batch_se, dual_gradient,
                             gibbs_expectations, init_duals,
                             mean_field_dual_estimate, sample_f_given_eta)
 
@@ -35,10 +36,12 @@ def test_f_sampler_moments():
     state = DualState(lam=np.array([0.8, 0.3, 0.5, 0.2]),
                       mu=np.zeros(2), kappa=np.zeros(2))
     eta = np.array([1.0, 0.0, 1.0, 1.0])
-    target_mean = gram.values @ (state.lam * eta * y)
+    coef = state.lam * eta * y
+    target_mean = gram.values @ coef
     noise = np.random.default_rng(123).standard_normal((20000, 4)) @ gram.factor.T
-    draws = np.array([sample_f_given_eta(state, eta, gram, y, row)
-                      for row in noise])
+    draws = np.empty_like(noise)
+    for row, out in zip(noise, draws):
+        assert sample_f_given_eta(coef, gram, row, out) is out
     se = np.sqrt(np.diag(gram.values) / 20000)
     assert np.all(np.abs(draws.mean(axis=0) - target_mean) < 4 * se)
     emp_cov = np.cov(draws.T)
@@ -56,7 +59,7 @@ def test_decoupled_chain_recovers_prior():
                               np.random.default_rng(0))
     assert np.all(np.abs(exps.eta_hat - p0) < 0.05)
     assert np.all(np.abs(exps.e_eta_y_f) < 4 * exps.se_eta_y_f + 1e-12)
-    assert exps.n_sweeps == 50
+    assert len(exps.rows[0]) == 50
 
 
 def test_gibbs_is_bit_reproducible():
@@ -135,7 +138,7 @@ def _reference_gibbs(state, y, gram, d_tilde, p0, hyper, rng, eta_start=None):
     in_class = np.stack([y == -1, y == 1], axis=1).astype(float)
     rec_sum_eta_d = rec_eta @ (in_class * d_tilde[:, None])
     rec_sum_eta = rec_eta @ in_class
-    return GibbsExpectations(
+    return SimpleNamespace(
         e_eta_y_f=rec_eyf.mean(axis=0),
         e_sum_eta_d=rec_sum_eta_d.mean(axis=0),
         e_sum_eta=rec_sum_eta.mean(axis=0),
@@ -143,7 +146,6 @@ def _reference_gibbs(state, y, gram, d_tilde, p0, hyper, rng, eta_start=None):
         se_eta_y_f=_reference_batch_se(rec_eyf),
         se_sum_eta_d=_reference_batch_se(rec_sum_eta_d),
         se_sum_eta=_reference_batch_se(rec_sum_eta),
-        se_eta_hat=_reference_batch_se(rec_eta),
         n_sweeps=len(rec_eta),
         eta_last=eta,
     )
@@ -180,10 +182,9 @@ def test_gibbs_matches_reference_sampler_bitwise(case):
 
 def _assert_same_expectations(got, want):
     for name in ("e_eta_y_f", "e_sum_eta_d", "e_sum_eta", "eta_hat",
-                 "se_eta_y_f", "se_sum_eta_d", "se_sum_eta", "se_eta_hat",
-                 "eta_last"):
+                 "se_eta_y_f", "se_sum_eta_d", "se_sum_eta", "eta_last"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert got.n_sweeps == want.n_sweeps
+    assert all(len(rows) == want.n_sweeps for rows in got.rows)
 
 
 def test_warm_started_call_runs_no_burn_in():
@@ -198,7 +199,7 @@ def test_warm_started_call_runs_no_burn_in():
     assert np.array_equal(start, cold.eta_last)  # the start is not mutated
     _assert_same_expectations(
         warm, _reference_gibbs(*args, np.random.default_rng(12), start))
-    assert warm.n_sweeps == cold.n_sweeps == 33
+    assert len(warm.rows[0]) == len(cold.rows[0]) == 33
     # a warm call consumes the noise and uniforms of 33 sweeps, not 40
     used = np.random.default_rng(12)
     used.standard_normal((33, 7))
@@ -246,13 +247,9 @@ def test_batch_se_covers_iid_mean():
 
 
 def test_dual_gradient_formula():
-    exps = GibbsExpectations(
-        e_eta_y_f=np.array([0.5, -0.2]),
-        e_sum_eta_d=np.array([0.3, 0.1]),
-        e_sum_eta=np.array([1.2, 0.8]),
-        eta_hat=np.array([0.9, 0.7]),
-        se_eta_y_f=np.zeros(2), se_sum_eta_d=np.zeros(2),
-        se_sum_eta=np.zeros(2), se_eta_hat=np.zeros(2), n_sweeps=10)
+    exps = SimpleNamespace(e_eta_y_f=np.array([0.5, -0.2]),
+                           e_sum_eta_d=np.array([0.3, 0.1]),
+                           e_sum_eta=np.array([1.2, 0.8]))
     state = DualState(lam=np.array([1.0, 2.0]), mu=np.zeros(2),
                       kappa=np.zeros(2))
     hyper = HyperParams(c=10.0)
@@ -368,6 +365,24 @@ def test_train_continues_one_chain_across_steps(monkeypatch):
                   GemConfig(k=3, seed=0), hyper)
     assert len(starts) == 4 and starts[0] is None
     assert all(s is e for s, e in zip(starts[1:], ends))
+
+
+def test_train_reads_no_sampler_standard_error(monkeypatch):
+    train_set, _ = _small_cell()
+    hyper = HyperParams(lambda_cap=0.4, steps=6, gibbs_sweeps=12, burn_in=3,
+                        seed=0)
+    args = (train_set, KernelSpec("rbf", gamma=0.1), GemConfig(k=3, seed=0),
+            hyper)
+    want = trainer.train(*args)
+
+    def refuse(rows):
+        raise AssertionError("train computed a sampler standard error")
+
+    monkeypatch.setattr(trainer, "_batch_se", refuse)
+    got = trainer.train(*args)
+    for name in ("lam", "eta_hat", "gamma_hat", "beta_hat"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert (got.theta, got.dual_estimate) == (want.theta, want.dual_estimate)
 
 
 def test_train_rejects_single_class():
