@@ -16,7 +16,7 @@ from .kernels import KernelSpec, gram_matrix, kernel_matrix, \
     median_heuristic_gamma, resolve_kernel
 from .metrics import auc, detection_accuracy, misclassification_error, \
     precision_recall_curve
-from .model import DualState, HyperParams, TrainedModel
+from .model import DualProblem, DualState, HyperParams, TrainedModel
 from .oracle import OracleResult, exact_posterior, finite_diff_dual, \
     oracle_gradient
 from .persist import load_model, save_model
@@ -26,7 +26,7 @@ from .trainer import anomaly_scores, decision_function, detect, predict, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLASSES", "DualState", "GemConfig", "GemMedError", "GemStats",
+    "CLASSES", "DualProblem", "DualState", "GemConfig", "GemMedError", "GemStats",
     "HyperParams", "KernelSpec", "LabeledDataset", "NumericsError",
     "OracleResult", "RingExperimentConfig", "SvmModel", "TrainedModel",
     "TrainingFailure", "TwoStageModel", "anomaly_scores", "auc",

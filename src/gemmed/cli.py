@@ -219,13 +219,9 @@ def cmd_gradcheck(args) -> int:
     _require_small(args.n, args.trials)
     worst = 0.0
     for t in range(args.trials):
-        inst = random_instance(args.n, args.seed + t)
-        analytic = oracle_gradient(inst.state, inst.y, inst.K, inst.d_tilde,
-                                   inst.gamma_hat, inst.beta_hat, inst.p0,
-                                   inst.hyper)
-        *numeric, _flags = finite_diff_dual(inst.state, inst.y, inst.K,
-                                            inst.d_tilde, inst.gamma_hat,
-                                            inst.beta_hat, inst.p0, inst.hyper)
+        problem, state = random_instance(args.n, args.seed + t)
+        analytic = oracle_gradient(state, problem)
+        *numeric, _flags = finite_diff_dual(state, problem)
         for a, f in zip(analytic, numeric):
             rel = np.abs(a - f) / np.maximum(1.0, np.abs(f))
             worst = max(worst, float(rel.max()))
@@ -241,18 +237,17 @@ def cmd_oracle_compare(args) -> int:
     """Sampler expectations vs exact enumeration, in standard-error units."""
     _require_small(args.n, args.trials)
     hyper = HyperParams(gibbs_sweeps=args.sweeps, burn_in=args.burn_in)
+    if args.sweeps - args.burn_in < 2:  # one sweep has no standard error
+        raise ValueError("--sweeps minus --burn-in must be at least 2, got "
+                         f"--sweeps {args.sweeps} and --burn-in {args.burn_in}")
     total = within = 0
     trials_ok = 0
     worst = 0.0
     for t in range(args.trials):
-        inst = random_instance(args.n, args.seed + t, hyper=hyper)
-        oracle = exact_posterior(inst.state, inst.y, inst.K, inst.d_tilde,
-                                 inst.gamma_hat, inst.beta_hat, inst.p0,
-                                 inst.hyper)
-        rng = np.random.default_rng(args.seed + t)
-        exps = trainer.gibbs_expectations(inst.state, inst.y, inst.gram,
-                                          inst.d_tilde, inst.p0, inst.hyper,
-                                          rng)
+        problem, state = random_instance(args.n, args.seed + t, hyper=hyper)
+        oracle = exact_posterior(state, problem)
+        exps = trainer.gibbs_expectations(state, problem,
+                                          np.random.default_rng(args.seed + t))
         devs = []
         for est, se, truth in (
             (exps.e_eta_y_f, exps.se_eta_y_f, oracle.e_eta_y_f),

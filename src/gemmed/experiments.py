@@ -4,8 +4,8 @@
 returns its metrics; the command-line sweep and the acceptance checks
 both go through it so results agree by construction.
 
-``random_instance`` builds the small synthetic problems used to cross
-check the exact posterior against the sampler and the analytic
+``random_instance`` builds small random (problem, state) pairs used to
+cross check the exact posterior against the sampler and the analytic
 gradients against finite differences.
 """
 
@@ -20,9 +20,9 @@ from . import trainer
 from .baselines import train_svm, train_two_stage
 from .dataset import LabeledDataset
 from .gem import GemConfig
-from .kernels import GramMatrix, gram_matrix, resolve_kernel
+from .kernels import gram_matrix, resolve_kernel
 from .metrics import auc, detection_accuracy, misclassification_error, precision_recall_curve
-from .model import DualState, HyperParams
+from .model import DualProblem, DualState, HyperParams
 from .synthdata import RingExperimentConfig, generate, sample_nominal, sample_ring
 
 METHODS = ("gemmed", "svm", "two-stage")
@@ -141,27 +141,9 @@ def _detection_summary(calls, truth):
     return det, tpr, far
 
 
-@dataclass(frozen=True)
-class SmallInstance:
-    """A tractable dual point for oracle and gradient cross checks."""
-
-    y: np.ndarray
-    gram: GramMatrix
-    d_tilde: np.ndarray
-    gamma_hat: np.ndarray
-    beta_hat: np.ndarray
-    p0: np.ndarray
-    state: DualState
-    hyper: HyperParams
-
-    @property
-    def K(self) -> np.ndarray:
-        return self.gram.values
-
-
-def random_instance(n: int, seed: int,
-                    hyper: HyperParams | None = None) -> SmallInstance:
-    """Random feasible instance: rbf Gram on random points, interior duals."""
+def random_instance(n: int, seed: int, hyper: HyperParams | None = None
+                    ) -> tuple[DualProblem, DualState]:
+    """Random feasible (problem, state): rbf Gram on random points, interior duals."""
     if n < 2:
         raise ValueError("instances need at least two samples")
     rng = np.random.default_rng(seed)
@@ -180,6 +162,4 @@ def random_instance(n: int, seed: int,
         mu=rng.uniform(0.05, 1.5, size=2),
         kappa=rng.uniform(0.05, 1.5, size=2),
     )
-    return SmallInstance(y=y, gram=gram, d_tilde=d_tilde,
-                         gamma_hat=gamma_hat, beta_hat=beta_hat, p0=p0,
-                         state=state, hyper=hyper)
+    return DualProblem(y, gram, d_tilde, gamma_hat, beta_hat, p0, hyper), state

@@ -37,8 +37,9 @@ class KernelSpec:
         if self.kind == "rbf":
             if self.gamma is None or not self.gamma > 0:
                 raise ValueError("rbf kernel requires gamma > 0")
-        if self.jitter < 0:
-            raise ValueError("jitter must be nonnegative")
+        if not 0 <= self.jitter < np.inf:
+            raise ValueError("jitter must be nonnegative and finite, "
+                             f"got {self.jitter!r}")
 
 
 @dataclass(frozen=True)

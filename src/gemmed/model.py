@@ -8,21 +8,23 @@ fixed duals (lam, mu, kappa), has unnormalized log form
       + sum_n [eta_n log p0_n + (1 - eta_n) log(1 - p0_n)]
 
 with dt_n the per-sample statistic in 1/n units and p0_n the prior
-probability that sample n is nominal. The helpers here centralize the
-per-sample pieces of that expression so the sampler and the oracle
-cannot drift apart.
+probability that sample n is nominal. ``DualProblem`` holds the
+constants of that expression (everything but the duals), and the
+helpers here centralize its per-sample pieces so the sampler and the
+oracle cannot drift apart: ``eta_logits`` reads the problem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
 from scipy.special import expit
 
 from .dataset import class_index
-from .kernels import KernelSpec
+from .kernels import GramMatrix, KernelSpec
 
 RATE_RANGES = {"rate_lambda": (1e-4, 1e-2), "rate_mu": (1e-3, 1e-1),
                "rate_kappa": (1e-3, 1e-1)}
@@ -71,9 +73,9 @@ class HyperParams:
             raise ValueError("p0 must lie in (0, 1)")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
-        for rate in (self.rate_lambda, self.rate_mu, self.rate_kappa):
-            if rate <= 0:
-                raise ValueError("learning rates must be positive")
+        for name in RATE_RANGES:
+            if not 0 < (rate := getattr(self, name)) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {rate!r}")
         if not 0 <= self.burn_in < self.gibbs_sweeps:
             raise ValueError("need 0 <= burn_in < gibbs_sweeps: the sampler "
                              "averages at least one sweep")
@@ -109,6 +111,40 @@ class DualState:
     kappa: np.ndarray
 
 
+@dataclass(frozen=True)
+class DualProblem:
+    """Everything in the MED dual but the duals: float labels, jittered Gram
+    matrix, statistics d_tilde (1/n units), GEM levels, prior, hyperparameters.
+    The one-hot ``slots`` and ``slot_d_tilde`` are built once, on first read."""
+
+    y: np.ndarray
+    gram: GramMatrix
+    d_tilde: np.ndarray
+    gamma_hat: np.ndarray
+    beta_hat: np.ndarray
+    p0: np.ndarray
+    hyper: HyperParams
+
+    @property
+    def n(self) -> int:
+        return self.y.size
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        return np.eye(2)[class_index(self.y)]
+
+    @cached_property
+    def slot_d_tilde(self) -> np.ndarray:
+        return self.slots * self.d_tilde[:, None]
+
+    def closed_dual(self, state: DualState) -> float:
+        """sum_n [lam_n + log(1 - lam_n / c)] - mu.gamma_hat + kappa.beta_hat,
+        the part of the dual objective outside log Z."""
+        closed = np.sum(state.lam + np.log1p(-state.lam / self.hyper.c))
+        closed += -state.mu @ self.gamma_hat + state.kappa @ self.beta_hat
+        return float(closed)
+
+
 def per_sample_class_values(values_by_slot: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Expand a 2-vector of per-class values to one entry per sample.
 
@@ -118,16 +154,17 @@ def per_sample_class_values(values_by_slot: np.ndarray, y: np.ndarray) -> np.nda
     return np.asarray(values_by_slot)[class_index(y)]
 
 
-def eta_logits(state: DualState, f: np.ndarray, y: np.ndarray,
-               d_tilde: np.ndarray, p0: np.ndarray, n_total: int) -> np.ndarray:
+def eta_logits(state: DualState, f: np.ndarray,
+               problem: DualProblem) -> np.ndarray:
     """Log-odds of eta_n = 1 given decision values f.
 
     logit(p0_n) + lam_n y_n f_n - mu_{y_n} dt_n + kappa_{y_n} / n.
     """
+    y, p0 = problem.y, problem.p0
     prior = np.log(p0) - np.log1p(-p0)
     mu_n = per_sample_class_values(state.mu, y)
     kap_n = per_sample_class_values(state.kappa, y)
-    return prior + state.lam * y * f - mu_n * d_tilde + kap_n / n_total
+    return prior + state.lam * y * f - mu_n * problem.d_tilde + kap_n / problem.n
 
 
 @dataclass

@@ -13,7 +13,8 @@ E[f | eta] = K (lam*eta*y), which closes every expectation the trainer
 estimates. The dual objective reported here drops the constant
 Gaussian normalizer of the decision-value prior; it is additive and
 does not depend on the duals, so gradients and finite differences are
-unaffected.
+unaffected. ``exact_posterior``, ``oracle_gradient`` and
+``finite_diff_dual`` read the same ``model.DualProblem`` as the sampler.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .dataset import class_index
-from .model import DualState, HyperParams, eta_logits
+from .model import DualProblem, DualState, eta_logits
 from .trainer import dual_gradient
 
 MAX_EXACT = 16
@@ -49,33 +50,27 @@ def _enumerate_configs(n: int) -> np.ndarray:
     return bits.astype(float)
 
 
-def exact_posterior(state: DualState, y: np.ndarray, K: np.ndarray,
-                    d_tilde: np.ndarray, gamma_hat: np.ndarray,
-                    beta_hat: np.ndarray, p0: np.ndarray,
-                    hyper: HyperParams) -> OracleResult:
+def exact_posterior(state: DualState, problem: DualProblem) -> OracleResult:
     """Enumerate all indicator configurations and return exact summaries.
 
     Refuses instances with more than 16 samples; the enumeration cost
     doubles per extra sample and larger instances are what the sampler
     is for.
     """
-    y = np.asarray(y, dtype=float)
-    n = y.size
+    n, y, d_tilde, K = problem.n, problem.y, problem.d_tilde, problem.gram.values
     if n > MAX_EXACT:
         raise ValueError(f"exact posterior supports at most {MAX_EXACT} samples, got {n}")
-    if np.any(state.lam >= hyper.c):
+    if np.any(state.lam >= problem.hyper.c):
         raise ValueError("lam must stay strictly below c")
-    p0 = np.asarray(p0, dtype=float)
-    d_tilde = np.asarray(d_tilde, dtype=float)
 
     configs = _enumerate_configs(n)  # (2^n, n)
     a = state.lam * y
     # the f-free logit: per-sample weight of eta_n = 1 beyond the quadratic
-    theta = eta_logits(state, np.zeros(n), y, d_tilde, p0, n)
+    theta = eta_logits(state, np.zeros(n), problem)
 
     scaled = configs * a[None, :]
     quad = 0.5 * np.einsum("ci,ij,cj->c", scaled, K, scaled)
-    log_w = quad + configs @ theta + np.sum(np.log1p(-p0))
+    log_w = quad + configs @ theta + np.sum(np.log1p(-problem.p0))
 
     log_z = float(logsumexp(log_w))
     probs = np.exp(log_w - log_z)
@@ -88,12 +83,9 @@ def exact_posterior(state: DualState, y: np.ndarray, K: np.ndarray,
     e_sum_eta_d = np.array([probs @ (configs[:, m] @ d_tilde[m]) for m in masks])
     e_sum_eta = np.array([probs @ configs[:, m].sum(axis=1) for m in masks])
 
-    closed = float(np.sum(state.lam + np.log1p(-state.lam / hyper.c)))
-    closed += float(-state.mu @ np.asarray(gamma_hat)
-                    + state.kappa @ np.asarray(beta_hat))
     return OracleResult(
         log_partition=log_z,
-        dual_value=closed - log_z,
+        dual_value=problem.closed_dual(state) - log_z,
         e_eta_y_f=e_eta_y_f,
         e_sum_eta_d=e_sum_eta_d,
         e_sum_eta=e_sum_eta,
@@ -102,15 +94,12 @@ def exact_posterior(state: DualState, y: np.ndarray, K: np.ndarray,
     )
 
 
-def oracle_gradient(state: DualState, y, K, d_tilde, gamma_hat, beta_hat, p0,
-                    hyper: HyperParams):
+def oracle_gradient(state: DualState, problem: DualProblem):
     """trainer.dual_gradient evaluated at the exact expectations."""
-    res = exact_posterior(state, y, K, d_tilde, gamma_hat, beta_hat, p0, hyper)
-    return dual_gradient(state, res, gamma_hat, beta_hat, y.size, hyper)
+    return dual_gradient(state, exact_posterior(state, problem), problem)
 
 
-def finite_diff_dual(state: DualState, y, K, d_tilde, gamma_hat, beta_hat, p0,
-                     hyper: HyperParams, h: float = 1e-4):
+def finite_diff_dual(state: DualState, problem: DualProblem, h: float = 1e-4):
     """Finite differences of the exact dual objective in every coordinate.
 
     Central differences by default; coordinates within h of a domain
@@ -123,14 +112,13 @@ def finite_diff_dual(state: DualState, y, K, d_tilde, gamma_hat, beta_hat, p0,
     cuts = (state.lam.size, state.lam.size + state.mu.size)
     point = np.concatenate([state.lam, state.mu, state.kappa])
     upper = np.full(point.size, np.inf)
-    upper[:cuts[0]] = hyper.resolved_cap
+    upper[:cuts[0]] = problem.hyper.resolved_cap
 
     def value(i: int, v: float) -> float:
         moved = point.copy()
         moved[i] = v
-        return exact_posterior(DualState(*np.split(moved, cuts)), y, K,
-                               d_tilde, gamma_hat, beta_hat, p0,
-                               hyper).dual_value
+        return exact_posterior(DualState(*np.split(moved, cuts)),
+                               problem).dual_value
 
     grads = np.zeros(point.size)
     flags = np.zeros(point.size, dtype=bool)

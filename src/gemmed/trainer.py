@@ -18,6 +18,8 @@ estimated here with a blocked Gibbs sampler that alternates an exact
 Gaussian draw of f given the current binary indicators with Bernoulli
 draws of the indicators given f. Ascent steps are projected back to
 lam in [0, lambda_cap] and mu, kappa nonnegative.
+``train`` builds one ``model.DualProblem``; ``init_duals``, the sampler,
+``dual_gradient`` and ``mean_field_dual_estimate`` read it.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ import numpy as np
 from scipy.special import entr, expit, ndtr, stdtrit
 
 from .baselines import solve_svm_dual
-from .dataset import LabeledDataset, class_index
+from .dataset import LabeledDataset
 from .errors import TrainingFailure
 from .gem import GemConfig, compute_gem_stats, knn_distance_sum, loo_threshold
 from .kernels import (GramMatrix, KernelSpec, compact_expansion,
                       finite_decisions, gram_matrix, kernel_cross)
-from .model import (RATE_RANGES, DualState, HyperParams, TrainedModel,
-                    eta_logits, resolve_p0)
+from .model import (RATE_RANGES, DualProblem, DualState, HyperParams,
+                    TrainedModel, eta_logits, resolve_p0)
 
 __all__ = [
     "GibbsExpectations", "init_duals", "sample_f_given_eta",
@@ -45,15 +47,14 @@ __all__ = [
 ]
 
 
-def init_duals(dataset: LabeledDataset, gram: GramMatrix,
-               hyper: HyperParams) -> DualState:
+def init_duals(problem: DualProblem) -> DualState:
     """Initial duals: mu = kappa = 0, lam from the plain SVM solution.
 
     The SVM is solved at its default box C = 1 and the resulting
     coefficients are clipped into [0, lambda_cap].
     """
-    alpha, _, _ = solve_svm_dual(gram.values, dataset.y.astype(float), C=1.0)
-    return DualState(lam=np.clip(alpha, 0.0, hyper.resolved_cap),
+    alpha, _, _ = solve_svm_dual(problem.gram.values, problem.y, C=1.0)
+    return DualState(lam=np.clip(alpha, 0.0, problem.hyper.resolved_cap),
                      mu=np.zeros(2), kappa=np.zeros(2))
 
 
@@ -133,9 +134,8 @@ def _t_correction(n_batches: int) -> float:
     return float(-stdtrit(n_batches - 1, level / 2.0) / 3.0)
 
 
-def gibbs_expectations(state: DualState, y: np.ndarray, gram: GramMatrix,
-                       d_tilde: np.ndarray, p0: np.ndarray,
-                       hyper: HyperParams, rng: np.random.Generator,
+def gibbs_expectations(state: DualState, problem: DualProblem,
+                       rng: np.random.Generator,
                        eta_start: np.ndarray | None = None
                        ) -> GibbsExpectations:
     """Run the blocked sampler and average the gradient expectations.
@@ -149,17 +149,16 @@ def gibbs_expectations(state: DualState, y: np.ndarray, gram: GramMatrix,
     averaged. All f noise, then all uniforms, are drawn up front, and the
     sweeps write f and prob into rows allocated once per call.
     """
-    n = gram.n
-    yf_sign = y.astype(float)
+    n, y, gram, hyper = problem.n, problem.y, problem.gram, problem.hyper
     n_post = hyper.gibbs_sweeps - hyper.burn_in
     burn = hyper.burn_in if eta_start is None else 0
     noise = rng.standard_normal((burn + n_post, n)) @ gram.factor.T
     uniforms = rng.random((burn + n_post, n))
     # the logit is affine in f; its f-free part is the logit at f = 0
-    offset = eta_logits(state, np.zeros(n), yf_sign, d_tilde, p0, n)
+    offset = eta_logits(state, np.zeros(n), problem)
     # eta is 0/1 and y is +-1, so a * eta is lam * eta * y and a * f is
     # lam * (y * f), both to the bit
-    a = state.lam * yf_sign
+    a = state.lam * y
     coef = a.copy() if eta_start is None else a * eta_start
     f_rec = np.empty_like(noise)
     prob_rec = np.empty_like(noise)
@@ -173,29 +172,24 @@ def gibbs_expectations(state: DualState, y: np.ndarray, gram: GramMatrix,
         np.multiply(a, draw, out=coef)
 
     prob, f = prob_rec[burn:], f_rec[burn:]
-    slots = np.eye(2)[class_index(y)]  # one-hot class of each sample
-    rows = (prob * (yf_sign * f), prob @ (slots * d_tilde[:, None]),
-            prob @ slots)
+    rows = (prob * (y * f), prob @ problem.slot_d_tilde, prob @ problem.slots)
     return GibbsExpectations(*(r.mean(axis=0) for r in rows),
                              prob.mean(axis=0), draw.astype(float), rows)
 
 
 def dual_gradient(state: DualState, exps: GibbsExpectations,
-                  gamma_hat: np.ndarray, beta_hat: np.ndarray, n_total: int,
-                  hyper: HyperParams):
+                  problem: DualProblem):
     """Exact dual gradient at sampled or exact (oracle.OracleResult) expectations."""
-    if np.any(state.lam >= hyper.c):
+    if np.any(state.lam >= problem.hyper.c):
         raise ValueError("lam must stay strictly below c")
-    g_lam = 1.0 - 1.0 / (hyper.c - state.lam) - exps.e_eta_y_f
-    g_mu = exps.e_sum_eta_d - np.asarray(gamma_hat, dtype=float)
-    g_kappa = np.asarray(beta_hat, dtype=float) - exps.e_sum_eta / n_total
+    g_lam = 1.0 - 1.0 / (problem.hyper.c - state.lam) - exps.e_eta_y_f
+    g_mu = exps.e_sum_eta_d - problem.gamma_hat
+    g_kappa = problem.beta_hat - exps.e_sum_eta / problem.n
     return g_lam, g_mu, g_kappa
 
 
-def mean_field_dual_estimate(state: DualState, gram: GramMatrix, y: np.ndarray,
-                             d_tilde: np.ndarray, gamma_hat: np.ndarray,
-                             beta_hat: np.ndarray, p0: np.ndarray,
-                             eta_bar: np.ndarray, hyper: HyperParams) -> float:
+def mean_field_dual_estimate(state: DualState, problem: DualProblem,
+                             eta_bar: np.ndarray) -> float:
     """Cheap dual-objective estimate from a factorized indicator surrogate.
 
     Bounds log Z from below with the usual evidence bound at the
@@ -204,19 +198,17 @@ def mean_field_dual_estimate(state: DualState, gram: GramMatrix, y: np.ndarray,
     final duals and indicator means, and stores it on the model; nothing
     else depends on it.
     """
-    n = gram.n
-    a = state.lam * y
+    K = problem.gram.values
+    a = state.lam * problem.y
     a_bar = a * eta_bar
-    quad = 0.5 * a_bar @ gram.values @ a_bar
-    quad += 0.5 * np.sum(a * a * np.diag(gram.values) * eta_bar * (1.0 - eta_bar))
+    quad = 0.5 * a_bar @ K @ a_bar
+    quad += 0.5 * np.sum(a * a * np.diag(K) * eta_bar * (1.0 - eta_bar))
     # the f-free logit holds the linear and the prior terms
-    linear = (eta_bar @ eta_logits(state, np.zeros(n), y, d_tilde, p0, n)
-              + np.sum(np.log1p(-p0)))
+    linear = (eta_bar @ eta_logits(state, np.zeros(problem.n), problem)
+              + np.sum(np.log1p(-problem.p0)))
     entropy = np.sum(entr(eta_bar) + entr(1.0 - eta_bar))
     elbo = quad + linear + entropy
-    closed = np.sum(state.lam + np.log1p(-state.lam / hyper.c))
-    closed += -state.mu @ gamma_hat + state.kappa @ beta_hat
-    return float(closed - elbo)
+    return float(problem.closed_dual(state) - elbo)
 
 
 def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
@@ -244,26 +236,23 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
     gram = gram_matrix(kernel, dataset.x)
     stats = compute_gem_stats(dataset, gem_config)
     p0 = resolve_p0(hyper, gem_config.target_coverage, dataset.n)
-    y = dataset.y.astype(float)
+    problem = DualProblem(dataset.y.astype(float), gram, stats.d_tilde, stats.gamma_hat,
+                          stats.beta_hat, p0, hyper)
     cap = hyper.resolved_cap
-    state = init_duals(dataset, gram, hyper)
+    state = init_duals(problem)
     rng = np.random.default_rng(hyper.seed)
 
-    exps = gibbs_expectations(state, y, gram, stats.d_tilde, p0, hyper, rng)
+    exps = gibbs_expectations(state, problem, rng)
     for step in range(hyper.steps):
         if step:  # continue the chain at the updated duals
-            exps = gibbs_expectations(state, y, gram, stats.d_tilde, p0,
-                                      hyper, rng, exps.eta_last)
-        g_lam, g_mu, g_kappa = dual_gradient(state, exps, stats.gamma_hat,
-                                             stats.beta_hat, dataset.n, hyper)
+            exps = gibbs_expectations(state, problem, rng, exps.eta_last)
+        g_lam, g_mu, g_kappa = dual_gradient(state, exps, problem)
         state = DualState(
             np.clip(state.lam + hyper.rate_lambda * g_lam, 0.0, cap),
             np.maximum(state.mu + hyper.rate_mu * g_mu, 0.0),
             np.maximum(state.kappa + hyper.rate_kappa * g_kappa, 0.0))
     eta_hat = exps.eta_hat
-    estimate = mean_field_dual_estimate(state, gram, y, stats.d_tilde,
-                                        stats.gamma_hat, stats.beta_hat, p0,
-                                        eta_hat, hyper)
+    estimate = mean_field_dual_estimate(state, problem, eta_hat)
 
     nominal = np.flatnonzero(eta_hat > 0.5)
     if nominal.size == 0:

@@ -73,16 +73,11 @@ def test_criterion_1_gradients_match_finite_differences():
     t0 = time.perf_counter()
     worst = 0.0
     for t in range(20):
-        inst = random_instance(6, t)
-        oracle = exact_posterior(inst.state, inst.y, inst.K, inst.d_tilde,
-                                 inst.gamma_hat, inst.beta_hat, inst.p0,
-                                 inst.hyper)
+        problem, state = random_instance(6, t)
+        oracle = exact_posterior(state, problem)
         # route the exact expectations through the production gradient
-        analytic = dual_gradient(inst.state, oracle, inst.gamma_hat,
-                                 inst.beta_hat, 6, inst.hyper)
-        *numeric, _ = finite_diff_dual(inst.state, inst.y, inst.K,
-                                       inst.d_tilde, inst.gamma_hat,
-                                       inst.beta_hat, inst.p0, inst.hyper)
+        analytic = dual_gradient(state, oracle, problem)
+        *numeric, _ = finite_diff_dual(state, problem)
         for a, f in zip(analytic, numeric):
             rel = np.abs(a - f) / np.maximum(1.0, np.abs(f))
             worst = max(worst, float(rel.max()))
@@ -97,13 +92,9 @@ def test_criterion_2_sampler_matches_oracle():
     hyper = HyperParams(gibbs_sweeps=200, burn_in=20)
     trials_ok = 0
     for t in range(100):
-        inst = random_instance(6, t, hyper=hyper)
-        oracle = exact_posterior(inst.state, inst.y, inst.K, inst.d_tilde,
-                                 inst.gamma_hat, inst.beta_hat, inst.p0,
-                                 inst.hyper)
-        exps = gibbs_expectations(inst.state, inst.y, inst.gram, inst.d_tilde,
-                                  inst.p0, inst.hyper,
-                                  np.random.default_rng(t))
+        problem, state = random_instance(6, t, hyper=hyper)
+        oracle = exact_posterior(state, problem)
+        exps = gibbs_expectations(state, problem, np.random.default_rng(t))
         all_in = True
         for est, se, truth in (
             (exps.e_eta_y_f, exps.se_eta_y_f, oracle.e_eta_y_f),

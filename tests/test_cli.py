@@ -453,6 +453,20 @@ def test_train_bad_gamma_and_rates(workdir, tmp_path, capsys):
     assert "--rates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,needle", [
+    ("--rates", "inf,2e-2,2e-2", "rate_lambda must be positive and finite, got inf"),
+    ("--rates", "nan,2e-2,2e-2", "rate_lambda must be positive and finite, got nan"),
+    ("--jitter", "nan", "jitter must be nonnegative and finite, got nan"),
+])
+def test_train_refuses_non_finite_rates_and_jitter(workdir, tmp_path, capsys,
+                                                   flag, value, needle):
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", str(workdir / "train.csv"), flag, value,
+                 "--steps", "1", "--model-out", str(out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_gibbs_schedule_must_be_whole_numbers(workdir, tmp_path, capsys):
     out = tmp_path / "m.json"
     argv = ["train", "--data", str(workdir / "train.csv"), "--kernel", "rbf",
@@ -528,6 +542,16 @@ def test_oracle_commands_reject_zero_trials(command, capsys):
     assert "OK" not in captured.out
 
 
+def test_oracle_compare_rejects_one_averaged_sweep(capsys):
+    # one averaged sweep has no standard error; every deviation would read 0
+    assert main(["oracle-compare", "--n", "4", "--trials", "3",
+                 "--sweeps", "1", "--burn-in", "0"]) == 2
+    captured = capsys.readouterr()
+    assert ("--sweeps minus --burn-in must be at least 2, got --sweeps 1 "
+            "and --burn-in 0") in captured.err
+    assert "OK" not in captured.out
+
+
 def _sweep_config(root, **overrides):
     config = {
         "R": [40.0], "ra": [0.2], "seeds": [1], "methods": ["svm"],
@@ -600,6 +624,8 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
      "unknown key 'jitter' in sweep config section 'two-stage'"),
     ({"gemmed": {"C": 123.0}},
      "unknown key 'C' in sweep config section 'gemmed'"),
+    ({"gemmed": {"hyper": {"rate_mu": float("nan")}}},  # JSON NaN parses
+     "rate_mu must be positive and finite, got nan"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)

@@ -29,6 +29,9 @@ def test_spec_validation():
         KernelSpec(kind="rbf", gamma=-2.0)
     with pytest.raises(ValueError, match="jitter"):
         KernelSpec(kind="rbf", gamma=1.0, jitter=-1e-9)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"jitter .* finite, got {value}"):
+            KernelSpec(kind="rbf", gamma=1.0, jitter=value)
     KernelSpec(kind="linear")  # gamma not needed
 
 

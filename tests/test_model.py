@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from gemmed.dataset import class_index
 from gemmed.gem import GemConfig
-from gemmed.kernels import KernelSpec
-from gemmed.model import (DualState, HyperParams, eta_logits,
+from gemmed.kernels import GramMatrix, KernelSpec
+from gemmed.model import (DualProblem, DualState, HyperParams, eta_logits,
                           per_sample_class_values, resolve_p0)
 from gemmed.synthdata import RingExperimentConfig, generate
 from gemmed.trainer import train
@@ -35,6 +35,10 @@ def test_hyper_validation():
         HyperParams(steps=-1)
     with pytest.raises(ValueError):
         HyperParams(rate_mu=0.0)
+    for name in ("rate_lambda", "rate_mu", "rate_kappa"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                HyperParams(**{name: value})
     with pytest.raises(ValueError):
         HyperParams(gibbs_sweeps=0)
     with pytest.raises(ValueError):
@@ -106,7 +110,9 @@ def test_eta_logits_hand_computed():
     y = np.array([-1.0, 1.0])
     d_tilde = np.array([0.1, 0.2])
     p0 = np.array([0.5, 0.75])
-    out = eta_logits(state, f, y, d_tilde, p0, n_total=2)
+    problem = DualProblem(y, GramMatrix(np.eye(2), np.eye(2)), d_tilde,
+                          np.zeros(2), np.zeros(2), p0, HyperParams())
+    out = eta_logits(state, f, problem)
     # sample 0: 0 + 2*(-1)*0.25 - 1.0*0.1 + 4/2 = 1.4
     assert out[0] == pytest.approx(1.4)
     # sample 1: log(3) + 0.5*(-1) - 3*0.2 + 6/2 = log(3) + 1.9

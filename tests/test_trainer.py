@@ -13,8 +13,9 @@ from gemmed.dataset import LabeledDataset
 from gemmed.errors import TrainingFailure
 from gemmed.experiments import random_instance
 from gemmed.gem import GemConfig, compute_gem_stats, knn_distance_sum
-from gemmed.kernels import KernelSpec, gram_matrix, kernel_cross
-from gemmed.model import DualState, HyperParams, TrainedModel, resolve_p0
+from gemmed.kernels import GramMatrix, KernelSpec, gram_matrix, kernel_cross
+from gemmed.model import (DualProblem, DualState, HyperParams, TrainedModel,
+                          resolve_p0)
 from gemmed.oracle import exact_posterior
 from gemmed.synthdata import RingExperimentConfig, generate
 from gemmed.trainer import (_batch_se, dual_gradient,
@@ -54,9 +55,9 @@ def test_decoupled_chain_recovers_prior():
     gram, y = _fixed_instance()
     state = DualState(lam=np.zeros(4), mu=np.zeros(2), kappa=np.zeros(2))
     p0 = np.array([0.7, 0.4, 0.6, 0.85])
-    hyper = HyperParams(gibbs_sweeps=60, burn_in=10)
-    exps = gibbs_expectations(state, y, gram, np.full(4, 0.2), p0, hyper,
-                              np.random.default_rng(0))
+    problem = DualProblem(y, gram, np.full(4, 0.2), np.zeros(2), np.zeros(2),
+                          p0, HyperParams(gibbs_sweeps=60, burn_in=10))
+    exps = gibbs_expectations(state, problem, np.random.default_rng(0))
     assert np.all(np.abs(exps.eta_hat - p0) < 0.05)
     assert np.all(np.abs(exps.e_eta_y_f) < 4 * exps.se_eta_y_f + 1e-12)
     assert len(exps.rows[0]) == 50
@@ -68,13 +69,11 @@ def test_gibbs_is_bit_reproducible():
                       mu=np.array([0.5, 0.2]), kappa=np.array([0.1, 0.3]))
     d_tilde = np.array([0.1, 0.4, 0.2, 0.3])
     p0 = np.full(4, 0.7)
-    hyper = HyperParams(gibbs_sweeps=20, burn_in=5)
-    a = gibbs_expectations(state, y, gram, d_tilde, p0, hyper,
-                           np.random.default_rng(7))
-    b = gibbs_expectations(state, y, gram, d_tilde, p0, hyper,
-                           np.random.default_rng(7))
-    c = gibbs_expectations(state, y, gram, d_tilde, p0, hyper,
-                           np.random.default_rng(8))
+    problem = DualProblem(y, gram, d_tilde, np.zeros(2), np.zeros(2), p0,
+                          HyperParams(gibbs_sweeps=20, burn_in=5))
+    a = gibbs_expectations(state, problem, np.random.default_rng(7))
+    b = gibbs_expectations(state, problem, np.random.default_rng(7))
+    c = gibbs_expectations(state, problem, np.random.default_rng(8))
     assert np.array_equal(a.e_eta_y_f, b.e_eta_y_f)
     assert np.array_equal(a.eta_hat, b.eta_hat)
     assert np.array_equal(a.se_sum_eta, b.se_sum_eta)
@@ -107,10 +106,12 @@ def _reference_batch_se(rows):
     return correction * batches.std(axis=0, ddof=1) / np.sqrt(n_batches)
 
 
-def _reference_gibbs(state, y, gram, d_tilde, p0, hyper, rng, eta_start=None):
+def _reference_gibbs(state, problem, rng, eta_start=None):
     """The sampler written sweep by sweep: the f mean and the whole logit
     computed in place each sweep, class slots looked up one label at a
     time; the optimized sampler must match it bit for bit."""
+    y, gram, d_tilde, p0, hyper = (problem.y, problem.gram, problem.d_tilde,
+                                   problem.p0, problem.hyper)
     n = gram.n
     yf = y.astype(float)
 
@@ -159,24 +160,23 @@ def _ring_instance():
     hyper = HyperParams(lambda_cap=0.4)
     gram = gram_matrix(KernelSpec("rbf", gamma=0.1), train_set.x)
     stats = compute_gem_stats(train_set, gem_config)
-    lam = init_duals(train_set, gram, hyper).lam
-    state = DualState(lam=lam, mu=np.array([0.9, 0.3]),
-                      kappa=np.array([0.2, 0.6]))
     p0 = resolve_p0(hyper, gem_config.target_coverage, train_set.n)
-    return (state, train_set.y.astype(float), gram, stats.d_tilde, p0, hyper)
+    problem = DualProblem(train_set.y.astype(float), gram, stats.d_tilde,
+                          stats.gamma_hat, stats.beta_hat, p0, hyper)
+    state = DualState(lam=init_duals(problem).lam, mu=np.array([0.9, 0.3]),
+                      kappa=np.array([0.2, 0.6]))
+    return problem, state
 
 
 @pytest.mark.parametrize("case", [(4, 0), (7, 1), (12, 5), (30, 2), "ring"])
 def test_gibbs_matches_reference_sampler_bitwise(case):
     if case == "ring":
-        args = _ring_instance()
+        problem, state = _ring_instance()
     else:
-        inst = random_instance(*case, hyper=HyperParams(
+        problem, state = random_instance(*case, hyper=HyperParams(
             gibbs_sweeps=40, burn_in=7))
-        args = (inst.state, inst.y, inst.gram, inst.d_tilde, inst.p0,
-                inst.hyper)
-    got = gibbs_expectations(*args, np.random.default_rng(11))
-    want = _reference_gibbs(*args, np.random.default_rng(11))
+    got = gibbs_expectations(state, problem, np.random.default_rng(11))
+    want = _reference_gibbs(state, problem, np.random.default_rng(11))
     _assert_same_expectations(got, want)
 
 
@@ -188,9 +188,9 @@ def _assert_same_expectations(got, want):
 
 
 def test_warm_started_call_runs_no_burn_in():
-    inst = random_instance(7, 1, hyper=HyperParams(gibbs_sweeps=40,
-                                                   burn_in=7))
-    args = (inst.state, inst.y, inst.gram, inst.d_tilde, inst.p0, inst.hyper)
+    problem, state = random_instance(7, 1, hyper=HyperParams(gibbs_sweeps=40,
+                                                             burn_in=7))
+    args = (state, problem)
     cold = gibbs_expectations(*args, np.random.default_rng(11))
     assert set(np.unique(cold.eta_last)) <= {0.0, 1.0}
     start = cold.eta_last.copy()
@@ -209,13 +209,10 @@ def test_warm_started_call_runs_no_burn_in():
 
 
 def test_gibbs_tracks_oracle_loosely():
-    inst = random_instance(5, 0, hyper=HyperParams(gibbs_sweeps=300,
-                                                   burn_in=20))
-    oracle = exact_posterior(inst.state, inst.y, inst.K, inst.d_tilde,
-                             inst.gamma_hat, inst.beta_hat, inst.p0,
-                             inst.hyper)
-    exps = gibbs_expectations(inst.state, inst.y, inst.gram, inst.d_tilde,
-                              inst.p0, inst.hyper, np.random.default_rng(0))
+    problem, state = random_instance(5, 0, hyper=HyperParams(gibbs_sweeps=300,
+                                                             burn_in=20))
+    oracle = exact_posterior(state, problem)
+    exps = gibbs_expectations(state, problem, np.random.default_rng(0))
     for est, se, truth in ((exps.e_eta_y_f, exps.se_eta_y_f, oracle.e_eta_y_f),
                            (exps.e_sum_eta_d, exps.se_sum_eta_d,
                             oracle.e_sum_eta_d),
@@ -252,16 +249,17 @@ def test_dual_gradient_formula():
                            e_sum_eta=np.array([1.2, 0.8]))
     state = DualState(lam=np.array([1.0, 2.0]), mu=np.zeros(2),
                       kappa=np.zeros(2))
-    hyper = HyperParams(c=10.0)
-    g_lam, g_mu, g_kappa = dual_gradient(state, exps, np.array([0.4, 0.2]),
-                                         np.array([0.5, 0.6]), 2, hyper)
+    problem = DualProblem(np.ones(2), GramMatrix(np.eye(2), np.eye(2)),
+                          np.zeros(2), np.array([0.4, 0.2]),
+                          np.array([0.5, 0.6]), np.full(2, 0.5),
+                          HyperParams(c=10.0))
+    g_lam, g_mu, g_kappa = dual_gradient(state, exps, problem)
     np.testing.assert_allclose(g_lam, [1 - 1 / 9 - 0.5, 1 - 1 / 8 + 0.2])
     np.testing.assert_allclose(g_mu, [0.3 - 0.4, 0.1 - 0.2])
     np.testing.assert_allclose(g_kappa, [0.5 - 0.6, 0.6 - 0.4])
     state.lam[0] = 10.0
     with pytest.raises(ValueError, match="below c"):
-        dual_gradient(state, exps, np.array([0.4, 0.2]),
-                      np.array([0.5, 0.6]), 2, hyper)
+        dual_gradient(state, exps, problem)
 
 
 def test_init_duals_from_svm():
@@ -270,10 +268,10 @@ def test_init_duals_from_svm():
     x = np.vstack([rng.normal(-1.5, 1.0, size=(8, 2)),
                    rng.normal(1.5, 1.0, size=(8, 2))])
     y = np.array([-1] * 8 + [1] * 8)
-    ds = LabeledDataset(x, y)
     gram = gram_matrix(KernelSpec("rbf", gamma=0.5), x)
-    hyper = HyperParams(lambda_cap=0.4)
-    state = init_duals(ds, gram, hyper)
+    state = init_duals(DualProblem(y.astype(float), gram, np.zeros(16),
+                                   np.zeros(2), np.zeros(2), np.full(16, 0.5),
+                                   HyperParams(lambda_cap=0.4)))
     assert np.array_equal(state.mu, np.zeros(2))
     assert np.array_equal(state.kappa, np.zeros(2))
     alpha, _, _ = solve_svm_dual(gram.values, y.astype(float), C=1.0)
@@ -282,14 +280,9 @@ def test_init_duals_from_svm():
 
 def test_mean_field_estimate_upper_bounds_exact_dual():
     for seed in range(5):
-        inst = random_instance(6, seed)
-        oracle = exact_posterior(inst.state, inst.y, inst.K, inst.d_tilde,
-                                 inst.gamma_hat, inst.beta_hat, inst.p0,
-                                 inst.hyper)
-        est = mean_field_dual_estimate(inst.state, inst.gram, inst.y,
-                                       inst.d_tilde, inst.gamma_hat,
-                                       inst.beta_hat, inst.p0,
-                                       oracle.eta_hat, inst.hyper)
+        problem, state = random_instance(6, seed)
+        oracle = exact_posterior(state, problem)
+        est = mean_field_dual_estimate(state, problem, oracle.eta_hat)
         assert est >= oracle.dual_value - 1e-9
 
 
@@ -353,7 +346,7 @@ def test_train_continues_one_chain_across_steps(monkeypatch):
 
     def spy(*args):
         exps = sampler(*args)
-        starts.append(args[7] if len(args) > 7 else None)
+        starts.append(args[3] if len(args) > 3 else None)
         ends.append(exps.eta_last)
         return exps
 
