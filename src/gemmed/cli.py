@@ -234,15 +234,21 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    """Sampler expectations vs exact enumeration, in standard-error units."""
+    """Sampler expectations vs exact enumeration, in standard-error units,
+    and the largest split R-hat of the sampler's chains."""
     _require_small(args.n, args.trials)
     hyper = HyperParams(gibbs_sweeps=args.sweeps, burn_in=args.burn_in)
-    if args.sweeps - args.burn_in < 2:  # one sweep has no standard error
-        raise ValueError("--sweeps minus --burn-in must be at least 2, got "
-                         f"--sweeps {args.sweeps} and --burn-in {args.burn_in}")
+    # four averaged sweeps per chain: two per half for the split R-hat,
+    # and standard-error batches of a whole chain each
+    floor = 4 * trainer.CHAINS
+    if args.sweeps - args.burn_in < floor:
+        raise ValueError(
+            f"--sweeps minus --burn-in must be at least {floor}, 4 sweeps for "
+            f"each of the {trainer.CHAINS} sampler chains, got --sweeps "
+            f"{args.sweeps} and --burn-in {args.burn_in}")
     total = within = 0
     trials_ok = 0
-    worst = 0.0
+    worst = rhat = 0.0
     for t in range(args.trials):
         problem, state = random_instance(args.n, args.seed + t, hyper=hyper)
         oracle = exact_posterior(state, problem)
@@ -262,10 +268,12 @@ def cmd_oracle_compare(args) -> int:
         within += int(np.sum(devs <= 3.0))
         trials_ok += int(np.all(devs <= 3.0))
         worst = max(worst, float(devs.max()))
+        rhat = max(rhat, *(float(r.max()) for r in exps.rhat))
     frac = within / total
     print(f"expectations within 3 SE: {within}/{total} ({100 * frac:.1f}%)")
     print(f"trials with all expectations within 3 SE: {trials_ok}/{args.trials}")
     print(f"max standardized deviation: {worst:.3f}")
+    print(f"max split R-hat over {trainer.CHAINS} chains: {rhat:.3f}")
     if frac < 0.95:
         print("FAIL: fewer than 95% of expectations within 3 SE")
         return 1
@@ -305,13 +313,18 @@ def _method_settings(config: dict, method: str) -> MethodSettings:
         hyper = HyperParams(**json_object(section["hyper"],
                                           f"sweep config section '{method}.hyper'",
                                           HyperParams.__dataclass_fields__))
-    return MethodSettings(
+    settings = MethodSettings(
         kernel=section.get("kernel", base.kernel),
         gamma=section.get("gamma", base.gamma),
         jitter=section.get("jitter", base.jitter),
         C=section.get("C", base.C),
         hyper=hyper,
     )
+    # build the kernel now so that bad values exit before any cell runs;
+    # an 'auto' width is resolved on each cell's data, so check it as 1
+    gamma = 1.0 if settings.gamma == "auto" else settings.gamma
+    resolve_kernel(settings.kernel, gamma, jitter=settings.jitter)
+    return settings
 
 
 def cmd_sweep(args) -> int:

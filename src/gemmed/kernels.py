@@ -153,4 +153,9 @@ def resolve_kernel(kind: str, gamma, xs: np.ndarray | None = None,
         if xs is None:
             raise ValueError("gamma='auto' needs data points to resolve against")
         gamma = median_heuristic_gamma(xs)
-    return KernelSpec(kind="rbf", gamma=float(gamma), jitter=jitter)
+    try:
+        gamma = float(gamma)
+    except TypeError:
+        raise ValueError(f"gamma must be a positive number or 'auto', "
+                         f"got {gamma!r}") from None
+    return KernelSpec(kind="rbf", gamma=gamma, jitter=jitter)

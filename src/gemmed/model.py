@@ -43,8 +43,9 @@ class HyperParams:
     Training always runs all ``steps`` dual ascent iterations, moving
     lam, mu and kappa by ``rate_lambda``, ``rate_mu`` and ``rate_kappa``
     times their gradients. Each step averages ``gibbs_sweeps - burn_in``
-    sweeps of one persistent sampler chain, which discards its first
-    ``burn_in`` sweeps. ``seed`` seeds the sampler.
+    samples, split over the persistent chains of the sampler
+    (``trainer.CHAINS``), each of which discards its first ``burn_in``
+    sweeps. ``seed`` seeds the sampler.
     """
 
     c: float = 10.0
@@ -64,8 +65,8 @@ class HyperParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < np.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c!r}")
         cap = self.resolved_cap
         if not 0 < cap < self.c:
             raise ValueError("lambda_cap must lie strictly between 0 and c")

@@ -16,8 +16,9 @@ gradients are posterior expectations,
 
 estimated here with a blocked Gibbs sampler that alternates an exact
 Gaussian draw of f given the current binary indicators with Bernoulli
-draws of the indicators given f. Ascent steps are projected back to
-lam in [0, lambda_cap] and mu, kappa nonnegative.
+draws of the indicators given f, for ``CHAINS`` chains in lockstep.
+Ascent steps are projected back to lam in [0, lambda_cap] and mu, kappa
+nonnegative.
 ``train`` builds one ``model.DualProblem``; ``init_duals``, the sampler,
 ``dual_gradient`` and ``mean_field_dual_estimate`` read it.
 """
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import blas
 from scipy.special import entr, expit, ndtr, stdtrit
 
 from .baselines import solve_svm_dual
@@ -46,6 +48,10 @@ __all__ = [
     "predict", "anomaly_scores", "detect",
 ]
 
+# sampler chains run in lockstep; at n=200, 4 and 5 chains tie on gradient
+# error per second of sampler time, and both beat 1 or 2 chains
+CHAINS = 4
+
 
 def init_duals(problem: DualProblem) -> DualState:
     """Initial duals: mu = kappa = 0, lam from the plain SVM solution.
@@ -62,27 +68,40 @@ def sample_f_given_eta(coef: np.ndarray, gram: GramMatrix, noise: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
     """Draw decision values from the exact Gaussian conditional into out.
 
-    f | eta is Normal with mean K coef, coef = lam * eta * y, and
-    covariance K; noise is one draw of L z, L the cached Cholesky factor
-    of K, z ~ N(0, I). Returns out.
+    Each row of coef is one chain's lam * eta * y. f | eta is Normal with
+    mean K coef_row and covariance K; the same row of noise is one draw
+    of L z, L the cached Cholesky factor of K, z ~ N(0, I). All rows are
+    drawn with one matrix product. Returns out.
     """
-    np.matmul(gram.values, coef, out=out)
+    np.matmul(coef, gram.values, out=out)  # K is symmetric: row j is K coef_j
     out += noise
     return out
 
 
+def _times_factor_t(z: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """z @ factor.T for C-ordered z with rows of length n and the
+    lower-triangular factor: one triangular multiply (BLAS trmm), which
+    skips the zero half of the factor that a full product would multiply."""
+    flat = z.reshape(-1, factor.shape[0])
+    # trmm computes L @ flat.T; flat.T is Fortran-ordered, so it may write
+    # the product over z instead of copying it
+    return blas.dtrmm(1.0, factor.T, flat.T, side=0, lower=0, trans_a=1,
+                      overwrite_b=1).T.reshape(z.shape)
+
+
 @dataclass
 class GibbsExpectations:
-    """Sampler averages over post-burn-in sweeps, with standard errors.
+    """Sampler averages over the post-burn-in sweeps of ``CHAINS`` chains,
+    with standard errors and R-hat.
 
     e_eta_y_f approximates E[eta_n y_n f_n] per sample; e_sum_eta_d the
     per-class E[sum eta_n dt_n] (1/n units); e_sum_eta the per-class
     raw indicator sums E[sum eta_n]. eta_hat is the averaged indicator
-    mean, and eta_last the chain's final indicator vector. ``rows``
-    holds the per-sweep values behind the first three averages; their
-    standard errors come from nonoverlapping batch means of those rows,
-    which absorbs the sweep-to-sweep correlation of the chain, and are
-    computed on first read.
+    mean, and eta_last the chains' final indicator vectors, one row per
+    chain. ``rows`` holds the values behind the first three averages,
+    each of shape (sweeps, chains, k). Their standard errors come from
+    batch means that never straddle two chains, and ``rhat`` is their
+    split R-hat across chains; both are computed on first read.
     """
 
     e_eta_y_f: np.ndarray
@@ -104,23 +123,38 @@ class GibbsExpectations:
     def se_sum_eta(self) -> np.ndarray:
         return _batch_se(self.rows[2])
 
+    @cached_property
+    def rhat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Split R-hat of e_eta_y_f, e_sum_eta_d and e_sum_eta."""
+        return tuple(_split_rhat(r) for r in self.rows)
+
 
 def _batch_se(rows: np.ndarray) -> np.ndarray:
-    """Batch-means standard error of the column means of rows.
+    """Batch-means standard error of the means of rows, shaped
+    (sweeps, chains, k), over their first two axes.
 
+    There are as many batches as one chain of all the samples would get,
+    about the square root of their number (2 to 25), rounded up to whole
+    batches per chain. Each chain's sweeps are cut into its batches of
+    equal size, its oldest leftover sweeps dropped, so no batch straddles
+    two chains and the batch means absorb the sweep-to-sweep correlation
+    of a chain.
     The raw batch-means scale is inflated by a Student-t factor chosen
     so that a +/-3 SE band keeps the two-sided normal 3-sigma coverage
     despite the handful of batches behind the variance estimate; with
     few batches the uncorrected band undercovers noticeably.
     """
-    n = rows.shape[0]
-    if n < 2:
-        return np.full(rows.shape[1], np.inf)
-    n_batches = int(np.clip(np.floor(np.sqrt(n)), 2, 25))
-    size = n // n_batches
-    trimmed = rows[n - n_batches * size:]
-    batches = trimmed.reshape(n_batches, size, -1).mean(axis=1)
-    return (_t_correction(n_batches) * batches.std(axis=0, ddof=1)
+    sweeps, chains = rows.shape[:2]
+    if sweeps * chains < 2:
+        return np.full(rows.shape[2], np.inf)
+    total = int(np.clip(np.floor(np.sqrt(sweeps * chains)), 2, 25))
+    per_chain = -(-total // chains)
+    n_batches = per_chain * chains
+    size = sweeps // per_chain
+    trimmed = rows[sweeps - per_chain * size:]
+    batches = trimmed.reshape(per_chain, size, chains, -1).mean(axis=1)
+    return (_t_correction(n_batches)
+            * batches.reshape(n_batches, -1).std(axis=0, ddof=1)
             / np.sqrt(n_batches))
 
 
@@ -134,35 +168,64 @@ def _t_correction(n_batches: int) -> float:
     return float(-stdtrit(n_batches - 1, level / 2.0) / 3.0)
 
 
+def _split_rhat(rows: np.ndarray) -> np.ndarray:
+    """Split R-hat (Gelman & Rubin 1992; Vehtari et al. 2021) of rows,
+    shaped (sweeps, chains, k), per column.
+
+    Each chain is cut into halves of floor(sweeps / 2) sweeps, dropping
+    its oldest sweep when the count is odd, and the halves are compared
+    as chains of their own. Near 1 the chains agree; 1.01 or more says
+    they have not mixed. NaN when a half holds fewer than two sweeps,
+    and 1 for a column with no spread at all.
+    """
+    sweeps, chains = rows.shape[:2]
+    half = sweeps // 2
+    if half < 2:
+        return np.full(rows.shape[2], np.nan)
+    split = rows[sweeps - 2 * half:].reshape(2, half, chains, -1)
+    within = split.var(axis=1, ddof=1).mean(axis=(0, 1))
+    between = half * split.mean(axis=1).reshape(2 * chains, -1).var(axis=0, ddof=1)
+    pooled = (half - 1) / half * within + between / half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhat = np.sqrt(pooled / within)
+    rhat[pooled == 0] = 1.0
+    return rhat
+
+
 def gibbs_expectations(state: DualState, problem: DualProblem,
                        rng: np.random.Generator,
                        eta_start: np.ndarray | None = None
                        ) -> GibbsExpectations:
-    """Run the blocked sampler and average the gradient expectations.
+    """Run ``CHAINS`` blocked sampler chains in lockstep and average the
+    gradient expectations.
 
-    Each sweep draws f given the chain's binary indicators, then one new
-    indicator vector given f: an exact blocked Gibbs chain. Given f the
-    indicators are independent with mean prob, so the averages use prob,
-    not the draw (Rao-Blackwellization). A cold chain starts at all ones
-    and discards ``burn_in`` sweeps; one continued from ``eta_start``
-    discards none. Either way ``gibbs_sweeps - burn_in`` sweeps are
-    averaged. All f noise, then all uniforms, are drawn up front, and the
-    sweeps write f and prob into rows allocated once per call.
+    Each sweep draws f given every chain's binary indicators, then one
+    new indicator vector per chain given its f: exact blocked Gibbs
+    chains, advanced together as the rows of (CHAINS, n) matrices. Given
+    f the indicators are independent with mean prob, so the averages use
+    prob, not the draw (Rao-Blackwellization). Cold chains start at all
+    ones and discard ``burn_in`` sweeps each; chains continued from
+    ``eta_start``, a previous call's ``eta_last``, discard none. Either
+    way the ``gibbs_sweeps - burn_in`` averaged samples are split over
+    the chains, rounded up to whole sweeps per chain. All f noise, then
+    all uniforms, are drawn up front, and the sweeps write f and prob
+    into records allocated once per call.
     """
     n, y, gram, hyper = problem.n, problem.y, problem.gram, problem.hyper
-    n_post = hyper.gibbs_sweeps - hyper.burn_in
+    sweeps = -(-(hyper.gibbs_sweeps - hyper.burn_in) // CHAINS)
     burn = hyper.burn_in if eta_start is None else 0
-    noise = rng.standard_normal((burn + n_post, n)) @ gram.factor.T
-    uniforms = rng.random((burn + n_post, n))
+    shape = (burn + sweeps, CHAINS, n)
+    noise = _times_factor_t(rng.standard_normal(shape), gram.factor)
+    uniforms = rng.random(shape)
     # the logit is affine in f; its f-free part is the logit at f = 0
     offset = eta_logits(state, np.zeros(n), problem)
     # eta is 0/1 and y is +-1, so a * eta is lam * eta * y and a * f is
     # lam * (y * f), both to the bit
     a = state.lam * y
-    coef = a.copy() if eta_start is None else a * eta_start
+    coef = np.tile(a, (CHAINS, 1)) if eta_start is None else a * eta_start
     f_rec = np.empty_like(noise)
     prob_rec = np.empty_like(noise)
-    draw = np.empty(n, dtype=bool)
+    draw = np.empty((CHAINS, n), dtype=bool)
     for f, prob, z, u in zip(f_rec, prob_rec, noise, uniforms):
         sample_f_given_eta(coef, gram, z, f)
         np.multiply(a, f, out=prob)
@@ -171,10 +234,13 @@ def gibbs_expectations(state: DualState, problem: DualProblem,
         np.less(u, prob, out=draw)
         np.multiply(a, draw, out=coef)
 
-    prob, f = prob_rec[burn:], f_rec[burn:]
+    # one row per averaged sample, sweep by sweep, chains within a sweep
+    prob = prob_rec[burn:].reshape(-1, n)
+    f = f_rec[burn:].reshape(-1, n)
     rows = (prob * (y * f), prob @ problem.slot_d_tilde, prob @ problem.slots)
     return GibbsExpectations(*(r.mean(axis=0) for r in rows),
-                             prob.mean(axis=0), draw.astype(float), rows)
+                             prob.mean(axis=0), draw.astype(float),
+                             tuple(r.reshape(sweeps, CHAINS, -1) for r in rows))
 
 
 def dual_gradient(state: DualState, exps: GibbsExpectations,
@@ -217,7 +283,7 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
 
     Each step estimates the gradient expectations with the blocked
     sampler at the current duals, then takes a projected ascent step.
-    The sampler's chain persists across steps, so only the first step
+    The sampler's chains persist across steps, so only the first step
     discards burn-in sweeps.
     With ``steps`` = 0 the duals stay at their initialization and one
     sampler pass still produces eta_hat. After the loop the mean-field
@@ -244,7 +310,7 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
 
     exps = gibbs_expectations(state, problem, rng)
     for step in range(hyper.steps):
-        if step:  # continue the chain at the updated duals
+        if step:  # continue the chains at the updated duals
             exps = gibbs_expectations(state, problem, rng, exps.eta_last)
         g_lam, g_mu, g_kappa = dual_gradient(state, exps, problem)
         state = DualState(

@@ -467,6 +467,17 @@ def test_train_refuses_non_finite_rates_and_jitter(workdir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("c", ["inf", "nan"])
+def test_train_refuses_a_non_finite_c(workdir, tmp_path, capsys, c):
+    # with c = inf the margin-slack term would drop out of the dual
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", str(workdir / "train.csv"), "--c", c,
+                 "--lambda-cap", "0.4", "--steps", "1",
+                 "--model-out", str(out)]) == 2
+    assert f"c must be positive and finite, got {c}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_gibbs_schedule_must_be_whole_numbers(workdir, tmp_path, capsys):
     out = tmp_path / "m.json"
     argv = ["train", "--data", str(workdir / "train.csv"), "--kernel", "rbf",
@@ -493,7 +504,7 @@ def test_train_failure_maps_to_exit_one(workdir, tmp_path, capsys):
 def test_train_fails_below_k_plus_one_nominal_points(workdir, tmp_path, capsys):
     rc = main(["train", "--data", str(workdir / "train.csv"),
                "--kernel", "rbf", "--gamma", "0.1", "--k", "8",
-               "--p0", "0.4", "--lambda-cap", "0.4", "--steps", "0",
+               "--p0", "0.44", "--lambda-cap", "0.4", "--steps", "0",
                "--gibbs", "8,2", "--model-out", str(tmp_path / "m.json")])
     assert rc == 1
     assert "nominal support has 4 point(s); need at least k+1=9" in \
@@ -526,6 +537,8 @@ def test_oracle_compare_small_run(capsys):
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "within 3 SE" in out
+    rhat = float(re.search(r"max split R-hat over 4 chains: (\S+)", out).group(1))
+    assert 0.9 < rhat < 1.5
 
 
 def test_oracle_compare_rejects_big_instances(capsys):
@@ -547,9 +560,21 @@ def test_oracle_compare_rejects_one_averaged_sweep(capsys):
     assert main(["oracle-compare", "--n", "4", "--trials", "3",
                  "--sweeps", "1", "--burn-in", "0"]) == 2
     captured = capsys.readouterr()
-    assert ("--sweeps minus --burn-in must be at least 2, got --sweeps 1 "
-            "and --burn-in 0") in captured.err
+    assert ("--sweeps minus --burn-in must be at least 16, 4 sweeps for each "
+            "of the 4 sampler chains, got --sweeps 1 and --burn-in 0"
+            ) in captured.err
     assert "OK" not in captured.out
+
+
+def test_oracle_compare_floor_is_four_sweeps_per_chain(capsys):
+    assert main(["oracle-compare", "--n", "4", "--trials", "2",
+                 "--sweeps", "25", "--burn-in", "10"]) == 2
+    captured = capsys.readouterr()
+    assert "must be at least 16" in captured.err
+    assert "OK" not in captured.out
+    assert main(["oracle-compare", "--n", "4", "--trials", "2",
+                 "--sweeps", "26", "--burn-in", "10"]) == 0
+    assert "max split R-hat" in capsys.readouterr().out
 
 
 def _sweep_config(root, **overrides):
@@ -626,6 +651,15 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
      "unknown key 'C' in sweep config section 'gemmed'"),
     ({"gemmed": {"hyper": {"rate_mu": float("nan")}}},  # JSON NaN parses
      "rate_mu must be positive and finite, got nan"),
+    # kernel values of a section whose method the sweep does not run
+    ({"gemmed": {"jitter": float("nan"), "gamma": -1}},
+     "rbf kernel requires gamma > 0"),
+    ({"gemmed": {"jitter": float("nan")}},
+     "jitter must be nonnegative and finite, got nan"),
+    ({"two-stage": {"kernel": "rbf", "gamma": None}},
+     "gamma must be a positive number or 'auto', got None"),
+    ({"gemmed": {"hyper": {"c": float("inf"), "lambda_cap": 0.4}}},
+     "c must be positive and finite, got inf"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)

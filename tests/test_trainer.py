@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -60,7 +62,8 @@ def test_decoupled_chain_recovers_prior():
     exps = gibbs_expectations(state, problem, np.random.default_rng(0))
     assert np.all(np.abs(exps.eta_hat - p0) < 0.05)
     assert np.all(np.abs(exps.e_eta_y_f) < 4 * exps.se_eta_y_f + 1e-12)
-    assert len(exps.rows[0]) == 50
+    # 50 averaged samples, rounded up to 13 sweeps of each of 4 chains
+    assert exps.rows[0].shape == (13, trainer.CHAINS, 4)
 
 
 def test_gibbs_is_bit_reproducible():
@@ -94,61 +97,93 @@ def test_t_correction_matches_scipy_stats_bitwise():
 
 
 def _reference_batch_se(rows):
-    """Batch-means SE with the scipy.stats t-correction."""
-    n = rows.shape[0]
-    if n < 2:
-        return np.full(rows.shape[1], np.inf)
-    n_batches = int(np.clip(np.floor(np.sqrt(n)), 2, 25))
-    size = n // n_batches
-    trimmed = rows[n - n_batches * size:]
-    batches = trimmed.reshape(n_batches, size, -1).mean(axis=1)
-    correction = _scipy_stats_t_correction(n_batches)
-    return correction * batches.std(axis=0, ddof=1) / np.sqrt(n_batches)
+    """Chain-aware batch-means SE, chain by chain, with the scipy.stats
+    t-correction: as many batches as one chain of all the rows would get,
+    rounded up to whole batches per chain, cut from each chain's newest
+    sweeps."""
+    sweeps, chains = rows.shape[:2]
+    if sweeps * chains < 2:
+        return np.full(rows.shape[2], np.inf)
+    total = int(np.clip(np.floor(np.sqrt(sweeps * chains)), 2, 25))
+    per_chain = math.ceil(total / chains)
+    size = sweeps // per_chain
+    means = [rows[sweeps - (b + 1) * size:sweeps - b * size, j].mean(axis=0)
+             for j in range(chains) for b in range(per_chain)]
+    n_batches = len(means)
+    return (_scipy_stats_t_correction(n_batches)
+            * np.std(means, axis=0, ddof=1) / np.sqrt(n_batches))
+
+
+def _reference_rhat(rows):
+    """Split R-hat as Gelman et al. (BDA3, section 11.4) define it: each
+    chain's newest 2 * floor(sweeps / 2) sweeps cut into two half-chains,
+    then between- and within-half-chain variances, column by column."""
+    sweeps, chains = rows.shape[:2]
+    half = sweeps // 2
+    halves = [rows[sweeps - 2 * half + h * half:sweeps - 2 * half + (h + 1) * half, j]
+              for j in range(chains) for h in range(2)]
+    out = []
+    for col in range(rows.shape[2]):
+        series = [piece[:, col] for piece in halves]
+        means = [np.mean(x) for x in series]
+        between = half * np.var(means, ddof=1)
+        within = np.mean([np.var(x, ddof=1) for x in series])
+        pooled = (half - 1) / half * within + between / half
+        out.append(np.sqrt(pooled / within))
+    return np.array(out)
 
 
 def _reference_gibbs(state, problem, rng, eta_start=None):
-    """The sampler written sweep by sweep: the f mean and the whole logit
-    computed in place each sweep, class slots looked up one label at a
-    time; the optimized sampler must match it bit for bit."""
+    """The sampler written chain by chain: each chain is swept alone with
+    its own noise and uniform rows, its f mean a matrix-vector product
+    and its noise a full product with the Cholesky factor, the whole
+    logit computed in place each sweep, class slots looked up one label
+    at a time."""
     y, gram, d_tilde, p0, hyper = (problem.y, problem.gram, problem.d_tilde,
                                    problem.p0, problem.hyper)
-    n = gram.n
+    n, m = gram.n, trainer.CHAINS
     yf = y.astype(float)
 
     def class_values(values):
         return values[[0 if v == -1 else 1 for v in yf]]
 
+    sweeps = math.ceil((hyper.gibbs_sweeps - hyper.burn_in) / m)
     burn = hyper.burn_in if eta_start is None else 0
-    eta = np.ones(n) if eta_start is None else eta_start.astype(float)
-    total = burn + hyper.gibbs_sweeps - hyper.burn_in
-    noise = rng.standard_normal((total, n)) @ gram.factor.T
-    uniforms = rng.random((total, n))
-    rec_eyf, rec_eta = [], []
-    for t in range(total):
-        f = gram.values @ (state.lam * eta * yf) + noise[t]
-        logit = ((np.log(p0) - np.log1p(-p0)
-                  - class_values(state.mu) * d_tilde
-                  + class_values(state.kappa) / n)
-                 + state.lam * (yf * f))
-        prob = expit(logit)
-        eta = (uniforms[t] < prob).astype(float)
-        if t >= burn:
-            rec_eyf.append(prob * (yf * f))
-            rec_eta.append(prob)
-    rec_eyf, rec_eta = np.array(rec_eyf), np.array(rec_eta)
+    total = burn + sweeps
+    z = rng.standard_normal((total, m, n))
+    uniforms = rng.random((total, m, n))
+    rec_eyf, rec_eta = np.empty((sweeps, m, n)), np.empty((sweeps, m, n))
+    eta_last = np.empty((m, n))
+    for j in range(m):
+        eta = np.ones(n) if eta_start is None else eta_start[j].astype(float)
+        noise = z[:, j] @ gram.factor.T
+        for t in range(total):
+            f = gram.values @ (state.lam * eta * yf) + noise[t]
+            logit = ((np.log(p0) - np.log1p(-p0)
+                      - class_values(state.mu) * d_tilde
+                      + class_values(state.kappa) / n)
+                     + state.lam * (yf * f))
+            prob = expit(logit)
+            eta = (uniforms[t, j] < prob).astype(float)
+            if t >= burn:
+                rec_eyf[t - burn, j] = prob * (yf * f)
+                rec_eta[t - burn, j] = prob
+        eta_last[j] = eta
     in_class = np.stack([y == -1, y == 1], axis=1).astype(float)
     rec_sum_eta_d = rec_eta @ (in_class * d_tilde[:, None])
     rec_sum_eta = rec_eta @ in_class
+    recs = (rec_eyf, rec_sum_eta_d, rec_sum_eta)
     return SimpleNamespace(
-        e_eta_y_f=rec_eyf.mean(axis=0),
-        e_sum_eta_d=rec_sum_eta_d.mean(axis=0),
-        e_sum_eta=rec_sum_eta.mean(axis=0),
-        eta_hat=rec_eta.mean(axis=0),
+        e_eta_y_f=rec_eyf.mean(axis=(0, 1)),
+        e_sum_eta_d=rec_sum_eta_d.mean(axis=(0, 1)),
+        e_sum_eta=rec_sum_eta.mean(axis=(0, 1)),
+        eta_hat=rec_eta.mean(axis=(0, 1)),
         se_eta_y_f=_reference_batch_se(rec_eyf),
         se_sum_eta_d=_reference_batch_se(rec_sum_eta_d),
         se_sum_eta=_reference_batch_se(rec_sum_eta),
-        n_sweeps=len(rec_eta),
-        eta_last=eta,
+        rhat=tuple(_reference_rhat(r) for r in recs),
+        sweeps=sweeps,
+        eta_last=eta_last,
     )
 
 
@@ -170,6 +205,11 @@ def _ring_instance():
 
 @pytest.mark.parametrize("case", [(4, 0), (7, 1), (12, 5), (30, 2), "ring"])
 def test_gibbs_matches_reference_sampler_bitwise(case):
+    """The lockstep sampler against the chain-by-chain loop: the same
+    indicator draws bit for bit, and every average, SE and R-hat to
+    rtol 1e-12. Its f draw is one matrix product for all chains, which
+    sums in another order than the reference's matrix-vector products,
+    so f and what is computed from it may differ in the last bits."""
     if case == "ring":
         problem, state = _ring_instance()
     else:
@@ -181,10 +221,15 @@ def test_gibbs_matches_reference_sampler_bitwise(case):
 
 
 def _assert_same_expectations(got, want):
+    assert np.array_equal(got.eta_last, want.eta_last)
     for name in ("e_eta_y_f", "e_sum_eta_d", "e_sum_eta", "eta_hat",
-                 "se_eta_y_f", "se_sum_eta_d", "se_sum_eta", "eta_last"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert all(len(rows) == want.n_sweeps for rows in got.rows)
+                 "se_eta_y_f", "se_sum_eta_d", "se_sum_eta"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                   rtol=1e-12, atol=0, err_msg=name)
+    for got_rhat, want_rhat in zip(got.rhat, want.rhat, strict=True):
+        np.testing.assert_allclose(got_rhat, want_rhat, rtol=1e-12, atol=0)
+    assert all(rows.shape[:2] == (want.sweeps, trainer.CHAINS)
+               for rows in got.rows)
 
 
 def test_warm_started_call_runs_no_burn_in():
@@ -192,6 +237,7 @@ def test_warm_started_call_runs_no_burn_in():
                                                              burn_in=7))
     args = (state, problem)
     cold = gibbs_expectations(*args, np.random.default_rng(11))
+    assert cold.eta_last.shape == (trainer.CHAINS, 7)
     assert set(np.unique(cold.eta_last)) <= {0.0, 1.0}
     start = cold.eta_last.copy()
     rng = np.random.default_rng(12)
@@ -199,13 +245,29 @@ def test_warm_started_call_runs_no_burn_in():
     assert np.array_equal(start, cold.eta_last)  # the start is not mutated
     _assert_same_expectations(
         warm, _reference_gibbs(*args, np.random.default_rng(12), start))
-    assert len(warm.rows[0]) == len(cold.rows[0]) == 33
-    # a warm call consumes the noise and uniforms of 33 sweeps, not 40
+    # 33 averaged samples: 9 sweeps of each of the 4 chains
+    assert warm.rows[0].shape == cold.rows[0].shape == (9, trainer.CHAINS, 7)
+    # a warm call consumes the noise and uniforms of 9 lockstep sweeps of
+    # 4 chains, not 7 + 9
     used = np.random.default_rng(12)
-    used.standard_normal((33, 7))
-    used.random((33, 7))
+    used.standard_normal((9, trainer.CHAINS, 7))
+    used.random((9, trainer.CHAINS, 7))
     assert rng.random() == used.random()
+    assert warm.eta_last.shape == (trainer.CHAINS, 7)
     assert set(np.unique(warm.eta_last)) <= {0.0, 1.0}
+
+
+def test_chains_are_not_copies_of_one_another():
+    """Every chain draws its own noise and uniforms: after the same
+    all-ones start, no two chains record the same sweeps or end on the
+    same indicators."""
+    problem, state = random_instance(30, 2, hyper=HyperParams(gibbs_sweeps=40,
+                                                              burn_in=7))
+    exps = gibbs_expectations(state, problem, np.random.default_rng(11))
+    for i, j in itertools.combinations(range(trainer.CHAINS), 2):
+        for rows in exps.rows:
+            assert not np.any(np.all(rows[:, i] == rows[:, j], axis=-1))
+        assert not np.array_equal(exps.eta_last[i], exps.eta_last[j])
 
 
 def test_gibbs_tracks_oracle_loosely():
@@ -223,11 +285,15 @@ def test_gibbs_tracks_oracle_loosely():
 
 
 def test_batch_se_basics():
-    assert np.isinf(_batch_se(np.zeros((1, 3)))).all()
-    rows = np.random.default_rng(0).normal(size=(100, 2))
+    assert np.isinf(_batch_se(np.zeros((1, 1, 3)))).all()
+    rows = np.random.default_rng(0).normal(size=(100, 1, 2))
     se = _batch_se(rows)
     assert se.shape == (2,)
     assert np.all(se > 0) and np.all(np.isfinite(se))
+    for shape in ((1, 4, 2), (5, 4, 2), (45, 4, 2), (100, 1, 2), (3, 1, 2)):
+        rows = np.random.default_rng(1).normal(size=shape)
+        np.testing.assert_allclose(_batch_se(rows), _reference_batch_se(rows),
+                                   rtol=1e-12, atol=0)
 
 
 def test_batch_se_covers_iid_mean():
@@ -237,10 +303,23 @@ def test_batch_se_covers_iid_mean():
     hits = 0
     reps = 300
     for _ in range(reps):
-        rows = rng.normal(size=(81, 1))
+        rows = rng.normal(size=(81, 1, 1))
         se = _batch_se(rows)[0]
         hits += abs(rows.mean()) <= 3 * se
     assert hits / reps >= 0.97
+
+
+def test_split_rhat_flags_chains_that_disagree():
+    rng = np.random.default_rng(3)
+    mixed = rng.normal(size=(400, 4, 2))
+    np.testing.assert_allclose(trainer._split_rhat(mixed), 1.0, atol=0.02)
+    shifted = mixed + np.array([0.0, 0.0, 0.0, 2.0])[None, :, None]
+    assert np.all(trainer._split_rhat(shifted) > 1.2)
+    # a chain that drifts disagrees with itself: its halves differ
+    drifting = mixed + np.linspace(0.0, 4.0, 400)[:, None, None]
+    assert np.all(trainer._split_rhat(drifting) > 1.2)
+    assert np.array_equal(trainer._split_rhat(np.ones((10, 4, 1))), [1.0])
+    assert np.isnan(trainer._split_rhat(mixed[:3])).all()  # halves of 1 sweep
 
 
 def test_dual_gradient_formula():
@@ -360,7 +439,9 @@ def test_train_continues_one_chain_across_steps(monkeypatch):
     assert all(s is e for s, e in zip(starts[1:], ends))
 
 
-def test_train_reads_no_sampler_standard_error(monkeypatch):
+def _assert_train_never_calls(monkeypatch, name):
+    """train fits the same model, bit for bit, with trainer.<name> refusing
+    every call."""
     train_set, _ = _small_cell()
     hyper = HyperParams(lambda_cap=0.4, steps=6, gibbs_sweeps=12, burn_in=3,
                         seed=0)
@@ -369,13 +450,21 @@ def test_train_reads_no_sampler_standard_error(monkeypatch):
     want = trainer.train(*args)
 
     def refuse(rows):
-        raise AssertionError("train computed a sampler standard error")
+        raise AssertionError(f"train called {name}")
 
-    monkeypatch.setattr(trainer, "_batch_se", refuse)
+    monkeypatch.setattr(trainer, name, refuse)
     got = trainer.train(*args)
-    for name in ("lam", "eta_hat", "gamma_hat", "beta_hat"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    for field in ("lam", "eta_hat", "gamma_hat", "beta_hat"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
     assert (got.theta, got.dual_estimate) == (want.theta, want.dual_estimate)
+
+
+def test_train_reads_no_sampler_standard_error(monkeypatch):
+    _assert_train_never_calls(monkeypatch, "_batch_se")
+
+
+def test_train_computes_no_rhat(monkeypatch):
+    _assert_train_never_calls(monkeypatch, "_split_rhat")
 
 
 def test_train_rejects_single_class():
