@@ -14,6 +14,7 @@ calibrated threshold) as anomalous.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -35,8 +36,6 @@ from .model import HyperParams
 from .oracle import MAX_EXACT, exact_posterior, finite_diff_dual, oracle_gradient
 from .persist import json_object, load_model, save_model
 from .synthdata import RingExperimentConfig, generate
-
-GEM_FIELDS = set(GemConfig.__dataclass_fields__)
 
 
 def _fmt(value) -> str:
@@ -62,6 +61,22 @@ def _whole_number(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} expects whole numbers, got {value!r}")
     return value
+
+
+def _number(value, what: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} expects a number, got {value!r}")
+    return value
+
+
+def _section(value, name: str, cls, allowed) -> dict:
+    """A sweep config section: an object with no key outside allowed, whose
+    float fields of cls hold numbers; null keeps a field's None default."""
+    section = json_object(value, f"sweep config section '{name}'", allowed)
+    for f in dataclasses.fields(cls):
+        if f.type.startswith("float") and section.get(f.name, f.default) is not f.default:
+            _number(section[f.name], f"sweep config key '{name}.{f.name}'")
+    return section
 
 
 def _parse_floats(text: str, flag: str, count: int) -> tuple[float, ...]:
@@ -101,11 +116,9 @@ def cmd_train(args) -> int:
     phi, psi, tau = _parse_floats(args.rates, "--rates", 3)
     sweeps, burn = (_whole_number(v, "--gibbs")
                     for v in _parse_floats(args.gibbs, "--gibbs", 2))
-    hyper = HyperParams(c=args.c, lambda_cap=args.lambda_cap,
-                        a_eta=args.a_eta, p0=args.p0, steps=args.steps,
-                        rate_lambda=phi, rate_mu=psi, rate_kappa=tau,
-                        gibbs_sweeps=sweeps, burn_in=burn,
-                        seed=args.seed)
+    hyper = HyperParams(c=args.c, lambda_cap=args.lambda_cap, p0=args.p0,
+                        steps=args.steps, rate_lambda=phi, rate_mu=psi, rate_kappa=tau,
+                        gibbs_sweeps=sweeps, burn_in=burn, seed=args.seed)
     gem_config = GemConfig(k=args.k, target_coverage=args.coverage,
                            alpha=args.alpha, seed=args.seed)
     model = trainer.train(data, kernel, gem_config, hyper)
@@ -217,6 +230,8 @@ def cmd_gradcheck(args) -> int:
     Error per coordinate is |analytic - numeric| / max(1, |numeric|).
     """
     _require_small(args.n, args.trials)
+    if not 0 < args.tol < np.inf:
+        raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
     worst = 0.0
     for t in range(args.trials):
         problem, state = random_instance(args.n, args.seed + t)
@@ -224,9 +239,9 @@ def cmd_gradcheck(args) -> int:
         *numeric, _flags = finite_diff_dual(state, problem)
         for a, f in zip(analytic, numeric):
             rel = np.abs(a - f) / np.maximum(1.0, np.abs(f))
-            worst = max(worst, float(rel.max()))
+            worst = float(np.maximum(worst, rel.max()))  # NaN propagates
     print(f"max relative gradient error over {args.trials} trial(s): {worst:.3e}")
-    if worst > args.tol:
+    if not worst <= args.tol:
         print(f"FAIL: exceeds tolerance {args.tol:g}")
         return 1
     print(f"OK: within tolerance {args.tol:g}")
@@ -306,13 +321,11 @@ def _method_settings(config: dict, method: str) -> MethodSettings:
     base = default_settings(method)
     if section is None:
         return base
-    json_object(section, f"sweep config section '{method}'",
-                METHOD_KEYS[method])
+    _section(section, method, MethodSettings, METHOD_KEYS[method])
     hyper = base.hyper
     if "hyper" in section:
-        hyper = HyperParams(**json_object(section["hyper"],
-                                          f"sweep config section '{method}.hyper'",
-                                          HyperParams.__dataclass_fields__))
+        hyper = HyperParams(**_section(section["hyper"], f"{method}.hyper",
+                                       HyperParams, HyperParams.__dataclass_fields__))
     settings = MethodSettings(
         kernel=section.get("kernel", base.kernel),
         gamma=section.get("gamma", base.gamma),
@@ -320,6 +333,9 @@ def _method_settings(config: dict, method: str) -> MethodSettings:
         C=section.get("C", base.C),
         hyper=hyper,
     )
+    if not 0 < settings.C < np.inf:
+        raise ValueError(f"sweep config key '{method}.C' must be positive "
+                         f"and finite, got {settings.C!r}")
     # build the kernel now so that bad values exit before any cell runs;
     # an 'auto' width is resolved on each cell's data, so check it as 1
     gamma = 1.0 if settings.gamma == "auto" else settings.gamma
@@ -337,8 +353,8 @@ def cmd_sweep(args) -> int:
     for key in ("R", "ra", "seeds"):
         if key not in config:
             raise ValueError(f"sweep config is missing required key '{key}'")
-    grid_R = [float(v) for v in _as_list(config["R"], "R")]
-    grid_ra = [float(v) for v in _as_list(config["ra"], "ra")]
+    grid_R, grid_ra = ([float(_number(v, f"sweep config key '{key}'"))
+                        for v in _as_list(config[key], key)] for key in ("R", "ra"))
     seeds = [_whole_number(v, "sweep config key 'seeds'")
              for v in _as_list(config["seeds"], "seeds")]
     methods = config.get("methods", list(METHODS))
@@ -346,15 +362,15 @@ def cmd_sweep(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method '{m}' in sweep config")
-    gem_config = GemConfig(**json_object(config.get("gem", {}),
-                                         "sweep config section 'gem'",
-                                         GEM_FIELDS - {"seed", "target_coverage"}))
+    gem_config = GemConfig(**_section(
+        config.get("gem", {}), "gem", GemConfig,
+        GemConfig.__dataclass_fields__.keys() - {"seed", "target_coverage"}))
     # validate every method section present, not just the selected ones,
     # so a typo in an inactive section cannot hide
     settings = {m: _method_settings(config, m) for m in METHODS}
     coverage = config.get("coverage")
     if coverage is not None:
-        coverage = float(coverage)
+        coverage = float(_number(coverage, "sweep config key 'coverage'"))
     n_train, n_test, detect_ring, detect_clean = (
         _whole_number(config.get(key, default), f"sweep config key '{key}'")
         for key, default in (("n_train_per_class", 100), ("n_test_per_class", 2000),
@@ -421,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="detection false-alarm level")
     p.add_argument("--c", type=float, default=10.0, help="margin slack rate")
     p.add_argument("--lambda-cap", type=float, default=None)
-    p.add_argument("--a-eta", type=float, default=None,
-                   help="indicator prior location; prior = sigmoid(a_eta - 1)")
     p.add_argument("--p0", type=float, default=None,
                    help="explicit nominal prior probability")
     p.add_argument("--rates", default="2e-3,2e-2,2e-2",

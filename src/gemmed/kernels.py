@@ -22,9 +22,9 @@ KERNEL_KINDS = ("linear", "rbf")
 class KernelSpec:
     """Kernel family plus its parameters.
 
-    gamma is required (and must be positive) for ``rbf``; it is ignored
-    for ``linear``. jitter is added to the Gram diagonal before
-    factorization to keep the Cholesky well posed.
+    gamma is required (and must be positive and finite) for ``rbf``; it
+    is ignored for ``linear``. jitter is added to the Gram diagonal
+    before factorization to keep the Cholesky well posed.
     """
 
     kind: str
@@ -34,9 +34,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf":
-            if self.gamma is None or not self.gamma > 0:
-                raise ValueError("rbf kernel requires gamma > 0")
+        if self.kind == "rbf" and (self.gamma is None or not 0 < self.gamma < np.inf):
+            raise ValueError("rbf kernel requires gamma > 0 and finite, "
+                             f"got {self.gamma!r}")
         if not 0 <= self.jitter < np.inf:
             raise ValueError("jitter must be nonnegative and finite, "
                              f"got {self.jitter!r}")

@@ -21,7 +21,6 @@ from functools import cached_property
 from numbers import Integral
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import class_index
 from .kernels import GramMatrix, KernelSpec
@@ -36,9 +35,9 @@ class HyperParams:
 
     The margin-slack rate ``c`` also caps the per-sample duals through
     ``lambda_cap`` (defaults to 0.99 * c). The nominal prior ``p0`` may
-    be given directly, derived from ``a_eta`` as sigmoid(a_eta - 1), or
-    left unset, in which case it follows the coverage target (clipped
-    to [0.5, 0.99]) so that unpenalized samples sit on the nominal side.
+    be given directly or left unset, in which case it follows the
+    coverage target (clipped to [0.5, 0.99]) so that unpenalized samples
+    sit on the nominal side.
 
     Training always runs all ``steps`` dual ascent iterations, moving
     lam, mu and kappa by ``rate_lambda``, ``rate_mu`` and ``rate_kappa``
@@ -50,7 +49,6 @@ class HyperParams:
 
     c: float = 10.0
     lambda_cap: float | None = None
-    a_eta: float | None = None
     p0: float | None = None
     steps: int = 200
     rate_lambda: float = 2e-3
@@ -87,20 +85,10 @@ class HyperParams:
 
 
 def resolve_p0(hyper: HyperParams, coverage: float, n: int) -> np.ndarray:
-    """Per-sample nominal prior as an (n,) vector.
-
-    Priority: explicit p0, then sigmoid(a_eta - 1), then the coverage
-    target clipped to [0.5, 0.99].
-    """
-    if hyper.p0 is not None:
-        p = float(hyper.p0)
-    elif hyper.a_eta is not None:
-        p = float(expit(hyper.a_eta - 1.0))
-    else:
-        p = float(np.clip(coverage, 0.5, 0.99))
-    if not 0 < p < 1:
-        raise ValueError("resolved nominal prior must lie in (0, 1)")
-    return np.full(n, p)
+    """Per-sample nominal prior as an (n,) vector: the explicit p0, else
+    the coverage target clipped to [0.5, 0.99]."""
+    p = np.clip(coverage, 0.5, 0.99) if hyper.p0 is None else hyper.p0
+    return np.full(n, float(p))
 
 
 @dataclass
@@ -116,7 +104,8 @@ class DualState:
 class DualProblem:
     """Everything in the MED dual but the duals: float labels, jittered Gram
     matrix, statistics d_tilde (1/n units), GEM levels, prior, hyperparameters.
-    The one-hot ``slots`` and ``slot_d_tilde`` are built once, on first read."""
+    The one-hot ``slots``, ``slot_d_tilde`` and ``prior_logit`` are built
+    once, on first read."""
 
     y: np.ndarray
     gram: GramMatrix
@@ -138,6 +127,10 @@ class DualProblem:
     def slot_d_tilde(self) -> np.ndarray:
         return self.slots * self.d_tilde[:, None]
 
+    @cached_property
+    def prior_logit(self) -> np.ndarray:
+        return np.log(self.p0) - np.log1p(-self.p0)
+
     def closed_dual(self, state: DualState) -> float:
         """sum_n [lam_n + log(1 - lam_n / c)] - mu.gamma_hat + kappa.beta_hat,
         the part of the dual objective outside log Z."""
@@ -155,17 +148,14 @@ def per_sample_class_values(values_by_slot: np.ndarray, y: np.ndarray) -> np.nda
     return np.asarray(values_by_slot)[class_index(y)]
 
 
-def eta_logits(state: DualState, f: np.ndarray,
-               problem: DualProblem) -> np.ndarray:
-    """Log-odds of eta_n = 1 given decision values f.
+def eta_logits(state: DualState, problem: DualProblem) -> np.ndarray:
+    """f-free log-odds of eta_n = 1: logit(p0_n) - mu_{y_n} dt_n + kappa_{y_n} / n.
 
-    logit(p0_n) + lam_n y_n f_n - mu_{y_n} dt_n + kappa_{y_n} / n.
+    Given decision values f, the log-odds add lam_n y_n f_n.
     """
-    y, p0 = problem.y, problem.p0
-    prior = np.log(p0) - np.log1p(-p0)
-    mu_n = per_sample_class_values(state.mu, y)
-    kap_n = per_sample_class_values(state.kappa, y)
-    return prior + state.lam * y * f - mu_n * problem.d_tilde + kap_n / problem.n
+    mu_n = per_sample_class_values(state.mu, problem.y)
+    kap_n = per_sample_class_values(state.kappa, problem.y)
+    return problem.prior_logit - mu_n * problem.d_tilde + kap_n / problem.n
 
 
 @dataclass

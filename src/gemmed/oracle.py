@@ -66,7 +66,7 @@ def exact_posterior(state: DualState, problem: DualProblem) -> OracleResult:
     configs = _enumerate_configs(n)  # (2^n, n)
     a = state.lam * y
     # the f-free logit: per-sample weight of eta_n = 1 beyond the quadratic
-    theta = eta_logits(state, np.zeros(n), problem)
+    theta = eta_logits(state, problem)
 
     scaled = configs * a[None, :]
     quad = 0.5 * np.einsum("ci,ij,cj->c", scaled, K, scaled)

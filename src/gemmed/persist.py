@@ -22,7 +22,8 @@ from .model import HyperParams, TrainedModel
 FORMAT_VERSION = 1
 
 # HyperParams fields that older files may carry; loading drops them.
-RETIRED_HYPER_KEYS = frozenset({"early_stop", "stop_tol", "stop_patience", "inner_draws"})
+RETIRED_HYPER_KEYS = frozenset({"early_stop", "stop_tol", "stop_patience",
+                                "inner_draws", "a_eta"})
 
 
 def json_object(value, name: str, allowed) -> dict:

@@ -42,12 +42,6 @@ from .kernels import (GramMatrix, KernelSpec, compact_expansion,
 from .model import (RATE_RANGES, DualProblem, DualState, HyperParams,
                     TrainedModel, eta_logits, resolve_p0)
 
-__all__ = [
-    "GibbsExpectations", "init_duals", "sample_f_given_eta",
-    "gibbs_expectations", "dual_gradient", "train", "decision_function",
-    "predict", "anomaly_scores", "detect",
-]
-
 # sampler chains run in lockstep; at n=200, 4 and 5 chains tie on gradient
 # error per second of sampler time, and both beat 1 or 2 chains
 CHAINS = 4
@@ -217,8 +211,8 @@ def gibbs_expectations(state: DualState, problem: DualProblem,
     shape = (burn + sweeps, CHAINS, n)
     noise = _times_factor_t(rng.standard_normal(shape), gram.factor)
     uniforms = rng.random(shape)
-    # the logit is affine in f; its f-free part is the logit at f = 0
-    offset = eta_logits(state, np.zeros(n), problem)
+    # the logit is affine in f: its f-free part plus a * f
+    offset = eta_logits(state, problem)
     # eta is 0/1 and y is +-1, so a * eta is lam * eta * y and a * f is
     # lam * (y * f), both to the bit
     a = state.lam * y
@@ -270,7 +264,7 @@ def mean_field_dual_estimate(state: DualState, problem: DualProblem,
     quad = 0.5 * a_bar @ K @ a_bar
     quad += 0.5 * np.sum(a * a * np.diag(K) * eta_bar * (1.0 - eta_bar))
     # the f-free logit holds the linear and the prior terms
-    linear = (eta_bar @ eta_logits(state, np.zeros(problem.n), problem)
+    linear = (eta_bar @ eta_logits(state, problem)
               + np.sum(np.log1p(-problem.p0)))
     entropy = np.sum(entr(eta_bar) + entr(1.0 - eta_bar))
     elbo = quad + linear + entropy

@@ -80,7 +80,7 @@ def test_criterion_1_gradients_match_finite_differences():
         *numeric, _ = finite_diff_dual(state, problem)
         for a, f in zip(analytic, numeric):
             rel = np.abs(a - f) / np.maximum(1.0, np.abs(f))
-            worst = max(worst, float(rel.max()))
+            worst = float(np.maximum(worst, rel.max()))  # NaN propagates
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-5 and elapsed < 10.0
     assert report(1, ok, f"max relative gradient error {worst:.2e} "

@@ -457,6 +457,7 @@ def test_train_bad_gamma_and_rates(workdir, tmp_path, capsys):
     ("--rates", "inf,2e-2,2e-2", "rate_lambda must be positive and finite, got inf"),
     ("--rates", "nan,2e-2,2e-2", "rate_lambda must be positive and finite, got nan"),
     ("--jitter", "nan", "jitter must be nonnegative and finite, got nan"),
+    ("--gamma", "inf", "rbf kernel requires gamma > 0 and finite, got inf"),
 ])
 def test_train_refuses_non_finite_rates_and_jitter(workdir, tmp_path, capsys,
                                                    flag, value, needle):
@@ -475,6 +476,15 @@ def test_train_refuses_a_non_finite_c(workdir, tmp_path, capsys, c):
                  "--lambda-cap", "0.4", "--steps", "1",
                  "--model-out", str(out)]) == 2
     assert f"c must be positive and finite, got {c}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_has_one_prior_setting(workdir, tmp_path, capsys):
+    # the prior is --p0, else the coverage rule; --a-eta is gone
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", str(workdir / "train.csv"), "--a-eta", "1",
+                 "--model-out", str(out)]) == 2
+    assert "unrecognized arguments: --a-eta 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -529,6 +539,25 @@ def test_gradcheck_passes_and_fails_by_tolerance(capsys):
     assert main(["gradcheck", "--n", "4", "--trials", "2",
                  "--tol", "1e-18"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_gradcheck_rejects_a_vacuous_tolerance(tol, capsys):
+    assert main(["gradcheck", "--n", "4", "--trials", "1", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert f"--tol must be positive and finite, got {float(tol)!r}" in captured.err
+    assert "OK" not in captured.out
+
+
+def test_gradcheck_fails_a_nan_gradient(monkeypatch, capsys):
+    # max(0.0, nan) is 0.0 in Python, so a plain running max would read OK
+    exact = gemmed.cli.oracle_gradient
+    monkeypatch.setattr(gemmed.cli, "oracle_gradient", lambda state, problem: tuple(
+        np.full_like(g, np.nan) for g in exact(state, problem)))
+    assert main(["gradcheck", "--n", "4", "--trials", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "gradient error over 2 trial(s): nan" in out
+    assert "FAIL" in out and "OK" not in out
 
 
 def test_oracle_compare_small_run(capsys):
@@ -660,11 +689,40 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
      "gamma must be a positive number or 'auto', got None"),
     ({"gemmed": {"hyper": {"c": float("inf"), "lambda_cap": 0.4}}},
      "c must be positive and finite, got inf"),
+    # settings read as floats must be numbers, and every C positive and finite
+    ({"gemmed": {"jitter": "abc"}},
+     "key 'gemmed.jitter' expects a number, got 'abc'"),
+    ({"svm": {"C": "abc"}}, "key 'svm.C' expects a number, got 'abc'"),
+    ({"svm": {"C": True}}, "key 'svm.C' expects a number, got True"),
+    ({"methods": ["two-stage"], "svm": {"C": -1}},
+     "key 'svm.C' must be positive and finite, got -1"),
+    ({"two-stage": {"C": float("inf")}},
+     "key 'two-stage.C' must be positive and finite, got inf"),
+    ({"gemmed": {"hyper": {"p0": "abc"}}},
+     "key 'gemmed.hyper.p0' expects a number, got 'abc'"),
+    ({"gemmed": {"hyper": {"c": "abc"}}},
+     "key 'gemmed.hyper.c' expects a number, got 'abc'"),
+    ({"gemmed": {"hyper": {"c": None}}},
+     "key 'gemmed.hyper.c' expects a number, got None"),
+    ({"gem": {"alpha": "abc"}}, "key 'gem.alpha' expects a number, got 'abc'"),
+    ({"R": ["55"]}, "key 'R' expects a number, got '55'"),
+    ({"ra": [False]}, "key 'ra' expects a number, got False"),
+    ({"coverage": "0.8"}, "key 'coverage' expects a number, got '0.8'"),
+    # the retired prior location; the prior is p0, else the coverage rule
+    ({"gemmed": {"hyper": {"a_eta": 1.0}}}, "unknown key 'a_eta'"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)
     assert main(["sweep", "--config", str(config)]) == 2
     assert needle in capsys.readouterr().err
+
+
+def test_sweep_null_unsets_optional_floats(tmp_path, capsys):
+    # null stays valid where a setting defaults to unset
+    config = _sweep_config(tmp_path, coverage=None,
+                           gemmed={"hyper": {"lambda_cap": None, "p0": None}})
+    assert main(["sweep", "--config", str(config)]) == 0
+    capsys.readouterr()
 
 
 def test_readme_sweep_config_is_accepted(tmp_path, capsys):

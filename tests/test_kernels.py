@@ -27,6 +27,9 @@ def test_spec_validation():
         KernelSpec(kind="rbf")
     with pytest.raises(ValueError, match="gamma"):
         KernelSpec(kind="rbf", gamma=-2.0)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"gamma > 0 and finite, got {value}"):
+            KernelSpec(kind="rbf", gamma=value)
     with pytest.raises(ValueError, match="jitter"):
         KernelSpec(kind="rbf", gamma=1.0, jitter=-1e-9)
     for value in (math.inf, math.nan):

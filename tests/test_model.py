@@ -71,9 +71,6 @@ def test_hyper_warns_outside_stable_rate_band():
 def test_resolve_p0_priority_chain():
     n = 4
     assert resolve_p0(HyperParams(p0=0.6), coverage=0.9, n=n).tolist() == [0.6] * n
-    # a_eta maps through sigmoid(a_eta - 1)
-    h = HyperParams(a_eta=math.log(3.0) + 1.0)
-    np.testing.assert_allclose(resolve_p0(h, 0.9, n), 0.75)
     # otherwise the coverage target, clipped into [0.5, 0.99]
     assert resolve_p0(HyperParams(), 0.8, n)[0] == pytest.approx(0.8)
     assert resolve_p0(HyperParams(), 0.2, n)[0] == 0.5
@@ -106,16 +103,15 @@ def test_per_sample_class_values_matches_class_index(labels, dtype, values):
 def test_eta_logits_hand_computed():
     state = DualState(lam=np.array([2.0, 0.5]), mu=np.array([1.0, 3.0]),
                       kappa=np.array([4.0, 6.0]))
-    f = np.array([0.25, -1.0])
     y = np.array([-1.0, 1.0])
     d_tilde = np.array([0.1, 0.2])
     p0 = np.array([0.5, 0.75])
     problem = DualProblem(y, GramMatrix(np.eye(2), np.eye(2)), d_tilde,
                           np.zeros(2), np.zeros(2), p0, HyperParams())
-    out = eta_logits(state, f, problem)
-    # sample 0: 0 + 2*(-1)*0.25 - 1.0*0.1 + 4/2 = 1.4
-    assert out[0] == pytest.approx(1.4)
-    # sample 1: log(3) + 0.5*(-1) - 3*0.2 + 6/2 = log(3) + 1.9
-    assert out[1] == pytest.approx(math.log(3.0) + 1.9)
+    out = eta_logits(state, problem)
+    # sample 0: 0 - 1.0*0.1 + 4/2 = 1.9
+    assert out[0] == pytest.approx(1.9)
+    # sample 1: log(3) - 3*0.2 + 6/2 = log(3) + 2.4
+    assert out[1] == pytest.approx(math.log(3.0) + 2.4)
 
 

@@ -53,11 +53,12 @@ def test_joint_model_with_retired_hyper_keys_loads(cell, tmp_path):
     path = tmp_path / "joint.json"
     save_model(model, path)
     # files written before early stopping was removed carry its three
-    # keys, and files written before the Rao-Blackwellized sampler carry
-    # inner_draws
+    # keys, files written before the Rao-Blackwellized sampler carry
+    # inner_draws, and files written before the prior had one setting
+    # carry a_eta
     payload = json.loads(path.read_text())
     payload["hyper"].update(early_stop=False, stop_tol=1e-3, stop_patience=5,
-                            inner_draws=8)
+                            inner_draws=8, a_eta=None)
     old = tmp_path / "old.json"
     old.write_text(json.dumps(payload, indent=1) + "\n")
     back = load_model(old)
