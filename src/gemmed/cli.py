@@ -282,8 +282,9 @@ def cmd_oracle_compare(args) -> int:
         total += devs.size
         within += int(np.sum(devs <= 3.0))
         trials_ok += int(np.all(devs <= 3.0))
-        worst = max(worst, float(devs.max()))
-        rhat = max(rhat, *(float(r.max()) for r in exps.rhat))
+        # np.max, unlike max, propagates NaN
+        worst = float(np.max([worst, devs.max()]))
+        rhat = float(np.max([rhat, *(r.max() for r in exps.rhat)]))
     frac = within / total
     print(f"expectations within 3 SE: {within}/{total} ({100 * frac:.1f}%)")
     print(f"trials with all expectations within 3 SE: {trials_ok}/{args.trials}")
@@ -291,6 +292,9 @@ def cmd_oracle_compare(args) -> int:
     print(f"max split R-hat over {trainer.CHAINS} chains: {rhat:.3f}")
     if frac < 0.95:
         print("FAIL: fewer than 95% of expectations within 3 SE")
+        return 1
+    if np.isnan(worst):  # one NaN among 20 expectations still leaves 95%
+        print("FAIL: a sampler expectation is NaN")
         return 1
     print("OK")
     return 0

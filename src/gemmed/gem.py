@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 from .dataset import CLASSES, LabeledDataset, class_index
 
@@ -112,21 +112,26 @@ def bipartite_partition(dataset: LabeledDataset, label: int, ratio: float,
     return ev, ref
 
 
-# Query-reference distances held at once by knn_distance_sum; bounds its
-# working memory whatever the batch size.
-KNN_BLOCK = 1 << 16
+def _nearest(refs: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """Ascending distances from each query row to its k nearest rows of refs."""
+    for points, name in ((refs, "reference points"), (queries, "queries")):
+        if not np.isfinite(points).all():
+            raise ValueError(f"{name} must be finite (no NaN or inf)")
+    dist, _ = cKDTree(refs).query(queries, k=k)
+    return dist.reshape(queries.shape[0], k)
 
 
 def knn_distance_sum(x, refs: np.ndarray, k: int) -> np.ndarray:
     """Sum of the k smallest Euclidean distances from queries to the rows of refs.
 
     A 2-D x holds one query per row and a 1-D x is one query; the result
-    holds one sum per query row. The queries are scored in blocks of
-    about KNN_BLOCK distances. The result equals, bit for bit,
-    ``np.sort(np.linalg.norm(refs - q, axis=1))[:k].sum()`` per query q
-    for widths up to 7. cdist adds the squared coordinate differences in
-    order, while from width 8 on NumPy adds those of a norm pairwise, so
-    there the two agree to within a few ulps.
+    holds one sum per query row. One KD-tree query (Friedman, Bentley &
+    Finkel 1977) finds each query's k nearest rows of refs in ascending
+    order, in O(m + q·k) memory for m rows and q queries. Up to width 7
+    the tree adds the squared coordinate differences in order, so each
+    sum is ``np.sort(np.linalg.norm(refs - q, axis=1))[:k].sum()`` bit for
+    bit; from width 8 on it adds them four ways and NumPy pairwise, a few
+    ulps apart. NaN or inf in queries or refs raises ValueError.
     """
     refs = np.atleast_2d(np.asarray(refs, dtype=float))
     x = np.asarray(x, dtype=float)
@@ -139,17 +144,9 @@ def knn_distance_sum(x, refs: np.ndarray, k: int) -> np.ndarray:
             f"reference points have {refs.shape[1]}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    m = refs.shape[0]
-    if m < k:
-        raise ValueError(f"need at least k={k} reference points, got {m}")
-    sums = np.empty(queries.shape[0])
-    step = max(1, KNN_BLOCK // m)
-    for start in range(0, queries.shape[0], step):
-        d = cdist(queries[start:start + step], refs)
-        # sorted, so the k smallest are added in the per-query order
-        nearest = np.partition(d, k - 1, axis=1)[:, :k]
-        sums[start:start + step] = np.sort(nearest, axis=1).sum(axis=1)
-    return sums
+    if refs.shape[0] < k:
+        raise ValueError(f"need at least k={k} reference points, got {refs.shape[0]}")
+    return _nearest(refs, queries, k).sum(axis=1)
 
 
 def gem_me_set(d_values: np.ndarray, k_keep: int) -> np.ndarray:
@@ -173,14 +170,16 @@ def loo_threshold(points: np.ndarray, k: int, alpha: float) -> float:
 
 
 def loo_scores(points: np.ndarray, k: int) -> np.ndarray:
-    """Leave-one-out k-NN distance sums for each point, added in sorted order."""
+    """Leave-one-out k-NN distance sums for each point, added in sorted order.
+
+    Of each point's k + 1 nearest points, as in knn_distance_sum, the
+    first is dropped: itself, or a duplicate also at distance 0.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m = points.shape[0]
     if m < k + 1:
         raise ValueError(f"need at least k+1={k + 1} points, got {m}")
-    d = cdist(points, points)
-    np.fill_diagonal(d, np.inf)
-    return np.sort(np.partition(d, k - 1, axis=1)[:, :k], axis=1).sum(axis=1)
+    return _nearest(points, points, k + 1)[:, 1:].sum(axis=1)
 
 
 def compute_gem_stats(dataset: LabeledDataset, config: GemConfig) -> GemStats:

@@ -36,9 +36,20 @@ def json_object(value, name: str, allowed) -> dict:
     return value
 
 
+def _finite(key: str, value):
+    """value itself; JSON's NaN and Infinity are refused."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"field '{key}' must be finite")
+    return value
+
+
+def _floats(payload: dict, key: str) -> np.ndarray:
+    return _finite(key, np.array(payload[key], dtype=float))
+
+
 def _by_class(payload: dict, key: str) -> np.ndarray:
     slots = json_object(payload[key], f"field '{key}'", ("-1", "1"))
-    return np.array([slots[slot] for slot in ("-1", "1")])
+    return _finite(key, np.array([slots[slot] for slot in ("-1", "1")], dtype=float))
 
 
 def _hyper(payload: dict) -> HyperParams | None:
@@ -61,7 +72,7 @@ def _base(payload: dict) -> dict:
     d = json_object(payload["kernel"], "field 'kernel'", ("kind", "gamma", "jitter"))
     return {"kernel": KernelSpec(kind=d["kind"], gamma=d["gamma"],
                                  jitter=d["jitter"]),
-            "x": np.array(payload["x"], dtype=float),
+            "x": _floats(payload, "x"),
             "y": np.array(payload["y"], dtype=int)}
 
 
@@ -80,10 +91,10 @@ def _joint_model(p: dict) -> TrainedModel:
     # files before dual_estimate load with None; their "trace" is ignored
     estimate = p.get("dual_estimate")
     return TrainedModel(
-        **_base(p), lam=np.array(p["lambda"], dtype=float),
-        eta_hat=np.array(p["eta_hat"], dtype=float),
+        **_base(p), lam=_floats(p, "lambda"), eta_hat=_floats(p, "eta_hat"),
         gamma_hat=_by_class(p, "gamma_hat"), beta_hat=_by_class(p, "beta_hat"),
-        theta=float(p["theta"]), k=int(p["k"]), alpha=float(p["alpha"]),
+        theta=_finite("theta", float(p["theta"])), k=int(p["k"]),
+        alpha=_finite("alpha", float(p["alpha"])),
         target_coverage=float(p["target_coverage"]),
         dual_estimate=None if estimate is None else float(estimate),
         hyper=_hyper(p))
@@ -98,8 +109,8 @@ def _svm_fields(m: SvmModel) -> dict:
 def _svm_model(p: dict) -> SvmModel:
     # files without kkt_violation load with None, meaning not recorded
     violation = p.get("kkt_violation")
-    return SvmModel(**_base(p), alpha=np.array(p["alpha"], dtype=float),
-                    C=float(p["C"]), converged=bool(p["converged"]),
+    return SvmModel(**_base(p), alpha=_floats(p, "alpha"),
+                    C=_finite("C", float(p["C"])), converged=bool(p["converged"]),
                     kkt_violation=None if violation is None else float(violation))
 
 
@@ -113,7 +124,7 @@ def _two_stage_model(p: dict) -> TwoStageModel:
     return TwoStageModel(
         svm=_svm_model(p), kept_idx=np.array(p["kept_idx"], dtype=int),
         removed_idx=np.array(p["removed_idx"], dtype=int),
-        theta=float(p["theta"]), k=int(p["k"]),
+        theta=_finite("theta", float(p["theta"])), k=int(p["k"]),
         alpha_level=float(p["alpha_level"]))
 
 

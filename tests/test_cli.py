@@ -406,6 +406,22 @@ def test_detect_rejects_dimension_mismatch(workdir, baselines, tmp_path,
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("model", ["model.json", "two-stage.json"])
+def test_detect_rejects_a_nan_threshold(workdir, baselines, tmp_path, capsys,
+                                        model):
+    # a NaN threshold would call every query nominal ("threshold nan")
+    payload = json.loads((workdir / model).read_text())
+    payload["theta"] = float("nan")
+    bad = tmp_path / "nan-theta.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "d.csv"
+    rc = main(["detect", "--model", str(bad), "--data", str(workdir / "test.csv"),
+               "--out", str(out)])
+    assert rc == 2
+    assert f"{bad}: field 'theta' must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_importing_the_commands_skips_scipy_stats():
     # scipy.stats is most of an import of scipy; no command needs it
     code = ("import sys, gemmed, gemmed.cli, gemmed.experiments; "
@@ -568,6 +584,33 @@ def test_oracle_compare_small_run(capsys):
     assert "within 3 SE" in out
     rhat = float(re.search(r"max split R-hat over 4 chains: (\S+)", out).group(1))
     assert 0.9 < rhat < 1.5
+
+
+def test_oracle_compare_prints_a_nan_maximum(monkeypatch, capsys):
+    # max(0.0, nan) is 0.0 in Python, so a plain running max would read 0.000
+    sample = gemmed.trainer.gibbs_expectations
+
+    def spoiled(*args):
+        exps = sample(*args)
+        exps.e_eta_y_f = exps.e_eta_y_f.copy()
+        exps.e_eta_y_f[0] = np.nan
+        first = exps.rows[0].copy()
+        first[..., 0] = np.nan
+        exps.rows = (first, *exps.rows[1:])
+        return exps
+
+    monkeypatch.setattr(gemmed.trainer, "gibbs_expectations", spoiled)
+    assert main(["oracle-compare", "--n", "4", "--trials", "3",
+                 "--sweeps", "60", "--burn-in", "10"]) == 1
+    out = capsys.readouterr().out
+    assert "max standardized deviation: nan" in out
+    assert "max split R-hat over 4 chains: nan" in out
+    assert "FAIL" in out and "OK" not in out
+    # at n=16, 19 of 20 expectations within 3 SE pass the 95% rule alone
+    assert main(["oracle-compare", "--n", "16", "--trials", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "within 3 SE: 19/20 (95.0%)" in out
+    assert "FAIL: a sampler expectation is NaN" in out
 
 
 def test_oracle_compare_rejects_big_instances(capsys):

@@ -1,6 +1,5 @@
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gemmed import gem
 from gemmed.dataset import LabeledDataset, class_index
 from gemmed.gem import (GemConfig, bipartite_partition, compute_gem_stats,
                         gem_me_set, knn_distance_sum, loo_scores,
                         loo_threshold)
+from gemmed.synthdata import (RingExperimentConfig, generate, sample_nominal,
+                              sample_ring)
 
 
 def test_knn_distance_sum_frozen():
@@ -62,18 +62,16 @@ def _knn_cases(draw):
                          elements=_coords))
     xs = np.vstack([xs, refs[:draw(st.integers(0, 2))]])  # zero distances
     k = draw(st.integers(1, m))
-    block = draw(st.integers(1, 4 * m))  # 1 to 4 query rows per block
-    return xs, refs, k, block
+    return xs, refs, k
 
 
 @settings(max_examples=300, deadline=None)
 @given(_knn_cases())
 def test_knn_distance_sum_batched_matches_per_row(case):
-    xs, refs, k, block = case
-    with mock.patch.object(gem, "KNN_BLOCK", block):
-        got = knn_distance_sum(xs, refs, k)
-        singles = [knn_distance_sum(x, refs, k) for x in xs]
-        first = knn_distance_sum(xs[:1], refs, k)
+    xs, refs, k = case
+    got = knn_distance_sum(xs, refs, k)
+    singles = [knn_distance_sum(x, refs, k) for x in xs]
+    first = knn_distance_sum(xs[:1], refs, k)
     want = _per_row_knn(xs, refs, k)
     assert isinstance(got, np.ndarray) and got.dtype == float
     assert got.shape == (xs.shape[0],)
@@ -83,19 +81,51 @@ def test_knn_distance_sum_batched_matches_per_row(case):
     if refs.shape[1] < 8:
         assert np.array_equal(got, want)
         assert np.array_equal(singles, want)
-    else:  # NumPy sums rows of 8 or more values pairwise
+    else:  # the tree adds 8 or more squares four ways, NumPy pairwise
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         np.testing.assert_allclose(singles, want, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("p", [2, 7])
-@pytest.mark.parametrize("k", [5, 100])  # k=100: np.partition leaves some rows unsorted
+@pytest.mark.parametrize("k", [5, 100])
 def test_knn_distance_sum_spans_several_blocks(p, k):
+    # 200 queries against 1000 references: many tree leaves per query
     rng = np.random.default_rng(p)
     refs = rng.normal(size=(1000, p))
-    rows = 3 * (gem.KNN_BLOCK // refs.shape[0]) + 5
-    xs = rng.normal(size=(rows, p))
+    xs = rng.normal(size=(200, p))
     assert np.array_equal(knn_distance_sum(xs, refs, k), _per_row_knn(xs, refs, k))
+
+
+def test_knn_and_loo_match_per_row_at_benchmark_sizes():
+    # a two-stage detect at n=1000: 2200 queries (200 ring draws, 2000
+    # clean) against 800 training points of a ring cell, k=5
+    train, _ = generate(RingExperimentConfig(R=55, r_a=0.2, n_train_per_class=500,
+                                             n_test_per_class=1, seed=3))
+    rng = np.random.default_rng(3)
+    refs = rng.permutation(train.x)[:800]
+    xs = np.vstack([sample_ring(rng, 200, 55), sample_nominal(rng, 1000, -1),
+                    sample_nominal(rng, 1000, 1)])
+    assert np.array_equal(knn_distance_sum(xs, refs, 5), _per_row_knn(xs, refs, 5))
+    want = np.array([np.sort(np.delete(np.linalg.norm(refs - p, axis=1), i))[:5].sum()
+                     for i, p in enumerate(refs)])
+    assert np.array_equal(loo_scores(refs, 5), want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_rejects_non_finite_points(bad):
+    refs = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+    spoiled = np.vstack([refs, [bad, 0.0]])
+    with pytest.raises(ValueError, match="queries must be finite"):
+        knn_distance_sum([[0.0, 0.0], [0.0, bad]], refs, 2)
+    with pytest.raises(ValueError, match="queries must be finite"):
+        knn_distance_sum([bad, 0.0], refs, 2)
+    # a far-away bad reference point is refused too, not skipped
+    with pytest.raises(ValueError, match="reference points must be finite"):
+        knn_distance_sum(np.zeros(2), spoiled, 2)
+    with pytest.raises(ValueError, match="reference points must be finite"):
+        loo_scores(spoiled, 1)
+    with pytest.raises(ValueError, match="reference points must be finite"):
+        loo_threshold(spoiled, 1, alpha=0.1)
 
 
 def test_knn_distance_sum_rejects_mismatched_queries():

@@ -195,3 +195,50 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"format_version": 1, "model_kind": "svm"}))
     with pytest.raises(ValueError, match="missing field"):
         load_model(path)
+
+
+# the float fields of each model kind that must be finite to load
+_FINITE_FIELDS = {
+    "gemmed": ("x", "lambda", "eta_hat", "alpha", "theta", "gamma_hat", "beta_hat"),
+    "svm": ("x", "alpha", "C"),
+    "two_stage": ("x", "alpha", "C", "theta"),
+}
+
+
+def _spoil(payload, key, bad):
+    """payload with one number of field key replaced by bad."""
+    value = payload[key]
+    if isinstance(value, dict):  # per-class levels
+        value["1"] = bad
+    elif isinstance(value, list):
+        row = value[0] if isinstance(value[0], list) else value
+        row[0] = bad
+    else:
+        payload[key] = bad
+    return payload
+
+
+@pytest.mark.parametrize("kind", sorted(_FINITE_FIELDS))
+def test_load_rejects_non_finite_numbers(cell, tmp_path, kind):
+    train_set, _ = cell
+    gem = GemConfig(k=3, seed=0)
+    if kind == "gemmed":
+        model = trainer.train(train_set, KernelSpec("rbf", gamma=0.1), gem,
+                              HyperParams(lambda_cap=0.4, steps=2, gibbs_sweeps=8,
+                                          burn_in=2, seed=0))
+    elif kind == "svm":
+        model = train_svm(train_set, KernelSpec("linear"), C=1.0)
+    else:
+        model = train_two_stage(train_set, KernelSpec("linear"), gem)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    text = path.read_text()
+    assert json.loads(text)["model_kind"] == kind
+    for key in _FINITE_FIELDS[kind]:
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            path.write_text(json.dumps(_spoil(json.loads(text), key, bad)))
+            with pytest.raises(ValueError,
+                               match=f"model.json: field '{key}' must be finite"):
+                load_model(path)
+    path.write_text(text)
+    assert type(load_model(path)) is type(model)
