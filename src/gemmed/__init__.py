@@ -17,8 +17,7 @@ from .kernels import KernelSpec, gram_matrix, kernel_matrix, \
 from .metrics import auc, detection_accuracy, misclassification_error, \
     precision_recall_curve
 from .model import DualProblem, DualState, HyperParams, TrainedModel
-from .oracle import OracleResult, exact_posterior, finite_diff_dual, \
-    oracle_gradient
+from .oracle import OracleResult, exact_posterior, finite_diff_dual
 from .persist import load_model, save_model
 from .synthdata import RingExperimentConfig, generate
 from .trainer import anomaly_scores, decision_function, detect, predict, train
@@ -34,7 +33,7 @@ __all__ = [
     "detection_accuracy", "exact_posterior", "finite_diff_dual", "gem_me_set",
     "generate", "gram_matrix", "kernel_matrix", "knn_distance_sum",
     "load_model", "loo_threshold", "median_heuristic_gamma",
-    "misclassification_error", "oracle_gradient", "precision_recall_curve",
+    "misclassification_error", "precision_recall_curve",
     "predict", "resolve_kernel", "save_model", "train", "train_svm",
     "train_two_stage", "__version__",
 ]

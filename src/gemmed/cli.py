@@ -1,9 +1,8 @@
 """Command-line interface.
 
 Subcommands cover data simulation, training, prediction, anomaly
-detection, evaluation, validation harnesses (gradcheck,
-oracle-compare), and grid sweeps. Exit codes: 0 success, 1 contract or
-validation failure, 2 input error.
+detection, evaluation and grid sweeps. Exit codes: 0 success, 1 contract
+or validation failure, 2 input error.
 
 Score conventions, to prevent inversion bugs: the per-sample indicator
 mean eta_hat ranks training anomalies with LOW values anomalous,
@@ -26,14 +25,12 @@ from . import trainer
 from .dataset import LabeledDataset, feature_columns, features, read_csv, \
     write_csv
 from .errors import GemMedError
-from .experiments import (METHODS, MethodSettings, default_settings,
-                          random_instance, run_cell)
+from .experiments import METHODS, MethodSettings, default_settings, run_cell
 from .gem import GemConfig
 from .kernels import resolve_kernel
 from .metrics import auc, detection_accuracy, misclassification_error, \
     precision_recall_curve
 from .model import HyperParams
-from .oracle import MAX_EXACT, exact_posterior, finite_diff_dual, oracle_gradient
 from .persist import json_object, load_model, save_model
 from .synthdata import RingExperimentConfig, generate
 
@@ -215,91 +212,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# ------------------------------------------------- gradcheck/oracle-compare
-
-def _require_small(n: int, trials: int) -> None:
-    if not 2 <= n <= MAX_EXACT:
-        raise ValueError(f"--n must lie in [2, {MAX_EXACT}], got {n}")
-    if trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {trials}")
-
-
-def cmd_gradcheck(args) -> int:
-    """Analytic dual gradient vs finite differences of the exact dual.
-
-    Error per coordinate is |analytic - numeric| / max(1, |numeric|).
-    """
-    _require_small(args.n, args.trials)
-    if not 0 < args.tol < np.inf:
-        raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
-    worst = 0.0
-    for t in range(args.trials):
-        problem, state = random_instance(args.n, args.seed + t)
-        analytic = oracle_gradient(state, problem)
-        *numeric, _flags = finite_diff_dual(state, problem)
-        for a, f in zip(analytic, numeric):
-            rel = np.abs(a - f) / np.maximum(1.0, np.abs(f))
-            worst = float(np.maximum(worst, rel.max()))  # NaN propagates
-    print(f"max relative gradient error over {args.trials} trial(s): {worst:.3e}")
-    if not worst <= args.tol:
-        print(f"FAIL: exceeds tolerance {args.tol:g}")
-        return 1
-    print(f"OK: within tolerance {args.tol:g}")
-    return 0
-
-
-def cmd_oracle_compare(args) -> int:
-    """Sampler expectations vs exact enumeration, in standard-error units,
-    and the largest split R-hat of the sampler's chains."""
-    _require_small(args.n, args.trials)
-    hyper = HyperParams(gibbs_sweeps=args.sweeps, burn_in=args.burn_in)
-    # four averaged sweeps per chain: two per half for the split R-hat,
-    # and standard-error batches of a whole chain each
-    floor = 4 * trainer.CHAINS
-    if args.sweeps - args.burn_in < floor:
-        raise ValueError(
-            f"--sweeps minus --burn-in must be at least {floor}, 4 sweeps for "
-            f"each of the {trainer.CHAINS} sampler chains, got --sweeps "
-            f"{args.sweeps} and --burn-in {args.burn_in}")
-    total = within = 0
-    trials_ok = 0
-    worst = rhat = 0.0
-    for t in range(args.trials):
-        problem, state = random_instance(args.n, args.seed + t, hyper=hyper)
-        oracle = exact_posterior(state, problem)
-        exps = trainer.gibbs_expectations(state, problem,
-                                          np.random.default_rng(args.seed + t))
-        devs = []
-        for est, se, truth in (
-            (exps.e_eta_y_f, exps.se_eta_y_f, oracle.e_eta_y_f),
-            (exps.e_sum_eta_d, exps.se_sum_eta_d, oracle.e_sum_eta_d),
-            (exps.e_sum_eta, exps.se_sum_eta, oracle.e_sum_eta),
-        ):
-            diff = np.abs(np.asarray(est) - np.asarray(truth))
-            devs.extend(np.where(diff == 0, 0.0,
-                                 diff / np.maximum(se, 1e-12)))
-        devs = np.array(devs)
-        total += devs.size
-        within += int(np.sum(devs <= 3.0))
-        trials_ok += int(np.all(devs <= 3.0))
-        # np.max, unlike max, propagates NaN
-        worst = float(np.max([worst, devs.max()]))
-        rhat = float(np.max([rhat, *(r.max() for r in exps.rhat)]))
-    frac = within / total
-    print(f"expectations within 3 SE: {within}/{total} ({100 * frac:.1f}%)")
-    print(f"trials with all expectations within 3 SE: {trials_ok}/{args.trials}")
-    print(f"max standardized deviation: {worst:.3f}")
-    print(f"max split R-hat over {trainer.CHAINS} chains: {rhat:.3f}")
-    if frac < 0.95:
-        print("FAIL: fewer than 95% of expectations within 3 SE")
-        return 1
-    if np.isnan(worst):  # one NaN among 20 expectations still leaves 95%
-        print("FAIL: a sampler expectation is NaN")
-        return 1
-    print("OK")
-    return 0
-
-
 # ------------------------------------------------------------------- sweep
 
 SWEEP_TOP_KEYS = {
@@ -476,23 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset CSV with is_anomaly flags for the detect points")
     p.add_argument("--report", help="where to write the JSON report")
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("gradcheck",
-                       help="check analytic dual gradients against the exact oracle")
-    p.add_argument("--n", type=int, default=6, help=f"instance size (max {MAX_EXACT})")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("oracle-compare",
-                       help="check sampler expectations against the exact oracle")
-    p.add_argument("--n", type=int, default=6, help=f"instance size (max {MAX_EXACT})")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sweeps", type=int, default=200)
-    p.add_argument("--burn-in", type=int, default=20)
-    p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser("sweep", help="run a method/R/ra/seed grid to a tidy CSV")
     p.add_argument("--config", required=True, help="JSON sweep configuration")

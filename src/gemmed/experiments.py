@@ -1,12 +1,8 @@
-"""Shared experiment harness: simulated-data cells and small random instances.
+"""Shared experiment harness: one simulated-data cell per call.
 
 ``run_cell`` generates one simulated dataset, fits one method, and
 returns its metrics; the command-line sweep and the acceptance checks
 both go through it so results agree by construction.
-
-``random_instance`` builds small random (problem, state) pairs used to
-cross check the exact posterior against the sampler and the analytic
-gradients against finite differences.
 """
 
 from __future__ import annotations
@@ -18,11 +14,10 @@ import numpy as np
 
 from . import trainer
 from .baselines import train_svm, train_two_stage
-from .dataset import LabeledDataset
 from .gem import GemConfig
-from .kernels import gram_matrix, resolve_kernel
+from .kernels import resolve_kernel
 from .metrics import auc, detection_accuracy, misclassification_error, precision_recall_curve
-from .model import DualProblem, DualState, HyperParams
+from .model import HyperParams
 from .synthdata import RingExperimentConfig, generate, sample_nominal, sample_ring
 
 METHODS = ("gemmed", "svm", "two-stage")
@@ -105,8 +100,10 @@ def run_cell(method: str, R: float, r_a: float, seed: int,
                               replace(settings.hyper, seed=seed))
         predict = functools.partial(trainer.predict, model)
         detect = functools.partial(trainer.detect, model)
-        area = auc(precision_recall_curve(np.clip(model.eta_hat, 0.0, 1.0),
-                                          train_set.anomaly))
+        # with no training anomalies there is nothing to rank, as for the SVM
+        area = (auc(precision_recall_curve(np.clip(model.eta_hat, 0.0, 1.0),
+                                           train_set.anomaly))
+                if train_set.anomaly.any() else None)
     elif method == "svm":
         model = train_svm(train_set, kernel, C=settings.C)
         predict, detect, area = model.predict, None, None
@@ -140,26 +137,3 @@ def _detection_summary(calls, truth):
     far = float(np.mean(calls[~truth])) if not truth.all() else None
     return det, tpr, far
 
-
-def random_instance(n: int, seed: int, hyper: HyperParams | None = None
-                    ) -> tuple[DualProblem, DualState]:
-    """Random feasible (problem, state): rbf Gram on random points, interior duals."""
-    if n < 2:
-        raise ValueError("instances need at least two samples")
-    rng = np.random.default_rng(seed)
-    hyper = hyper or HyperParams()
-    x = rng.normal(scale=1.5, size=(n, 2))
-    kernel = resolve_kernel("rbf", "auto", x)
-    gram = gram_matrix(kernel, x)
-    y = np.concatenate([[-1.0, 1.0], rng.choice([-1.0, 1.0], size=n - 2)])
-    d_tilde = rng.uniform(0.05, 1.0, size=n)
-    gamma_hat = rng.uniform(0.2, 1.5, size=2)
-    beta_hat = rng.uniform(0.1, 0.5, size=2)
-    p0 = rng.uniform(0.3, 0.9, size=n)
-    high = min(1.5, hyper.resolved_cap - 0.05)
-    state = DualState(
-        lam=rng.uniform(0.05, high, size=n),
-        mu=rng.uniform(0.05, 1.5, size=2),
-        kappa=rng.uniform(0.05, 1.5, size=2),
-    )
-    return DualProblem(y, gram, d_tilde, gamma_hat, beta_hat, p0, hyper), state

@@ -13,8 +13,9 @@ E[f | eta] = K (lam*eta*y), which closes every expectation the trainer
 estimates. The dual objective reported here drops the constant
 Gaussian normalizer of the decision-value prior; it is additive and
 does not depend on the duals, so gradients and finite differences are
-unaffected. ``exact_posterior``, ``oracle_gradient`` and
-``finite_diff_dual`` read the same ``model.DualProblem`` as the sampler.
+unaffected. ``exact_posterior`` and ``finite_diff_dual`` read the same
+``model.DualProblem`` as the sampler; the exact dual gradient is
+``trainer.dual_gradient`` evaluated at ``exact_posterior``'s expectations.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from scipy.special import logsumexp
 
 from .dataset import class_index
 from .model import DualProblem, DualState, eta_logits
-from .trainer import dual_gradient
 
 MAX_EXACT = 16
 
@@ -92,11 +92,6 @@ def exact_posterior(state: DualState, problem: DualProblem) -> OracleResult:
         eta_hat=eta_hat,
         config_probs=probs,
     )
-
-
-def oracle_gradient(state: DualState, problem: DualProblem):
-    """trainer.dual_gradient evaluated at the exact expectations."""
-    return dual_gradient(state, exact_posterior(state, problem), problem)
 
 
 def finite_diff_dual(state: DualState, problem: DualProblem, h: float = 1e-4):

@@ -47,6 +47,17 @@ def _floats(payload: dict, key: str) -> np.ndarray:
     return _finite(key, np.array(payload[key], dtype=float))
 
 
+def _count(payload: dict, key: str) -> int:
+    """A whole number of at least 1; booleans and fractions are refused."""
+    value = payload[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"field '{key}' must be a whole number of at least 1, "
+                         f"got {value!r}")
+    return value
+
+
 def _by_class(payload: dict, key: str) -> np.ndarray:
     slots = json_object(payload[key], f"field '{key}'", ("-1", "1"))
     return _finite(key, np.array([slots[slot] for slot in ("-1", "1")], dtype=float))
@@ -93,7 +104,7 @@ def _joint_model(p: dict) -> TrainedModel:
     return TrainedModel(
         **_base(p), lam=_floats(p, "lambda"), eta_hat=_floats(p, "eta_hat"),
         gamma_hat=_by_class(p, "gamma_hat"), beta_hat=_by_class(p, "beta_hat"),
-        theta=_finite("theta", float(p["theta"])), k=int(p["k"]),
+        theta=_finite("theta", float(p["theta"])), k=_count(p, "k"),
         alpha=_finite("alpha", float(p["alpha"])),
         target_coverage=float(p["target_coverage"]),
         dual_estimate=None if estimate is None else float(estimate),
@@ -124,7 +135,7 @@ def _two_stage_model(p: dict) -> TwoStageModel:
     return TwoStageModel(
         svm=_svm_model(p), kept_idx=np.array(p["kept_idx"], dtype=int),
         removed_idx=np.array(p["removed_idx"], dtype=int),
-        theta=_finite("theta", float(p["theta"])), k=int(p["k"]),
+        theta=_finite("theta", float(p["theta"])), k=_count(p, "k"),
         alpha_level=float(p["alpha_level"]))
 
 

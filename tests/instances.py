@@ -1,0 +1,35 @@
+"""Small random dual instances for checking the sampler and the analytic
+gradients against the exact enumeration oracle.
+
+The tests import this module by its bare name: pytest puts the tests
+directory on ``sys.path`` while it collects the test files there.
+"""
+
+import numpy as np
+
+from gemmed.kernels import gram_matrix, resolve_kernel
+from gemmed.model import DualProblem, DualState, HyperParams
+
+
+def random_instance(n: int, seed: int, hyper: HyperParams | None = None
+                    ) -> tuple[DualProblem, DualState]:
+    """Random feasible (problem, state): rbf Gram on random points, interior duals."""
+    if n < 2:
+        raise ValueError("instances need at least two samples")
+    rng = np.random.default_rng(seed)
+    hyper = hyper or HyperParams()
+    x = rng.normal(scale=1.5, size=(n, 2))
+    kernel = resolve_kernel("rbf", "auto", x)
+    gram = gram_matrix(kernel, x)
+    y = np.concatenate([[-1.0, 1.0], rng.choice([-1.0, 1.0], size=n - 2)])
+    d_tilde = rng.uniform(0.05, 1.0, size=n)
+    gamma_hat = rng.uniform(0.2, 1.5, size=2)
+    beta_hat = rng.uniform(0.1, 0.5, size=2)
+    p0 = rng.uniform(0.3, 0.9, size=n)
+    high = min(1.5, hyper.resolved_cap - 0.05)
+    state = DualState(
+        lam=rng.uniform(0.05, high, size=n),
+        mu=rng.uniform(0.05, 1.5, size=2),
+        kappa=rng.uniform(0.05, 1.5, size=2),
+    )
+    return DualProblem(y, gram, d_tilde, gamma_hat, beta_hat, p0, hyper), state

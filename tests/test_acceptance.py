@@ -9,7 +9,7 @@ along-the-gap variance is 36, giving a Mahalanobis separation of
 sqrt(2)), and the Bayes rule is the linear rule through the origin,
 with error Phi(-1/sqrt(2)) ~= 24.0%. The reference SVM fits that rule
 and is solved to its optimum, so the margin clause (beat the SVM by 2
-points) fails first: joint 24.64% against SVM 24.41% over the 10 seeds.
+points) fails first: joint 25.00% against SVM 24.41% over the 10 seeds.
 The absolute 15% target is out of reach for any classifier. Both are
 expected to fail honestly rather than be weakened; see the test body.
 """
@@ -24,12 +24,13 @@ import pytest
 from gemmed import trainer
 from gemmed.baselines import SvmModel
 from gemmed.cli import main
-from gemmed.experiments import default_settings, random_instance, run_cell
+from gemmed.experiments import default_settings, run_cell
 from gemmed.gem import gem_me_set
 from gemmed.kernels import KernelSpec
 from gemmed.model import HyperParams
 from gemmed.oracle import exact_posterior, finite_diff_dual
 from gemmed.trainer import dual_gradient, gibbs_expectations
+from instances import random_instance
 
 
 def report(num, ok, detail):
@@ -69,20 +70,83 @@ def rate_sweep_cells():
     return out
 
 
+GRADIENT_TOL = 1e-5
+RHAT_MAX = 1.5
+
+
+def gradient_check(pairs) -> tuple[bool, float]:
+    """Criterion 1's verdict over (analytic, numeric) gradient pairs: the
+    largest relative error |a - f| / max(1, |f|) and whether it is at most
+    GRADIENT_TOL. np.max, unlike max, propagates NaN, and NaN passes no
+    tolerance."""
+    worst = float(np.max([np.max(np.abs(a - f) / np.maximum(1.0, np.abs(f)))
+                          for analytic, numeric in pairs
+                          for a, f in zip(analytic, numeric)]))
+    return worst <= GRADIENT_TOL, worst
+
+
+def standardized_deviations(exps, oracle) -> np.ndarray:
+    """|sampled - exact| / SE for each expectation the gradient reads; 0
+    where they agree exactly, NaN where the sample is NaN."""
+    devs = []
+    for est, se, truth in (
+        (exps.e_eta_y_f, exps.se_eta_y_f, oracle.e_eta_y_f),
+        (exps.e_sum_eta_d, exps.se_sum_eta_d, oracle.e_sum_eta_d),
+        (exps.e_sum_eta, exps.se_sum_eta, oracle.e_sum_eta),
+    ):
+        diff = np.abs(np.asarray(est) - np.asarray(truth))
+        devs.append(np.where(diff == 0, 0.0, diff / np.maximum(se, 1e-12)))
+    return np.concatenate(devs)
+
+
+def meets_sweep_floor(gibbs_sweeps: int, burn_in: int) -> bool:
+    """Whether a sampler schedule averages at least four sweeps per chain:
+    two per half for the split R-hat, and standard-error batches of a
+    whole chain each."""
+    return gibbs_sweeps - burn_in >= 4 * trainer.CHAINS
+
+
+def sampler_trials(n, trials, hyper):
+    """Standardized deviations and the largest split R-hat of the sampler
+    against the exact oracle on `trials` random instances of size n."""
+    deviations, rhats = [], []
+    for t in range(trials):
+        problem, state = random_instance(n, t, hyper=hyper)
+        oracle = exact_posterior(state, problem)
+        exps = gibbs_expectations(state, problem, np.random.default_rng(t))
+        deviations.append(standardized_deviations(exps, oracle))
+        rhats.append(np.max(np.concatenate(exps.rhat)))
+    return deviations, rhats
+
+
+def sampler_check(deviations, rhats) -> tuple[bool, str]:
+    """Criterion 2's verdict over trials: at least 95% of them have every
+    expectation within 3 SE, none is NaN, and the largest split R-hat is
+    finite and below RHAT_MAX."""
+    trials_ok = sum(bool(np.all(d <= 3.0)) for d in deviations)
+    # a NaN fails only its own trial, which the 95% rule forgives
+    has_nan = any(np.isnan(d).any() for d in deviations)
+    rhat = float(np.max(rhats))  # NaN propagates
+    ok = (trials_ok >= 0.95 * len(deviations) and not has_nan
+          and rhat < RHAT_MAX)
+    return ok, (f"{trials_ok}/{len(deviations)} trials fully within 3 SE"
+                f"{', a NaN expectation' if has_nan else ''}, "
+                f"max split R-hat {rhat:.3f}")
+
+
 def test_criterion_1_gradients_match_finite_differences():
     t0 = time.perf_counter()
-    worst = 0.0
+    pairs = []
     for t in range(20):
         problem, state = random_instance(6, t)
         oracle = exact_posterior(state, problem)
         # route the exact expectations through the production gradient
         analytic = dual_gradient(state, oracle, problem)
         *numeric, _ = finite_diff_dual(state, problem)
-        for a, f in zip(analytic, numeric):
-            rel = np.abs(a - f) / np.maximum(1.0, np.abs(f))
-            worst = float(np.maximum(worst, rel.max()))  # NaN propagates
+        pairs.append((analytic, numeric))
+    within, worst = gradient_check(pairs)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-5 and elapsed < 10.0
+    ok = within and elapsed < 10.0
     assert report(1, ok, f"max relative gradient error {worst:.2e} "
                          f"over 20 instances in {elapsed:.1f}s")
 
@@ -90,25 +154,86 @@ def test_criterion_1_gradients_match_finite_differences():
 def test_criterion_2_sampler_matches_oracle():
     t0 = time.perf_counter()
     hyper = HyperParams(gibbs_sweeps=200, burn_in=20)
-    trials_ok = 0
-    for t in range(100):
-        problem, state = random_instance(6, t, hyper=hyper)
-        oracle = exact_posterior(state, problem)
-        exps = gibbs_expectations(state, problem, np.random.default_rng(t))
-        all_in = True
-        for est, se, truth in (
-            (exps.e_eta_y_f, exps.se_eta_y_f, oracle.e_eta_y_f),
-            (exps.e_sum_eta_d, exps.se_sum_eta_d, oracle.e_sum_eta_d),
-            (exps.e_sum_eta, exps.se_sum_eta, oracle.e_sum_eta),
-        ):
-            diff = np.abs(np.asarray(est) - np.asarray(truth))
-            devs = np.where(diff == 0, 0.0, diff / np.maximum(se, 1e-12))
-            all_in &= bool(np.all(devs <= 3.0))
-        trials_ok += all_in
+    assert meets_sweep_floor(hyper.gibbs_sweeps, hyper.burn_in)
+    matches, detail = sampler_check(*sampler_trials(6, 100, hyper))
     elapsed = time.perf_counter() - t0
-    ok = trials_ok >= 95 and elapsed < 60.0
-    assert report(2, ok, f"{trials_ok}/100 trials fully within 3 SE "
-                         f"in {elapsed:.1f}s")
+    ok = matches and elapsed < 60.0
+    assert report(2, ok, f"{detail} in {elapsed:.1f}s")
+
+
+def _exact_gradient_pair():
+    problem, state = random_instance(4, 0)
+    exact = dual_gradient(state, exact_posterior(state, problem), problem)
+    *numeric, _ = finite_diff_dual(state, problem)
+    return exact, numeric
+
+
+def test_gradient_check_passes_and_fails_by_tolerance():
+    exact, numeric = _exact_gradient_pair()
+    assert gradient_check([(exact, numeric)])[0]
+    off = (exact[0] + 2 * GRADIENT_TOL, *exact[1:])
+    assert not gradient_check([(exact, numeric), (off, numeric)])[0]
+
+
+def test_gradient_check_fails_a_nan_gradient():
+    exact, numeric = _exact_gradient_pair()
+    # after a finite error, so a running max() would drop it
+    spoiled = (exact[0].copy(), *exact[1:])
+    spoiled[0][0] = np.nan
+    within, worst = gradient_check([(exact, numeric), (spoiled, numeric)])
+    assert not within and np.isnan(worst)
+
+
+def test_sampler_check_fails_a_nan_expectation():
+    hyper = HyperParams(gibbs_sweeps=60, burn_in=10)
+    problem, state = random_instance(4, 0, hyper=hyper)
+    oracle = exact_posterior(state, problem)
+    exps = gibbs_expectations(state, problem, np.random.default_rng(0))
+    clean = standardized_deviations(exps, oracle)
+    assert sampler_check([clean] * 20, [1.0] * 20)[0]
+    exps.e_eta_y_f = exps.e_eta_y_f.copy()
+    exps.e_eta_y_f[0] = np.nan
+    spoiled = standardized_deviations(exps, oracle)
+    assert np.isnan(spoiled[0])
+    # 19 of 20 trials within 3 SE meet the 95% rule on their own
+    ok, detail = sampler_check([clean] * 19 + [spoiled], [1.0] * 20)
+    assert not ok and "a NaN expectation" in detail
+
+
+def test_sampler_check_small_run():
+    deviations, rhats = sampler_trials(
+        4, 3, HyperParams(gibbs_sweeps=150, burn_in=20))
+    ok, detail = sampler_check(deviations, rhats)
+    assert ok, detail
+    assert 0.9 < np.max(rhats) < RHAT_MAX
+
+
+def test_sweep_floor_rejects_one_averaged_sweep():
+    assert not meets_sweep_floor(1, 0)
+    # one averaged sweep per chain leaves no halves for the split R-hat
+    deviations, rhats = sampler_trials(
+        4, 1, HyperParams(gibbs_sweeps=1, burn_in=0))
+    assert np.isnan(rhats[0])
+    ok, detail = sampler_check(deviations, rhats)
+    assert not ok and "max split R-hat nan" in detail
+
+
+def test_sweep_floor_is_four_sweeps_per_chain():
+    assert not meets_sweep_floor(25, 10)
+    assert meets_sweep_floor(26, 10)
+    hyper = HyperParams(gibbs_sweeps=26, burn_in=10)
+    problem, state = random_instance(4, 0, hyper=hyper)
+    exps = gibbs_expectations(state, problem, np.random.default_rng(0))
+    assert exps.rows[0].shape == (4, trainer.CHAINS, 4)
+    assert np.all(np.isfinite(np.concatenate(exps.rhat)))
+
+
+@pytest.mark.parametrize("rhat", [np.nan, np.inf, RHAT_MAX])
+def test_sampler_check_fails_an_unmixed_rhat(rhat):
+    deviations = [np.zeros(8)] * 20
+    assert sampler_check(deviations, [1.0] * 20)[0]
+    # last, so a running max() would drop a NaN
+    assert not sampler_check(deviations, [1.0] * 19 + [rhat])[0]
 
 
 def test_criterion_3_reduces_to_kernel_machine():

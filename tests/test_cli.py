@@ -549,106 +549,6 @@ def test_train_rejects_a_non_finite_kernel_matrix(workdir, tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
-def test_gradcheck_passes_and_fails_by_tolerance(capsys):
-    assert main(["gradcheck", "--n", "4", "--trials", "2"]) == 0
-    assert "OK" in capsys.readouterr().out
-    assert main(["gradcheck", "--n", "4", "--trials", "2",
-                 "--tol", "1e-18"]) == 1
-    assert "FAIL" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-def test_gradcheck_rejects_a_vacuous_tolerance(tol, capsys):
-    assert main(["gradcheck", "--n", "4", "--trials", "1", "--tol", tol]) == 2
-    captured = capsys.readouterr()
-    assert f"--tol must be positive and finite, got {float(tol)!r}" in captured.err
-    assert "OK" not in captured.out
-
-
-def test_gradcheck_fails_a_nan_gradient(monkeypatch, capsys):
-    # max(0.0, nan) is 0.0 in Python, so a plain running max would read OK
-    exact = gemmed.cli.oracle_gradient
-    monkeypatch.setattr(gemmed.cli, "oracle_gradient", lambda state, problem: tuple(
-        np.full_like(g, np.nan) for g in exact(state, problem)))
-    assert main(["gradcheck", "--n", "4", "--trials", "2"]) == 1
-    out = capsys.readouterr().out
-    assert "gradient error over 2 trial(s): nan" in out
-    assert "FAIL" in out and "OK" not in out
-
-
-def test_oracle_compare_small_run(capsys):
-    rc = main(["oracle-compare", "--n", "4", "--trials", "3",
-               "--sweeps", "150", "--seed", "0"])
-    out = capsys.readouterr().out
-    assert rc == 0, out
-    assert "within 3 SE" in out
-    rhat = float(re.search(r"max split R-hat over 4 chains: (\S+)", out).group(1))
-    assert 0.9 < rhat < 1.5
-
-
-def test_oracle_compare_prints_a_nan_maximum(monkeypatch, capsys):
-    # max(0.0, nan) is 0.0 in Python, so a plain running max would read 0.000
-    sample = gemmed.trainer.gibbs_expectations
-
-    def spoiled(*args):
-        exps = sample(*args)
-        exps.e_eta_y_f = exps.e_eta_y_f.copy()
-        exps.e_eta_y_f[0] = np.nan
-        first = exps.rows[0].copy()
-        first[..., 0] = np.nan
-        exps.rows = (first, *exps.rows[1:])
-        return exps
-
-    monkeypatch.setattr(gemmed.trainer, "gibbs_expectations", spoiled)
-    assert main(["oracle-compare", "--n", "4", "--trials", "3",
-                 "--sweeps", "60", "--burn-in", "10"]) == 1
-    out = capsys.readouterr().out
-    assert "max standardized deviation: nan" in out
-    assert "max split R-hat over 4 chains: nan" in out
-    assert "FAIL" in out and "OK" not in out
-    # at n=16, 19 of 20 expectations within 3 SE pass the 95% rule alone
-    assert main(["oracle-compare", "--n", "16", "--trials", "1"]) == 1
-    out = capsys.readouterr().out
-    assert "within 3 SE: 19/20 (95.0%)" in out
-    assert "FAIL: a sampler expectation is NaN" in out
-
-
-def test_oracle_compare_rejects_big_instances(capsys):
-    assert main(["oracle-compare", "--n", "40"]) == 2
-    assert main(["gradcheck", "--n", "1"]) == 2
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("command", ["oracle-compare", "gradcheck"])
-def test_oracle_commands_reject_zero_trials(command, capsys):
-    assert main([command, "--n", "4", "--trials", "0"]) == 2
-    captured = capsys.readouterr()
-    assert "--trials must be at least 1, got 0" in captured.err
-    assert "OK" not in captured.out
-
-
-def test_oracle_compare_rejects_one_averaged_sweep(capsys):
-    # one averaged sweep has no standard error; every deviation would read 0
-    assert main(["oracle-compare", "--n", "4", "--trials", "3",
-                 "--sweeps", "1", "--burn-in", "0"]) == 2
-    captured = capsys.readouterr()
-    assert ("--sweeps minus --burn-in must be at least 16, 4 sweeps for each "
-            "of the 4 sampler chains, got --sweeps 1 and --burn-in 0"
-            ) in captured.err
-    assert "OK" not in captured.out
-
-
-def test_oracle_compare_floor_is_four_sweeps_per_chain(capsys):
-    assert main(["oracle-compare", "--n", "4", "--trials", "2",
-                 "--sweeps", "25", "--burn-in", "10"]) == 2
-    captured = capsys.readouterr()
-    assert "must be at least 16" in captured.err
-    assert "OK" not in captured.out
-    assert main(["oracle-compare", "--n", "4", "--trials", "2",
-                 "--sweeps", "26", "--burn-in", "10"]) == 0
-    assert "max split R-hat" in capsys.readouterr().out
-
-
 def _sweep_config(root, **overrides):
     config = {
         "R": [40.0], "ra": [0.2], "seeds": [1], "methods": ["svm"],
@@ -673,6 +573,19 @@ def test_sweep_runs_and_is_byte_deterministic(tmp_path, capsys):
     assert len(rows) == 2
     assert rows[1][0] == "svm"
     assert rows[1][5] == "" and rows[1][6] == ""  # svm has no anomaly metrics
+    capsys.readouterr()
+
+
+def test_sweep_of_the_joint_model_on_clean_training_data(tmp_path, capsys):
+    # no training anomalies leaves nothing to rank: the auc cell is empty
+    config = _sweep_config(
+        tmp_path, ra=[0], methods=["gemmed"], gem={"k": 3},
+        gemmed={"gamma": 0.1, "hyper": {"lambda_cap": 0.4, "steps": 2,
+                                        "gibbs_sweeps": 8, "burn_in": 2}})
+    assert main(["sweep", "--config", str(config)]) == 0
+    rows = _read_rows(tmp_path / "sweep.csv")
+    assert rows[1][:3] == ["gemmed", "40.0", "0.0"]
+    assert rows[1][5] == ""
     capsys.readouterr()
 
 
@@ -799,6 +712,15 @@ def test_help_and_missing_subcommand(capsys):
     assert main(["--help"]) == 0
     assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["gradcheck", "oracle-compare"])
+def test_package_self_checks_are_not_commands(command, capsys):
+    # acceptance criteria 1 and 2 check the dual against the exact oracle
+    assert main([command]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert command not in capsys.readouterr().out
 
 
 def test_missing_files_exit_two(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from gemmed.experiments import (METHODS, CellResult, MethodSettings,
-                                default_settings, random_instance, run_cell)
+                                default_settings, run_cell)
 from gemmed.model import HyperParams
 
 
@@ -22,31 +22,6 @@ def test_default_settings_per_method():
 def test_run_cell_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown method"):
         run_cell("boost", R=55.0, r_a=0.2, seed=0)
-
-
-def test_random_instance_shape_and_feasibility():
-    problem, state = random_instance(6, 3)
-    again, again_state = random_instance(6, 3)
-    assert np.array_equal(problem.gram.values,
-                          again.gram.values)  # seeded, reproducible
-    assert np.array_equal(state.lam, again_state.lam)
-    assert problem.y[0] == -1 and problem.y[1] == 1  # both classes present
-    assert np.all(state.lam < problem.hyper.resolved_cap)
-    assert np.all(state.lam > 0)
-    assert np.all((problem.p0 > 0) & (problem.p0 < 1))
-    assert np.all(problem.d_tilde > 0)
-    assert problem.gram.values.shape == (6, 6)
-    other, _ = random_instance(6, 4)
-    assert not np.array_equal(problem.gram.values, other.gram.values)
-    with pytest.raises(ValueError):
-        random_instance(1, 0)
-
-
-def test_random_instance_respects_tight_cap():
-    hyper = HyperParams(lambda_cap=0.4)
-    for seed in range(5):
-        _, state = random_instance(5, seed, hyper=hyper)
-        assert np.all(state.lam <= 0.4 - 0.05 + 1e-12)
 
 
 def _tiny_gemmed_settings():
@@ -88,6 +63,15 @@ def test_run_cell_gemmed_fields():
     assert cell.R == 55.0 and cell.r_a == 0.2 and cell.seed == 0
     assert cell.auc is not None and 0.0 <= cell.auc <= 1.0
     assert cell.det_acc is not None
+    assert cell.tpr is not None and cell.far is not None
+
+
+def test_run_cell_gemmed_without_training_anomalies():
+    # at the method defaults, as the R=55 grid runs it
+    cell = run_cell("gemmed", R=55.0, r_a=0.0, seed=0, n_test_per_class=50,
+                    n_detect_ring=20, n_detect_clean=30)
+    assert cell.auc is None
+    assert 0.0 <= cell.error <= 1.0
     assert cell.tpr is not None and cell.far is not None
 
 

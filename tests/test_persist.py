@@ -218,18 +218,21 @@ def _spoil(payload, key, bad):
     return payload
 
 
-@pytest.mark.parametrize("kind", sorted(_FINITE_FIELDS))
-def test_load_rejects_non_finite_numbers(cell, tmp_path, kind):
-    train_set, _ = cell
+def _fit(train_set, kind):
+    """A small model of the given kind, with k=3 where it has a k."""
     gem = GemConfig(k=3, seed=0)
     if kind == "gemmed":
-        model = trainer.train(train_set, KernelSpec("rbf", gamma=0.1), gem,
-                              HyperParams(lambda_cap=0.4, steps=2, gibbs_sweeps=8,
-                                          burn_in=2, seed=0))
-    elif kind == "svm":
-        model = train_svm(train_set, KernelSpec("linear"), C=1.0)
-    else:
-        model = train_two_stage(train_set, KernelSpec("linear"), gem)
+        return trainer.train(train_set, KernelSpec("rbf", gamma=0.1), gem,
+                             HyperParams(lambda_cap=0.4, steps=2, gibbs_sweeps=8,
+                                         burn_in=2, seed=0))
+    if kind == "svm":
+        return train_svm(train_set, KernelSpec("linear"), C=1.0)
+    return train_two_stage(train_set, KernelSpec("linear"), gem)
+
+
+@pytest.mark.parametrize("kind", sorted(_FINITE_FIELDS))
+def test_load_rejects_non_finite_numbers(cell, tmp_path, kind):
+    model = _fit(cell[0], kind)
     path = tmp_path / "model.json"
     save_model(model, path)
     text = path.read_text()
@@ -242,3 +245,17 @@ def test_load_rejects_non_finite_numbers(cell, tmp_path, kind):
                 load_model(path)
     path.write_text(text)
     assert type(load_model(path)) is type(model)
+
+
+@pytest.mark.parametrize("kind", ["gemmed", "two_stage"])
+def test_load_rejects_a_k_that_is_not_a_count(cell, tmp_path, kind):
+    path = tmp_path / "model.json"
+    save_model(_fit(cell[0], kind), path)
+    payload = json.loads(path.read_text())
+    for bad in (3.9, True, 0, -2, "3", None):
+        path.write_text(json.dumps({**payload, "k": bad}))
+        with pytest.raises(ValueError, match="model.json: field 'k' must be a "
+                                             "whole number of at least 1"):
+            load_model(path)
+    path.write_text(json.dumps({**payload, "k": 3.0}))
+    assert load_model(path).k == 3

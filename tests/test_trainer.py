@@ -13,7 +13,6 @@ from scipy.stats import norm, t as student_t
 from gemmed import trainer
 from gemmed.dataset import LabeledDataset
 from gemmed.errors import TrainingFailure
-from gemmed.experiments import random_instance
 from gemmed.gem import GemConfig, compute_gem_stats, knn_distance_sum
 from gemmed.kernels import GramMatrix, KernelSpec, gram_matrix, kernel_cross
 from gemmed.model import (DualProblem, DualState, HyperParams, TrainedModel,
@@ -23,6 +22,7 @@ from gemmed.synthdata import RingExperimentConfig, generate
 from gemmed.trainer import (_batch_se, dual_gradient,
                             gibbs_expectations, init_duals,
                             mean_field_dual_estimate, sample_f_given_eta)
+from instances import random_instance
 
 
 def _fixed_instance(n=4, seed=0):
