@@ -339,29 +339,20 @@ def train_svm(dataset: LabeledDataset, kernel: KernelSpec,
                     kkt_violation=kkt_violation(K, y, alpha, C))
 
 
-@dataclass
-class TwoStageModel:
-    """Screen-then-fit baseline: SVM over survivors plus a k-NN detector."""
+@dataclass(kw_only=True)
+class TwoStageModel(SvmModel):
+    """Screen-then-fit baseline: its SVM, fitted on the survivors x, plus a detector."""
 
-    svm: SvmModel
     kept_idx: np.ndarray
     removed_idx: np.ndarray
     theta: float
     k: int
     alpha_level: float
 
-    def decision_function(self, xs: np.ndarray) -> np.ndarray:
-        return self.svm.decision_function(xs)
-
-    def predict(self, xs: np.ndarray) -> np.ndarray:
-        return self.svm.predict(xs)
-
     def anomaly_scores(self, xs: np.ndarray) -> np.ndarray:
-        """k-NN distance sum of each query row into the survivors.
-
-        A 1-D xs is one query. All rows are scored in one batched call.
-        """
-        return knn_distance_sum(xs, self.svm.x, self.k)
+        """k-NN distance sum of each query row into the survivors x, all in
+        one batched call; a 1-D xs is one query."""
+        return knn_distance_sum(xs, self.x, self.k)
 
     def detect(self, xs: np.ndarray) -> np.ndarray:
         """True for each query row whose anomaly score exceeds theta."""
@@ -380,5 +371,5 @@ def train_two_stage(dataset: LabeledDataset, kernel: KernelSpec,
     survivors = dataset.subset(kept_idx)
     svm = train_svm(survivors, kernel, C=C)
     theta = loo_threshold(survivors.x, gem_config.k, gem_config.alpha)
-    return TwoStageModel(svm=svm, kept_idx=kept_idx, removed_idx=removed_idx,
+    return TwoStageModel(**vars(svm), kept_idx=kept_idx, removed_idx=removed_idx,
                          theta=theta, k=gem_config.k, alpha_level=gem_config.alpha)

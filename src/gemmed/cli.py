@@ -31,7 +31,7 @@ from .kernels import resolve_kernel
 from .metrics import auc, detection_accuracy, misclassification_error, \
     precision_recall_curve
 from .model import HyperParams
-from .persist import json_object, load_model, save_model
+from .persist import json_number, json_object, load_model, save_model
 from .synthdata import RingExperimentConfig, generate
 
 
@@ -40,16 +40,14 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _read_points(path) -> np.ndarray:
-    """Feature rows from either a dataset CSV or a bare x1..xp CSV."""
-    return features(*read_csv(path, feature_columns))
-
-
-def _check_dim(model_x: np.ndarray, xs: np.ndarray, what: str) -> None:
-    if xs.shape[1] != model_x.shape[1]:
-        raise ValueError(
-            f"{what} has {xs.shape[1]} feature column(s) but the model "
-            f"expects {model_x.shape[1]}")
+def _read_points(path, model) -> np.ndarray:
+    """Feature rows from either a dataset CSV or a bare x1..xp CSV, as
+    many columns as the model's training rows x."""
+    xs = features(*read_csv(path, feature_columns))
+    if xs.shape[1] != model.x.shape[1]:
+        raise ValueError(f"{path} has {xs.shape[1]} feature column(s) but the "
+                         f"model expects {model.x.shape[1]}")
+    return xs
 
 
 def _whole_number(value, what: str) -> int:
@@ -60,19 +58,13 @@ def _whole_number(value, what: str) -> int:
     return value
 
 
-def _number(value, what: str):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} expects a number, got {value!r}")
-    return value
-
-
 def _section(value, name: str, cls, allowed) -> dict:
     """A sweep config section: an object with no key outside allowed, whose
     float fields of cls hold numbers; null keeps a field's None default."""
     section = json_object(value, f"sweep config section '{name}'", allowed)
     for f in dataclasses.fields(cls):
         if f.type.startswith("float") and section.get(f.name, f.default) is not f.default:
-            _number(section[f.name], f"sweep config key '{name}.{f.name}'")
+            json_number(section[f.name], f"sweep config key '{name}.{f.name}'")
     return section
 
 
@@ -130,9 +122,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    xs = _read_points(args.data)
-    # a two-stage model keeps its training rows on its SVM
-    _check_dim(getattr(model, "svm", model).x, xs, args.data)
+    xs = _read_points(args.data, model)
     if hasattr(model, "predict"):
         labels = model.predict(xs)
     else:
@@ -146,8 +136,7 @@ def cmd_detect(args) -> int:
     model = load_model(args.model)
     if not hasattr(model, "theta"):               # plain SVM
         raise ValueError("this model kind has no anomaly detector")
-    xs = _read_points(args.data)
-    _check_dim(getattr(model, "svm", model).x, xs, args.data)
+    xs = _read_points(args.data, model)
     if hasattr(model, "anomaly_scores"):          # two-stage baseline
         scores = model.anomaly_scores(xs)
         calls = scores > model.theta
@@ -239,9 +228,10 @@ def _method_settings(config: dict, method: str) -> MethodSettings:
         return base
     _section(section, method, MethodSettings, METHOD_KEYS[method])
     hyper = base.hyper
-    if "hyper" in section:
+    if "hyper" in section:  # run_cell seeds each cell's sampler itself
+        allowed = HyperParams.__dataclass_fields__.keys() - {"seed"}
         hyper = HyperParams(**_section(section["hyper"], f"{method}.hyper",
-                                       HyperParams, HyperParams.__dataclass_fields__))
+                                       HyperParams, allowed))
     settings = MethodSettings(
         kernel=section.get("kernel", base.kernel),
         gamma=section.get("gamma", base.gamma),
@@ -269,7 +259,7 @@ def cmd_sweep(args) -> int:
     for key in ("R", "ra", "seeds"):
         if key not in config:
             raise ValueError(f"sweep config is missing required key '{key}'")
-    grid_R, grid_ra = ([float(_number(v, f"sweep config key '{key}'"))
+    grid_R, grid_ra = ([float(json_number(v, f"sweep config key '{key}'"))
                         for v in _as_list(config[key], key)] for key in ("R", "ra"))
     seeds = [_whole_number(v, "sweep config key 'seeds'")
              for v in _as_list(config["seeds"], "seeds")]
@@ -286,7 +276,7 @@ def cmd_sweep(args) -> int:
     settings = {m: _method_settings(config, m) for m in METHODS}
     coverage = config.get("coverage")
     if coverage is not None:
-        coverage = float(_number(coverage, "sweep config key 'coverage'"))
+        coverage = float(json_number(coverage, "sweep config key 'coverage'"))
     n_train, n_test, detect_ring, detect_clean = (
         _whole_number(config.get(key, default), f"sweep config key '{key}'")
         for key, default in (("n_train_per_class", 100), ("n_test_per_class", 2000),

@@ -3,19 +3,20 @@
 All model kinds share an envelope with ``format_version`` and
 ``model_kind``; floats go through Python's repr-based JSON encoding,
 which round-trips float64 exactly, so reloaded models reproduce
-predictions bit for bit. The two-stage model stores its SVM's fields
-first, under the same keys as an SVM file.
+predictions bit for bit. Each kind's file is one table of (JSON key,
+model field, rule) rows, which ``save_model`` and ``load_model`` walk.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import SvmModel, TwoStageModel
+from .dataset import CLASSES, EXACT_VALUES
 from .kernels import KernelSpec
 from .model import HyperParams, TrainedModel
 
@@ -36,126 +37,125 @@ def json_object(value, name: str, allowed) -> dict:
     return value
 
 
-def _finite(key: str, value):
-    """value itself; JSON's NaN and Infinity are refused."""
-    if not np.isfinite(value).all():
-        raise ValueError(f"field '{key}' must be finite")
+def json_number(value, what: str):
+    """value itself if it is a JSON number: an int or a float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} expects a number, got {value!r}")
     return value
 
 
-def _floats(payload: dict, key: str) -> np.ndarray:
-    return _finite(key, np.array(payload[key], dtype=float))
+def _floats(key: str, value, read: dict) -> np.ndarray:
+    """value as a float array, all finite: x's rule, and the others' base."""
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # text, ragged rows, huge ints
+        raise ValueError(f"field '{key}' must hold only numbers") from None
+    if not np.isfinite(array).all():
+        raise ValueError(f"field '{key}' must be finite")
+    return array
 
 
-def _count(payload: dict, key: str) -> int:
-    """A whole number of at least 1; booleans and fractions are refused."""
-    value = payload[key]
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+# Rules: (key, JSON value, fields read so far) -> field; a ValueError names the key.
+
+def _kernel(key: str, value, read: dict) -> KernelSpec:
+    return KernelSpec(**json_object(value, f"field '{key}'",
+                                    KernelSpec.__dataclass_fields__))
+
+
+def _per_row(key: str, value, read: dict) -> np.ndarray:
+    column = _floats(key, value, read)
+    if column.shape != (len(read["x"]),):
+        raise ValueError(f"field '{key}' must hold one entry per row of x")
+    return column
+
+
+def _labels(key: str, value, read: dict) -> np.ndarray:
+    y = _per_row(key, value, read)
+    if not set(value) <= set(EXACT_VALUES["y"]):
+        raise ValueError(f"field '{key}' must hold only the labels -1 and 1")
+    return y.astype(int)
+
+
+def _indices(key: str, value, read: dict) -> np.ndarray:
+    idx = _floats(key, value, read)
+    if idx.ndim != 1 or (idx < 0).any() or (idx % 1).any():
+        raise ValueError(f"field '{key}' must list whole numbers of at least 0")
+    return idx.astype(int)
+
+
+def _by_class(key: str, value, read: dict) -> np.ndarray:
+    slots = json_object(value, f"field '{key}'", map(str, CLASSES))
+    return _floats(key, [slots[str(c)] for c in CLASSES], read)
+
+
+def _number(key: str, value, read: dict) -> float:
+    return float(_floats(key, json_number(value, f"field '{key}'"), read))
+
+
+def _optional_number(key: str, value, read: dict) -> float | None:
+    return None if value is None else _number(key, value, read)
+
+
+def _count(key: str, value, read: dict) -> int:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not value >= 1 or value % 1):
         raise ValueError(f"field '{key}' must be a whole number of at least 1, "
                          f"got {value!r}")
+    return int(value)
+
+
+def _flag(key: str, value, read: dict) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"field '{key}' must be true or false, got {value!r}")
     return value
 
 
-def _by_class(payload: dict, key: str) -> np.ndarray:
-    slots = json_object(payload[key], f"field '{key}'", ("-1", "1"))
-    return _finite(key, np.array([slots[slot] for slot in ("-1", "1")], dtype=float))
-
-
-def _hyper(payload: dict) -> HyperParams | None:
-    if not payload.get("hyper"):
+def _hyper(key: str, value, read: dict) -> HyperParams | None:
+    if not value:
         return None
-    hyper = json_object(payload["hyper"], "field 'hyper'",
-                        RETIRED_HYPER_KEYS.union(HyperParams.__dataclass_fields__))
-    return HyperParams(**{k: v for k, v in hyper.items()
-                          if k not in RETIRED_HYPER_KEYS})
+    allowed = RETIRED_HYPER_KEYS.union(HyperParams.__dataclass_fields__)
+    hyper = json_object(value, f"field '{key}'", allowed)
+    return HyperParams(**{k: hyper[k] for k in hyper.keys() - RETIRED_HYPER_KEYS})
 
 
-def _base_fields(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> dict:
-    """The kernel, x and y fields every model kind writes first."""
-    return {"kernel": {"kind": spec.kind, "gamma": spec.gamma,
-                       "jitter": spec.jitter},
-            "x": x.tolist(), "y": y.tolist()}
+_MAY_BE_MISSING = (_optional_number, _hyper)  # older files lack their keys
 
+# Each kind's file after format_version and model_kind: (JSON key, model
+# field, rule) rows in file order.
+_HEAD = (("kernel", "kernel", _kernel), ("x", "x", _floats), ("y", "y", _labels))
+_JOINT = _HEAD + (
+    ("lambda", "lam", _per_row), ("eta_hat", "eta_hat", _per_row),
+    ("gamma_hat", "gamma_hat", _by_class), ("beta_hat", "beta_hat", _by_class),
+    ("theta", "theta", _number), ("k", "k", _count), ("alpha", "alpha", _number),
+    ("target_coverage", "target_coverage", _number),
+    ("dual_estimate", "dual_estimate", _optional_number), ("hyper", "hyper", _hyper))
+_SVM = _HEAD + (
+    ("alpha", "alpha", _per_row), ("C", "C", _number), ("converged", "converged", _flag),
+    ("kkt_violation", "kkt_violation", _optional_number))
+_TWO_STAGE = _SVM + (
+    ("kept_idx", "kept_idx", _indices), ("removed_idx", "removed_idx", _indices),
+    ("theta", "theta", _number), ("k", "k", _count),
+    ("alpha_level", "alpha_level", _number))
 
-def _base(payload: dict) -> dict:
-    d = json_object(payload["kernel"], "field 'kernel'", ("kind", "gamma", "jitter"))
-    return {"kernel": KernelSpec(kind=d["kind"], gamma=d["gamma"],
-                                 jitter=d["jitter"]),
-            "x": _floats(payload, "x"),
-            "y": np.array(payload["y"], dtype=int)}
-
-
-def _joint_fields(m: TrainedModel) -> dict:
-    return {**_base_fields(m.kernel, m.x, m.y), "lambda": m.lam.tolist(),
-            "eta_hat": m.eta_hat.tolist(),
-            "gamma_hat": {"-1": m.gamma_hat[0], "1": m.gamma_hat[1]},
-            "beta_hat": {"-1": m.beta_hat[0], "1": m.beta_hat[1]},
-            "theta": m.theta, "k": m.k, "alpha": m.alpha,
-            "target_coverage": m.target_coverage,
-            "dual_estimate": m.dual_estimate,
-            "hyper": asdict(m.hyper) if m.hyper is not None else None}
-
-
-def _joint_model(p: dict) -> TrainedModel:
-    # files before dual_estimate load with None; their "trace" is ignored
-    estimate = p.get("dual_estimate")
-    return TrainedModel(
-        **_base(p), lam=_floats(p, "lambda"), eta_hat=_floats(p, "eta_hat"),
-        gamma_hat=_by_class(p, "gamma_hat"), beta_hat=_by_class(p, "beta_hat"),
-        theta=_finite("theta", float(p["theta"])), k=_count(p, "k"),
-        alpha=_finite("alpha", float(p["alpha"])),
-        target_coverage=float(p["target_coverage"]),
-        dual_estimate=None if estimate is None else float(estimate),
-        hyper=_hyper(p))
-
-
-def _svm_fields(m: SvmModel) -> dict:
-    return {**_base_fields(m.kernel, m.x, m.y), "alpha": m.alpha.tolist(),
-            "C": m.C, "converged": m.converged,
-            "kkt_violation": m.kkt_violation}
-
-
-def _svm_model(p: dict) -> SvmModel:
-    # files without kkt_violation load with None, meaning not recorded
-    violation = p.get("kkt_violation")
-    return SvmModel(**_base(p), alpha=_floats(p, "alpha"),
-                    C=_finite("C", float(p["C"])), converged=bool(p["converged"]),
-                    kkt_violation=None if violation is None else float(violation))
-
-
-def _two_stage_fields(m: TwoStageModel) -> dict:
-    return {**_svm_fields(m.svm), "kept_idx": m.kept_idx.tolist(),
-            "removed_idx": m.removed_idx.tolist(), "theta": m.theta,
-            "k": m.k, "alpha_level": m.alpha_level}
-
-
-def _two_stage_model(p: dict) -> TwoStageModel:
-    return TwoStageModel(
-        svm=_svm_model(p), kept_idx=np.array(p["kept_idx"], dtype=int),
-        removed_idx=np.array(p["removed_idx"], dtype=int),
-        theta=_finite("theta", float(p["theta"])), k=_count(p, "k"),
-        alpha_level=float(p["alpha_level"]))
-
-
-# (class, model_kind tag, field writer, reader) per model kind
-_KINDS = (
-    (TrainedModel, "gemmed", _joint_fields, _joint_model),
-    (SvmModel, "svm", _svm_fields, _svm_model),
-    (TwoStageModel, "two_stage", _two_stage_fields, _two_stage_model),
-)
+_FILES = {"gemmed": (TrainedModel, _JOINT), "svm": (SvmModel, _SVM),
+          "two_stage": (TwoStageModel, _TWO_STAGE)}
+# saving looks up the exact class: a TwoStageModel is also an SvmModel
+_TAGS = {cls: kind for kind, (cls, _) in _FILES.items()}
 
 
 def save_model(model, path) -> None:
     """Serialize a trained model (joint, svm, or two_stage) to JSON."""
-    for cls, kind, fields, _ in _KINDS:
-        if isinstance(model, cls):
-            break
-    else:
+    kind = _TAGS.get(type(model))
+    if kind is None:
         raise ValueError(f"cannot serialize {type(model).__name__}")
-    payload = {"format_version": FORMAT_VERSION, "model_kind": kind,
-               **fields(model)}
+    payload = {"format_version": FORMAT_VERSION, "model_kind": kind}
+    for key, field, rule in _FILES[kind][1]:
+        value = getattr(model, field)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if rule is _by_class:
+            value = dict(zip(map(str, CLASSES), value))
+        payload[key] = asdict(value) if is_dataclass(value) else value
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
@@ -171,13 +171,15 @@ def load_model(path):
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format_version {version!r}")
     kind = payload["model_kind"]
-    for _, tag, _, reader in _KINDS:
-        if tag == kind:
-            break
-    else:
+    if not isinstance(kind, str) or kind not in _FILES:
         raise ValueError(f"{path}: unknown model_kind {kind!r}")
+    cls, table = _FILES[kind]
+    read = {}
     try:
-        return reader(payload)
+        for key, field, rule in table:
+            value = payload.get(key) if rule in _MAY_BE_MISSING else payload[key]
+            read[field] = rule(key, value, read)
+        return cls(**read)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:

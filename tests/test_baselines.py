@@ -445,7 +445,7 @@ def test_non_finite_decision_values_raise():
     svm = SvmModel(kernel=KernelSpec("linear"), x=np.eye(2),
                    y=np.array([1, -1]), alpha=np.array([10.0, 10.0]),
                    C=10.0, converged=True)
-    two_stage = TwoStageModel(svm=svm, kept_idx=np.arange(2),
+    two_stage = TwoStageModel(**vars(svm), kept_idx=np.arange(2),
                               removed_idx=np.arange(0), theta=1.0, k=1,
                               alpha_level=0.05)
     xs = np.array([[1.0, 2.0], [1e308, -1e308], [1e308, 1e308]])

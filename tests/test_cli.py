@@ -191,6 +191,21 @@ def test_predict_with_a_baseline_model(workdir, baselines, tmp_path, kind):
     assert labels == baselines[kind].predict(xs).tolist()
 
 
+@pytest.mark.parametrize("name", ["model", "svm", "two-stage"])
+def test_predict_refuses_a_model_label_other_than_plus_or_minus_1(
+        workdir, baselines, tmp_path, capsys, name):
+    payload = json.loads((workdir / f"{name}.json").read_text())
+    payload["y"][0] = 0.5  # int() would load it as 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(bad), "--data",
+                 str(workdir / "test.csv"), "--out", str(out)]) == 2
+    assert ("bad.json: field 'y' must hold only the labels -1 and 1"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_detect_with_a_two_stage_model(workdir, baselines, tmp_path,
                                       monkeypatch):
     passes = []
@@ -666,6 +681,9 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     ({"coverage": "0.8"}, "key 'coverage' expects a number, got '0.8'"),
     # the retired prior location; the prior is p0, else the coverage rule
     ({"gemmed": {"hyper": {"a_eta": 1.0}}}, "unknown key 'a_eta'"),
+    # run_cell seeds each cell's sampler with the cell seed
+    ({"gemmed": {"hyper": {"seed": 5}}},
+     "unknown key 'seed' in sweep config section 'gemmed.hyper'"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)

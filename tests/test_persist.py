@@ -1,13 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from gemmed import trainer
-from gemmed.baselines import train_svm, train_two_stage
+from gemmed.baselines import SvmModel, TwoStageModel, train_svm, train_two_stage
 from gemmed.gem import GemConfig
 from gemmed.kernels import KernelSpec
-from gemmed.model import HyperParams
+from gemmed.model import HyperParams, TrainedModel
 from gemmed.persist import load_model, save_model
 from gemmed.synthdata import RingExperimentConfig, generate
 
@@ -104,17 +105,16 @@ def test_solver_outcome_round_trips(cell, tmp_path):
     svm = train_svm(train_set, KernelSpec("linear"), C=1.0)
     two_stage = train_two_stage(train_set, KernelSpec("linear"),
                                 GemConfig(k=3, seed=0, target_coverage=0.8))
-    for model, fitted in ((svm, svm), (two_stage, two_stage.svm)):
-        assert fitted.converged and 0.0 <= fitted.kkt_violation <= 1e-3
+    for model in (svm, two_stage):
+        assert model.converged and 0.0 <= model.kkt_violation <= 1e-3
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
         assert payload["converged"] is True
-        assert payload["kkt_violation"] == fitted.kkt_violation
+        assert payload["kkt_violation"] == model.kkt_violation
         back = load_model(path)
-        back_fitted = back if model is svm else back.svm
-        assert back_fitted.converged is True
-        assert back_fitted.kkt_violation == fitted.kkt_violation
+        assert back.converged is True
+        assert back.kkt_violation == model.kkt_violation
 
 
 @pytest.mark.parametrize("kind", ["svm", "two_stage"])
@@ -135,9 +135,8 @@ def test_files_without_kkt_violation_load(cell, tmp_path, kind):
     old = tmp_path / "old.json"
     old.write_text(json.dumps(payload, indent=1) + "\n")
     back = load_model(old)
-    fitted = back if kind == "svm" else back.svm
-    assert fitted.kkt_violation is None
-    assert fitted.converged == (model if kind == "svm" else model.svm).converged
+    assert back.kkt_violation is None
+    assert back.converged == model.converged
     np.testing.assert_array_equal(back.decision_function(test_set.x),
                                   model.decision_function(test_set.x))
     # saving it again writes the field as null
@@ -165,6 +164,10 @@ def test_two_stage_round_trip(cell, tmp_path):
     path = tmp_path / "ts.json"
     save_model(model, path)
     back = load_model(path)
+    # the two-stage model is its SVM plus a detector, with no nested .svm
+    assert type(back) is TwoStageModel and isinstance(back, SvmModel)
+    assert not hasattr(back, "svm")
+    assert json.loads(path.read_text())["model_kind"] == "two_stage"
     assert np.array_equal(back.kept_idx, model.kept_idx)
     assert back.theta == model.theta
     np.testing.assert_array_equal(back.predict(test_set.x),
@@ -259,3 +262,192 @@ def test_load_rejects_a_k_that_is_not_a_count(cell, tmp_path, kind):
             load_model(path)
     path.write_text(json.dumps({**payload, "k": 3.0}))
     assert load_model(path).k == 3
+
+
+# the bytes of each model kind's file, pinned: the key order, the float
+# reprs, null for an absent value and the one-space indent are the format
+_FILE_BYTES = {
+    "gemmed": b"""{
+ "format_version": 1,
+ "model_kind": "gemmed",
+ "kernel": {
+  "kind": "rbf",
+  "gamma": 0.5,
+  "jitter": 1e-08
+ },
+ "x": [
+  [
+   -1.0
+  ],
+  [
+   2.0
+  ]
+ ],
+ "y": [
+  -1,
+  1
+ ],
+ "lambda": [
+  0.25,
+  0.5
+ ],
+ "eta_hat": [
+  0.75,
+  1.0
+ ],
+ "gamma_hat": {
+  "-1": 0.1,
+  "1": 0.2
+ },
+ "beta_hat": {
+  "-1": 0.5,
+  "1": 0.75
+ },
+ "theta": 3.0,
+ "k": 1,
+ "alpha": 0.05,
+ "target_coverage": 0.8,
+ "dual_estimate": -1.5,
+ "hyper": {
+  "c": 10.0,
+  "lambda_cap": null,
+  "p0": null,
+  "steps": 2,
+  "rate_lambda": 0.002,
+  "rate_mu": 0.02,
+  "rate_kappa": 0.02,
+  "gibbs_sweeps": 3,
+  "burn_in": 1,
+  "seed": 0
+ }
+}
+""",
+    "svm": b"""{
+ "format_version": 1,
+ "model_kind": "svm",
+ "kernel": {
+  "kind": "linear",
+  "gamma": null,
+  "jitter": 1e-08
+ },
+ "x": [
+  [
+   -1.0
+  ],
+  [
+   2.0
+  ]
+ ],
+ "y": [
+  -1,
+  1
+ ],
+ "alpha": [
+  0.5,
+  1.0
+ ],
+ "C": 1.0,
+ "converged": true,
+ "kkt_violation": 0.0
+}
+""",
+    "two_stage": b"""{
+ "format_version": 1,
+ "model_kind": "two_stage",
+ "kernel": {
+  "kind": "linear",
+  "gamma": null,
+  "jitter": 1e-08
+ },
+ "x": [
+  [
+   -1.0
+  ],
+  [
+   2.0
+  ]
+ ],
+ "y": [
+  -1,
+  1
+ ],
+ "alpha": [
+  0.5,
+  1.0
+ ],
+ "C": 1.0,
+ "converged": false,
+ "kkt_violation": null,
+ "kept_idx": [
+  0,
+  2
+ ],
+ "removed_idx": [
+  1
+ ],
+ "theta": 2.5,
+ "k": 1,
+ "alpha_level": 0.05
+}
+""",
+}
+
+
+def _hand_built(kind):
+    """A two-row model of the given kind with short, exact float reprs."""
+    x, y = np.array([[-1.0], [2.0]]), np.array([-1, 1])
+    if kind == "gemmed":
+        return TrainedModel(
+            kernel=KernelSpec("rbf", gamma=0.5), x=x, y=y,
+            lam=np.array([0.25, 0.5]), eta_hat=np.array([0.75, 1.0]),
+            gamma_hat=np.array([0.1, 0.2]), beta_hat=np.array([0.5, 0.75]),
+            theta=3.0, k=1, alpha=0.05, target_coverage=0.8,
+            dual_estimate=-1.5,
+            hyper=HyperParams(steps=2, gibbs_sweeps=3, burn_in=1))
+    svm = dict(kernel=KernelSpec("linear"), x=x, y=y,
+               alpha=np.array([0.5, 1.0]), C=1.0)
+    if kind == "svm":
+        return SvmModel(**svm, converged=True, kkt_violation=0.0)
+    return TwoStageModel(**svm, converged=False,
+                         kept_idx=np.array([0, 2]), removed_idx=np.array([1]),
+                         theta=2.5, k=1, alpha_level=0.05)
+
+
+@pytest.mark.parametrize("kind", sorted(_FILE_BYTES))
+def test_model_file_bytes(tmp_path, kind):
+    path = tmp_path / "model.json"
+    save_model(_hand_built(kind), path)
+    assert path.read_bytes() == _FILE_BYTES[kind]
+    # loading and saving again writes the same bytes
+    save_model(load_model(path), path)
+    assert path.read_bytes() == _FILE_BYTES[kind]
+
+
+@pytest.mark.parametrize("kind,key,bad,needle", [
+    *((kind, "y", [-1, 0.5], "must hold only the labels -1 and 1")
+      for kind in sorted(_FILE_BYTES)),
+    ("svm", "y", ["-1", "one"], "must hold only numbers"),
+    ("two_stage", "kept_idx", [0, 1.7], "must list whole numbers of at least 0"),
+    ("two_stage", "removed_idx", [-1], "must list whole numbers of at least 0"),
+    ("two_stage", "converged", "false", "must be true or false, got 'false'"),
+    ("svm", "converged", 1, "must be true or false, got 1"),
+    ("two_stage", "theta", "1.5", "expects a number"),
+    ("gemmed", "theta", None, "expects a number"),
+    ("svm", "C", "1", "expects a number"),
+    ("two_stage", "C", True, "expects a number"),
+    ("gemmed", "target_coverage", [0.8], "expects a number, got [0.8]"),
+    ("svm", "kkt_violation", "0", "expects a number"),
+    ("gemmed", "x", [[-1.0], [2.0, 3.0]], "must hold only numbers"),
+    *((kind, key, [1], "must hold one entry per row of x")
+      for kind, key in (("gemmed", "y"), ("gemmed", "lambda"),
+                        ("gemmed", "eta_hat"), ("svm", "alpha"),
+                        ("two_stage", "y"), ("two_stage", "alpha"))),
+])
+def test_load_refuses_a_field_of_the_wrong_form(tmp_path, kind, key, bad, needle):
+    path = tmp_path / "model.json"
+    save_model(_hand_built(kind), path)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, key: bad}))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"model.json: field '{key}' {needle}")):
+        load_model(path)

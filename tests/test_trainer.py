@@ -657,7 +657,7 @@ def test_fitted_linear_models_score_as_their_kernel_expansion(seed):
         (svm.decision_function(xs), svm.predict(xs), svm.x,
          svm.alpha * svm.y),
         (two_stage.decision_function(xs), two_stage.predict(xs),
-         two_stage.svm.x, two_stage.svm.alpha * two_stage.svm.y),
+         two_stage.x, two_stage.alpha * two_stage.y),
         (trainer.decision_function(joint, xs), trainer.predict(joint, xs),
          joint.x, joint.eta_hat * joint.lam * joint.y),
     ]
