@@ -70,13 +70,25 @@ class SvmModel:
 
 # Rounds of exact free-set solves that may follow the Newton steps.
 FINISH_ROUNDS = 5
+# Rows of K that _check_gram reads at a time.
+GRAM_CHECK_BLOCK = 64
 
 
 def _check_gram(K: np.ndarray) -> None:
-    """Raise unless K is finite and K == K.T exactly."""
-    if not np.isfinite(K).all():
-        raise ValueError("K must be finite")
-    if not np.array_equal(K, K.T):
+    """Raise unless K is finite and K == K.T exactly; finite is checked first.
+
+    One pass over K in blocks of GRAM_CHECK_BLOCK rows: each block must
+    be finite, and its part from the diagonal block rightward, transposed,
+    must equal the column block below it, so no n x n temporary is built.
+    """
+    symmetric = True
+    for s in range(0, K.shape[0], GRAM_CHECK_BLOCK):
+        rows = K[s:s + GRAM_CHECK_BLOCK]
+        if not np.isfinite(rows).all():
+            raise ValueError("K must be finite")
+        symmetric = symmetric and np.array_equal(
+            rows[:, s:].T, K[s:, s:s + GRAM_CHECK_BLOCK])
+    if not symmetric:
         raise ValueError("K must be exactly symmetric")
 
 

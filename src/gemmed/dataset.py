@@ -198,12 +198,13 @@ class LabeledDataset:
                 f"label count {y.shape} does not match {x.shape[0]} feature rows"
             )
         yi = y.astype(int)
-        if not np.array_equal(yi, y) or not np.all(np.isin(yi, CLASSES)):
+        if not np.array_equal(yi, y) or not np.all((yi == -1) | (yi == 1)):
             raise ValueError("labels must be -1 or +1")
         anomaly = self.anomaly
         if anomaly is not None:
             anomaly = np.asarray(anomaly)
-            if anomaly.shape != (x.shape[0],) or not np.isin(anomaly, (0, 1)).all():
+            if (anomaly.shape != (x.shape[0],)
+                    or not ((anomaly == 0) | (anomaly == 1)).all()):
                 raise ValueError("anomaly flags must be 0 or 1, one per row")
             anomaly = anomaly.astype(bool)
         object.__setattr__(self, "x", x)

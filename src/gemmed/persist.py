@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, is_dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +46,20 @@ def json_number(value, what: str):
 
 
 def _floats(key: str, value, read: dict) -> np.ndarray:
-    """value as a float array, all finite: x's rule, and the others' base."""
+    """value as a float array of JSON numbers, all finite: the rules' base.
+
+    np.array would read true as 1 and "0.1" as 0.1, so once the nesting
+    is known to be regular every element must be an int or a float.
+    """
     try:
         array = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError):  # text, ragged rows, huge ints
         raise ValueError(f"field '{key}' must hold only numbers") from None
+    elements = [value] if array.ndim == 0 else value
+    for _ in range(array.ndim - 1):
+        elements = chain.from_iterable(elements)
+    if not set(map(type, elements)) <= {int, float}:
+        raise ValueError(f"field '{key}' must hold only numbers")
     if not np.isfinite(array).all():
         raise ValueError(f"field '{key}' must be finite")
     return array
@@ -60,6 +70,14 @@ def _floats(key: str, value, read: dict) -> np.ndarray:
 def _kernel(key: str, value, read: dict) -> KernelSpec:
     return KernelSpec(**json_object(value, f"field '{key}'",
                                     KernelSpec.__dataclass_fields__))
+
+
+def _matrix(key: str, value, read: dict) -> np.ndarray:
+    x = _floats(key, value, read)
+    if x.ndim != 2 or not x.size:
+        raise ValueError(f"field '{key}' must be a matrix with at least one "
+                         "row and one column")
+    return x
 
 
 def _per_row(key: str, value, read: dict) -> np.ndarray:
@@ -122,7 +140,7 @@ _MAY_BE_MISSING = (_optional_number, _hyper)  # older files lack their keys
 
 # Each kind's file after format_version and model_kind: (JSON key, model
 # field, rule) rows in file order.
-_HEAD = (("kernel", "kernel", _kernel), ("x", "x", _floats), ("y", "y", _labels))
+_HEAD = (("kernel", "kernel", _kernel), ("x", "x", _matrix), ("y", "y", _labels))
 _JOINT = _HEAD + (
     ("lambda", "lam", _per_row), ("eta_hat", "eta_hat", _per_row),
     ("gamma_hat", "gamma_hat", _by_class), ("beta_hat", "beta_hat", _by_class),

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gemmed.baselines import (SvmModel, TwoStageModel, kkt_violation,
-                              solve_svm_dual, train_svm, train_two_stage)
+from gemmed.baselines import (GRAM_CHECK_BLOCK, SvmModel, TwoStageModel,
+                              kkt_violation, solve_svm_dual, train_svm,
+                              train_two_stage)
 from gemmed.dataset import LabeledDataset
 from gemmed.gem import GemConfig, loo_threshold
 from gemmed.kernels import KernelSpec, gram_matrix, kernel_matrix
@@ -163,6 +164,38 @@ def test_solver_checks_symmetry_in_every_row_block():
     K[299, 250] = np.nextafter(K[299, 250], np.inf)
     with pytest.raises(ValueError, match="symmetric"):
         solve_svm_dual(K, y, C=1.0)
+
+
+@pytest.mark.parametrize("entries, match", [
+    # (i, j, value) spoils K[i, j]; value None nudges it one ulp up
+    ([(3, 100, None)], "symmetric"),  # first row block, off its diagonal tile
+    ([(70, 100, None)], "symmetric"),  # inside a diagonal tile
+    ([(120, 10, None)], "symmetric"),  # below the diagonal only
+    ([(140, 145, None)], "symmetric"),  # the last, partial row block
+    ([(120, 10, np.nan)], "finite"),  # below the diagonal only
+    ([(77, 77, np.inf)], "finite"),  # on the diagonal
+    ([(3, 100, None), (140, 145, np.nan)], "finite"),  # finite is checked first
+])
+def test_solver_checks_every_entry_of_K(entries, match):
+    n = 150
+    assert n % GRAM_CHECK_BLOCK and n > 2 * GRAM_CHECK_BLOCK
+    rng = np.random.default_rng(4)
+    K = kernel_matrix(KernelSpec("linear"), rng.normal(size=(n, 2)))
+    for i, j, value in entries:
+        K[i, j] = np.nextafter(K[i, j], np.inf) if value is None else value
+    with pytest.raises(ValueError, match=match):
+        solve_svm_dual(K, rng.choice([-1.0, 1.0], size=n), C=1.0)
+
+
+def test_zero_and_negative_zero_are_a_symmetric_pair():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(150, 2))
+    x[5], x[90] = (1.0, 0.0), (0.0, 1.0)  # orthogonal: K[5, 90] is 0.0
+    K = kernel_matrix(KernelSpec("linear"), x)
+    K[90, 5] = -0.0
+    assert K[5, 90] == 0.0 and not np.signbit(K[5, 90]) and np.signbit(K[90, 5])
+    alpha, _, _ = solve_svm_dual(K, rng.choice([-1.0, 1.0], size=150), C=1.0)
+    assert np.isfinite(alpha).all()
 
 
 def test_solver_leaves_inputs_unchanged():

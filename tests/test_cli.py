@@ -206,6 +206,26 @@ def test_predict_refuses_a_model_label_other_than_plus_or_minus_1(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,change,needle", [
+    # a flat x used to die in _read_points with an IndexError
+    ("x", lambda x: [row[0] for row in x], "must be a matrix"),
+    # true used to load as label +1 and "0.1" as 0.1, with exit 0
+    ("y", lambda y: [True] + y[1:], "must hold only numbers"),
+    ("lambda", lambda lam: ["0.1"] + lam[1:], "must hold only numbers"),
+])
+def test_predict_refuses_a_model_field_of_the_wrong_shape_or_type(
+        workdir, tmp_path, capsys, key, change, needle):
+    payload = json.loads((workdir / "model.json").read_text())
+    payload[key] = change(payload[key])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(bad), "--data",
+                 str(workdir / "test.csv"), "--out", str(out)]) == 2
+    assert f"bad.json: field '{key}' {needle}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_detect_with_a_two_stage_model(workdir, baselines, tmp_path,
                                       monkeypatch):
     passes = []

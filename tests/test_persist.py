@@ -442,6 +442,17 @@ def test_model_file_bytes(tmp_path, kind):
       for kind, key in (("gemmed", "y"), ("gemmed", "lambda"),
                         ("gemmed", "eta_hat"), ("svm", "alpha"),
                         ("two_stage", "y"), ("two_stage", "alpha"))),
+    # np.array would read true as 1 and "0.25" as 0.25
+    ("gemmed", "y", [True, 1], "must hold only numbers"),
+    ("svm", "y", [-1, False], "must hold only numbers"),
+    ("gemmed", "lambda", ["0.25", 0.5], "must hold only numbers"),
+    ("svm", "alpha", [0.5, True], "must hold only numbers"),
+    ("gemmed", "gamma_hat", {"-1": True, "1": 0.2}, "must hold only numbers"),
+    ("two_stage", "kept_idx", [False, 2], "must hold only numbers"),
+    ("two_stage", "x", [[True], [2.0]], "must hold only numbers"),
+    ("gemmed", "x", [["-1"], [2.0]], "must hold only numbers"),
+    *(("svm", "x", bad, "must be a matrix with at least one row and one column")
+      for bad in ([-1.0, 2.0], [], [[], []], [[[-1.0]], [[2.0]]], 1.0)),
 ])
 def test_load_refuses_a_field_of_the_wrong_form(tmp_path, kind, key, bad, needle):
     path = tmp_path / "model.json"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gemmed.synthdata import (COV, MEANS, RingExperimentConfig, generate,
-                              sample_nominal, sample_ring)
+from gemmed.synthdata import (COV, COV_FACTOR, MEANS, RingExperimentConfig,
+                              generate, sample_nominal, sample_ring)
 
 
 def test_config_validation():
@@ -84,3 +84,19 @@ def test_class_means_are_antipodal():
     np.testing.assert_array_equal(MEANS[-1], -MEANS[1])
     assert np.array_equal(COV, COV.T)
     assert np.all(np.linalg.eigvalsh(COV) > 0)
+
+
+def test_cov_factor_reproduces_cov():
+    # z @ COV_FACTOR has covariance COV_FACTOR.T @ COV_FACTOR
+    np.testing.assert_allclose(COV_FACTOR.T @ COV_FACTOR, COV, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 80, 1000])
+def test_sample_nominal_reads_exactly_one_standard_normal_block(n):
+    rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+    for label in (-1, 1):
+        pts = sample_nominal(rng, n, label)
+        z = twin.standard_normal((n, 2))
+        assert pts.shape == (n, 2)
+        np.testing.assert_array_equal(pts, MEANS[label] + z @ COV_FACTOR)
+    assert rng.standard_normal() == twin.standard_normal()
