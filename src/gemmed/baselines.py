@@ -238,13 +238,13 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
     unconverged, flagged so.
 
     K must be square, finite and exactly symmetric, y must hold one
-    label per row, each -1 or +1, and C and tol must be positive;
-    anything else raises ValueError. K and y are not modified.
+    label per row, each -1 or +1, C must be positive and finite and tol
+    positive; anything else raises ValueError. K and y are not modified.
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < np.inf:
+        raise ValueError(f"C must be positive and finite, got {C!r}")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if K.ndim != 2 or K.shape[0] != K.shape[1]:

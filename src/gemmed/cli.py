@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -60,7 +61,7 @@ def _whole_number(value, what: str) -> int:
 
 def _section(value, name: str, cls, allowed) -> dict:
     """A sweep config section: an object with no key outside allowed, whose
-    float fields of cls hold numbers; null keeps a field's None default."""
+    float fields of cls hold numbers; null unsets a None-default field."""
     section = json_object(value, f"sweep config section '{name}'", allowed)
     for f in dataclasses.fields(cls):
         if f.type.startswith("float") and section.get(f.name, f.default) is not f.default:
@@ -213,6 +214,10 @@ SWEEP_TOP_KEYS = {
 METHOD_KEYS = {"gemmed": {"kernel", "gamma", "jitter", "hyper"},
                "svm": {"kernel", "gamma", "C"},
                "two-stage": {"kernel", "gamma", "C"}}
+# sweep config key -> run_cell parameter, for the counts a config may set
+ROW_COUNTS = {"n_train_per_class": "n_train_per_class",
+              "n_test_per_class": "n_test_per_class",
+              "detect_ring": "n_detect_ring", "detect_clean": "n_detect_clean"}
 
 
 def _as_list(value, key):
@@ -226,19 +231,12 @@ def _method_settings(config: dict, method: str) -> MethodSettings:
     base = default_settings(method)
     if section is None:
         return base
-    _section(section, method, MethodSettings, METHOD_KEYS[method])
-    hyper = base.hyper
+    section = _section(section, method, MethodSettings, METHOD_KEYS[method])
     if "hyper" in section:  # run_cell seeds each cell's sampler itself
         allowed = HyperParams.__dataclass_fields__.keys() - {"seed"}
-        hyper = HyperParams(**_section(section["hyper"], f"{method}.hyper",
-                                       HyperParams, allowed))
-    settings = MethodSettings(
-        kernel=section.get("kernel", base.kernel),
-        gamma=section.get("gamma", base.gamma),
-        jitter=section.get("jitter", base.jitter),
-        C=section.get("C", base.C),
-        hyper=hyper,
-    )
+        hyper = _section(section["hyper"], f"{method}.hyper", HyperParams, allowed)
+        section = {**section, "hyper": dataclasses.replace(base.hyper, **hyper)}
+    settings = dataclasses.replace(base, **section)
     if not 0 < settings.C < np.inf:
         raise ValueError(f"sweep config key '{method}.C' must be positive "
                          f"and finite, got {settings.C!r}")
@@ -277,28 +275,27 @@ def cmd_sweep(args) -> int:
     coverage = config.get("coverage")
     if coverage is not None:
         coverage = float(json_number(coverage, "sweep config key 'coverage'"))
-    n_train, n_test, detect_ring, detect_clean = (
-        _whole_number(config.get(key, default), f"sweep config key '{key}'")
-        for key, default in (("n_train_per_class", 100), ("n_test_per_class", 2000),
-                             ("detect_ring", 200), ("detect_clean", 2000)))
+    # run_cell's signature holds the default of every count a config omits
+    counts = {}
+    for key, name in ROW_COUNTS.items():
+        if key in config:
+            what = f"sweep config key '{key}'"
+            n = counts[name] = _whole_number(config[key], what)
+            if n < 0:
+                raise ValueError(f"{what} must be at least 0, got {n}")
+    # every cell's data config, checked before the first cell runs
+    sizes = {k: counts[k]
+             for k in counts.keys() & RingExperimentConfig.__dataclass_fields__}
+    for R, ra, seed in itertools.product(grid_R, grid_ra, seeds):
+        RingExperimentConfig(R=R, r_a=ra, seed=seed, **sizes)
     out = args.out or config.get("out", "sweep.csv")
 
     rows = []
-    for method in methods:
-        for R in grid_R:
-            for ra in grid_ra:
-                for seed in seeds:
-                    cell = run_cell(method, R, ra, seed,
-                                    n_train_per_class=n_train,
-                                    n_test_per_class=n_test,
-                                    gem_config=gem_config,
-                                    settings=settings[method],
-                                    coverage=coverage,
-                                    n_detect_ring=detect_ring,
-                                    n_detect_clean=detect_clean)
-                    rows.append(cell)
-                    print(f"{method} R={R:g} ra={ra:g} seed={seed}: "
-                          f"error={cell.error:.4f}")
+    for method, R, ra, seed in itertools.product(methods, grid_R, grid_ra, seeds):
+        cell = run_cell(method, R, ra, seed, gem_config=gem_config,
+                        settings=settings[method], coverage=coverage, **counts)
+        rows.append(cell)
+        print(f"{method} R={R:g} ra={ra:g} seed={seed}: error={cell.error:.4f}")
     write_csv(out, ["method", "R", "r_a", "seed", "error", "auc", "det_acc"],
               ([cell.method, _fmt(cell.R), _fmt(cell.r_a), str(cell.seed),
                 _fmt(cell.error), _fmt(cell.auc), _fmt(cell.det_acc)]

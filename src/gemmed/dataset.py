@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,17 @@ def class_index(labels) -> np.ndarray:
     Labels may be int or float; a scalar label gives a 0-d array.
     """
     return (np.asarray(labels).astype(int) + 1) // 2
+
+
+def check_integers(config, **minimums) -> None:
+    """Refuse a config whose named fields are not integers of at least
+    their minimums; a bool is not an integer here."""
+    for name, minimum in minimums.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
 
 
 def _float_or_nan(text: str) -> float:

@@ -88,10 +88,8 @@ def run_cell(method: str, R: float, r_a: float, seed: int,
     train_set, test_set = generate(cfg)
     if coverage is None:
         coverage = 1.0 - r_a
-    if gem_config is None:
-        gem_config = GemConfig(target_coverage=coverage, seed=seed)
-    else:
-        gem_config = replace(gem_config, target_coverage=coverage, seed=seed)
+    gem_config = replace(gem_config or GemConfig(), target_coverage=coverage,
+                         seed=seed)
     kernel = resolve_kernel(settings.kernel, settings.gamma, train_set.x,
                             settings.jitter)
 

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .dataset import CLASSES, LabeledDataset, class_index
+from .dataset import CLASSES, LabeledDataset, check_integers, class_index
 
 
 @dataclass(frozen=True)
@@ -57,18 +56,14 @@ class GemConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        check_integers(self, k=1, seed=0)
         if not 0 < self.partition_ratio < 1:
             raise ValueError("partition_ratio must lie in (0, 1)")
         if not 0 < self.target_coverage <= 1:
             raise ValueError("target_coverage must lie in (0, 1]")
-        if self.epsilon_gamma <= 0:
-            raise ValueError("epsilon_gamma must be positive")
+        if not 0 < self.epsilon_gamma < np.inf:
+            raise ValueError("epsilon_gamma must be positive and finite, "
+                             f"got {self.epsilon_gamma!r}")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
 

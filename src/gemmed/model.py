@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
-from .dataset import class_index
+from .dataset import check_integers, class_index
 from .kernels import GramMatrix, KernelSpec
 
 RATE_RANGES = {"rate_lambda": (1e-4, 1e-2), "rate_mu": (1e-3, 1e-1),
@@ -59,10 +58,7 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("steps", "gibbs_sweeps", "burn_in", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_integers(self, steps=0, gibbs_sweeps=1, burn_in=0, seed=0)
         if not 0 < self.c < np.inf:
             raise ValueError(f"c must be positive and finite, got {self.c!r}")
         cap = self.resolved_cap
@@ -70,12 +66,10 @@ class HyperParams:
             raise ValueError("lambda_cap must lie strictly between 0 and c")
         if self.p0 is not None and not 0 < self.p0 < 1:
             raise ValueError("p0 must lie in (0, 1)")
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
         for name in RATE_RANGES:
             if not 0 < (rate := getattr(self, name)) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {rate!r}")
-        if not 0 <= self.burn_in < self.gibbs_sweeps:
+        if not self.burn_in < self.gibbs_sweeps:
             raise ValueError("need 0 <= burn_in < gibbs_sweeps: the sampler "
                              "averages at least one sweep")
 

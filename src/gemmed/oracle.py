@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .dataset import class_index
 from .model import DualProblem, DualState, eta_logits
 
 MAX_EXACT = 16
@@ -57,7 +56,7 @@ def exact_posterior(state: DualState, problem: DualProblem) -> OracleResult:
     doubles per extra sample and larger instances are what the sampler
     is for.
     """
-    n, y, d_tilde, K = problem.n, problem.y, problem.d_tilde, problem.gram.values
+    n, y, K = problem.n, problem.y, problem.gram.values
     if n > MAX_EXACT:
         raise ValueError(f"exact posterior supports at most {MAX_EXACT} samples, got {n}")
     if np.any(state.lam >= problem.hyper.c):
@@ -79,9 +78,9 @@ def exact_posterior(state: DualState, problem: DualProblem) -> OracleResult:
     e_eta_y_f = probs @ (configs * y[None, :] * mean_f)
     eta_hat = probs @ configs
 
-    masks = class_index(y) == np.arange(2)[:, None]  # one row per class slot
-    e_sum_eta_d = np.array([probs @ (configs[:, m] @ d_tilde[m]) for m in masks])
-    e_sum_eta = np.array([probs @ configs[:, m].sum(axis=1) for m in masks])
+    # per class slot, through the one-hot matrices the sampler reads
+    e_sum_eta_d = probs @ (configs @ problem.slot_d_tilde)
+    e_sum_eta = probs @ (configs @ problem.slots)
 
     return OracleResult(
         log_partition=log_z,

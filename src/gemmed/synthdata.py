@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, check_integers
 
 MEANS = {-1: np.array([3.0, 3.0]), 1: np.array([-3.0, -3.0])}
 COV = np.array([[20.0, 16.0], [16.0, 20.0]])
@@ -36,12 +36,11 @@ class RingExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("R must be positive")
+        check_integers(self, n_train_per_class=1, n_test_per_class=1, seed=0)
+        if not 0 < self.R < np.inf:
+            raise ValueError(f"R must be positive and finite, got {self.R!r}")
         if not 0 <= self.r_a < 1:
-            raise ValueError("r_a must lie in [0, 1)")
-        if self.n_train_per_class < 1 or self.n_test_per_class < 1:
-            raise ValueError("per-class sample counts must be positive")
+            raise ValueError(f"r_a must lie in [0, 1), got {self.r_a!r}")
 
 
 def sample_ring(rng: np.random.Generator, n: int, R: float) -> np.ndarray:

@@ -130,8 +130,9 @@ def test_kkt_residuals_at_solution():
 
 
 def test_solver_input_validation():
-    with pytest.raises(ValueError, match="C"):
-        solve_svm_dual(np.eye(2), np.array([1.0, -1.0]), C=0.0)
+    for C in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^C must be positive"):
+            solve_svm_dual(np.eye(2), np.array([1.0, -1.0]), C=C)
     for tol in (0.0, -1e-3, np.nan):
         with pytest.raises(ValueError, match="tol"):
             solve_svm_dual(np.eye(2), np.array([1.0, -1.0]), C=1.0, tol=tol)

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process through main()."""
 
 import csv
+import inspect
 import json
 import os
 import re
@@ -12,9 +13,11 @@ import numpy as np
 import pytest
 
 import gemmed
+from gemmed import cli
 from gemmed.baselines import train_svm, train_two_stage
 from gemmed.cli import main
 from gemmed.dataset import LabeledDataset
+from gemmed.experiments import CellResult, run_cell
 from gemmed.gem import GemConfig, knn_distance_sum
 from gemmed.kernels import KernelSpec
 from gemmed.model import TrainedModel
@@ -509,6 +512,7 @@ def test_train_bad_gamma_and_rates(workdir, tmp_path, capsys):
     ("--rates", "nan,2e-2,2e-2", "rate_lambda must be positive and finite, got nan"),
     ("--jitter", "nan", "jitter must be nonnegative and finite, got nan"),
     ("--gamma", "inf", "rbf kernel requires gamma > 0 and finite, got inf"),
+    ("--seed", "-1", "seed must be at least 0, got -1"),
 ])
 def test_train_refuses_non_finite_rates_and_jitter(workdir, tmp_path, capsys,
                                                    flag, value, needle):
@@ -517,6 +521,21 @@ def test_train_refuses_non_finite_rates_and_jitter(workdir, tmp_path, capsys,
                  "--steps", "1", "--model-out", str(out)]) == 2
     assert needle in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["--R", "nan", "--ra", "0"], "R must be positive and finite, got nan"),
+    (["--R", "inf", "--ra", "0.2"], "R must be positive and finite, got inf"),
+    (["--R", "55", "--ra", "0.2", "--seed", "-2"],
+     "seed must be at least 0, got -2"),
+])
+def test_simulate_refuses_bad_geometry_and_seeds(tmp_path, capsys, argv,
+                                                 needle):
+    out = [tmp_path / "train.csv", tmp_path / "test.csv"]
+    assert main(["simulate", *argv, "--out-train", str(out[0]),
+                 "--out-test", str(out[1])]) == 2
+    assert needle in capsys.readouterr().err
+    assert not any(path.exists() for path in out)
 
 
 @pytest.mark.parametrize("c", ["inf", "nan"])
@@ -624,6 +643,51 @@ def test_sweep_of_the_joint_model_on_clean_training_data(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_partial_hyper_keeps_the_method_defaults(tmp_path, capsys):
+    # a hyper section that sets only the schedule keeps the joint model's
+    # default lambda_cap of 0.4 instead of resetting it to 0.99 * c
+    schedule = {"steps": 3, "gibbs_sweeps": 8, "burn_in": 2}
+    outputs = []
+    for extra in ({}, {"lambda_cap": 0.4}):
+        config = _sweep_config(tmp_path, methods=["gemmed"], gem={"k": 3},
+                               detect_ring=20, detect_clean=20,
+                               gemmed={"hyper": {**schedule, **extra}})
+        assert main(["sweep", "--config", str(config)]) == 0
+        outputs.append((tmp_path / "sweep.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+
+
+ROW_COUNT_PARAMS = ("n_train_per_class", "n_test_per_class",
+                    "n_detect_ring", "n_detect_clean")
+
+
+def test_sweep_leaves_omitted_row_counts_to_run_cell(tmp_path, capsys,
+                                                     monkeypatch):
+    calls = []
+
+    def fake_run_cell(method, R, r_a, seed, **kwargs):
+        bound = inspect.signature(run_cell).bind(method, R, r_a, seed, **kwargs)
+        bound.apply_defaults()
+        calls.append((kwargs, bound.arguments))
+        return CellResult(method, R, r_a, seed, 0.25, None, None)
+
+    monkeypatch.setattr(cli, "run_cell", fake_run_cell)
+    path = tmp_path / "config.json"
+    for counts in ({}, {"n_train_per_class": 20.0, "detect_clean": 0}):
+        path.write_text(json.dumps({"R": [55], "ra": [0.2], "seeds": [0],
+                                    "methods": ["svm"], **counts,
+                                    "out": str(tmp_path / "sweep.csv")}))
+        assert main(["sweep", "--config", str(path)]) == 0
+    (unset, defaults), (partial, applied) = calls
+    assert not unset.keys() & set(ROW_COUNT_PARAMS)
+    assert [defaults[k] for k in ROW_COUNT_PARAMS] == [100, 2000, 200, 2000]
+    assert {k: partial[k] for k in partial.keys() & set(ROW_COUNT_PARAMS)} \
+        == {"n_train_per_class": 20, "n_detect_clean": 0}
+    assert [applied[k] for k in ROW_COUNT_PARAMS] == [20, 2000, 200, 0]
+    capsys.readouterr()
+
+
 def test_sweep_honors_method_sections(tmp_path, capsys):
     config = _sweep_config(
         tmp_path, methods=["two-stage"],
@@ -704,11 +768,29 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     # run_cell seeds each cell's sampler with the cell seed
     ({"gemmed": {"hyper": {"seed": 5}}},
      "unknown key 'seed' in sweep config section 'gemmed.hyper'"),
+    # a hyper section overrides the joint model's lambda_cap of 0.4 only
+    # where it sets it, so a c at or below 0.4 needs its own cap
+    ({"gemmed": {"hyper": {"c": 0.3}}},
+     "lambda_cap must lie strictly between 0 and c"),
+    ({"gem": {"epsilon_gamma": float("nan")}},
+     "epsilon_gamma must be positive and finite, got nan"),
+    ({"gem": {"epsilon_gamma": float("inf")}},
+     "epsilon_gamma must be positive and finite, got inf"),
+    # every cell's data and detection counts are checked before any cell
+    ({"ra": [0.2, 1.5]}, "r_a must lie in [0, 1), got 1.5"),
+    ({"seeds": [1, -3]}, "seed must be at least 0, got -3"),
+    ({"R": [40.0, float("nan")]}, "R must be positive and finite, got nan"),
+    ({"n_test_per_class": 0}, "n_test_per_class must be at least 1, got 0"),
+    ({"detect_ring": -1, "detect_clean": 0},
+     "key 'detect_ring' must be at least 0, got -1"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)
     assert main(["sweep", "--config", str(config)]) == 2
-    assert needle in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert needle in err
+    assert "R=" not in out  # no cell ran
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_null_unsets_optional_floats(tmp_path, capsys):

@@ -284,6 +284,10 @@ def test_gem_config_validation():
         GemConfig(target_coverage=0.0)
     with pytest.raises(ValueError):
         GemConfig(epsilon_gamma=0.0)
+    for eps in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon_gamma must be positive "
+                                             "and finite"):
+            GemConfig(epsilon_gamma=eps)
     with pytest.raises(ValueError):
         GemConfig(alpha=1.0)
     for bad in ({"k": 2.5}, {"k": 3.0}, {"k": True}, {"seed": 1.5},
@@ -291,6 +295,8 @@ def test_gem_config_validation():
         name = next(iter(bad))
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             GemConfig(**bad)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        GemConfig(seed=-1)
     assert GemConfig(k=np.int64(3), seed=np.int64(7)).k == 3
 
 

@@ -48,6 +48,8 @@ def test_hyper_validation():
             HyperParams(**{name: 3.0})
     with pytest.raises(ValueError, match="seed must be an integer"):
         HyperParams(seed=True)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        HyperParams(seed=-1)
     assert HyperParams(seed=np.int64(3)).seed == 3
 
 

@@ -14,6 +14,18 @@ def test_config_validation():
         RingExperimentConfig(R=10.0, r_a=-0.1)
     with pytest.raises(ValueError):
         RingExperimentConfig(R=10.0, r_a=0.2, n_train_per_class=0)
+    for R in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="R must be positive and finite"):
+            RingExperimentConfig(R=R, r_a=0.2)
+    with pytest.raises(ValueError, match=r"r_a must lie in \[0, 1\), got nan"):
+        RingExperimentConfig(R=10.0, r_a=np.nan)
+    for name in ("n_train_per_class", "n_test_per_class", "seed"):
+        for value in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                RingExperimentConfig(R=10.0, r_a=0.2, **{name: value})
+    with pytest.raises(ValueError, match="seed must be at least 0, got -2"):
+        RingExperimentConfig(R=10.0, r_a=0.2, seed=-2)
+    assert RingExperimentConfig(R=10.0, r_a=0.2, seed=np.int64(3)).seed == 3
 
 
 def test_exact_anomaly_counts():
