@@ -27,7 +27,7 @@ import numpy as np
 from .dataset import LabeledDataset
 from .gem import GemConfig, compute_gem_stats, knn_distance_sum, loo_threshold
 from .kernels import (KernelSpec, compact_expansion, finite_decisions,
-                      kernel_cross, kernel_matrix)
+                      kernel_cross, kernel_matrix, query_blocks)
 
 
 @dataclass
@@ -51,13 +51,18 @@ class SvmModel:
         """sum_j alpha_j y_j k(x, x_j) for each query row.
 
         A 1-D xs is one query. A linear model scores through its weight
-        vector in O(d) per query; an rbf model builds one row of n kernel
-        values per query. Raises ValueError when any value is not finite.
+        vector in O(d) per query. Rows are scored in the blocks of
+        kernels.query_blocks, so an rbf model holds about SCORE_BLOCK
+        kernel values at a time however many rows there are, and every
+        value equals that of one single-threaded product over all rows,
+        bit for bit. Raises ValueError when any value is not finite.
         """
         centers, coef = compact_expansion(self.kernel, self.x,
                                           self.alpha * self.y)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            values = kernel_cross(self.kernel, xs, centers) @ coef
+            values = np.concatenate([
+                kernel_cross(self.kernel, block, centers) @ coef
+                for block in query_blocks(xs, len(centers))])
         return finite_decisions(values)
 
     def predict(self, xs: np.ndarray) -> np.ndarray:

@@ -16,6 +16,9 @@ from scipy.spatial.distance import cdist, pdist
 from .errors import NumericsError
 
 KERNEL_KINDS = ("linear", "rbf")
+# The most kernel values one block of query rows may hold when a decision
+# function is scored block by block (see query_blocks).
+SCORE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,22 @@ def compact_expansion(spec: KernelSpec, centers: np.ndarray,
     if spec.kind == "linear":
         return np.atleast_2d(coef @ centers), np.ones(1)
     return centers, coef
+
+
+def query_blocks(xs: np.ndarray, width: int) -> list[np.ndarray]:
+    """Split the query rows xs into blocks of about SCORE_BLOCK kernel
+    values against width centers; a 1-D xs is one query.
+
+    A block holds SCORE_BLOCK // width rows rounded down to a multiple of
+    64, at least 64, and the last block also takes a lone final row.
+    OpenBLAS's GEMV takes rows in groups of fixed size and sends the
+    remainder through another kernel, and NumPy scores a one-row block
+    by a dot product, so these blocks give the values of one
+    single-threaded product over all rows, bit for bit.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    rows = max(64, SCORE_BLOCK // width // 64 * 64)
+    return np.split(xs, range(rows, len(xs) - 1, rows))
 
 
 def finite_decisions(values: np.ndarray) -> np.ndarray:

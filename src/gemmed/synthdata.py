@@ -39,6 +39,11 @@ class RingExperimentConfig:
         check_integers(self, n_train_per_class=1, n_test_per_class=1, seed=0)
         if not 0 < self.R < np.inf:
             raise ValueError(f"R must be positive and finite, got {self.R!r}")
+        with np.errstate(over="ignore"):  # sample_ring squares the radii
+            outer_squared = np.square(np.float64(self.R) + 1.0)
+        if not np.isfinite(outer_squared):
+            raise ValueError("R must be at most about 1.34e154, so that "
+                             f"(R + 1)**2 is finite, got {self.R!r}")
         if not 0 <= self.r_a < 1:
             raise ValueError(f"r_a must lie in [0, 1), got {self.r_a!r}")
 

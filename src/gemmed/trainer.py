@@ -38,7 +38,8 @@ from .dataset import LabeledDataset
 from .errors import TrainingFailure
 from .gem import GemConfig, compute_gem_stats, knn_distance_sum, loo_threshold
 from .kernels import (GramMatrix, KernelSpec, compact_expansion,
-                      finite_decisions, gram_matrix, kernel_cross)
+                      finite_decisions, gram_matrix, kernel_cross,
+                      query_blocks)
 from .model import (RATE_RANGES, DualProblem, DualState, HyperParams,
                     TrainedModel, eta_logits, resolve_p0)
 
@@ -348,13 +349,18 @@ def decision_function(model: TrainedModel, xs: np.ndarray) -> np.ndarray:
     """sum_j eta_j lambda_j y_j k(x, x_j) for each query row.
 
     A 1-D xs is one query. A linear model scores through its weight
-    vector in O(d) per query; an rbf model builds one row of n kernel
-    values per query. Raises ValueError when any value is not finite.
+    vector in O(d) per query. Rows are scored in the blocks of
+    kernels.query_blocks, so an rbf model holds about SCORE_BLOCK kernel
+    values at a time however many rows there are, and every value equals
+    that of one single-threaded product over all rows, bit for bit.
+    Raises ValueError when any value is not finite.
     """
     centers, coef = compact_expansion(model.kernel, model.x,
                                       model.eta_hat * model.lam * model.y)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        values = kernel_cross(model.kernel, xs, centers) @ coef
+        values = np.concatenate([
+            kernel_cross(model.kernel, block, centers) @ coef
+            for block in query_blocks(xs, len(centers))])
     return finite_decisions(values)
 
 

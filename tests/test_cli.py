@@ -528,6 +528,10 @@ def test_train_refuses_non_finite_rates_and_jitter(workdir, tmp_path, capsys,
     (["--R", "inf", "--ra", "0.2"], "R must be positive and finite, got inf"),
     (["--R", "55", "--ra", "0.2", "--seed", "-2"],
      "seed must be at least 0, got -2"),
+    # sample_ring squares the outer radius R + 1
+    (["--R", "1e200", "--ra", "0.2"],
+     "R must be at most about 1.34e154, so that (R + 1)**2 is finite, "
+     "got 1e+200"),
 ])
 def test_simulate_refuses_bad_geometry_and_seeds(tmp_path, capsys, argv,
                                                  needle):
@@ -783,6 +787,7 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     ({"n_test_per_class": 0}, "n_test_per_class must be at least 1, got 0"),
     ({"detect_ring": -1, "detect_clean": 0},
      "key 'detect_ring' must be at least 0, got -1"),
+    ({"R": [55.0, 1e200]}, "R must be at most about 1.34e154"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from gemmed import kernels
 from gemmed.errors import NumericsError
 from gemmed.kernels import (GramMatrix, KernelSpec, compact_expansion,
                             gram_matrix, kernel_cross, kernel_matrix,
-                            median_heuristic_gamma, resolve_kernel)
+                            median_heuristic_gamma, query_blocks,
+                            resolve_kernel)
 
 
 def _pair(spec, a, b):
@@ -127,6 +129,26 @@ def test_compact_expansion():
     rbf = KernelSpec("rbf", gamma=0.3)
     kept, same = compact_expansion(rbf, centers, coef)
     assert kept is centers and same is coef
+
+
+def test_query_blocks_hold_whole_groups_of_64_rows(monkeypatch):
+    xs = np.arange(1284.0).reshape(642, 2)
+
+    def rows(xs, width):
+        return [len(block) for block in query_blocks(xs, width)]
+
+    # 65536 // 200 = 327 rows, rounded down to 320; a lone final row
+    # joins the last block
+    assert rows(xs[:641], 200) == [320, 321]
+    assert rows(xs[:640], 200) == [320, 320]
+    assert rows(xs, 200) == [320, 320, 2]
+    assert rows(xs, 1) == [642]
+    assert rows(xs[:129], 5000) == [64, 65]  # at least 64 rows
+    assert np.array_equal(np.concatenate(query_blocks(xs, 3)), xs)
+    assert [b.shape for b in query_blocks(xs[0], 200)] == [(1, 2)]
+    assert [b.shape for b in query_blocks(xs[:0], 200)] == [(0, 2)]
+    monkeypatch.setattr(kernels, "SCORE_BLOCK", 20_000)  # read per call
+    assert rows(xs[:200], 100) == [192, 8]
 
 
 def test_rbf_diagonal_is_one():

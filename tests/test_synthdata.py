@@ -17,6 +17,14 @@ def test_config_validation():
     for R in (np.nan, np.inf):
         with pytest.raises(ValueError, match="R must be positive and finite"):
             RingExperimentConfig(R=R, r_a=0.2)
+    # sample_ring squares the outer radius R + 1
+    with pytest.raises(ValueError, match=r"R must be at most about 1\.34e154, "
+                       r"so that \(R \+ 1\)\*\*2 is finite, got 1e\+200"):
+        RingExperimentConfig(R=1e200, r_a=0.2)
+    train, test = generate(RingExperimentConfig(R=1e150, r_a=0.2,
+                                                n_train_per_class=10,
+                                                n_test_per_class=5))
+    assert np.isfinite(train.x).all() and np.isfinite(test.x).all()
     with pytest.raises(ValueError, match=r"r_a must lie in \[0, 1\), got nan"):
         RingExperimentConfig(R=10.0, r_a=np.nan)
     for name in ("n_train_per_class", "n_test_per_class", "seed"):

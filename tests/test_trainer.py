@@ -10,7 +10,7 @@ import pytest
 from scipy.special import expit
 from scipy.stats import norm, t as student_t
 
-from gemmed import trainer
+from gemmed import kernels, trainer
 from gemmed.dataset import LabeledDataset
 from gemmed.errors import TrainingFailure
 from gemmed.gem import GemConfig, compute_gem_stats, knn_distance_sum
@@ -667,34 +667,92 @@ def test_fitted_linear_models_score_as_their_kernel_expansion(seed):
         np.testing.assert_array_equal(labels, np.where(full < 0, -1, 1))
 
 
+def _scoring_model(kind, kernel, train_set):
+    """A fitted SVM, or a joint model with random duals, on train_set, as
+    (decision function, centers, coefficients of its kernel expansion)."""
+    from gemmed.baselines import train_svm
+    if kind == "svm":
+        svm = train_svm(train_set, kernel)
+        return svm.decision_function, svm.x, svm.alpha * svm.y
+    rng = np.random.default_rng(5)
+    n = train_set.n
+    model = TrainedModel(kernel=kernel, x=train_set.x, y=train_set.y,
+                         lam=rng.uniform(0.0, 0.4, size=n),
+                         eta_hat=rng.uniform(size=n),
+                         gamma_hat=np.zeros(2), beta_hat=np.zeros(2),
+                         theta=1.0, k=3, alpha=0.05, target_coverage=0.8)
+    return (functools.partial(trainer.decision_function, model), model.x,
+            model.eta_hat * model.lam * model.y)
+
+
+def _peak_bytes(score, xs):
+    tracemalloc.start()
+    try:
+        score(xs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("kind", ["svm", "joint"])
 def test_linear_scoring_memory_stays_near_the_query_size(kind):
     """A linear model scores 20000 queries against 1000 training rows
     without a queries x training-rows kernel block (160 MB)."""
-    from gemmed.baselines import train_svm
     train_set, _ = generate(RingExperimentConfig(
         R=55.0, r_a=0.2, n_train_per_class=500, n_test_per_class=1, seed=0))
-    kernel = KernelSpec("linear")
-    if kind == "svm":
-        score = train_svm(train_set, kernel).decision_function
-    else:
-        rng = np.random.default_rng(5)
-        n = train_set.n
-        model = TrainedModel(kernel=kernel, x=train_set.x, y=train_set.y,
-                             lam=rng.uniform(0.0, 0.4, size=n),
-                             eta_hat=rng.uniform(size=n),
-                             gamma_hat=np.zeros(2), beta_hat=np.zeros(2),
-                             theta=1.0, k=3, alpha=0.05,
-                             target_coverage=0.8)
-        score = functools.partial(trainer.decision_function, model)
+    score, _, _ = _scoring_model(kind, KernelSpec("linear"), train_set)
     xs = np.random.default_rng(6).normal(scale=60.0, size=(20000, 2))
-    tracemalloc.start()
-    try:
-        score(xs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _peak_bytes(score, xs)
     assert peak < 4 * xs.nbytes, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("kind", ["svm", "joint"])
+def test_rbf_scoring_memory_stays_within_one_row_block(kind):
+    """An rbf model scores 50000 queries against 200 training rows in
+    row blocks, without the 80 MB queries x training-rows kernel block."""
+    train_set, _ = generate(RingExperimentConfig(
+        R=55.0, r_a=0.2, n_train_per_class=100, n_test_per_class=1, seed=0))
+    score, _, _ = _scoring_model(kind, KernelSpec("rbf", gamma=0.1),
+                                 train_set)
+    xs = np.random.default_rng(6).normal(scale=60.0, size=(50000, 2))
+    peak = _peak_bytes(score, xs)
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("kind", ["svm", "joint"])
+def test_rbf_scores_in_row_blocks_equal_one_product(kind, monkeypatch):
+    """Scores built block by block equal the one queries x training-rows
+    product, bit for bit, with SCORE_BLOCK lowered so that many blocks
+    form. OpenBLAS splits one product over many rows evenly among its
+    threads, and each share has its own remainder rows; the 4000-row
+    reference splits into multiples of 4 rows on 1, 2 and 4 threads, so
+    it keeps the bits of one thread."""
+    train_set, test_set = generate(RingExperimentConfig(
+        R=55.0, r_a=0.2, n_train_per_class=100, n_test_per_class=2000,
+        seed=0))
+    kernel = KernelSpec("rbf", gamma=0.1)
+    score, centers, coef = _scoring_model(kind, kernel, train_set)
+    one = test_set.x[0]
+    for block in (1, 50_000):  # 64 rows, and 250 rounded down to 192
+        monkeypatch.setattr(kernels, "SCORE_BLOCK", block)
+        for xs in (one, *(test_set.x[:n] for n in (0, 63, 64, 65, 129,
+                                                   1037, 4000))):
+            want = kernel_cross(kernel, xs, centers) @ coef
+            assert np.array_equal(score(xs), want), (block, len(xs))
+
+
+@pytest.mark.parametrize("kind", ["svm", "joint"])
+def test_non_finite_value_in_a_later_block_names_its_row(kind, monkeypatch):
+    train_set, _ = generate(RingExperimentConfig(
+        R=55.0, r_a=0.2, n_train_per_class=100, n_test_per_class=1, seed=0))
+    score, _, _ = _scoring_model(kind, KernelSpec("rbf", gamma=0.1),
+                                 train_set)
+    monkeypatch.setattr(kernels, "SCORE_BLOCK", 1)  # blocks of 64 rows
+    xs = np.random.default_rng(7).normal(size=(200, 2))
+    xs[150, 0] = np.nan
+    with pytest.raises(ValueError, match=r"not finite for 1 of 200 query "
+                       r"rows \(first: row 150\)"):
+        score(xs)
 
 
 def test_training_is_equivariant_under_global_negation():
