@@ -32,7 +32,8 @@ from .kernels import resolve_kernel
 from .metrics import auc, detection_accuracy, misclassification_error, \
     precision_recall_curve
 from .model import HyperParams
-from .persist import json_number, json_object, load_model, save_model
+from .persist import json_fields, json_list, json_number, json_object, \
+    json_whole, load_model, save_model
 from .synthdata import RingExperimentConfig, generate
 
 
@@ -49,24 +50,6 @@ def _read_points(path, model) -> np.ndarray:
         raise ValueError(f"{path} has {xs.shape[1]} feature column(s) but the "
                          f"model expects {model.x.shape[1]}")
     return xs
-
-
-def _whole_number(value, what: str) -> int:
-    if isinstance(value, float) and value.is_integer():  # false for inf, nan
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} expects whole numbers, got {value!r}")
-    return value
-
-
-def _section(value, name: str, cls, allowed) -> dict:
-    """A sweep config section: an object with no key outside allowed, whose
-    float fields of cls hold numbers; null unsets a None-default field."""
-    section = json_object(value, f"sweep config section '{name}'", allowed)
-    for f in dataclasses.fields(cls):
-        if f.type.startswith("float") and section.get(f.name, f.default) is not f.default:
-            json_number(section[f.name], f"sweep config key '{name}.{f.name}'")
-    return section
 
 
 def _parse_floats(text: str, flag: str, count: int) -> tuple[float, ...]:
@@ -104,7 +87,7 @@ def cmd_train(args) -> int:
                 f"--gamma must be a number or 'auto', got {gamma!r}") from None
     kernel = resolve_kernel(args.kernel, gamma, data.x, args.jitter)
     phi, psi, tau = _parse_floats(args.rates, "--rates", 3)
-    sweeps, burn = (_whole_number(v, "--gibbs")
+    sweeps, burn = (json_whole(v, "--gibbs")
                     for v in _parse_floats(args.gibbs, "--gibbs", 2))
     hyper = HyperParams(c=args.c, lambda_cap=args.lambda_cap, p0=args.p0,
                         steps=args.steps, rate_lambda=phi, rate_mu=psi, rate_kappa=tau,
@@ -204,11 +187,6 @@ def cmd_evaluate(args) -> int:
 
 # ------------------------------------------------------------------- sweep
 
-SWEEP_TOP_KEYS = {
-    "R", "ra", "seeds", "methods", "n_train_per_class", "n_test_per_class",
-    "coverage", "detect_ring", "detect_clean", "gem", "out",
-    "gemmed", "svm", "two-stage",
-}
 # the keys each method's section may set: only the joint model factors a
 # jittered Gram matrix and has HyperParams; only the SVMs have a box C
 METHOD_KEYS = {"gemmed": {"kernel", "gamma", "jitter", "hyper"},
@@ -218,23 +196,20 @@ METHOD_KEYS = {"gemmed": {"kernel", "gamma", "jitter", "hyper"},
 ROW_COUNTS = {"n_train_per_class": "n_train_per_class",
               "n_test_per_class": "n_test_per_class",
               "detect_ring": "n_detect_ring", "detect_clean": "n_detect_clean"}
-
-
-def _as_list(value, key):
-    if not isinstance(value, list) or not value:
-        raise ValueError(f"sweep config key '{key}' must be a nonempty list")
-    return value
+SWEEP_TOP_KEYS = {"R", "ra", "seeds", "methods", "coverage", "gem", "out",
+                  *ROW_COUNTS, *METHODS}
+# how errors name a sweep config section and a key of one
+SWEEP = ("sweep config section", "sweep config key")
 
 
 def _method_settings(config: dict, method: str) -> MethodSettings:
-    section = config.get(method)
     base = default_settings(method)
-    if section is None:
+    if config.get(method) is None:
         return base
-    section = _section(section, method, MethodSettings, METHOD_KEYS[method])
+    section = json_fields(config[method], method, MethodSettings, METHOD_KEYS[method], SWEEP)
     if "hyper" in section:  # run_cell seeds each cell's sampler itself
         allowed = HyperParams.__dataclass_fields__.keys() - {"seed"}
-        hyper = _section(section["hyper"], f"{method}.hyper", HyperParams, allowed)
+        hyper = json_fields(section["hyper"], f"{method}.hyper", HyperParams, allowed, SWEEP)
         section = {**section, "hyper": dataclasses.replace(base.hyper, **hyper)}
     settings = dataclasses.replace(base, **section)
     if not 0 < settings.C < np.inf:
@@ -248,41 +223,33 @@ def _method_settings(config: dict, method: str) -> MethodSettings:
 
 
 def cmd_sweep(args) -> int:
-    path = Path(args.config)
     try:
-        config = json.loads(path.read_text())
+        config = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        raise ValueError(f"{args.config}: not valid JSON ({exc})") from None
     json_object(config, "sweep config", SWEEP_TOP_KEYS)
     for key in ("R", "ra", "seeds"):
         if key not in config:
             raise ValueError(f"sweep config is missing required key '{key}'")
-    grid_R, grid_ra = ([float(json_number(v, f"sweep config key '{key}'"))
-                        for v in _as_list(config[key], key)] for key in ("R", "ra"))
-    seeds = [_whole_number(v, "sweep config key 'seeds'")
-             for v in _as_list(config["seeds"], "seeds")]
-    methods = config.get("methods", list(METHODS))
-    methods = [str(m) for m in _as_list(methods, "methods")]
+    grid_R, grid_ra, seeds = (
+        json_list(config[key], f"sweep config key '{key}'", read)
+        for key, read in (("R", json_number), ("ra", json_number), ("seeds", json_whole)))
+    methods = json_list(config.get("methods", list(METHODS)), "sweep config key 'methods'")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method '{m}' in sweep config")
-    gem_config = GemConfig(**_section(
+    gem_config = GemConfig(**json_fields(
         config.get("gem", {}), "gem", GemConfig,
-        GemConfig.__dataclass_fields__.keys() - {"seed", "target_coverage"}))
+        GemConfig.__dataclass_fields__.keys() - {"seed", "target_coverage"}, SWEEP))
     # validate every method section present, not just the selected ones,
     # so a typo in an inactive section cannot hide
     settings = {m: _method_settings(config, m) for m in METHODS}
     coverage = config.get("coverage")
     if coverage is not None:
-        coverage = float(json_number(coverage, "sweep config key 'coverage'"))
+        coverage = json_number(coverage, "sweep config key 'coverage'")
     # run_cell's signature holds the default of every count a config omits
-    counts = {}
-    for key, name in ROW_COUNTS.items():
-        if key in config:
-            what = f"sweep config key '{key}'"
-            n = counts[name] = _whole_number(config[key], what)
-            if n < 0:
-                raise ValueError(f"{what} must be at least 0, got {n}")
+    counts = {name: json_whole(config[key], f"sweep config key '{key}'", 0)
+              for key, name in ROW_COUNTS.items() if key in config}
     # every cell's data config, checked before the first cell runs
     sizes = {k: counts[k]
              for k in counts.keys() & RingExperimentConfig.__dataclass_fields__}

@@ -31,7 +31,7 @@ class MethodSettings:
     """Per-method knobs for one sweep cell."""
 
     kernel: str = "rbf"
-    gamma: object = "auto"
+    gamma: float | str | None = "auto"
     jitter: float = 1e-8
     C: float = 1.0
     hyper: HyperParams = field(default_factory=HyperParams)

@@ -10,7 +10,7 @@ model field, rule) rows, which ``save_model`` and ``load_model`` walk.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -38,11 +38,46 @@ def json_object(value, name: str, allowed) -> dict:
     return value
 
 
-def json_number(value, what: str):
-    """value itself if it is a JSON number: an int or a float, not a bool."""
+def json_list(value, what: str, read=None) -> list:
+    """value if it is a nonempty list, each element read by read(it, what)."""
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{what} must be a nonempty list")
+    return [read(v, what) for v in value] if read else value
+
+
+def json_number(value, what: str) -> float:
+    """value as a float if it is a JSON int or float (not a bool) a float holds."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} expects a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond about 1.8e308
+        raise ValueError(f"{what} expects a number, got an integer too large "
+                         "for a float") from None
+
+
+def json_whole(value, what: str, minimum: int | None = None) -> int:
+    """value as an int >= minimum if whole: 3 or 3.0, not 3.5, true, "3" or inf."""
+    if isinstance(value, float) and value.is_integer():  # false for inf, nan
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value}")
     return value
+
+
+def json_fields(value, name: str, cls, allowed, nouns=("field", "field")) -> dict:
+    """value as keyword arguments of dataclass cls, keys in allowed: a float field
+    holds a JSON number, or null if its type admits None, or a string default such
+    as 'auto'. Errors name the object and a key as nouns[0] and nouns[1] 'name.key'."""
+    section = dict(json_object(value, f"{nouns[0]} '{name}'", allowed))
+    for f in fields(cls):
+        v = section.get(f.name)
+        if f.type.startswith("float") and f.name in section and not (
+                v is None and "None" in f.type or isinstance(v, str) and v == f.default):
+            section[f.name] = json_number(v, f"{nouns[1]} '{name}.{f.name}'")
+    return section
 
 
 def _floats(key: str, value, read: dict) -> np.ndarray:
@@ -68,8 +103,10 @@ def _floats(key: str, value, read: dict) -> np.ndarray:
 # Rules: (key, JSON value, fields read so far) -> field; a ValueError names the key.
 
 def _kernel(key: str, value, read: dict) -> KernelSpec:
-    return KernelSpec(**json_object(value, f"field '{key}'",
-                                    KernelSpec.__dataclass_fields__))
+    spec = json_fields(value, key, KernelSpec, KernelSpec.__dataclass_fields__)
+    if spec.get("kind") == "rbf":  # only a linear kernel goes without a width
+        json_number(spec.get("gamma"), f"field '{key}.gamma'")
+    return KernelSpec(**spec)
 
 
 def _matrix(key: str, value, read: dict) -> np.ndarray:
@@ -114,12 +151,8 @@ def _optional_number(key: str, value, read: dict) -> float | None:
     return None if value is None else _number(key, value, read)
 
 
-def _count(key: str, value, read: dict) -> int:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not value >= 1 or value % 1):
-        raise ValueError(f"field '{key}' must be a whole number of at least 1, "
-                         f"got {value!r}")
-    return int(value)
+def _whole(key: str, value, read: dict) -> int:
+    return json_whole(value, f"field '{key}'", 1)
 
 
 def _flag(key: str, value, read: dict) -> bool:
@@ -129,10 +162,10 @@ def _flag(key: str, value, read: dict) -> bool:
 
 
 def _hyper(key: str, value, read: dict) -> HyperParams | None:
-    if not value:
+    if value is None:
         return None
     allowed = RETIRED_HYPER_KEYS.union(HyperParams.__dataclass_fields__)
-    hyper = json_object(value, f"field '{key}'", allowed)
+    hyper = json_fields(value, key, HyperParams, allowed)
     return HyperParams(**{k: hyper[k] for k in hyper.keys() - RETIRED_HYPER_KEYS})
 
 
@@ -144,7 +177,7 @@ _HEAD = (("kernel", "kernel", _kernel), ("x", "x", _matrix), ("y", "y", _labels)
 _JOINT = _HEAD + (
     ("lambda", "lam", _per_row), ("eta_hat", "eta_hat", _per_row),
     ("gamma_hat", "gamma_hat", _by_class), ("beta_hat", "beta_hat", _by_class),
-    ("theta", "theta", _number), ("k", "k", _count), ("alpha", "alpha", _number),
+    ("theta", "theta", _number), ("k", "k", _whole), ("alpha", "alpha", _number),
     ("target_coverage", "target_coverage", _number),
     ("dual_estimate", "dual_estimate", _optional_number), ("hyper", "hyper", _hyper))
 _SVM = _HEAD + (
@@ -152,7 +185,7 @@ _SVM = _HEAD + (
     ("kkt_violation", "kkt_violation", _optional_number))
 _TWO_STAGE = _SVM + (
     ("kept_idx", "kept_idx", _indices), ("removed_idx", "removed_idx", _indices),
-    ("theta", "theta", _number), ("k", "k", _count),
+    ("theta", "theta", _number), ("k", "k", _whole),
     ("alpha_level", "alpha_level", _number))
 
 _FILES = {"gemmed": (TrainedModel, _JOINT), "svm": (SvmModel, _SVM),

@@ -721,15 +721,15 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     ({"svm": [1]}, "sweep config section 'svm' must be an object"),
     ({"gemmed": {"hyper": 1}}, "'gemmed.hyper' must be an object"),
     ({"gem": 3}, "'gem' must be an object"),
-    ({"seeds": [1.7]}, "key 'seeds' expects whole numbers, got 1.7"),
-    ({"seeds": [True]}, "key 'seeds' expects whole numbers, got True"),
+    ({"seeds": [1.7]}, "key 'seeds' must be a whole number, got 1.7"),
+    ({"seeds": [True]}, "key 'seeds' must be a whole number, got True"),
     ({"n_train_per_class": "20"},
-     "key 'n_train_per_class' expects whole numbers, got '20'"),
+     "key 'n_train_per_class' must be a whole number, got '20'"),
     ({"n_train_per_class": float("inf")},  # what 1e400 in a file loads as
-     "key 'n_train_per_class' expects whole numbers, got inf"),
-    ({"n_test_per_class": None}, "key 'n_test_per_class' expects whole numbers"),
-    ({"detect_ring": 2.5}, "key 'detect_ring' expects whole numbers, got 2.5"),
-    ({"detect_clean": [200]}, "key 'detect_clean' expects whole numbers"),
+     "key 'n_train_per_class' must be a whole number, got inf"),
+    ({"n_test_per_class": None}, "key 'n_test_per_class' must be a whole number"),
+    ({"detect_ring": 2.5}, "key 'detect_ring' must be a whole number, got 2.5"),
+    ({"detect_clean": [200]}, "key 'detect_clean' must be a whole number"),
     # keys another method reads but this one never does
     ({"svm": {"hyper": {"steps": 3}}},
      "unknown key 'hyper' in sweep config section 'svm'"),
@@ -788,6 +788,16 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     ({"detect_ring": -1, "detect_clean": 0},
      "key 'detect_ring' must be at least 0, got -1"),
     ({"R": [55.0, 1e200]}, "R must be at most about 1.34e154"),
+    # a JSON integer too large for a float is not a number a setting can hold
+    *(({key: value}, f"key '{name}' expects a number, got an integer too large")
+      for key, value, name in (
+          ("R", [40.0, 10**400], "R"), ("ra", [10**400], "ra"),
+          ("coverage", 10**400, "coverage"), ("svm", {"C": 10**400}, "svm.C"),
+          ("gemmed", {"hyper": {"c": 10**400}}, "gemmed.hyper.c"),
+          ("two-stage", {"kernel": "rbf", "gamma": -10**400}, "two-stage.gamma"))),
+    # a width is a number or 'auto' for every kernel, also one it ignores
+    ({"gemmed": {"gamma": True}}, "key 'gemmed.gamma' expects a number, got True"),
+    ({"svm": {"gamma": "0.1"}}, "key 'svm.gamma' expects a number, got '0.1'"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import re
 
@@ -6,6 +8,8 @@ import pytest
 
 from gemmed import trainer
 from gemmed.baselines import SvmModel, TwoStageModel, train_svm, train_two_stage
+from gemmed.cli import main
+from gemmed.experiments import MethodSettings
 from gemmed.gem import GemConfig
 from gemmed.kernels import KernelSpec
 from gemmed.model import HyperParams, TrainedModel
@@ -208,6 +212,16 @@ _FINITE_FIELDS = {
 }
 
 
+def _put(payload, key, value):
+    """payload with the value at a key, dotted for a nested object, set."""
+    *outer, last = key.split(".")
+    target = payload
+    for part in outer:
+        target = target.setdefault(part, {})
+    target[last] = value
+    return payload
+
+
 def _spoil(payload, key, bad):
     """payload with one number of field key replaced by bad."""
     value = payload[key]
@@ -257,8 +271,8 @@ def test_load_rejects_a_k_that_is_not_a_count(cell, tmp_path, kind):
     payload = json.loads(path.read_text())
     for bad in (3.9, True, 0, -2, "3", None):
         path.write_text(json.dumps({**payload, "k": bad}))
-        with pytest.raises(ValueError, match="model.json: field 'k' must be a "
-                                             "whole number of at least 1"):
+        with pytest.raises(ValueError, match="model.json: field 'k' must be "
+                                             "(a whole number|at least 1), got"):
             load_model(path)
     path.write_text(json.dumps({**payload, "k": 3.0}))
     assert load_model(path).k == 3
@@ -453,12 +467,74 @@ def test_model_file_bytes(tmp_path, kind):
     ("gemmed", "x", [["-1"], [2.0]], "must hold only numbers"),
     *(("svm", "x", bad, "must be a matrix with at least one row and one column")
       for bad in ([-1.0, 2.0], [], [[], []], [[[-1.0]], [[2.0]]], 1.0)),
+    # the kernel and hyper objects, read by the sweep's section rules
+    ("gemmed", "kernel.gamma", True, "expects a number, got True"),
+    ("gemmed", "kernel.gamma", "0.1", "expects a number, got '0.1'"),
+    ("gemmed", "kernel.gamma", None, "expects a number, got None"),  # rbf
+    ("svm", "kernel.gamma", True, "expects a number, got True"),  # linear
+    ("two_stage", "kernel.jitter", None, "expects a number, got None"),
+    ("gemmed", "hyper.c", True, "expects a number, got True"),
+    ("gemmed", "hyper.c", "abc", "expects a number, got 'abc'"),
+    pytest.param("gemmed", "hyper.c", 10**400,
+                 "expects a number, got an integer too large for a float",
+                 id="gemmed-hyper.c-10**400-expects a number"),
+    ("gemmed", "hyper.rate_mu", True, "expects a number, got True"),
+    *(("gemmed", "hyper", bad, "must be an object") for bad in (False, 0, [])),
 ])
 def test_load_refuses_a_field_of_the_wrong_form(tmp_path, kind, key, bad, needle):
     path = tmp_path / "model.json"
     save_model(_hand_built(kind), path)
-    payload = json.loads(path.read_text())
-    path.write_text(json.dumps({**payload, key: bad}))
+    payload = _put(json.loads(path.read_text()), key, bad)
+    path.write_text(json.dumps(payload))
     with pytest.raises(ValueError,
                        match=re.escape(f"model.json: field '{key}' {needle}")):
         load_model(path)
+
+
+# Where a sweep config and a model file set each float field of the
+# dataclasses read from JSON: sweep config keys, and (model kind, key) pairs.
+# A float field missing here fails the test below, so none can be added
+# without both readers refusing a non-number for it.
+_FLOAT_FIELD_KEYS = {
+    (KernelSpec, "gamma"): (("gemmed.gamma",), (("gemmed", "kernel.gamma"),
+                                                ("svm", "kernel.gamma"))),
+    (KernelSpec, "jitter"): (("gemmed.jitter",), (("gemmed", "kernel.jitter"),
+                                                  ("svm", "kernel.jitter"))),
+    (MethodSettings, "gamma"): (("gemmed.gamma", "svm.gamma", "two-stage.gamma"),
+                                (("two_stage", "kernel.gamma"),)),
+    (MethodSettings, "jitter"): (("gemmed.jitter",), (("two_stage", "kernel.jitter"),)),
+    (MethodSettings, "C"): (("svm.C", "two-stage.C"), (("svm", "C"), ("two_stage", "C"))),
+    # partition_ratio and epsilon_gamma are not saved with a model
+    (GemConfig, "partition_ratio"): (("gem.partition_ratio",), ()),
+    (GemConfig, "target_coverage"): (("coverage",), (("gemmed", "target_coverage"),)),
+    (GemConfig, "epsilon_gamma"): (("gem.epsilon_gamma",), ()),
+    (GemConfig, "alpha"): (("gem.alpha",), (("gemmed", "alpha"),
+                                            ("two_stage", "alpha_level"))),
+    **{(HyperParams, name): ((f"gemmed.hyper.{name}",), (("gemmed", f"hyper.{name}"),))
+       for name in ("c", "lambda_cap", "p0", "rate_lambda", "rate_mu", "rate_kappa")},
+}
+
+
+@pytest.mark.parametrize("cls", [KernelSpec, HyperParams, GemConfig, MethodSettings],
+                         ids=lambda cls: cls.__name__)
+def test_every_float_field_refuses_a_non_number_on_both_paths(tmp_path, capsys, cls):
+    floats = [f.name for f in dataclasses.fields(cls) if "float" in str(f.type)]
+    assert floats == [name for c, name in _FLOAT_FIELD_KEYS if c is cls]
+    for name, bad in itertools.product(floats, (True, "1")):
+        sweep_keys, model_keys = _FLOAT_FIELD_KEYS[cls, name]
+        for key in sweep_keys:
+            config = _put({"R": [40.0], "ra": [0.2], "seeds": [1], "methods": ["svm"]},
+                          key, bad)
+            path = tmp_path / "sweep.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / "sweep.csv"
+            assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+            assert (f"sweep config key '{key}' expects a number, got {bad!r}"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+        for kind, key in model_keys:
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(_put(json.loads(_FILE_BYTES[kind]), key, bad)))
+            with pytest.raises(ValueError, match=re.escape(
+                    f"model.json: field '{key}' expects a number, got {bad!r}")):
+                load_model(path)
