@@ -28,7 +28,7 @@ from .dataset import LabeledDataset, feature_columns, features, read_csv, \
 from .errors import GemMedError
 from .experiments import METHODS, MethodSettings, default_settings, run_cell
 from .gem import GemConfig
-from .kernels import resolve_kernel
+from .kernels import KERNEL_KINDS, KernelSpec, resolve_kernel
 from .metrics import auc, detection_accuracy, misclassification_error, \
     precision_recall_curve
 from .model import HyperParams
@@ -62,10 +62,8 @@ def _parse_floats(text: str, flag: str, count: int) -> tuple[float, ...]:
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
-    config = RingExperimentConfig(R=args.R, r_a=args.ra,
-                                  n_train_per_class=args.n_train,
-                                  n_test_per_class=args.n_test,
-                                  seed=args.seed)
+    config = RingExperimentConfig(R=args.R, r_a=args.ra, n_train_per_class=args.n_train,
+                                  n_test_per_class=args.n_test, seed=args.seed)
     train_set, test_set = generate(config)
     train_set.to_csv(args.out_train)
     test_set.to_csv(args.out_test)
@@ -255,7 +253,10 @@ def cmd_sweep(args) -> int:
              for k in counts.keys() & RingExperimentConfig.__dataclass_fields__}
     for R, ra, seed in itertools.product(grid_R, grid_ra, seeds):
         RingExperimentConfig(R=R, r_a=ra, seed=seed, **sizes)
-    out = args.out or config.get("out", "sweep.csv")
+    out = config.get("out", "sweep.csv")
+    if not isinstance(out, str) or not out:
+        raise ValueError(f"sweep config key 'out' must be a nonempty string, got {out!r}")
+    out = args.out or out
 
     rows = []
     for method, R, ra, seed in itertools.product(methods, grid_R, grid_ra, seeds):
@@ -287,34 +288,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate the two-Gaussian ring benchmark")
     p.add_argument("--R", type=float, required=True, help="ring radius")
     p.add_argument("--ra", type=float, required=True, help="training corruption rate")
-    p.add_argument("--n-train", type=int, default=100, help="training rows per class")
-    p.add_argument("--n-test", type=int, default=2000, help="test rows per class")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-train", type=int, help="training rows per class",
+                   default=RingExperimentConfig.n_train_per_class)
+    p.add_argument("--n-test", type=int, help="test rows per class",
+                   default=RingExperimentConfig.n_test_per_class)
+    p.add_argument("--seed", type=int, default=RingExperimentConfig.seed)
     p.add_argument("--out-train", default="train.csv")
     p.add_argument("--out-test", default="test.csv")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="fit the joint classifier and screen")
     p.add_argument("--data", required=True, help="training CSV (y,x1..xp[,is_anomaly])")
-    p.add_argument("--kernel", choices=["linear", "rbf"], default="rbf")
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default="rbf")
     p.add_argument("--gamma", default="auto",
                    help="rbf width, a number or 'auto' (median heuristic)")
-    p.add_argument("--jitter", type=float, default=1e-8)
-    p.add_argument("--k", type=int, default=5, help="k-NN neighbor count")
-    p.add_argument("--coverage", type=float, default=0.8,
+    p.add_argument("--jitter", type=float, default=KernelSpec.jitter)
+    p.add_argument("--k", type=int, default=GemConfig.k, help="k-NN neighbor count")
+    p.add_argument("--coverage", type=float, default=GemConfig.target_coverage,
                    help="target nominal mass per class")
-    p.add_argument("--alpha", type=float, default=0.05,
+    p.add_argument("--alpha", type=float, default=GemConfig.alpha,
                    help="detection false-alarm level")
-    p.add_argument("--c", type=float, default=10.0, help="margin slack rate")
-    p.add_argument("--lambda-cap", type=float, default=None)
-    p.add_argument("--p0", type=float, default=None,
+    p.add_argument("--c", type=float, default=HyperParams.c, help="margin slack rate")
+    p.add_argument("--lambda-cap", type=float, default=HyperParams.lambda_cap)
+    p.add_argument("--p0", type=float, default=HyperParams.p0,
                    help="explicit nominal prior probability")
-    p.add_argument("--rates", default="2e-3,2e-2,2e-2",
-                   help="ascent rates phi,psi,tau")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--gibbs", default="30,10",
-                   help="sampler schedule sweeps,burn_in")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rates", help="ascent rates phi,psi,tau", default=(
+        f"{HyperParams.rate_lambda},{HyperParams.rate_mu},{HyperParams.rate_kappa}"))
+    p.add_argument("--steps", type=int, default=HyperParams.steps)
+    p.add_argument("--gibbs", help="sampler schedule sweeps,burn_in",
+                   default=f"{HyperParams.gibbs_sweeps},{HyperParams.burn_in}")
+    p.add_argument("--seed", type=int, default=HyperParams.seed)
     p.add_argument("--model-out", default="model.json")
     p.set_defaults(func=cmd_train)
 

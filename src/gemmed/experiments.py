@@ -15,7 +15,7 @@ import numpy as np
 from . import trainer
 from .baselines import train_svm, train_two_stage
 from .gem import GemConfig
-from .kernels import resolve_kernel
+from .kernels import KernelSpec, resolve_kernel
 from .metrics import auc, detection_accuracy, misclassification_error, precision_recall_curve
 from .model import HyperParams
 from .synthdata import RingExperimentConfig, generate, sample_nominal, sample_ring
@@ -32,7 +32,7 @@ class MethodSettings:
 
     kernel: str = "rbf"
     gamma: float | str | None = "auto"
-    jitter: float = 1e-8
+    jitter: float = KernelSpec.jitter
     C: float = 1.0
     hyper: HyperParams = field(default_factory=HyperParams)
 
@@ -68,10 +68,10 @@ def default_settings(method: str) -> MethodSettings:
 
 
 def run_cell(method: str, R: float, r_a: float, seed: int,
-             n_train_per_class: int = 100, n_test_per_class: int = 2000,
+             n_train_per_class: int = RingExperimentConfig.n_train_per_class,
+             n_test_per_class: int = RingExperimentConfig.n_test_per_class,
              gem_config: GemConfig | None = None,
-             settings: MethodSettings | None = None,
-             coverage: float | None = None,
+             settings: MethodSettings | None = None, coverage: float | None = None,
              n_detect_ring: int = 200, n_detect_clean: int = 2000) -> CellResult:
     """Generate the cell's data, fit one method, evaluate it.
 

@@ -162,7 +162,7 @@ def median_heuristic_gamma(xs: np.ndarray) -> float:
 
 
 def resolve_kernel(kind: str, gamma, xs: np.ndarray | None = None,
-                   jitter: float = 1e-8) -> KernelSpec:
+                   jitter: float = KernelSpec.jitter) -> KernelSpec:
     """Build a KernelSpec, resolving gamma='auto' via the median heuristic."""
     if kind == "linear":
         return KernelSpec(kind="linear", gamma=None, jitter=jitter)

@@ -20,7 +20,7 @@ from gemmed.dataset import LabeledDataset
 from gemmed.experiments import CellResult, run_cell
 from gemmed.gem import GemConfig, knn_distance_sum
 from gemmed.kernels import KernelSpec
-from gemmed.model import TrainedModel
+from gemmed.model import HyperParams, TrainedModel
 from gemmed.persist import load_model, save_model
 
 
@@ -595,16 +595,37 @@ def test_train_fails_below_k_plus_one_nominal_points(workdir, tmp_path, capsys):
         capsys.readouterr().err
 
 
-def test_train_rejects_a_non_finite_kernel_matrix(workdir, tmp_path, capsys):
+@pytest.mark.parametrize("kernel,needle", [
+    (["linear"], "kernel matrix is not finite"),
+    # exp(-inf) = 0 keeps this kernel finite, but the k-NN distance sums overflow
+    (["rbf", "--gamma", "0.1"], "k-NN statistics are not finite"),
+], ids=["linear", "rbf"])
+def test_train_rejects_features_that_overflow(workdir, tmp_path, capsys,
+                                              kernel, needle):
     rows = _read_rows(workdir / "train.csv")
     scaled = [rows[0]] + [[r[0], repr(float(r[1]) * 1e200),
                            repr(float(r[2]) * 1e200), r[3]] for r in rows[1:]]
     data = tmp_path / "huge.csv"
     data.write_text("".join(",".join(r) + "\n" for r in scaled))
-    rc = main(["train", "--data", str(data), "--kernel", "linear",
-               "--steps", "1", "--model-out", str(tmp_path / "m.json")])
+    out = tmp_path / "m.json"
+    rc = main(["train", "--data", str(data), "--kernel", *kernel,
+               "--steps", "1", "--model-out", str(out)])
     assert rc == 2
-    assert "not finite" in capsys.readouterr().err
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_flags_default_to_the_dataclass_defaults(workdir, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", str(workdir / "train.csv"),
+                 "--model-out", str(out)]) == 0
+    model = load_model(out)
+    assert model.hyper == HyperParams()
+    gem = GemConfig()
+    assert (model.k, model.alpha, model.target_coverage) == \
+        (gem.k, gem.alpha, gem.target_coverage)
+    assert model.kernel.jitter == KernelSpec.jitter
+    capsys.readouterr()
 
 
 def _sweep_config(root, **overrides):
@@ -798,14 +819,19 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     # a width is a number or 'auto' for every kernel, also one it ignores
     ({"gemmed": {"gamma": True}}, "key 'gemmed.gamma' expects a number, got True"),
     ({"svm": {"gamma": "0.1"}}, "key 'svm.gamma' expects a number, got '0.1'"),
+    # 7 used to run every cell, then fail in write_csv with a TypeError
+    ({"out": 7}, "sweep config key 'out' must be a nonempty string, got 7"),
+    ({"out": ""}, "sweep config key 'out' must be a nonempty string, got ''"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)
-    assert main(["sweep", "--config", str(config)]) == 2
-    out, err = capsys.readouterr()
-    assert needle in err
-    assert "R=" not in out  # no cell ran
-    assert not (tmp_path / "sweep.csv").exists()
+    # --out overrides the config's out but skips none of the checks
+    for flag in ([], ["--out", str(tmp_path / "other.csv")]):
+        assert main(["sweep", "--config", str(config), *flag]) == 2
+        out, err = capsys.readouterr()
+        assert needle in err
+        assert "R=" not in out  # no cell ran
+        assert not any(tmp_path.glob("*.csv"))
 
 
 def test_sweep_null_unsets_optional_floats(tmp_path, capsys):
@@ -873,6 +899,10 @@ def test_missing_files_exit_two(tmp_path, capsys):
      "unknown key 'width' in field 'kernel'"),
     ("beta_hat", {"-1": 0.4, "1": 0.4, "0": 0.2},
      "unknown key '0' in field 'beta_hat'"),
+    # int() would load 3.9 as 3, and a gamma of true used to score as 1
+    ("k", 3.9, "bad.json: field 'k' must be a whole number, got 3.9"),
+    ("kernel", {"kind": "rbf", "gamma": True, "jitter": 1e-8},
+     "bad.json: field 'kernel.gamma' expects a number, got True"),
 ])
 def test_predict_rejects_malformed_model_fields(workdir, tmp_path, capsys,
                                                 field, value, needle):
@@ -880,8 +910,9 @@ def test_predict_rejects_malformed_model_fields(workdir, tmp_path, capsys,
     payload[field] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
+    out = tmp_path / "p.csv"
     rc = main(["predict", "--model", str(path),
-               "--data", str(workdir / "test.csv"),
-               "--out", str(tmp_path / "p.csv")])
+               "--data", str(workdir / "test.csv"), "--out", str(out)])
     assert rc == 2
     assert needle in capsys.readouterr().err
+    assert not out.exists()
