@@ -35,8 +35,7 @@ class SvmModel:
     """A fitted SVM.
 
     kkt_violation is the largest KKT violation of alpha on the training
-    kernel matrix (see kkt_violation), or None for a model loaded from a
-    file that does not record it.
+    kernel matrix (see kkt_violation), or None if not recorded.
     """
 
     kernel: KernelSpec

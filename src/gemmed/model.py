@@ -160,7 +160,7 @@ class TrainedModel:
     to +1. Detection scores a query by its k-NN distance sum into the
     nominal support (eta_hat > 1/2) and compares against theta.
     ``dual_estimate`` is the mean-field dual objective estimate at the
-    final duals, or None for a model file that does not record it.
+    final duals, or None if not recorded.
     """
 
     kernel: KernelSpec

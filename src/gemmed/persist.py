@@ -23,10 +23,6 @@ from .model import HyperParams, TrainedModel
 
 FORMAT_VERSION = 1
 
-# HyperParams fields that older files may carry; loading drops them.
-RETIRED_HYPER_KEYS = frozenset({"early_stop", "stop_tol", "stop_patience",
-                                "inner_draws", "a_eta"})
-
 
 def json_object(value, name: str, allowed) -> dict:
     """value itself if it is a dict with no key outside allowed."""
@@ -100,11 +96,11 @@ def _floats(key: str, value, read: dict) -> np.ndarray:
     return array
 
 
-# Rules: (key, JSON value, fields read so far) -> field; a ValueError names the key.
+# Rules: (key, JSON value, fields read so far) -> field; an error names the key.
 
 def _kernel(key: str, value, read: dict) -> KernelSpec:
     spec = json_fields(value, key, KernelSpec, KernelSpec.__dataclass_fields__)
-    if spec.get("kind") == "rbf":  # only a linear kernel goes without a width
+    if spec["kind"] == "rbf":  # only a linear kernel goes without a width
         json_number(spec.get("gamma"), f"field '{key}.gamma'")
     return KernelSpec(**spec)
 
@@ -164,12 +160,9 @@ def _flag(key: str, value, read: dict) -> bool:
 def _hyper(key: str, value, read: dict) -> HyperParams | None:
     if value is None:
         return None
-    allowed = RETIRED_HYPER_KEYS.union(HyperParams.__dataclass_fields__)
-    hyper = json_fields(value, key, HyperParams, allowed)
-    return HyperParams(**{k: hyper[k] for k in hyper.keys() - RETIRED_HYPER_KEYS})
+    return HyperParams(**json_fields(value, key, HyperParams,
+                                     HyperParams.__dataclass_fields__))
 
-
-_MAY_BE_MISSING = (_optional_number, _hyper)  # older files lack their keys
 
 # Each kind's file after format_version and model_kind: (JSON key, model
 # field, rule) rows in file order.
@@ -211,7 +204,7 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    """Load any serialized model; the kind tag picks the class."""
+    """Load a model file: the kind tag picks the class and the keys."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -227,11 +220,13 @@ def load_model(path):
     cls, table = _FILES[kind]
     read = {}
     try:
+        json_object(payload, f"a {kind} model file",
+                    ("format_version", "model_kind", *(row[0] for row in table)))
         for key, field, rule in table:
-            value = payload.get(key) if rule in _MAY_BE_MISSING else payload[key]
-            read[field] = rule(key, value, read)
+            read[field] = rule(key, payload[key], read)
         return cls(**read)
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc}") from None
+    except KeyError as exc:  # a key of the file, or one of the object at key
+        missing = exc.args[0] if exc.args[0] == key else f"{key}.{exc.args[0]}"
+        raise ValueError(f"{path}: missing field '{missing}'") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None

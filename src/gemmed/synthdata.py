@@ -23,6 +23,8 @@ COV = np.array([[20.0, 16.0], [16.0, 20.0]])
 # by SVD, so draws match it while the SVD runs once.
 _u, _s, _ = np.linalg.svd(COV)
 COV_FACTOR = (_u * np.sqrt(_s)).T
+# NumPy counts an array's bytes in intp; n rows per class fill 32n bytes
+MAX_ROWS_PER_CLASS = np.iinfo(np.intp).max // 32
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,9 @@ class RingExperimentConfig:
 
     def __post_init__(self):
         check_integers(self, n_train_per_class=1, n_test_per_class=1, seed=0)
+        for name in ("n_train_per_class", "n_test_per_class"):
+            if getattr(self, name) > MAX_ROWS_PER_CLASS:
+                raise ValueError(f"{name} must be at most {MAX_ROWS_PER_CLASS}")
         if not 0 < self.R < np.inf:
             raise ValueError(f"R must be positive and finite, got {self.R!r}")
         with np.errstate(over="ignore"):  # sample_ring squares the radii

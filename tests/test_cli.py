@@ -22,6 +22,7 @@ from gemmed.gem import GemConfig, knn_distance_sum
 from gemmed.kernels import KernelSpec
 from gemmed.model import HyperParams, TrainedModel
 from gemmed.persist import load_model, save_model
+from gemmed.synthdata import MAX_ROWS_PER_CLASS
 
 
 @pytest.fixture(scope="module")
@@ -532,6 +533,11 @@ def test_train_refuses_non_finite_rates_and_jitter(workdir, tmp_path, capsys,
     (["--R", "1e200", "--ra", "0.2"],
      "R must be at most about 1.34e154, so that (R + 1)**2 is finite, "
      "got 1e+200"),
+    # NumPy cannot size the arrays; a count below the limit would be allocated
+    *(([flag, str(10**400), "--R", "40", "--ra", "0.2"],
+       f"{name} must be at most {MAX_ROWS_PER_CLASS}")
+      for flag, name in (("--n-train", "n_train_per_class"),
+                         ("--n-test", "n_test_per_class"))),
 ])
 def test_simulate_refuses_bad_geometry_and_seeds(tmp_path, capsys, argv,
                                                  needle):
@@ -822,6 +828,9 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     # 7 used to run every cell, then fail in write_csv with a TypeError
     ({"out": 7}, "sweep config key 'out' must be a nonempty string, got 7"),
     ({"out": ""}, "sweep config key 'out' must be a nonempty string, got ''"),
+    # a row count NumPy cannot size is refused before the first cell
+    *(({name: 10**400}, f"{name} must be at most {MAX_ROWS_PER_CLASS}")
+      for name in ("n_train_per_class", "n_test_per_class")),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)
@@ -903,16 +912,25 @@ def test_missing_files_exit_two(tmp_path, capsys):
     ("k", 3.9, "bad.json: field 'k' must be a whole number, got 3.9"),
     ("kernel", {"kind": "rbf", "gamma": True, "jitter": 1e-8},
      "bad.json: field 'kernel.gamma' expects a number, got True"),
+    # a file holds its kind's keys and no others
+    ("hyper", {"c": 10.0, "early_stop": False},
+     "unknown key 'early_stop' in field 'hyper'"),
+    ("trace", [-3.5, -2.25], "unknown key 'trace' in a gemmed model file"),
 ])
 def test_predict_rejects_malformed_model_fields(workdir, tmp_path, capsys,
                                                 field, value, needle):
+    # every command that reads a model exits 2 naming the file and the
+    # field, and writes nothing; tests/test_persist.py holds each field rule
     payload = json.loads((workdir / "model.json").read_text())
     payload[field] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    out = tmp_path / "p.csv"
-    rc = main(["predict", "--model", str(path),
-               "--data", str(workdir / "test.csv"), "--out", str(out)])
-    assert rc == 2
-    assert needle in capsys.readouterr().err
-    assert not out.exists()
+    out = tmp_path / "out.csv"
+    data = ["--data", str(workdir / "test.csv"), "--out", str(out)]
+    for argv in (["predict", *data], ["detect", *data],
+                 ["evaluate", "--anomaly-truth", str(workdir / "train.csv"),
+                  "--curve-out", str(out)]):
+        assert main([*argv, "--model", str(path)]) == 2
+        printed, err = capsys.readouterr()
+        assert f"{path}: " in err and needle in err
+        assert printed == "" and not out.exists()

@@ -49,48 +49,6 @@ def test_joint_model_round_trip(cell, tmp_path):
                                   trainer.detect(model, test_set.x))
 
 
-def test_joint_model_with_retired_hyper_keys_loads(cell, tmp_path):
-    train_set, test_set = cell
-    hyper = HyperParams(lambda_cap=0.4, steps=3, gibbs_sweeps=8,
-                        burn_in=2, seed=0)
-    model = trainer.train(train_set, KernelSpec("rbf", gamma=0.1),
-                          GemConfig(k=3, seed=0), hyper)
-    path = tmp_path / "joint.json"
-    save_model(model, path)
-    # files written before early stopping was removed carry its three
-    # keys, files written before the Rao-Blackwellized sampler carry
-    # inner_draws, and files written before the prior had one setting
-    # carry a_eta
-    payload = json.loads(path.read_text())
-    payload["hyper"].update(early_stop=False, stop_tol=1e-3, stop_patience=5,
-                            inner_draws=8, a_eta=None)
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps(payload, indent=1) + "\n")
-    back = load_model(old)
-    assert back.hyper == model.hyper
-    for fn in (trainer.predict, trainer.decision_function,
-               trainer.anomaly_scores, trainer.detect):
-        np.testing.assert_array_equal(fn(back, test_set.x),
-                                      fn(model, test_set.x))
-    # saving again writes the current format, without the retired keys
-    again = tmp_path / "again.json"
-    save_model(back, again)
-    assert again.read_bytes() == path.read_bytes()
-    # files written before dual_estimate carry a per-step trace instead
-    del payload["dual_estimate"]
-    payload["trace"] = [-3.5, -2.25, -1.5, -1.25, -1.0]
-    old.write_text(json.dumps(payload, indent=1) + "\n")
-    back = load_model(old)
-    assert back.dual_estimate is None
-    for fn in (trainer.predict, trainer.decision_function,
-               trainer.anomaly_scores, trainer.detect):
-        np.testing.assert_array_equal(fn(back, test_set.x),
-                                      fn(model, test_set.x))
-    save_model(back, again)
-    saved = json.loads(again.read_text())
-    assert "trace" not in saved and saved["dual_estimate"] is None
-
-
 def test_svm_round_trip(cell, tmp_path):
     train_set, test_set = cell
     model = train_svm(train_set, KernelSpec("linear"), C=1.0)
@@ -119,46 +77,6 @@ def test_solver_outcome_round_trips(cell, tmp_path):
         back = load_model(path)
         assert back.converged is True
         assert back.kkt_violation == model.kkt_violation
-
-
-@pytest.mark.parametrize("kind", ["svm", "two_stage"])
-def test_files_without_kkt_violation_load(cell, tmp_path, kind):
-    # the layout written before the KKT violation was recorded: the same
-    # fields minus kkt_violation, at the same format_version
-    train_set, test_set = cell
-    if kind == "svm":
-        model = train_svm(train_set, KernelSpec("linear"), C=1.0)
-    else:
-        model = train_two_stage(train_set, KernelSpec("linear"),
-                                GemConfig(k=3, seed=0, target_coverage=0.8))
-    path = tmp_path / "new.json"
-    save_model(model, path)
-    payload = json.loads(path.read_text())
-    del payload["kkt_violation"]
-    assert payload["format_version"] == 1
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps(payload, indent=1) + "\n")
-    back = load_model(old)
-    assert back.kkt_violation is None
-    assert back.converged == model.converged
-    np.testing.assert_array_equal(back.decision_function(test_set.x),
-                                  model.decision_function(test_set.x))
-    # saving it again writes the field as null
-    again = tmp_path / "again.json"
-    save_model(back, again)
-    assert json.loads(again.read_text())["kkt_violation"] is None
-
-
-def test_literal_svm_file_without_kkt_violation_loads(tmp_path):
-    path = tmp_path / "svm.json"
-    path.write_text(json.dumps({
-        "format_version": 1, "model_kind": "svm",
-        "kernel": {"kind": "linear", "gamma": None, "jitter": 1e-08},
-        "x": [[-1.0], [1.0]], "y": [-1, 1], "alpha": [0.5, 0.5],
-        "C": 10.0, "converged": True}))
-    back = load_model(path)
-    assert back.converged is True and back.kkt_violation is None
-    assert back.decision_function(np.array([[2.0]])).tolist() == [2.0]
 
 
 def test_two_stage_round_trip(cell, tmp_path):
@@ -480,14 +398,44 @@ def test_model_file_bytes(tmp_path, kind):
                  id="gemmed-hyper.c-10**400-expects a number"),
     ("gemmed", "hyper.rate_mu", True, "expects a number, got True"),
     *(("gemmed", "hyper", bad, "must be an object") for bad in (False, 0, [])),
+    ("gemmed", "gamma_hat", [0.1, 0.2], "must be an object"),
+    ("gemmed", "beta_hat", 0.5, "must be an object"),
+    ("gemmed", "kernel", "rbf", "must be an object"),
+    # a key the object may not hold, or one it lacks, is named in full
+    ("gemmed", "hyper.bogus", 1, "unknown key 'bogus' in field 'hyper'"),
+    ("gemmed", "hyper.early_stop", False, "unknown key 'early_stop' in field 'hyper'"),
+    ("gemmed", "beta_hat.0", 0.2, "unknown key '0' in field 'beta_hat'"),
+    ("gemmed", "kernel.width", 2.0, "unknown key 'width' in field 'kernel'"),
+    ("gemmed", "gamma_hat", {"-1": 0.1}, "missing field 'gamma_hat.1'"),
+    ("two_stage", "kernel", {"gamma": None}, "missing field 'kernel.kind'"),
 ])
 def test_load_refuses_a_field_of_the_wrong_form(tmp_path, kind, key, bad, needle):
     path = tmp_path / "model.json"
     save_model(_hand_built(kind), path)
     payload = _put(json.loads(path.read_text()), key, bad)
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError,
-                       match=re.escape(f"model.json: field '{key}' {needle}")):
+    # a bad value is "field '<key>' <needle>"; a bad key is named in the needle
+    if not needle.startswith(("unknown key", "missing field")):
+        needle = f"field '{key}' {needle}"
+    with pytest.raises(ValueError, match=re.escape(f"model.json: {needle}")):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", sorted(_FILE_BYTES))
+def test_a_model_file_holds_exactly_its_kinds_keys(tmp_path, kind):
+    # every key of the kind's layout must be there, and no other key, such
+    # as an old per-step trace, may be
+    path = tmp_path / "model.json"
+    save_model(_hand_built(kind), path)
+    payload = json.loads(path.read_text())
+    for key in list(payload)[2:]:  # after format_version and model_kind
+        path.write_text(json.dumps({k: v for k, v in payload.items() if k != key}))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"model.json: missing field '{key}'") + "$"):
+            load_model(path)
+    path.write_text(json.dumps({**payload, "trace": [-3.5, -2.25]}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"model.json: unknown key 'trace' in a {kind} model file")):
         load_model(path)
 
 
