@@ -34,7 +34,7 @@ from .metrics import auc, detection_accuracy, misclassification_error, \
 from .model import HyperParams
 from .persist import json_fields, json_list, json_number, json_object, \
     json_whole, load_model, save_model
-from .synthdata import RingExperimentConfig, generate
+from .synthdata import MAX_ROWS_PER_CLASS, RingExperimentConfig, generate
 
 
 def _fmt(value) -> str:
@@ -253,6 +253,9 @@ def cmd_sweep(args) -> int:
              for k in counts.keys() & RingExperimentConfig.__dataclass_fields__}
     for R, ra, seed in itertools.product(grid_R, grid_ra, seeds):
         RingExperimentConfig(R=R, r_a=ra, seed=seed, **sizes)
+    for key in ("detect_ring", "detect_clean"):  # NumPy must size these draws too
+        if counts.get(ROW_COUNTS[key], 0) > MAX_ROWS_PER_CLASS:
+            raise ValueError(f"sweep config key '{key}' must be at most {MAX_ROWS_PER_CLASS}")
     out = config.get("out", "sweep.csv")
     if not isinstance(out, str) or not out:
         raise ValueError(f"sweep config key 'out' must be a nonempty string, got {out!r}")

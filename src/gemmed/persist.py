@@ -96,13 +96,18 @@ def _floats(key: str, value, read: dict) -> np.ndarray:
     return array
 
 
+def _every_field(cls, section: dict):
+    """cls from section, which must hold every field: a KeyError names one it lacks."""
+    return cls(**{f.name: section[f.name] for f in fields(cls)})
+
+
 # Rules: (key, JSON value, fields read so far) -> field; an error names the key.
 
 def _kernel(key: str, value, read: dict) -> KernelSpec:
     spec = json_fields(value, key, KernelSpec, KernelSpec.__dataclass_fields__)
     if spec["kind"] == "rbf":  # only a linear kernel goes without a width
-        json_number(spec.get("gamma"), f"field '{key}.gamma'")
-    return KernelSpec(**spec)
+        json_number(spec["gamma"], f"field '{key}.gamma'")
+    return _every_field(KernelSpec, spec)
 
 
 def _matrix(key: str, value, read: dict) -> np.ndarray:
@@ -160,8 +165,8 @@ def _flag(key: str, value, read: dict) -> bool:
 def _hyper(key: str, value, read: dict) -> HyperParams | None:
     if value is None:
         return None
-    return HyperParams(**json_fields(value, key, HyperParams,
-                                     HyperParams.__dataclass_fields__))
+    return _every_field(HyperParams, json_fields(value, key, HyperParams,
+                                                 HyperParams.__dataclass_fields__))
 
 
 # Each kind's file after format_version and model_kind: (JSON key, model

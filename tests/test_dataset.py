@@ -111,12 +111,26 @@ def test_csv_header_written(tmp_path):
     ("y,x1\n1,0\n-1,abc\n", r"bad\.csv:3: non-finite or non-numeric 'x1'"),
     ("y,x1,is_anomaly\n1,0,1\n-1,2,0.5\n", "bad or missing 'is_anomaly'"),
     ("\n\n", "empty"),
+    *((f"y,x1\n1,0\n{v},0\n", r"bad\.csv:3: bad or missing 'y' value; expected -1 or 1")
+      for v in ("-1.9", "inf", "nan")),
+    ("y,x1,is_anomaly\n1,0,1\n-1,2,inf\n", r"bad\.csv:3: bad or missing 'is_anomaly'"),
+    *((text, r"bad\.csv:3: non-finite or non-numeric 'x2' value")
+      for text in ("y,x1,x2\n1,0,0\n-1,1,nan\n", "x1,x2\n0,0\n1,inf\n",
+                   "x1,x2\n0,0\n1,-inf\n")),
+    # predict's labels and detect's calls, as evaluate reads them
+    *((f"label\n1\n{v}\n", r"bad\.csv:3: bad or missing 'label' value; expected -1 or 1")
+      for v in ("1.5", "-1.9", "yes", "inf", "nan", "0.5", "2", "0")),
+    *((f"score,call\n1.0,1\n2.0,{v}\n",
+       r"bad\.csv:3: bad or missing 'call' value; expected 0 or 1")
+      for v in ("1.5", "-1.9", "yes", "inf", "nan", "0.5", "2")),
 ])
 def test_from_csv_rejects_malformed(tmp_path, text, msg):
+    # a header in HEADERS picks its reader; any other is LabeledDataset.from_csv's
     path = tmp_path / "bad.csv"
     path.write_text(text)
+    header = next(filter(None, text.splitlines()), "")
     with pytest.raises(ValueError, match=msg):
-        LabeledDataset.from_csv(path)
+        read_csv(path, COLUMNS[HEADERS.get(header, "labeled")])
 
 
 def test_from_csv_reports_csv_module_errors_by_line(tmp_path):

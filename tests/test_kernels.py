@@ -209,8 +209,10 @@ def test_resolve_kernel_paths():
     assert resolve_kernel("rbf", 0.7, None).gamma == 0.7
     lin = resolve_kernel("linear", "auto")
     assert lin.kind == "linear" and lin.gamma is None
-    with pytest.raises(ValueError, match="auto"):
-        resolve_kernel("rbf", "med", xs)
+    for gamma in ("med", None):
+        with pytest.raises(ValueError, match=f"gamma must be a positive number or "
+                                             f"'auto', got {gamma!r}"):
+            resolve_kernel("rbf", gamma, xs)
     with pytest.raises(ValueError, match="data points"):
         resolve_kernel("rbf", "auto", None)
 

@@ -25,8 +25,8 @@ def test_hyper_defaults_and_cap():
 def test_hyper_validation():
     with pytest.raises(ValueError):
         HyperParams(c=0.0)
-    with pytest.raises(ValueError):
-        HyperParams(lambda_cap=10.0)  # must stay below c
+    with pytest.raises(ValueError, match="lambda_cap must lie strictly between 0 and c"):
+        HyperParams(lambda_cap=10.0)
     with pytest.raises(ValueError):
         HyperParams(lambda_cap=0.0)
     with pytest.raises(ValueError):
@@ -35,7 +35,7 @@ def test_hyper_validation():
         HyperParams(steps=-1)
     with pytest.raises(ValueError):
         HyperParams(rate_mu=0.0)
-    for name in ("rate_lambda", "rate_mu", "rate_kappa"):
+    for name in ("c", "rate_lambda", "rate_mu", "rate_kappa"):
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be positive"):
                 HyperParams(**{name: value})

@@ -187,7 +187,7 @@ def test_load_rejects_a_k_that_is_not_a_count(cell, tmp_path, kind):
     path = tmp_path / "model.json"
     save_model(_fit(cell[0], kind), path)
     payload = json.loads(path.read_text())
-    for bad in (3.9, True, 0, -2, "3", None):
+    for bad in (3.9, True, 0, -2, "3", None, float("inf")):
         path.write_text(json.dumps({**payload, "k": bad}))
         with pytest.raises(ValueError, match="model.json: field 'k' must be "
                                              "(a whole number|at least 1), got"):
@@ -408,6 +408,13 @@ def test_model_file_bytes(tmp_path, kind):
     ("gemmed", "kernel.width", 2.0, "unknown key 'width' in field 'kernel'"),
     ("gemmed", "gamma_hat", {"-1": 0.1}, "missing field 'gamma_hat.1'"),
     ("two_stage", "kernel", {"gamma": None}, "missing field 'kernel.kind'"),
+    # a nested object holds every field: none is filled in with its default
+    ("gemmed", "hyper", {}, "missing field 'hyper.c'"),
+    ("gemmed", "hyper", {k: v for k, v in dataclasses.asdict(HyperParams()).items()
+                         if k != "seed"}, "missing field 'hyper.seed'"),
+    ("gemmed", "kernel", {"kind": "rbf", "gamma": 0.5}, "missing field 'kernel.jitter'"),
+    ("gemmed", "kernel", {"kind": "rbf", "jitter": 1e-8}, "missing field 'kernel.gamma'"),
+    ("svm", "kernel", {"kind": "linear", "jitter": 1e-8}, "missing field 'kernel.gamma'"),
 ])
 def test_load_refuses_a_field_of_the_wrong_form(tmp_path, kind, key, bad, needle):
     path = tmp_path / "model.json"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gemmed.synthdata import (COV, COV_FACTOR, MEANS, RingExperimentConfig,
-                              generate, sample_nominal, sample_ring)
+from gemmed.synthdata import (COV, COV_FACTOR, MAX_ROWS_PER_CLASS, MEANS,
+                              RingExperimentConfig, generate, sample_nominal,
+                              sample_ring)
 
 
 def test_config_validation():
@@ -12,8 +13,12 @@ def test_config_validation():
         RingExperimentConfig(R=10.0, r_a=1.0)
     with pytest.raises(ValueError):
         RingExperimentConfig(R=10.0, r_a=-0.1)
-    with pytest.raises(ValueError):
-        RingExperimentConfig(R=10.0, r_a=0.2, n_train_per_class=0)
+    for name in ("n_train_per_class", "n_test_per_class"):
+        # NumPy could not size the arrays of a count above the limit
+        for value, needle in ((0, "at least 1, got 0"),
+                              (MAX_ROWS_PER_CLASS + 1, f"at most {MAX_ROWS_PER_CLASS}")):
+            with pytest.raises(ValueError, match=f"{name} must be {needle}"):
+                RingExperimentConfig(R=10.0, r_a=0.2, **{name: value})
     for R in (np.nan, np.inf):
         with pytest.raises(ValueError, match="R must be positive and finite"):
             RingExperimentConfig(R=R, r_a=0.2)
