@@ -284,6 +284,16 @@ def test_evaluate_rejects_bad_rows(workdir, tmp_path, capsys, flag, text):
     assert not report.exists()
 
 
+def test_evaluate_rejects_zero_labels(workdir, tmp_path, capsys):
+    path = tmp_path / "zeros.csv"
+    path.write_text("label\n" + "0\n" * 80)
+    rc = main(["evaluate", "--predictions", str(path),
+               "--truth", str(workdir / "test.csv")])
+    assert rc == 2
+    assert f"{path}:2: bad or missing 'label' value; expected -1 or 1" in \
+        capsys.readouterr().err
+
+
 def _corrupt(src, dest, line, column, value):
     """Copy a dataset CSV with two blank lines before data row `line` - 2
     and `column` of that row set to `value`; returns its physical line."""
@@ -323,6 +333,28 @@ def test_bad_labels_and_flags_exit_two(workdir, tmp_path, capsys, command,
     assert (f"{bad}:{line}: bad or missing '{column}' value; expected "
             f"{expected}") in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text", [
+    ("train", "y,x1,x2\n\n1,0,0\n\n\n-1,1,1\n\n1,2\n"),
+    ("predict", "y,x1,x2\n\n1,0,0\n\n\n-1,1,1\n\n1,2\n"),
+    ("predict", "x1,x2\n\n0,0\n\n\n1,1\n\n2\n"),
+    ("detect", "x1,x2\n\n0,0\n\n\n1,1\n\n2\n"),
+])
+def test_short_row_names_its_physical_line(workdir, tmp_path, capsys,
+                                           command, text):
+    path = tmp_path / "short.csv"
+    path.write_text(text)
+    if command == "train":
+        argv = ["train", "--data", str(path),
+                "--model-out", str(tmp_path / "m.json")]
+    else:
+        argv = [command, "--model", str(workdir / "model.json"),
+                "--data", str(path), "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    width = len(text.partition("\n")[0].split(","))
+    assert (f"{path}:8: bad row; expected {width} fields, got {width - 1}"
+            in capsys.readouterr().err)
 
 
 def test_evaluate_reads_only_the_named_column(workdir, tmp_path, capsys):
@@ -435,8 +467,6 @@ def test_train_bad_gamma_and_rates(workdir, tmp_path, capsys):
     ("--jitter", "nan", "jitter must be nonnegative and finite, got nan"),
     ("--gamma", "inf", "rbf kernel requires gamma > 0 and finite, got inf"),
     ("--seed", "-1", "seed must be at least 0, got -1"),
-    # with c = inf the margin-slack term would drop out of the dual
-    ("--c", "inf", "c must be positive and finite, got inf"),
 ])
 def test_train_refuses_non_finite_rates_and_jitter(workdir, tmp_path, capsys,
                                                    flag, value, needle):
@@ -447,16 +477,21 @@ def test_train_refuses_non_finite_rates_and_jitter(workdir, tmp_path, capsys,
     assert not out.exists()
 
 
-# one refused value per flag: each reaches RingExperimentConfig, which checks it
 @pytest.mark.parametrize("argv,needle", [
     (["--R", "nan", "--ra", "0"], "R must be positive and finite, got nan"),
-    (["--R", "55", "--ra", "1.5"], "r_a must lie in [0, 1), got 1.5"),
+    (["--R", "inf", "--ra", "0.2"], "R must be positive and finite, got inf"),
     (["--R", "55", "--ra", "0.2", "--seed", "-2"],
      "seed must be at least 0, got -2"),
+    # sample_ring squares the outer radius R + 1
+    (["--R", "1e200", "--ra", "0.2"],
+     "R must be at most about 1.34e154, so that (R + 1)**2 is finite, "
+     "got 1e+200"),
+    # NumPy cannot size the arrays; a count below the limit would be allocated
     *(([flag, str(10**400), "--R", "40", "--ra", "0.2"],
        f"{name} must be at most {MAX_ROWS_PER_CLASS}")
       for flag, name in (("--n-train", "n_train_per_class"),
                          ("--n-test", "n_test_per_class"))),
+    (["--R", "55", "--ra", "1.5"], "r_a must lie in [0, 1), got 1.5"),
 ])
 def test_simulate_refuses_bad_geometry_and_seeds(tmp_path, capsys, argv,
                                                  needle):
@@ -465,6 +500,17 @@ def test_simulate_refuses_bad_geometry_and_seeds(tmp_path, capsys, argv,
                  "--out-test", str(out[1])]) == 2
     assert needle in capsys.readouterr().err
     assert not any(path.exists() for path in out)
+
+
+@pytest.mark.parametrize("c", ["inf", "nan"])
+def test_train_refuses_a_non_finite_c(workdir, tmp_path, capsys, c):
+    # with c = inf the margin-slack term would drop out of the dual
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", str(workdir / "train.csv"), "--c", c,
+                 "--lambda-cap", "0.4", "--steps", "1",
+                 "--model-out", str(out)]) == 2
+    assert f"c must be positive and finite, got {c}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_has_one_prior_setting(workdir, tmp_path, capsys):
@@ -638,8 +684,6 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     capsys.readouterr()
 
 
-# One row per check a sweep makes before its first cell, plus the keys only
-# a sweep refuses; the values each check refuses are rows of its owner's table.
 @pytest.mark.parametrize("mutation,needle", [
     ({"bogus": 1}, "unknown key 'bogus'"),
     ({"methods": ["boost"]}, "unknown method"),
@@ -647,13 +691,26 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     ({"gem": {"seed": 4}}, "unknown key 'seed'"),
     ({"svm": {"epochs": 3}}, "unknown key 'epochs'"),
     ({"gemmed": {"hyper": {"lr": 0.1}}}, "unknown key 'lr'"),
+    ({"gem": {"intrinsic_dim": None}}, "unknown key 'intrinsic_dim'"),
+    ({"gemmed": {"hyper": {"early_stop": True}}}, "unknown key 'early_stop'"),
+    ({"gemmed": {"hyper": {"inner_draws": 20}}}, "unknown key 'inner_draws'"),
+    ({"gemmed": {"hyper": {"gibbs_sweeps": 8.5}}},
+     "gibbs_sweeps must be an integer"),
+    ({"gemmed": {"hyper": {"steps": 2.0}}}, "steps must be an integer"),
+    ({"gem": {"k": 2.5}}, "k must be an integer"),
+    ({"gem": {"k": True}}, "k must be an integer"),
     ({"svm": [1]}, "sweep config section 'svm' must be an object"),
     ({"gemmed": {"hyper": 1}}, "'gemmed.hyper' must be an object"),
     ({"gem": 3}, "'gem' must be an object"),
     ({"seeds": [1.7]}, "key 'seeds' must be a whole number, got 1.7"),
-    ({"R": ["55"]}, "key 'R' expects a number, got '55'"),
+    ({"seeds": [True]}, "key 'seeds' must be a whole number, got True"),
     ({"n_train_per_class": "20"},
      "key 'n_train_per_class' must be a whole number, got '20'"),
+    ({"n_train_per_class": float("inf")},  # what 1e400 in a file loads as
+     "key 'n_train_per_class' must be a whole number, got inf"),
+    ({"n_test_per_class": None}, "key 'n_test_per_class' must be a whole number"),
+    ({"detect_ring": 2.5}, "key 'detect_ring' must be a whole number, got 2.5"),
+    ({"detect_clean": [200]}, "key 'detect_clean' must be a whole number"),
     # keys another method reads but this one never does
     ({"svm": {"hyper": {"steps": 3}}},
      "unknown key 'hyper' in sweep config section 'svm'"),
@@ -661,29 +718,77 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
      "unknown key 'jitter' in sweep config section 'two-stage'"),
     ({"gemmed": {"C": 123.0}},
      "unknown key 'C' in sweep config section 'gemmed'"),
-    # run_cell seeds each cell's sampler with the cell seed
-    ({"gemmed": {"hyper": {"seed": 5}}},
-     "unknown key 'seed' in sweep config section 'gemmed.hyper'"),
-    # the kernel and C of a section whose method the sweep does not run
-    ({"gemmed": {"jitter": float("nan")}},  # JSON NaN parses
+    ({"gemmed": {"hyper": {"rate_mu": float("nan")}}},  # JSON NaN parses
+     "rate_mu must be positive and finite, got nan"),
+    # kernel values of a section whose method the sweep does not run
+    ({"gemmed": {"jitter": float("nan"), "gamma": -1}},
+     "rbf kernel requires gamma > 0"),
+    ({"gemmed": {"jitter": float("nan")}},
      "jitter must be nonnegative and finite, got nan"),
+    ({"two-stage": {"kernel": "rbf", "gamma": None}},
+     "gamma must be a positive number or 'auto', got None"),
+    ({"gemmed": {"hyper": {"c": float("inf"), "lambda_cap": 0.4}}},
+     "c must be positive and finite, got inf"),
+    # settings read as floats must be numbers, and every C positive and finite
+    ({"gemmed": {"jitter": "abc"}},
+     "key 'gemmed.jitter' expects a number, got 'abc'"),
+    ({"svm": {"C": "abc"}}, "key 'svm.C' expects a number, got 'abc'"),
+    ({"svm": {"C": True}}, "key 'svm.C' expects a number, got True"),
     ({"methods": ["two-stage"], "svm": {"C": -1}},
      "key 'svm.C' must be positive and finite, got -1"),
     ({"two-stage": {"C": float("inf")}},
      "key 'two-stage.C' must be positive and finite, got inf"),
+    ({"gemmed": {"hyper": {"p0": "abc"}}},
+     "key 'gemmed.hyper.p0' expects a number, got 'abc'"),
+    ({"gemmed": {"hyper": {"c": "abc"}}},
+     "key 'gemmed.hyper.c' expects a number, got 'abc'"),
+    ({"gemmed": {"hyper": {"c": None}}},
+     "key 'gemmed.hyper.c' expects a number, got None"),
+    ({"gem": {"alpha": "abc"}}, "key 'gem.alpha' expects a number, got 'abc'"),
+    ({"R": ["55"]}, "key 'R' expects a number, got '55'"),
+    ({"ra": [False]}, "key 'ra' expects a number, got False"),
+    ({"coverage": "0.8"}, "key 'coverage' expects a number, got '0.8'"),
+    # the retired prior location; the prior is p0, else the coverage rule
+    ({"gemmed": {"hyper": {"a_eta": 1.0}}}, "unknown key 'a_eta'"),
+    # run_cell seeds each cell's sampler with the cell seed
+    ({"gemmed": {"hyper": {"seed": 5}}},
+     "unknown key 'seed' in sweep config section 'gemmed.hyper'"),
+    # a hyper section overrides the joint model's lambda_cap of 0.4 only
+    # where it sets it, so a c at or below 0.4 needs its own cap
+    ({"gemmed": {"hyper": {"c": 0.3}}},
+     "lambda_cap must lie strictly between 0 and c"),
+    ({"gem": {"epsilon_gamma": float("nan")}},
+     "epsilon_gamma must be positive and finite, got nan"),
+    ({"gem": {"epsilon_gamma": float("inf")}},
+     "epsilon_gamma must be positive and finite, got inf"),
     # every cell's data and detection counts are checked before any cell
     ({"ra": [0.2, 1.5]}, "r_a must lie in [0, 1), got 1.5"),
+    ({"seeds": [1, -3]}, "seed must be at least 0, got -3"),
+    ({"R": [40.0, float("nan")]}, "R must be positive and finite, got nan"),
+    ({"n_test_per_class": 0}, "n_test_per_class must be at least 1, got 0"),
     ({"detect_ring": -1, "detect_clean": 0},
      "key 'detect_ring' must be at least 0, got -1"),
-    # a count NumPy cannot size is refused before the first cell
-    ({"n_train_per_class": 10**400},
-     f"n_train_per_class must be at most {MAX_ROWS_PER_CLASS}"),
-    *(({"methods": ["two-stage"], name: 10**400},
-       f"key '{name}' must be at most {MAX_ROWS_PER_CLASS}")
-      for name in ("detect_ring", "detect_clean")),
+    ({"R": [55.0, 1e200]}, "R must be at most about 1.34e154"),
+    # a JSON integer too large for a float is not a number a setting can hold
+    *(({key: value}, f"key '{name}' expects a number, got an integer too large")
+      for key, value, name in (
+          ("R", [40.0, 10**400], "R"), ("ra", [10**400], "ra"),
+          ("coverage", 10**400, "coverage"), ("svm", {"C": 10**400}, "svm.C"),
+          ("gemmed", {"hyper": {"c": 10**400}}, "gemmed.hyper.c"),
+          ("two-stage", {"kernel": "rbf", "gamma": -10**400}, "two-stage.gamma"))),
+    # a width is a number or 'auto' for every kernel, also one it ignores
+    ({"gemmed": {"gamma": True}}, "key 'gemmed.gamma' expects a number, got True"),
+    ({"svm": {"gamma": "0.1"}}, "key 'svm.gamma' expects a number, got '0.1'"),
     # 7 used to run every cell, then fail in write_csv with a TypeError
     ({"out": 7}, "sweep config key 'out' must be a nonempty string, got 7"),
     ({"out": ""}, "sweep config key 'out' must be a nonempty string, got ''"),
+    # a row count NumPy cannot size is refused before the first cell
+    *(({name: 10**400}, f"{name} must be at most {MAX_ROWS_PER_CLASS}")
+      for name in ("n_train_per_class", "n_test_per_class")),
+    # a detection count NumPy cannot size, refused the same way
+    *(({"methods": ["two-stage"], name: 10**400},
+       f"key '{name}' must be at most {MAX_ROWS_PER_CLASS}")
+      for name in ("detect_ring", "detect_clean")),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)
