@@ -143,39 +143,51 @@ def _read_column(path, name: str) -> np.ndarray:
 
 
 def cmd_evaluate(args) -> int:
+    # each input flag needs its partner, so that none is silently ignored
+    partners = {"predictions": "truth", "model": "anomaly_truth",
+                "detections": "detection_truth", "truth": "predictions",
+                "anomaly_truth": "model", "detection_truth": "detections",
+                "curve_out": "model"}
+    for flag, partner in partners.items():
+        if getattr(args, flag) and not getattr(args, partner):
+            raise ValueError(f"--{flag} requires --{partner}".replace("_", "-"))
+
+    def aligned(values, path, truth, truth_path):
+        if len(values) != len(truth):
+            raise ValueError(f"{path} has {len(values)} row(s) but {truth_path} "
+                             f"has {len(truth)}")
+
     report: dict = {}
     if args.predictions:
-        if not args.truth:
-            raise ValueError("--predictions requires --truth")
         predicted = _read_column(args.predictions, "label")
         truth = LabeledDataset.from_csv(args.truth)
+        aligned(predicted, args.predictions, truth.y, args.truth)
         report["error"] = misclassification_error(predicted, truth.y)
     if args.model:
-        if not args.anomaly_truth:
-            raise ValueError("--model requires --anomaly-truth")
         model = load_model(args.model)
         if not hasattr(model, "eta_hat"):
             raise ValueError("anomaly ranking needs the joint model kind")
         flags = LabeledDataset.from_csv(args.anomaly_truth).anomaly
         if flags is None:
             raise ValueError(f"{args.anomaly_truth}: no is_anomaly column")
+        aligned(model.eta_hat, args.model, flags, args.anomaly_truth)
         curve = precision_recall_curve(np.clip(model.eta_hat, 0.0, 1.0), flags)
         report["auc"] = auc(curve)
         if args.curve_out:
-            write_csv(args.curve_out, ["rho", "precision", "recall"],
-                      (map(repr, row) for row in curve.tolist()))
             report["curve_csv"] = str(args.curve_out)
     if args.detections:
-        if not args.detection_truth:
-            raise ValueError("--detections requires --detection-truth")
         calls = _read_column(args.detections, "call") != 0
         flags = LabeledDataset.from_csv(args.detection_truth).anomaly
         if flags is None:
             raise ValueError(f"{args.detection_truth}: no is_anomaly column")
+        aligned(calls, args.detections, flags, args.detection_truth)
         report["detection_accuracy"] = detection_accuracy(calls, flags)
     if not report:
         raise ValueError("nothing to evaluate; pass --predictions, --model, "
                          "or --detections")
+    if args.curve_out:  # written only once every input has been read
+        write_csv(args.curve_out, ["rho", "precision", "recall"],
+                  (map(repr, row) for row in curve.tolist()))
     text = json.dumps(report, indent=1)
     if args.report:
         Path(args.report).write_text(text + "\n")

@@ -9,6 +9,8 @@ live, one table row per value: model files in test_persist.py, CSV files in
 test_dataset.py, and settings in the validation tests of test_model.py,
 test_gem.py, test_kernels.py and test_synthdata.py. A new rule's cases go in
 its owner's table; a new command or input gets one refused case here.
+Every new table row gets an explicit id, so that deleting a row renames no
+other: rows without one are numbered by position.
 """
 
 import csv
@@ -284,16 +286,6 @@ def test_evaluate_rejects_bad_rows(workdir, tmp_path, capsys, flag, text):
     assert not report.exists()
 
 
-def test_evaluate_rejects_zero_labels(workdir, tmp_path, capsys):
-    path = tmp_path / "zeros.csv"
-    path.write_text("label\n" + "0\n" * 80)
-    rc = main(["evaluate", "--predictions", str(path),
-               "--truth", str(workdir / "test.csv")])
-    assert rc == 2
-    assert f"{path}:2: bad or missing 'label' value; expected -1 or 1" in \
-        capsys.readouterr().err
-
-
 def _corrupt(src, dest, line, column, value):
     """Copy a dataset CSV with two blank lines before data row `line` - 2
     and `column` of that row set to `value`; returns its physical line."""
@@ -335,28 +327,6 @@ def test_bad_labels_and_flags_exit_two(workdir, tmp_path, capsys, command,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,text", [
-    ("train", "y,x1,x2\n\n1,0,0\n\n\n-1,1,1\n\n1,2\n"),
-    ("predict", "y,x1,x2\n\n1,0,0\n\n\n-1,1,1\n\n1,2\n"),
-    ("predict", "x1,x2\n\n0,0\n\n\n1,1\n\n2\n"),
-    ("detect", "x1,x2\n\n0,0\n\n\n1,1\n\n2\n"),
-])
-def test_short_row_names_its_physical_line(workdir, tmp_path, capsys,
-                                           command, text):
-    path = tmp_path / "short.csv"
-    path.write_text(text)
-    if command == "train":
-        argv = ["train", "--data", str(path),
-                "--model-out", str(tmp_path / "m.json")]
-    else:
-        argv = [command, "--model", str(workdir / "model.json"),
-                "--data", str(path), "--out", str(tmp_path / "o.csv")]
-    assert main(argv) == 2
-    width = len(text.partition("\n")[0].split(","))
-    assert (f"{path}:8: bad row; expected {width} fields, got {width - 1}"
-            in capsys.readouterr().err)
-
-
 def test_evaluate_reads_only_the_named_column(workdir, tmp_path, capsys):
     pred = tmp_path / "pred.csv"
     pred.write_text("id,label\n" + "".join(f"row{i},1\n" for i in range(80)))
@@ -365,15 +335,37 @@ def test_evaluate_reads_only_the_named_column(workdir, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == 0.5
 
 
-@pytest.mark.parametrize("argv", [
-    ["evaluate"],
-    ["evaluate", "--predictions", "x.csv"],
-    ["evaluate", "--model", "m.json"],
-    ["evaluate", "--detections", "d.csv"],
+def _refused_evaluate(workdir, tmp_path, capsys, args):
+    """evaluate's error text for args, whose file names are read from workdir
+    where they are there and from tmp_path otherwise, after checking that it
+    exits 2 and writes neither its report nor a curve."""
+    paths = [a if a.startswith("--") else
+             str(workdir / a if (workdir / a).exists() else tmp_path / a)
+             for a in args.split()]
+    report = tmp_path / "report.json"
+    assert main(["evaluate", *paths, "--report", str(report)]) == 2
+    assert not report.exists() and not (tmp_path / "curve.csv").exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,needle", [
+    pytest.param("", "nothing to evaluate", id="argv0"),
+    pytest.param("--predictions x.csv", "--predictions requires --truth", id="argv1"),
+    pytest.param("--model m.json", "--model requires --anomaly-truth", id="argv2"),
+    pytest.param("--detections d.csv", "--detections requires --detection-truth",
+                 id="argv3"),
+    # each flag needs its partner, also the truth and output flags
+    pytest.param("--truth test.csv", "--truth requires --predictions", id="truth-alone"),
+    pytest.param("--anomaly-truth train.csv --curve-out curve.csv",
+                 "--anomaly-truth requires --model", id="anomaly-truth-alone"),
+    pytest.param("--predictions pred.csv --truth test.csv --curve-out curve.csv "
+                 "--detection-truth train.csv", "--detection-truth requires --detections",
+                 id="detection-truth-alone"),
+    pytest.param("--predictions pred.csv --truth test.csv --curve-out curve.csv",
+                 "--curve-out requires --model", id="curve-out-alone"),
 ])
-def test_evaluate_incomplete_inputs(workdir, argv, capsys):
-    assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+def test_evaluate_incomplete_inputs(workdir, tmp_path, capsys, args, needle):
+    assert f"error: {needle}" in _refused_evaluate(workdir, tmp_path, capsys, args)
 
 
 @pytest.mark.parametrize("args,needle", [
@@ -384,22 +376,26 @@ def test_evaluate_incomplete_inputs(workdir, argv, capsys):
      "unflagged.csv: no is_anomaly column"),
     ("--predictions calls.csv --truth test.csv",
      "calls.csv: expected a 'label' column"),
+    # each pair must have as many rows; the error names both files
+    ("--predictions labels.csv --truth test.csv",
+     "labels.csv has 3 row(s) but test.csv has 80"),
+    ("--model model.json --anomaly-truth head.csv --curve-out curve.csv",
+     "model.json has 60 row(s) but head.csv has 10"),
+    ("--model model.json --anomaly-truth train.csv --curve-out curve.csv "
+     "--detections calls.csv --detection-truth head.csv",
+     "calls.csv has 60 row(s) but head.csv has 10"),
 ])
 def test_evaluate_rejects_missing_inputs(workdir, baselines, tmp_path, capsys,
                                          args, needle):
     rows = _read_rows(workdir / "train.csv")
     (tmp_path / "unflagged.csv").write_text(
         "".join(",".join(r[:3]) + "\n" for r in rows))
+    (tmp_path / "head.csv").write_text("".join(",".join(r) + "\n" for r in rows[:11]))
     (tmp_path / "calls.csv").write_text("score,call\n" + "1.0,1\n" * 60)
-
-    def path(name):
-        return str(tmp_path / name if (tmp_path / name).exists()
-                   else workdir / name)
-
-    rc = main(["evaluate"] + [a if a.startswith("--") else path(a)
-                              for a in args.split()])
-    assert rc == 2
-    assert needle in capsys.readouterr().err
+    (tmp_path / "labels.csv").write_text("label\n" + "1\n" * 3)
+    err = _refused_evaluate(workdir, tmp_path, capsys, args)
+    # the needle names each file without its directory
+    assert needle in err.replace(f"{workdir}{os.sep}", "").replace(f"{tmp_path}{os.sep}", "")
 
 
 @pytest.mark.parametrize("model", ["model.json", "two-stage.json"])
@@ -467,6 +463,8 @@ def test_train_bad_gamma_and_rates(workdir, tmp_path, capsys):
     ("--jitter", "nan", "jitter must be nonnegative and finite, got nan"),
     ("--gamma", "inf", "rbf kernel requires gamma > 0 and finite, got inf"),
     ("--seed", "-1", "seed must be at least 0, got -1"),
+    # with c = inf the margin-slack term would drop out of the dual
+    ("--c", "inf", "c must be positive and finite, got inf"),
 ])
 def test_train_refuses_non_finite_rates_and_jitter(workdir, tmp_path, capsys,
                                                    flag, value, needle):
@@ -479,19 +477,15 @@ def test_train_refuses_non_finite_rates_and_jitter(workdir, tmp_path, capsys,
 
 @pytest.mark.parametrize("argv,needle", [
     (["--R", "nan", "--ra", "0"], "R must be positive and finite, got nan"),
-    (["--R", "inf", "--ra", "0.2"], "R must be positive and finite, got inf"),
-    (["--R", "55", "--ra", "0.2", "--seed", "-2"],
-     "seed must be at least 0, got -2"),
-    # sample_ring squares the outer radius R + 1
-    (["--R", "1e200", "--ra", "0.2"],
-     "R must be at most about 1.34e154, so that (R + 1)**2 is finite, "
-     "got 1e+200"),
+    pytest.param(["--R", "55", "--ra", "0.2", "--seed", "-2"],
+                 "seed must be at least 0, got -2", id="seed-negative"),
     # NumPy cannot size the arrays; a count below the limit would be allocated
-    *(([flag, str(10**400), "--R", "40", "--ra", "0.2"],
-       f"{name} must be at most {MAX_ROWS_PER_CLASS}")
+    *(pytest.param([flag, str(10**400), "--R", "40", "--ra", "0.2"],
+                   f"{name} must be at most {MAX_ROWS_PER_CLASS}", id=f"{flag[2:]}-too-large")
       for flag, name in (("--n-train", "n_train_per_class"),
                          ("--n-test", "n_test_per_class"))),
-    (["--R", "55", "--ra", "1.5"], "r_a must lie in [0, 1), got 1.5"),
+    pytest.param(["--R", "55", "--ra", "1.5"], "r_a must lie in [0, 1), got 1.5",
+                 id="ra-out-of-range"),
 ])
 def test_simulate_refuses_bad_geometry_and_seeds(tmp_path, capsys, argv,
                                                  needle):
@@ -500,17 +494,6 @@ def test_simulate_refuses_bad_geometry_and_seeds(tmp_path, capsys, argv,
                  "--out-test", str(out[1])]) == 2
     assert needle in capsys.readouterr().err
     assert not any(path.exists() for path in out)
-
-
-@pytest.mark.parametrize("c", ["inf", "nan"])
-def test_train_refuses_a_non_finite_c(workdir, tmp_path, capsys, c):
-    # with c = inf the margin-slack term would drop out of the dual
-    out = tmp_path / "m.json"
-    assert main(["train", "--data", str(workdir / "train.csv"), "--c", c,
-                 "--lambda-cap", "0.4", "--steps", "1",
-                 "--model-out", str(out)]) == 2
-    assert f"c must be positive and finite, got {c}" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_train_has_one_prior_setting(workdir, tmp_path, capsys):
@@ -734,61 +717,46 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
      "key 'gemmed.jitter' expects a number, got 'abc'"),
     ({"svm": {"C": "abc"}}, "key 'svm.C' expects a number, got 'abc'"),
     ({"svm": {"C": True}}, "key 'svm.C' expects a number, got True"),
-    ({"methods": ["two-stage"], "svm": {"C": -1}},
-     "key 'svm.C' must be positive and finite, got -1"),
-    ({"two-stage": {"C": float("inf")}},
-     "key 'two-stage.C' must be positive and finite, got inf"),
-    ({"gemmed": {"hyper": {"p0": "abc"}}},
-     "key 'gemmed.hyper.p0' expects a number, got 'abc'"),
-    ({"gemmed": {"hyper": {"c": "abc"}}},
-     "key 'gemmed.hyper.c' expects a number, got 'abc'"),
-    ({"gemmed": {"hyper": {"c": None}}},
-     "key 'gemmed.hyper.c' expects a number, got None"),
-    ({"gem": {"alpha": "abc"}}, "key 'gem.alpha' expects a number, got 'abc'"),
-    ({"R": ["55"]}, "key 'R' expects a number, got '55'"),
-    ({"ra": [False]}, "key 'ra' expects a number, got False"),
-    ({"coverage": "0.8"}, "key 'coverage' expects a number, got '0.8'"),
-    # the retired prior location; the prior is p0, else the coverage rule
-    ({"gemmed": {"hyper": {"a_eta": 1.0}}}, "unknown key 'a_eta'"),
+    # rows from here on carry explicit ids, named by site and key
+    pytest.param({"methods": ["two-stage"], "svm": {"C": -1}},
+                 "key 'svm.C' must be positive and finite, got -1", id="svm-C-negative"),
+    pytest.param({"two-stage": {"C": float("inf")}},
+                 "key 'two-stage.C' must be positive and finite, got inf",
+                 id="two-stage-C-infinite"),
+    pytest.param({"gemmed": {"hyper": {"c": None}}},
+                 "key 'gemmed.hyper.c' expects a number, got None",
+                 id="gemmed-hyper-c-null"),
+    pytest.param({"R": ["55"]}, "key 'R' expects a number, got '55'",
+                 id="grid-R-not-a-number"),
     # run_cell seeds each cell's sampler with the cell seed
-    ({"gemmed": {"hyper": {"seed": 5}}},
-     "unknown key 'seed' in sweep config section 'gemmed.hyper'"),
+    pytest.param({"gemmed": {"hyper": {"seed": 5}}},
+                 "unknown key 'seed' in sweep config section 'gemmed.hyper'",
+                 id="gemmed-hyper-seed-unknown"),
     # a hyper section overrides the joint model's lambda_cap of 0.4 only
     # where it sets it, so a c at or below 0.4 needs its own cap
-    ({"gemmed": {"hyper": {"c": 0.3}}},
-     "lambda_cap must lie strictly between 0 and c"),
-    ({"gem": {"epsilon_gamma": float("nan")}},
-     "epsilon_gamma must be positive and finite, got nan"),
-    ({"gem": {"epsilon_gamma": float("inf")}},
-     "epsilon_gamma must be positive and finite, got inf"),
+    pytest.param({"gemmed": {"hyper": {"c": 0.3}}},
+                 "lambda_cap must lie strictly between 0 and c",
+                 id="gemmed-hyper-c-below-default-cap"),
     # every cell's data and detection counts are checked before any cell
-    ({"ra": [0.2, 1.5]}, "r_a must lie in [0, 1), got 1.5"),
-    ({"seeds": [1, -3]}, "seed must be at least 0, got -3"),
-    ({"R": [40.0, float("nan")]}, "R must be positive and finite, got nan"),
-    ({"n_test_per_class": 0}, "n_test_per_class must be at least 1, got 0"),
-    ({"detect_ring": -1, "detect_clean": 0},
-     "key 'detect_ring' must be at least 0, got -1"),
-    ({"R": [55.0, 1e200]}, "R must be at most about 1.34e154"),
+    pytest.param({"ra": [0.2, 1.5]}, "r_a must lie in [0, 1), got 1.5",
+                 id="grid-ra-second-value-out-of-range"),
+    pytest.param({"seeds": [1, -3]}, "seed must be at least 0, got -3",
+                 id="grid-seeds-second-value-negative"),
+    pytest.param({"detect_ring": -1, "detect_clean": 0},
+                 "key 'detect_ring' must be at least 0, got -1",
+                 id="counts-detect_ring-negative"),
     # a JSON integer too large for a float is not a number a setting can hold
-    *(({key: value}, f"key '{name}' expects a number, got an integer too large")
-      for key, value, name in (
-          ("R", [40.0, 10**400], "R"), ("ra", [10**400], "ra"),
-          ("coverage", 10**400, "coverage"), ("svm", {"C": 10**400}, "svm.C"),
-          ("gemmed", {"hyper": {"c": 10**400}}, "gemmed.hyper.c"),
-          ("two-stage", {"kernel": "rbf", "gamma": -10**400}, "two-stage.gamma"))),
-    # a width is a number or 'auto' for every kernel, also one it ignores
-    ({"gemmed": {"gamma": True}}, "key 'gemmed.gamma' expects a number, got True"),
-    ({"svm": {"gamma": "0.1"}}, "key 'svm.gamma' expects a number, got '0.1'"),
+    pytest.param({"R": [40.0, 10**400]}, "key 'R' expects a number, got an integer too large",
+                 id="grid-R-integer-too-large"),
     # 7 used to run every cell, then fail in write_csv with a TypeError
-    ({"out": 7}, "sweep config key 'out' must be a nonempty string, got 7"),
-    ({"out": ""}, "sweep config key 'out' must be a nonempty string, got ''"),
-    # a row count NumPy cannot size is refused before the first cell
-    *(({name: 10**400}, f"{name} must be at most {MAX_ROWS_PER_CLASS}")
-      for name in ("n_train_per_class", "n_test_per_class")),
-    # a detection count NumPy cannot size, refused the same way
-    *(({"methods": ["two-stage"], name: 10**400},
-       f"key '{name}' must be at most {MAX_ROWS_PER_CLASS}")
-      for name in ("detect_ring", "detect_clean")),
+    pytest.param({"out": 7}, "sweep config key 'out' must be a nonempty string, got 7",
+                 id="out-not-a-string"),
+    pytest.param({"out": ""}, "sweep config key 'out' must be a nonempty string, got ''",
+                 id="out-empty"),
+    # a detection count NumPy cannot size is refused before the first cell
+    pytest.param({"methods": ["two-stage"], "detect_ring": 10**400},
+                 f"key 'detect_ring' must be at most {MAX_ROWS_PER_CLASS}",
+                 id="counts-detect_ring-too-large"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
     config = _sweep_config(tmp_path, **mutation)
