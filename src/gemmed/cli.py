@@ -255,8 +255,9 @@ def cmd_sweep(args) -> int:
     # so a typo in an inactive section cannot hide
     settings = {m: _method_settings(config, m) for m in METHODS}
     coverage = config.get("coverage")
-    if coverage is not None:
+    if coverage is not None:  # run_cell sets it as each cell's target_coverage
         coverage = json_number(coverage, "sweep config key 'coverage'")
+        dataclasses.replace(gem_config, target_coverage=coverage)
     # run_cell's signature holds the default of every count a config omits
     counts = {name: json_whole(config[key], f"sweep config key '{key}'", 0)
               for key, name in ROW_COUNTS.items() if key in config}

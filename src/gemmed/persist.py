@@ -64,15 +64,20 @@ def json_whole(value, what: str, minimum: int | None = None) -> int:
 
 
 def json_fields(value, name: str, cls, allowed, nouns=("field", "field")) -> dict:
-    """value as keyword arguments of dataclass cls, keys in allowed: a float field
-    holds a JSON number, or null if its type admits None, or a string default such
-    as 'auto'. Errors name the object and a key as nouns[0] and nouns[1] 'name.key'."""
+    """value as keyword arguments of dataclass cls, keys in allowed: an int field
+    holds a whole number, and a float field a JSON number, or null if its type admits
+    None, or a string default such as 'auto'. Errors name the object and a key as
+    nouns[0] and nouns[1] 'name.key'."""
     section = dict(json_object(value, f"{nouns[0]} '{name}'", allowed))
     for f in fields(cls):
-        v = section.get(f.name)
-        if f.type.startswith("float") and f.name in section and not (
+        if f.name not in section:
+            continue
+        v, what = section[f.name], f"{nouns[1]} '{name}.{f.name}'"
+        if f.type == "int":
+            section[f.name] = json_whole(v, what)
+        elif f.type.startswith("float") and not (
                 v is None and "None" in f.type or isinstance(v, str) and v == f.default):
-            section[f.name] = json_number(v, f"{nouns[1]} '{name}.{f.name}'")
+            section[f.name] = json_number(v, what)
     return section
 
 
@@ -133,10 +138,13 @@ def _labels(key: str, value, read: dict) -> np.ndarray:
 
 
 def _indices(key: str, value, read: dict) -> np.ndarray:
-    idx = _floats(key, value, read)
-    if idx.ndim != 1 or (idx < 0).any() or (idx % 1).any():
-        raise ValueError(f"field '{key}' must list whole numbers of at least 0")
-    return idx.astype(int)
+    if _floats(key, value, read).ndim == 1:
+        try:
+            return np.array([json_whole(v, key, 0) for v in value], dtype=int)
+        except (ValueError, OverflowError):  # a fraction, below 0, or beyond an int64
+            pass
+    raise ValueError(f"field '{key}' must list whole numbers of at least 0 "
+                     f"and at most {np.iinfo(int).max}")
 
 
 def _by_class(key: str, value, read: dict) -> np.ndarray:

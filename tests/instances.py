@@ -1,5 +1,6 @@
 """Small random dual instances for checking the sampler and the analytic
-gradients against the exact enumeration oracle.
+gradients against the exact enumeration oracle, and the per-row k-NN
+scores that the batched scorers must reproduce.
 
 The tests import this module by its bare name: pytest puts the tests
 directory on ``sys.path`` while it collects the test files there.
@@ -33,3 +34,9 @@ def random_instance(n: int, seed: int, hyper: HyperParams | None = None
         kappa=rng.uniform(0.05, 1.5, size=2),
     )
     return DualProblem(y, gram, d_tilde, gamma_hat, beta_hat, p0, hyper), state
+
+
+def per_row_knn(xs, refs, k) -> np.ndarray:
+    """k-NN distance sums the slow way: one norm, sort and sum per query row."""
+    return np.array([float(np.sort(np.linalg.norm(refs - x[None, :], axis=1))[:k].sum())
+                     for x in xs], dtype=float)

@@ -38,6 +38,11 @@ from gemmed.persist import load_model, save_model
 from gemmed.synthdata import MAX_ROWS_PER_CLASS
 
 
+# the training flags of the shared model.json
+TRAIN_FLAGS = ["--kernel", "rbf", "--gamma", "0.1", "--k", "3", "--lambda-cap", "0.4",
+               "--steps", "2", "--gibbs", "8,2", "--seed", "0"]
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """One simulated cell plus a small trained model, shared by the tests."""
@@ -47,11 +52,8 @@ def workdir(tmp_path_factory):
                "--out-train", str(root / "train.csv"),
                "--out-test", str(root / "test.csv")])
     assert rc == 0
-    rc = main(["train", "--data", str(root / "train.csv"),
-               "--kernel", "rbf", "--gamma", "0.1", "--k", "3",
-               "--lambda-cap", "0.4", "--steps", "2", "--gibbs", "8,2",
-               "--seed", "0", "--model-out", str(root / "model.json")])
-    assert rc == 0
+    assert main(["train", "--data", str(root / "train.csv"), *TRAIN_FLAGS,
+                 "--model-out", str(root / "model.json")]) == 0
     return root
 
 
@@ -83,11 +85,8 @@ def test_simulate_output_shape(workdir):
 
 def test_train_is_deterministic(workdir, tmp_path):
     out = tmp_path / "again.json"
-    rc = main(["train", "--data", str(workdir / "train.csv"),
-               "--kernel", "rbf", "--gamma", "0.1", "--k", "3",
-               "--lambda-cap", "0.4", "--steps", "2", "--gibbs", "8,2",
-               "--seed", "0", "--model-out", str(out)])
-    assert rc == 0
+    assert main(["train", "--data", str(workdir / "train.csv"), *TRAIN_FLAGS,
+                 "--model-out", str(out)]) == 0
     assert out.read_bytes() == (workdir / "model.json").read_bytes()
 
 
@@ -434,9 +433,7 @@ def test_detect_requires_a_detector(workdir, baselines, tmp_path, capsys):
 def test_unstable_rates_warn_in_train_only(workdir, tmp_path, capsys):
     model = tmp_path / "fast.json"
     with pytest.warns(UserWarning, match="rate_lambda=0.05 outside"):
-        rc = main(["train", "--data", str(workdir / "train.csv"),
-                   "--kernel", "rbf", "--gamma", "0.1", "--k", "3",
-                   "--lambda-cap", "0.4", "--steps", "2", "--gibbs", "8,2",
+        rc = main(["train", "--data", str(workdir / "train.csv"), *TRAIN_FLAGS,
                    "--rates", "5e-2,2e-2,2e-2", "--model-out", str(model)])
     assert rc == 0
     assert load_model(model).hyper.rate_lambda == 0.05
@@ -446,18 +443,7 @@ def test_unstable_rates_warn_in_train_only(workdir, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_train_bad_gamma_and_rates(workdir, tmp_path, capsys):
-    rc = main(["train", "--data", str(workdir / "train.csv"),
-               "--gamma", "wide", "--model-out", str(tmp_path / "m.json")])
-    assert rc == 2
-    assert "--gamma" in capsys.readouterr().err
-    rc = main(["train", "--data", str(workdir / "train.csv"),
-               "--rates", "1e-3,2e-2", "--model-out", str(tmp_path / "m.json")])
-    assert rc == 2
-    assert "--rates" in capsys.readouterr().err
-
-
-# one refused value per setting flag: each reaches the dataclass that checks it
+# one refused value per setting flag: each reaches the rule that checks it
 @pytest.mark.parametrize("flag,value,needle", [
     ("--rates", "inf,2e-2,2e-2", "rate_lambda must be positive and finite, got inf"),
     ("--jitter", "nan", "jitter must be nonnegative and finite, got nan"),
@@ -465,6 +451,10 @@ def test_train_bad_gamma_and_rates(workdir, tmp_path, capsys):
     ("--seed", "-1", "seed must be at least 0, got -1"),
     # with c = inf the margin-slack term would drop out of the dual
     ("--c", "inf", "c must be positive and finite, got inf"),
+    ("--gamma", "wide", "--gamma must be a number or 'auto', got 'wide'"),
+    ("--rates", "1e-3,2e-2", "--rates expects 3 comma-separated values"),
+    # the prior is --p0, else the coverage rule; --a-eta is gone
+    ("--a-eta", "1", "unrecognized arguments: --a-eta 1"),
 ])
 def test_train_refuses_non_finite_rates_and_jitter(workdir, tmp_path, capsys,
                                                    flag, value, needle):
@@ -496,20 +486,9 @@ def test_simulate_refuses_bad_geometry_and_seeds(tmp_path, capsys, argv,
     assert not any(path.exists() for path in out)
 
 
-def test_train_has_one_prior_setting(workdir, tmp_path, capsys):
-    # the prior is --p0, else the coverage rule; --a-eta is gone
-    out = tmp_path / "m.json"
-    assert main(["train", "--data", str(workdir / "train.csv"), "--a-eta", "1",
-                 "--model-out", str(out)]) == 2
-    assert "unrecognized arguments: --a-eta 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_train_gibbs_schedule_must_be_whole_numbers(workdir, tmp_path, capsys):
     out = tmp_path / "m.json"
-    argv = ["train", "--data", str(workdir / "train.csv"), "--kernel", "rbf",
-            "--gamma", "0.1", "--k", "3", "--lambda-cap", "0.4",
-            "--steps", "2", "--seed", "0", "--model-out", str(out)]
+    argv = ["train", "--data", str(workdir / "train.csv"), *TRAIN_FLAGS, "--model-out", str(out)]
     assert main(argv + ["--gibbs", "30.7,10.9"]) == 2
     assert "--gibbs" in capsys.readouterr().err
     assert not out.exists()
@@ -667,57 +646,42 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     capsys.readouterr()
 
 
+# each row names its site and key; a section's integer and float fields
+# are the tables of test_persist, and HyperParams' ranges test_model's
 @pytest.mark.parametrize("mutation,needle", [
-    ({"bogus": 1}, "unknown key 'bogus'"),
-    ({"methods": ["boost"]}, "unknown method"),
-    ({"methods": []}, "nonempty list"),
-    ({"gem": {"seed": 4}}, "unknown key 'seed'"),
-    ({"svm": {"epochs": 3}}, "unknown key 'epochs'"),
-    ({"gemmed": {"hyper": {"lr": 0.1}}}, "unknown key 'lr'"),
-    ({"gem": {"intrinsic_dim": None}}, "unknown key 'intrinsic_dim'"),
-    ({"gemmed": {"hyper": {"early_stop": True}}}, "unknown key 'early_stop'"),
-    ({"gemmed": {"hyper": {"inner_draws": 20}}}, "unknown key 'inner_draws'"),
-    ({"gemmed": {"hyper": {"gibbs_sweeps": 8.5}}},
-     "gibbs_sweeps must be an integer"),
-    ({"gemmed": {"hyper": {"steps": 2.0}}}, "steps must be an integer"),
-    ({"gem": {"k": 2.5}}, "k must be an integer"),
-    ({"gem": {"k": True}}, "k must be an integer"),
-    ({"svm": [1]}, "sweep config section 'svm' must be an object"),
-    ({"gemmed": {"hyper": 1}}, "'gemmed.hyper' must be an object"),
-    ({"gem": 3}, "'gem' must be an object"),
-    ({"seeds": [1.7]}, "key 'seeds' must be a whole number, got 1.7"),
-    ({"seeds": [True]}, "key 'seeds' must be a whole number, got True"),
-    ({"n_train_per_class": "20"},
-     "key 'n_train_per_class' must be a whole number, got '20'"),
-    ({"n_train_per_class": float("inf")},  # what 1e400 in a file loads as
-     "key 'n_train_per_class' must be a whole number, got inf"),
-    ({"n_test_per_class": None}, "key 'n_test_per_class' must be a whole number"),
-    ({"detect_ring": 2.5}, "key 'detect_ring' must be a whole number, got 2.5"),
-    ({"detect_clean": [200]}, "key 'detect_clean' must be a whole number"),
+    pytest.param({"bogus": 1}, "unknown key 'bogus' in sweep config", id="config-bogus-unknown"),
+    pytest.param({"methods": ["boost"]}, "unknown method 'boost'", id="methods-boost-unknown"),
+    pytest.param({"methods": []}, "key 'methods' must be a nonempty list", id="methods-empty"),
+    pytest.param({"gem": {"seed": 4}}, "unknown key 'seed' in sweep config section 'gem'",
+                 id="gem-seed-unknown"),
+    pytest.param({"svm": {"epochs": 3}}, "unknown key 'epochs' in sweep config section 'svm'",
+                 id="svm-epochs-unknown"),
+    pytest.param({"gemmed": {"hyper": {"lr": 0.1}}}, "unknown key 'lr' in sweep config "
+                 "section 'gemmed.hyper'", id="gemmed-hyper-lr-unknown"),
+    pytest.param({"svm": [1]}, "section 'svm' must be an object", id="svm-not-an-object"),
+    pytest.param({"gemmed": {"hyper": 1}}, "section 'gemmed.hyper' must be an object",
+                 id="gemmed-hyper-not-an-object"),
+    pytest.param({"gem": 3}, "section 'gem' must be an object", id="gem-not-an-object"),
+    pytest.param({"seeds": [1.7]}, "key 'seeds' must be a whole number, got 1.7",
+                 id="grid-seeds-fraction"),
+    pytest.param({"n_train_per_class": "20"}, "key 'n_train_per_class' must be a whole "
+                 "number, got '20'", id="counts-n_train_per_class-string"),
     # keys another method reads but this one never does
-    ({"svm": {"hyper": {"steps": 3}}},
-     "unknown key 'hyper' in sweep config section 'svm'"),
-    ({"two-stage": {"jitter": 5.0}},
-     "unknown key 'jitter' in sweep config section 'two-stage'"),
-    ({"gemmed": {"C": 123.0}},
-     "unknown key 'C' in sweep config section 'gemmed'"),
-    ({"gemmed": {"hyper": {"rate_mu": float("nan")}}},  # JSON NaN parses
-     "rate_mu must be positive and finite, got nan"),
+    pytest.param({"svm": {"hyper": {"steps": 3}}},
+                 "unknown key 'hyper' in sweep config section 'svm'", id="svm-hyper-unknown"),
+    pytest.param({"two-stage": {"jitter": 5.0}}, "unknown key 'jitter' in sweep config "
+                 "section 'two-stage'", id="two-stage-jitter-unknown"),
+    pytest.param({"gemmed": {"C": 123.0}}, "unknown key 'C' in sweep config section 'gemmed'",
+                 id="gemmed-C-unknown"),
     # kernel values of a section whose method the sweep does not run
-    ({"gemmed": {"jitter": float("nan"), "gamma": -1}},
-     "rbf kernel requires gamma > 0"),
-    ({"gemmed": {"jitter": float("nan")}},
-     "jitter must be nonnegative and finite, got nan"),
-    ({"two-stage": {"kernel": "rbf", "gamma": None}},
-     "gamma must be a positive number or 'auto', got None"),
-    ({"gemmed": {"hyper": {"c": float("inf"), "lambda_cap": 0.4}}},
-     "c must be positive and finite, got inf"),
-    # settings read as floats must be numbers, and every C positive and finite
-    ({"gemmed": {"jitter": "abc"}},
-     "key 'gemmed.jitter' expects a number, got 'abc'"),
-    ({"svm": {"C": "abc"}}, "key 'svm.C' expects a number, got 'abc'"),
-    ({"svm": {"C": True}}, "key 'svm.C' expects a number, got True"),
-    # rows from here on carry explicit ids, named by site and key
+    pytest.param({"gemmed": {"jitter": float("nan"), "gamma": -1}},
+                 "rbf kernel requires gamma > 0", id="gemmed-gamma-negative-not-run"),
+    pytest.param({"gemmed": {"jitter": float("nan")}},
+                 "jitter must be nonnegative and finite, got nan", id="gemmed-jitter-nan-not-run"),
+    pytest.param({"two-stage": {"kernel": "rbf", "gamma": None}}, "gamma must be a positive "
+                 "number or 'auto', got None", id="two-stage-gamma-null-not-run"),
+    # the coverage every cell sets as its target_coverage
+    pytest.param({"coverage": 1.5}, "target_coverage must lie in (0, 1]", id="coverage-above-one"),
     pytest.param({"methods": ["two-stage"], "svm": {"C": -1}},
                  "key 'svm.C' must be positive and finite, got -1", id="svm-C-negative"),
     pytest.param({"two-stage": {"C": float("inf")}},
@@ -758,14 +722,13 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
                  f"key 'detect_ring' must be at most {MAX_ROWS_PER_CLASS}",
                  id="counts-detect_ring-too-large"),
 ])
-def test_sweep_rejects_malformed_configs(tmp_path, capsys, mutation, needle):
+def test_sweep_rejects_malformed_configs(tmp_path, capsys, monkeypatch, mutation, needle):
+    monkeypatch.setattr(cli, "run_cell", lambda *cell, **kwargs: pytest.fail("a cell ran"))
     config = _sweep_config(tmp_path, **mutation)
     # --out overrides the config's out but skips none of the checks
     for flag in ([], ["--out", str(tmp_path / "other.csv")]):
         assert main(["sweep", "--config", str(config), *flag]) == 2
-        out, err = capsys.readouterr()
-        assert needle in err
-        assert "R=" not in out  # no cell ran
+        assert needle in capsys.readouterr().err
         assert not any(tmp_path.glob("*.csv"))
 
 

@@ -13,6 +13,7 @@ from gemmed.gem import (GemConfig, bipartite_partition, compute_gem_stats,
                         loo_threshold)
 from gemmed.synthdata import (RingExperimentConfig, generate, sample_nominal,
                               sample_ring)
+from instances import per_row_knn
 
 
 def test_knn_distance_sum_frozen():
@@ -41,12 +42,6 @@ def test_knn_distance_sum_brute_force():
             [sum(expected[:k])])
 
 
-def _per_row_knn(xs, refs, k):
-    """The scoring loop before batching: one norm, sort and sum per query."""
-    return np.array([float(np.sort(np.linalg.norm(refs - x[None, :], axis=1))[:k].sum())
-                     for x in xs], dtype=float)
-
-
 # small integers give duplicate points and tied distances
 _coords = st.one_of(st.integers(-3, 3).map(float),
                     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
@@ -72,7 +67,7 @@ def test_knn_distance_sum_batched_matches_per_row(case):
     got = knn_distance_sum(xs, refs, k)
     singles = [knn_distance_sum(x, refs, k) for x in xs]
     first = knn_distance_sum(xs[:1], refs, k)
-    want = _per_row_knn(xs, refs, k)
+    want = per_row_knn(xs, refs, k)
     assert isinstance(got, np.ndarray) and got.dtype == float
     assert got.shape == (xs.shape[0],)
     assert all(v.shape == (1,) for v in singles)
@@ -93,7 +88,7 @@ def test_knn_distance_sum_spans_several_blocks(p, k):
     rng = np.random.default_rng(p)
     refs = rng.normal(size=(1000, p))
     xs = rng.normal(size=(200, p))
-    assert np.array_equal(knn_distance_sum(xs, refs, k), _per_row_knn(xs, refs, k))
+    assert np.array_equal(knn_distance_sum(xs, refs, k), per_row_knn(xs, refs, k))
 
 
 def test_knn_and_loo_match_per_row_at_benchmark_sizes():
@@ -105,7 +100,7 @@ def test_knn_and_loo_match_per_row_at_benchmark_sizes():
     refs = rng.permutation(train.x)[:800]
     xs = np.vstack([sample_ring(rng, 200, 55), sample_nominal(rng, 1000, -1),
                     sample_nominal(rng, 1000, 1)])
-    assert np.array_equal(knn_distance_sum(xs, refs, 5), _per_row_knn(xs, refs, 5))
+    assert np.array_equal(knn_distance_sum(xs, refs, 5), per_row_knn(xs, refs, 5))
     want = np.array([np.sort(np.delete(np.linalg.norm(refs - p, axis=1), i))[:5].sum()
                      for i, p in enumerate(refs)])
     assert np.array_equal(loo_scores(refs, 5), want)

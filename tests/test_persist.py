@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import re
@@ -6,10 +7,10 @@ import re
 import numpy as np
 import pytest
 
-from gemmed import trainer
+from gemmed import cli, trainer
 from gemmed.baselines import SvmModel, TwoStageModel, train_svm, train_two_stage
 from gemmed.cli import main
-from gemmed.experiments import MethodSettings
+from gemmed.experiments import CellResult, MethodSettings
 from gemmed.gem import GemConfig
 from gemmed.kernels import KernelSpec
 from gemmed.model import HyperParams, TrainedModel
@@ -56,27 +57,10 @@ def test_svm_round_trip(cell, tmp_path):
     save_model(model, path)
     back = load_model(path)
     assert back.C == 1.0
-    assert back.converged == model.converged
+    assert back.converged is model.converged is True
     assert back.kkt_violation == model.kkt_violation
     np.testing.assert_array_equal(back.predict(test_set.x),
                                   model.predict(test_set.x))
-
-
-def test_solver_outcome_round_trips(cell, tmp_path):
-    train_set, _ = cell
-    svm = train_svm(train_set, KernelSpec("linear"), C=1.0)
-    two_stage = train_two_stage(train_set, KernelSpec("linear"),
-                                GemConfig(k=3, seed=0, target_coverage=0.8))
-    for model in (svm, two_stage):
-        assert model.converged and 0.0 <= model.kkt_violation <= 1e-3
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        payload = json.loads(path.read_text())
-        assert payload["converged"] is True
-        assert payload["kkt_violation"] == model.kkt_violation
-        back = load_model(path)
-        assert back.converged is True
-        assert back.kkt_violation == model.kkt_violation
 
 
 def test_two_stage_round_trip(cell, tmp_path):
@@ -91,7 +75,8 @@ def test_two_stage_round_trip(cell, tmp_path):
     assert not hasattr(back, "svm")
     assert json.loads(path.read_text())["model_kind"] == "two_stage"
     assert np.array_equal(back.kept_idx, model.kept_idx)
-    assert back.theta == model.theta
+    assert back.converged is model.converged is True
+    assert (back.theta, back.kkt_violation) == (model.theta, model.kkt_violation)
     np.testing.assert_array_equal(back.predict(test_set.x),
                                   model.predict(test_set.x))
     np.testing.assert_array_equal(back.detect(test_set.x),
@@ -180,20 +165,6 @@ def test_load_rejects_non_finite_numbers(cell, tmp_path, kind):
                 load_model(path)
     path.write_text(text)
     assert type(load_model(path)) is type(model)
-
-
-@pytest.mark.parametrize("kind", ["gemmed", "two_stage"])
-def test_load_rejects_a_k_that_is_not_a_count(cell, tmp_path, kind):
-    path = tmp_path / "model.json"
-    save_model(_fit(cell[0], kind), path)
-    payload = json.loads(path.read_text())
-    for bad in (3.9, True, 0, -2, "3", None, float("inf")):
-        path.write_text(json.dumps({**payload, "k": bad}))
-        with pytest.raises(ValueError, match="model.json: field 'k' must be "
-                                             "(a whole number|at least 1), got"):
-            load_model(path)
-    path.write_text(json.dumps({**payload, "k": 3.0}))
-    assert load_model(path).k == 3
 
 
 # the bytes of each model kind's file, pinned: the key order, the float
@@ -415,6 +386,14 @@ def test_model_file_bytes(tmp_path, kind):
     ("gemmed", "kernel", {"kind": "rbf", "gamma": 0.5}, "missing field 'kernel.jitter'"),
     ("gemmed", "kernel", {"kind": "rbf", "jitter": 1e-8}, "missing field 'kernel.gamma'"),
     ("svm", "kernel", {"kind": "linear", "jitter": 1e-8}, "missing field 'kernel.gamma'"),
+    # a k below 1; the int-field table below holds the values that are not whole
+    pytest.param("gemmed", "k", 0, "must be at least 1, got 0", id="gemmed-k-zero"),
+    pytest.param("two_stage", "k", -2, "must be at least 1, got -2", id="two_stage-k-negative"),
+    # an index that does not fit an int64 is refused, not wrapped to a negative one
+    pytest.param("two_stage", "kept_idx", [0, 1e300], "must list whole numbers of at least 0",
+                 id="two_stage-kept_idx-float-beyond-int64"),
+    pytest.param("two_stage", "removed_idx", [2**63], "must list whole numbers of at least 0",
+                 id="two_stage-removed_idx-integer-beyond-int64"),
 ])
 def test_load_refuses_a_field_of_the_wrong_form(tmp_path, kind, key, bad, needle):
     path = tmp_path / "model.json"
@@ -493,3 +472,55 @@ def test_every_float_field_refuses_a_non_number_on_both_paths(tmp_path, capsys, 
             with pytest.raises(ValueError, match=re.escape(
                     f"model.json: field '{key}' expects a number, got {bad!r}")):
                 load_model(path)
+
+
+# The same for each int field. Each cell's GemConfig.seed and HyperParams.seed
+# are its grid seed, so a sweep sets neither; test_cli's sweep table holds seeds.
+_INT_FIELD_KEYS = {
+    **{(HyperParams, name): ((f"gemmed.hyper.{name}",) if name != "seed" else (),
+                             (("gemmed", f"hyper.{name}"),))
+       for name in ("steps", "gibbs_sweeps", "burn_in", "seed")},
+    (GemConfig, "k"): (("gem.k",), (("gemmed", "k"), ("two_stage", "k"))),
+    (GemConfig, "seed"): ((), ()),
+}
+
+
+@pytest.mark.parametrize("cls", [HyperParams, GemConfig], ids=lambda cls: cls.__name__)
+def test_every_int_field_reads_a_whole_number_on_both_paths(tmp_path, capsys, monkeypatch,
+                                                            cls):
+    ints = [f.name for f in dataclasses.fields(cls) if f.type == "int"]
+    assert ints == [name for c, name in _INT_FIELD_KEYS if c is cls]
+    cells = []  # the settings each cell would run with
+    monkeypatch.setattr(cli, "run_cell", lambda *cell, **kwargs: cells.append(kwargs)
+                        or CellResult(*cell, 0.25, None, None))
+    schedule = {"gibbs_sweeps": 9, "burn_in": 1}  # under which 8 is valid for either
+    for name, value in itertools.product(ints, (8.0, 8.5, True, "8", float("inf"), None, [8])):
+        sweep_keys, model_keys = _INT_FIELD_KEYS[cls, name]
+        for key in sweep_keys:
+            path = tmp_path / "sweep.json"
+            path.write_text(json.dumps(_put({"R": [40.0], "ra": [0.2], "seeds": [1],
+                                             "methods": ["gemmed"],
+                                             "gemmed": {"hyper": dict(schedule)}}, key, value)))
+            code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep.csv")])
+            err = capsys.readouterr().err
+            if value == 8.0:
+                cell = cells.pop()
+                read = getattr(cell["gem_config"] if cls is GemConfig
+                               else cell["settings"].hyper, name)
+                assert code == 0 and type(read) is int and read == 8
+            else:
+                assert code == 2
+                assert f"sweep config key '{key}' must be a whole number, got {value!r}" in err
+        for kind, key in model_keys:
+            payload = json.loads(_FILE_BYTES[kind])
+            if kind == "gemmed":
+                payload["hyper"].update(schedule)
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(_put(payload, key, value)))
+            if value == 8.0:
+                read = functools.reduce(getattr, key.split("."), load_model(path))
+                assert type(read) is int and read == 8
+            else:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"model.json: field '{key}' must be a whole number, got {value!r}")):
+                    load_model(path)

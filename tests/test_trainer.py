@@ -22,7 +22,7 @@ from gemmed.synthdata import RingExperimentConfig, generate
 from gemmed.trainer import (_batch_se, dual_gradient,
                             gibbs_expectations, init_duals,
                             mean_field_dual_estimate, sample_f_given_eta)
-from instances import random_instance
+from instances import per_row_knn, random_instance
 
 
 def _fixed_instance(n=4, seed=0):
@@ -537,12 +537,6 @@ def test_detector_rejects_mismatched_queries():
         trainer.detect(model, np.zeros((2, 4)))
 
 
-def _per_row_scores(xs, refs, k):
-    """Detector scores as computed before batching: one query row at a time."""
-    return np.array([float(np.sort(np.linalg.norm(refs - x[None, :], axis=1))[:k].sum())
-                     for x in xs])
-
-
 def test_detectors_match_per_row_scoring_bitwise():
     from gemmed.baselines import train_two_stage
     train_set, test_set = generate(RingExperimentConfig(
@@ -553,7 +547,7 @@ def test_detectors_match_per_row_scoring_bitwise():
     # queries: fresh test points and every training point, nominal or not
     xs = np.vstack([test_set.x, train_set.x])
 
-    want = _per_row_scores(xs, joint.x[joint.nominal_idx], joint.k)
+    want = per_row_knn(xs, joint.x[joint.nominal_idx], joint.k)
     assert np.array_equal(trainer.anomaly_scores(joint, xs), want)
     assert np.array_equal(trainer.detect(joint, xs), want > joint.theta)
     assert 0 < np.count_nonzero(want > joint.theta) < xs.shape[0]
@@ -563,7 +557,7 @@ def test_detectors_match_per_row_scoring_bitwise():
         assert np.array_equal(trainer.detect(joint, xs[i]),
                               want[i:i + 1] > joint.theta)
 
-    want = _per_row_scores(xs, train_set.x[two_stage.kept_idx], two_stage.k)
+    want = per_row_knn(xs, train_set.x[two_stage.kept_idx], two_stage.k)
     assert np.array_equal(two_stage.anomaly_scores(xs), want)
     assert np.array_equal(two_stage.detect(xs), want > two_stage.theta)
     assert 0 < np.count_nonzero(want > two_stage.theta) < xs.shape[0]
