@@ -26,7 +26,7 @@ from . import trainer
 from .dataset import LabeledDataset, feature_columns, features, read_csv, \
     write_csv
 from .errors import GemMedError
-from .experiments import METHODS, MethodSettings, default_settings, run_cell
+from .experiments import METHODS, default_settings, run_cell
 from .gem import GemConfig
 from .kernels import KERNEL_KINDS, KernelSpec, resolve_kernel
 from .metrics import auc, detection_accuracy, misclassification_error, \
@@ -197,11 +197,12 @@ def cmd_evaluate(args) -> int:
 
 # ------------------------------------------------------------------- sweep
 
-# the keys each method's section may set: only the joint model factors a
+# the fields run_cell sets in each cell, which no section may set, and the
+# keys each method's section may not set: only the joint model factors a
 # jittered Gram matrix and has HyperParams; only the SVMs have a box C
-METHOD_KEYS = {"gemmed": {"kernel", "gamma", "jitter", "hyper"},
-               "svm": {"kernel", "gamma", "C"},
-               "two-stage": {"kernel", "gamma", "C"}}
+CELL_FIELDS = {"seed", "target_coverage"}
+METHOD_REFUSED = {"gemmed": {"C"}, "svm": {"jitter", "hyper"},
+                  "two-stage": {"jitter", "hyper"}}
 # sweep config key -> run_cell parameter, for the counts a config may set
 ROW_COUNTS = {"n_train_per_class": "n_train_per_class",
               "n_test_per_class": "n_test_per_class",
@@ -210,26 +211,6 @@ SWEEP_TOP_KEYS = {"R", "ra", "seeds", "methods", "coverage", "gem", "out",
                   *ROW_COUNTS, *METHODS}
 # how errors name a sweep config section and a key of one
 SWEEP = ("sweep config section", "sweep config key")
-
-
-def _method_settings(config: dict, method: str) -> MethodSettings:
-    base = default_settings(method)
-    if config.get(method) is None:
-        return base
-    section = json_fields(config[method], method, MethodSettings, METHOD_KEYS[method], SWEEP)
-    if "hyper" in section:  # run_cell seeds each cell's sampler itself
-        allowed = HyperParams.__dataclass_fields__.keys() - {"seed"}
-        hyper = json_fields(section["hyper"], f"{method}.hyper", HyperParams, allowed, SWEEP)
-        section = {**section, "hyper": dataclasses.replace(base.hyper, **hyper)}
-    settings = dataclasses.replace(base, **section)
-    if not 0 < settings.C < np.inf:
-        raise ValueError(f"sweep config key '{method}.C' must be positive "
-                         f"and finite, got {settings.C!r}")
-    # build the kernel now so that bad values exit before any cell runs;
-    # an 'auto' width is resolved on each cell's data, so check it as 1
-    gamma = 1.0 if settings.gamma == "auto" else settings.gamma
-    resolve_kernel(settings.kernel, gamma, jitter=settings.jitter)
-    return settings
 
 
 def cmd_sweep(args) -> int:
@@ -248,16 +229,19 @@ def cmd_sweep(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method '{m}' in sweep config")
-    gem_config = GemConfig(**json_fields(
-        config.get("gem", {}), "gem", GemConfig,
-        GemConfig.__dataclass_fields__.keys() - {"seed", "target_coverage"}, SWEEP))
-    # validate every method section present, not just the selected ones,
-    # so a typo in an inactive section cannot hide
-    settings = {m: _method_settings(config, m) for m in METHODS}
+    gem_config = json_fields(config.get("gem", {}), "gem", GemConfig(), CELL_FIELDS, SWEEP)
+    # read every method section present, not just the selected ones, so a
+    # typo in an inactive section cannot hide; null keeps the defaults
+    settings = {m: json_fields({} if config.get(m) is None else config[m], m,
+                               default_settings(m), CELL_FIELDS | METHOD_REFUSED[m], SWEEP)
+                for m in METHODS}
     coverage = config.get("coverage")
     if coverage is not None:  # run_cell sets it as each cell's target_coverage
         coverage = json_number(coverage, "sweep config key 'coverage'")
-        dataclasses.replace(gem_config, target_coverage=coverage)
+        try:
+            dataclasses.replace(gem_config, target_coverage=coverage)
+        except ValueError as exc:
+            raise ValueError(f"sweep config key 'coverage': {exc}") from None
     # run_cell's signature holds the default of every count a config omits
     counts = {name: json_whole(config[key], f"sweep config key '{key}'", 0)
               for key, name in ROW_COUNTS.items() if key in config}

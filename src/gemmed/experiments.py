@@ -36,6 +36,14 @@ class MethodSettings:
     C: float = 1.0
     hyper: HyperParams = field(default_factory=HyperParams)
 
+    def __post_init__(self):
+        if not 0 < self.C < np.inf:
+            raise ValueError(f"C must be positive and finite, got {self.C!r}")
+        # build the kernel now so that bad values fail before any cell runs;
+        # an 'auto' width is resolved on each cell's data, so check it as 1
+        resolve_kernel(self.kernel, 1.0 if self.gamma == "auto" else self.gamma,
+                       jitter=self.jitter)
+
 
 @dataclass(frozen=True)
 class CellResult:

@@ -58,14 +58,16 @@ class GemConfig:
     def __post_init__(self):
         check_integers(self, k=1, seed=0)
         if not 0 < self.partition_ratio < 1:
-            raise ValueError("partition_ratio must lie in (0, 1)")
+            raise ValueError("partition_ratio must lie in (0, 1), "
+                             f"got {self.partition_ratio!r}")
         if not 0 < self.target_coverage <= 1:
-            raise ValueError("target_coverage must lie in (0, 1]")
+            raise ValueError("target_coverage must lie in (0, 1], "
+                             f"got {self.target_coverage!r}")
         if not 0 < self.epsilon_gamma < np.inf:
             raise ValueError("epsilon_gamma must be positive and finite, "
                              f"got {self.epsilon_gamma!r}")
         if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
 
 @dataclass(frozen=True)

@@ -163,9 +163,11 @@ def median_heuristic_gamma(xs: np.ndarray) -> float:
 
 def resolve_kernel(kind: str, gamma, xs: np.ndarray | None = None,
                    jitter: float = KernelSpec.jitter) -> KernelSpec:
-    """Build a KernelSpec, resolving gamma='auto' via the median heuristic."""
-    if kind == "linear":
-        return KernelSpec(kind="linear", gamma=None, jitter=jitter)
+    """Build a KernelSpec, resolving an rbf gamma='auto' via the median
+    heuristic; any other kind goes without a width, and KernelSpec refuses
+    a kind it does not know."""
+    if kind != "rbf":
+        return KernelSpec(kind=kind, gamma=None, jitter=jitter)
     if isinstance(gamma, str):
         if gamma != "auto":
             raise ValueError(f"gamma must be a positive number or 'auto', got {gamma!r}")

@@ -65,7 +65,7 @@ class HyperParams:
         if not 0 < cap < self.c:
             raise ValueError("lambda_cap must lie strictly between 0 and c")
         if self.p0 is not None and not 0 < self.p0 < 1:
-            raise ValueError("p0 must lie in (0, 1)")
+            raise ValueError(f"p0 must lie in (0, 1), got {self.p0!r}")
         for name in RATE_RANGES:
             if not 0 < (rate := getattr(self, name)) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {rate!r}")

@@ -1,16 +1,18 @@
-"""JSON persistence for trained models.
+"""JSON persistence for trained models, and the JSON readers of every input.
 
 All model kinds share an envelope with ``format_version`` and
 ``model_kind``; floats go through Python's repr-based JSON encoding,
 which round-trips float64 exactly, so reloaded models reproduce
 predictions bit for bit. Each kind's file is one table of (JSON key,
 model field, rule) rows, which ``save_model`` and ``load_model`` walk.
+The ``json_*`` readers serve sweep configs too: ``json_fields`` builds a
+settings object, nested ones included, and a refusal names it or its key.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass, replace
 from itertools import chain
 from pathlib import Path
 
@@ -63,22 +65,33 @@ def json_whole(value, what: str, minimum: int | None = None) -> int:
     return value
 
 
-def json_fields(value, name: str, cls, allowed, nouns=("field", "field")) -> dict:
-    """value as keyword arguments of dataclass cls, keys in allowed: an int field
-    holds a whole number, and a float field a JSON number, or null if its type admits
-    None, or a string default such as 'auto'. Errors name the object and a key as
-    nouns[0] and nouns[1] 'name.key'."""
-    section = dict(json_object(value, f"{nouns[0]} '{name}'", allowed))
+def json_fields(value, name: str, base, refused=(), nouns=("field", "field")):
+    """The object value read onto base, a dataclass instance whose other fields it
+    keeps or a dataclass whose every field it sets (KeyError names one it lacks);
+    keys in refused are unknown. An int field holds a whole number; a float field a
+    number, null if its type admits None, or a string default such as 'auto'; a
+    dataclass field an object read alike. Errors name the object as nouns[0] 'name',
+    also before the dataclass's own, and a key as nouns[1] 'name.key'."""
+    cls = base if isinstance(base, type) else type(base)
+    section = dict(json_object(value, f"{nouns[0]} '{name}'",
+                               [f.name for f in fields(cls) if f.name not in refused]))
     for f in fields(cls):
         if f.name not in section:
+            if base is cls:
+                raise KeyError(f.name)
             continue
-        v, what = section[f.name], f"{nouns[1]} '{name}.{f.name}'"
-        if f.type == "int":
-            section[f.name] = json_whole(v, what)
+        v, key = section[f.name], f"{name}.{f.name}"
+        if is_dataclass(inner := getattr(base, f.name, None)):
+            section[f.name] = json_fields(v, key, inner, refused, nouns)
+        elif f.type == "int":
+            section[f.name] = json_whole(v, f"{nouns[1]} '{key}'")
         elif f.type.startswith("float") and not (
                 v is None and "None" in f.type or isinstance(v, str) and v == f.default):
-            section[f.name] = json_number(v, what)
-    return section
+            section[f.name] = json_number(v, f"{nouns[1]} '{key}'")
+    try:
+        return cls(**section) if base is cls else replace(base, **section)
+    except ValueError as exc:
+        raise ValueError(f"{nouns[0]} '{name}': {exc}") from None
 
 
 def _floats(key: str, value, read: dict) -> np.ndarray:
@@ -101,18 +114,10 @@ def _floats(key: str, value, read: dict) -> np.ndarray:
     return array
 
 
-def _every_field(cls, section: dict):
-    """cls from section, which must hold every field: a KeyError names one it lacks."""
-    return cls(**{f.name: section[f.name] for f in fields(cls)})
-
-
 # Rules: (key, JSON value, fields read so far) -> field; an error names the key.
 
 def _kernel(key: str, value, read: dict) -> KernelSpec:
-    spec = json_fields(value, key, KernelSpec, KernelSpec.__dataclass_fields__)
-    if spec["kind"] == "rbf":  # only a linear kernel goes without a width
-        json_number(spec["gamma"], f"field '{key}.gamma'")
-    return _every_field(KernelSpec, spec)
+    return json_fields(value, key, KernelSpec)
 
 
 def _matrix(key: str, value, read: dict) -> np.ndarray:
@@ -171,10 +176,7 @@ def _flag(key: str, value, read: dict) -> bool:
 
 
 def _hyper(key: str, value, read: dict) -> HyperParams | None:
-    if value is None:
-        return None
-    return _every_field(HyperParams, json_fields(value, key, HyperParams,
-                                                 HyperParams.__dataclass_fields__))
+    return None if value is None else json_fields(value, key, HyperParams)
 
 
 # Each kind's file after format_version and model_kind: (JSON key, model

@@ -646,8 +646,9 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     capsys.readouterr()
 
 
-# each row names its site and key; a section's integer and float fields
-# are the tables of test_persist, and HyperParams' ranges test_model's
+# each row names its site and key; a section's integer and float fields and
+# the object a range refusal names are the tables of test_persist, and
+# HyperParams' ranges test_model's
 @pytest.mark.parametrize("mutation,needle", [
     pytest.param({"bogus": 1}, "unknown key 'bogus' in sweep config", id="config-bogus-unknown"),
     pytest.param({"methods": ["boost"]}, "unknown method 'boost'", id="methods-boost-unknown"),
@@ -681,11 +682,13 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     pytest.param({"two-stage": {"kernel": "rbf", "gamma": None}}, "gamma must be a positive "
                  "number or 'auto', got None", id="two-stage-gamma-null-not-run"),
     # the coverage every cell sets as its target_coverage
-    pytest.param({"coverage": 1.5}, "target_coverage must lie in (0, 1]", id="coverage-above-one"),
+    pytest.param({"coverage": 1.5}, "key 'coverage': target_coverage must lie in (0, 1], "
+                 "got 1.5", id="coverage-above-one"),
+    # a value the section's dataclass refuses names the section
     pytest.param({"methods": ["two-stage"], "svm": {"C": -1}},
-                 "key 'svm.C' must be positive and finite, got -1", id="svm-C-negative"),
+                 "section 'svm': C must be positive and finite, got -1.0", id="svm-C-negative"),
     pytest.param({"two-stage": {"C": float("inf")}},
-                 "key 'two-stage.C' must be positive and finite, got inf",
+                 "section 'two-stage': C must be positive and finite, got inf",
                  id="two-stage-C-infinite"),
     pytest.param({"gemmed": {"hyper": {"c": None}}},
                  "key 'gemmed.hyper.c' expects a number, got None",
@@ -721,6 +724,9 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     pytest.param({"methods": ["two-stage"], "detect_ring": 10**400},
                  f"key 'detect_ring' must be at most {MAX_ROWS_PER_CLASS}",
                  id="counts-detect_ring-too-large"),
+    # a kind KernelSpec does not know is refused, not run as an rbf kernel
+    pytest.param({"svm": {"kernel": "poly", "gamma": 0.1}},
+                 "section 'svm': unknown kernel kind 'poly'", id="svm-kernel-unknown"),
 ])
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, monkeypatch, mutation, needle):
     monkeypatch.setattr(cli, "run_cell", lambda *cell, **kwargs: pytest.fail("a cell ran"))

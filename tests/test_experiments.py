@@ -19,6 +19,13 @@ def test_default_settings_per_method():
         assert s.C == 1.0
 
 
+def test_method_settings_refuse_a_bad_C_or_kernel():
+    with pytest.raises(ValueError, match=r"C must be positive and finite, got 0$"):
+        MethodSettings(C=0)
+    with pytest.raises(ValueError, match="unknown kernel kind 'poly'"):
+        MethodSettings(kernel="poly")
+
+
 def test_run_cell_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown method"):
         run_cell("boost", R=55.0, r_a=0.2, seed=0)

@@ -215,6 +215,10 @@ def test_resolve_kernel_paths():
             resolve_kernel("rbf", gamma, xs)
     with pytest.raises(ValueError, match="data points"):
         resolve_kernel("rbf", "auto", None)
+    # only rbf reads a width; any other kind is KernelSpec's to refuse
+    for kind in ("poly", "RBF", 3):
+        with pytest.raises(ValueError, match=f"unknown kernel kind {kind!r}"):
+            resolve_kernel(kind, 0.1, xs)
 
 
 @settings(max_examples=30, deadline=None)

@@ -359,7 +359,10 @@ def test_model_file_bytes(tmp_path, kind):
     # the kernel and hyper objects, read by the sweep's section rules
     ("gemmed", "kernel.gamma", True, "expects a number, got True"),
     ("gemmed", "kernel.gamma", "0.1", "expects a number, got '0.1'"),
-    ("gemmed", "kernel.gamma", None, "expects a number, got None"),  # rbf
+    # KernelSpec refuses an rbf kernel without a width, naming the object
+    pytest.param("gemmed", "kernel.gamma", None,
+                 "field 'kernel': rbf kernel requires gamma > 0 and finite, got None",
+                 id="gemmed-kernel.gamma-None-expects a number, got None"),
     ("svm", "kernel.gamma", True, "expects a number, got True"),  # linear
     ("two_stage", "kernel.jitter", None, "expects a number, got None"),
     ("gemmed", "hyper.c", True, "expects a number, got True"),
@@ -400,8 +403,9 @@ def test_load_refuses_a_field_of_the_wrong_form(tmp_path, kind, key, bad, needle
     save_model(_hand_built(kind), path)
     payload = _put(json.loads(path.read_text()), key, bad)
     path.write_text(json.dumps(payload))
-    # a bad value is "field '<key>' <needle>"; a bad key is named in the needle
-    if not needle.startswith(("unknown key", "missing field")):
+    # a bad value is "field '<key>' <needle>"; a bad key, or the object whose
+    # dataclass refuses a value, is named in the needle
+    if not needle.startswith(("unknown key", "missing field", "field '")):
         needle = f"field '{key}' {needle}"
     with pytest.raises(ValueError, match=re.escape(f"model.json: {needle}")):
         load_model(path)
@@ -472,6 +476,40 @@ def test_every_float_field_refuses_a_non_number_on_both_paths(tmp_path, capsys, 
             with pytest.raises(ValueError, match=re.escape(
                     f"model.json: field '{key}' expects a number, got {bad!r}")):
                 load_model(path)
+
+
+# A value out of a settings dataclass's range, as a sweep config key and,
+# where a model file saves the field inside the dataclass's object, as that
+# key; a model file's k is a field of its own (gemmed-k-zero above), and its
+# alpha and C are not saved inside a settings object.
+@pytest.mark.parametrize("sweep_key,bad,refusal,model_key", [
+    pytest.param("gemmed.hyper.steps", -1, "steps must be at least 0, got -1", "hyper.steps",
+                 id="HyperParams-steps"),
+    pytest.param("gemmed.hyper.c", -1, "c must be positive and finite, got -1.0", "hyper.c",
+                 id="HyperParams-c"),
+    pytest.param("gem.k", 0, "k must be at least 1, got 0", None, id="GemConfig-k"),
+    pytest.param("gem.alpha", 2, "alpha must lie in (0, 1), got 2.0", None,
+                 id="GemConfig-alpha"),
+    pytest.param("gemmed.jitter", -1, "jitter must be nonnegative and finite, got -1.0",
+                 "kernel.jitter", id="KernelSpec-jitter"),
+    pytest.param("svm.C", 0, "C must be positive and finite, got 0.0", None,
+                 id="MethodSettings-C"),
+])
+def test_every_settings_dataclass_names_its_object_on_a_range_refusal(
+        tmp_path, capsys, monkeypatch, sweep_key, bad, refusal, model_key):
+    monkeypatch.setattr(cli, "run_cell", lambda *cell, **kwargs: pytest.fail("a cell ran"))
+    path = tmp_path / "sweep.json"
+    config = {"R": [40.0], "ra": [0.2], "seeds": [1], "methods": ["svm"]}
+    path.write_text(json.dumps(_put(config, sweep_key, bad)))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep.csv")]) == 2
+    section = sweep_key.rpartition(".")[0]
+    assert f"sweep config section '{section}': {refusal}\n" in capsys.readouterr().err
+    if model_key is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_put(json.loads(_FILE_BYTES["gemmed"]), model_key, bad)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"model.json: field '{model_key.partition('.')[0]}': {refusal}") + "$"):
+            load_model(path)
 
 
 # The same for each int field. Each cell's GemConfig.seed and HyperParams.seed
