@@ -17,7 +17,6 @@ from .kernels import KernelSpec, gram_matrix, kernel_matrix, \
 from .metrics import auc, detection_accuracy, misclassification_error, \
     precision_recall_curve
 from .model import DualProblem, DualState, HyperParams, TrainedModel
-from .oracle import OracleResult, exact_posterior, finite_diff_dual
 from .persist import load_model, save_model
 from .synthdata import RingExperimentConfig, generate
 from .trainer import anomaly_scores, decision_function, detect, predict, train
@@ -27,10 +26,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CLASSES", "DualProblem", "DualState", "GemConfig", "GemMedError", "GemStats",
     "HyperParams", "KernelSpec", "LabeledDataset", "NumericsError",
-    "OracleResult", "RingExperimentConfig", "SvmModel", "TrainedModel",
+    "RingExperimentConfig", "SvmModel", "TrainedModel",
     "TrainingFailure", "TwoStageModel", "anomaly_scores", "auc",
     "class_index", "compute_gem_stats", "decision_function", "detect",
-    "detection_accuracy", "exact_posterior", "finite_diff_dual", "gem_me_set",
+    "detection_accuracy", "gem_me_set",
     "generate", "gram_matrix", "kernel_matrix", "knn_distance_sum",
     "load_model", "loo_threshold", "median_heuristic_gamma",
     "misclassification_error", "precision_recall_curve",

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledDataset
-from .gem import GemConfig, compute_gem_stats, knn_distance_sum, loo_threshold
+from .dataset import LabeledDataset, check_rows
+from .gem import (GemConfig, check_detector, compute_gem_stats, knn_distance_sum,
+                  loo_threshold)
 from .kernels import (KernelSpec, compact_expansion, finite_decisions,
                       kernel_cross, kernel_matrix, query_blocks)
 
@@ -36,6 +37,9 @@ class SvmModel:
 
     kkt_violation is the largest KKT violation of alpha on the training
     kernel matrix (see kkt_violation), or None if not recorded.
+
+    Construction refuses values ``train_svm`` cannot produce, such as alpha
+    outside [0, C]; y is stored as ints.
     """
 
     kernel: KernelSpec
@@ -45,6 +49,14 @@ class SvmModel:
     C: float
     converged: bool
     kkt_violation: float | None = None
+
+    def __post_init__(self):
+        check_rows(self, "y", "alpha")
+        data = LabeledDataset(self.x, self.y)
+        self.x, self.y = data.x, data.y
+        check_box(self.C)
+        if not ((self.alpha >= 0) & (self.alpha <= self.C)).all():
+            raise ValueError(f"alpha must lie in [0, C], C = {self.C!r}")
 
     def decision_function(self, xs: np.ndarray) -> np.ndarray:
         """sum_j alpha_j y_j k(x, x_j) for each query row.
@@ -76,6 +88,12 @@ class SvmModel:
 FINISH_ROUNDS = 5
 # Rows of K that _check_gram reads at a time.
 GRAM_CHECK_BLOCK = 64
+
+
+def check_box(C) -> None:
+    """Refuse a box bound C of the SVM dual that is not positive and finite."""
+    if not 0 < C < np.inf:
+        raise ValueError(f"C must be positive and finite, got {C!r}")
 
 
 def _check_gram(K: np.ndarray) -> None:
@@ -247,8 +265,7 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not 0 < C < np.inf:
-        raise ValueError(f"C must be positive and finite, got {C!r}")
+    check_box(C)
     if not tol > 0:
         raise ValueError("tol must be positive")
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -357,13 +374,30 @@ def train_svm(dataset: LabeledDataset, kernel: KernelSpec,
 
 @dataclass(kw_only=True)
 class TwoStageModel(SvmModel):
-    """Screen-then-fit baseline: its SVM, fitted on the survivors x, plus a detector."""
+    """Screen-then-fit baseline: its SVM, fitted on the survivors x, plus a detector.
+
+    Construction also refuses values ``train_two_stage`` cannot produce,
+    such as kept_idx and removed_idx that do not split the training rows.
+    """
 
     kept_idx: np.ndarray
     removed_idx: np.ndarray
     theta: float
     k: int
     alpha_level: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_rows(self, "kept_idx")
+        rows = np.sort(np.concatenate([self.kept_idx, self.removed_idx]))
+        if not np.array_equal(rows, np.arange(rows.size)):
+            raise ValueError(f"kept_idx and removed_idx must list each of the "
+                             f"{rows.size} training rows once between them")
+        try:
+            GemConfig(alpha=self.alpha_level)
+        except ValueError as exc:  # GemConfig calls it alpha, here the SVM duals' name
+            raise ValueError(str(exc).replace("alpha", "alpha_level", 1)) from None
+        check_detector(self.theta, self.k, len(self.x), "survivors x")
 
     def anomaly_scores(self, xs: np.ndarray) -> np.ndarray:
         """k-NN distance sum of each query row into the survivors x, all in

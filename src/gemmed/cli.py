@@ -171,7 +171,7 @@ def cmd_evaluate(args) -> int:
         if flags is None:
             raise ValueError(f"{args.anomaly_truth}: no is_anomaly column")
         aligned(model.eta_hat, args.model, flags, args.anomaly_truth)
-        curve = precision_recall_curve(np.clip(model.eta_hat, 0.0, 1.0), flags)
+        curve = precision_recall_curve(model.eta_hat, flags)
         report["auc"] = auc(curve)
         if args.curve_out:
             report["curve_csv"] = str(args.curve_out)

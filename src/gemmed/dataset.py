@@ -42,6 +42,13 @@ def check_integers(config, **minimums) -> None:
             raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
 
 
+def check_rows(model, *names) -> None:
+    """Refuse a model whose named arrays do not hold one entry per row of its x."""
+    for name in names:
+        if np.shape(getattr(model, name)) != (len(model.x),):
+            raise ValueError(f"{name} must hold one entry per row of x")
+
+
 def _float_or_nan(text: str) -> float:
     try:
         return float(text)

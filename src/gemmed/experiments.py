@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import trainer
-from .baselines import train_svm, train_two_stage
+from .baselines import check_box, train_svm, train_two_stage
 from .gem import GemConfig
 from .kernels import KernelSpec, resolve_kernel
 from .metrics import auc, detection_accuracy, misclassification_error, precision_recall_curve
@@ -37,8 +37,7 @@ class MethodSettings:
     hyper: HyperParams = field(default_factory=HyperParams)
 
     def __post_init__(self):
-        if not 0 < self.C < np.inf:
-            raise ValueError(f"C must be positive and finite, got {self.C!r}")
+        check_box(self.C)
         # build the kernel now so that bad values fail before any cell runs;
         # an 'auto' width is resolved on each cell's data, so check it as 1
         resolve_kernel(self.kernel, 1.0 if self.gamma == "auto" else self.gamma,
@@ -107,8 +106,7 @@ def run_cell(method: str, R: float, r_a: float, seed: int,
         predict = functools.partial(trainer.predict, model)
         detect = functools.partial(trainer.detect, model)
         # with no training anomalies there is nothing to rank, as for the SVM
-        area = (auc(precision_recall_curve(np.clip(model.eta_hat, 0.0, 1.0),
-                                           train_set.anomaly))
+        area = (auc(precision_recall_curve(model.eta_hat, train_set.anomaly))
                 if train_set.anomaly.any() else None)
     elif method == "svm":
         model = train_svm(train_set, kernel, C=settings.C)

@@ -70,6 +70,17 @@ class GemConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
 
+def check_detector(theta: float, k: int, references: int, what: str, **levels) -> None:
+    """Refuse a k-NN detector unless k and its levels (alpha, target_coverage)
+    pass GemConfig's checks, theta is at least 0, and its reference set,
+    references points named what, holds at least k."""
+    GemConfig(k=k, **levels)
+    if not theta >= 0:
+        raise ValueError(f"theta must be at least 0, got {theta!r}")
+    if references < k:
+        raise ValueError(f"k={k} exceeds the {references} point(s) of the {what}")
+
+
 @dataclass(frozen=True)
 class GemStats:
     """Per-sample statistics plus per-class constraint levels.
@@ -161,8 +172,7 @@ def loo_threshold(points: np.ndarray, k: int, alpha: float) -> float:
     Each point is scored against the remaining points (see loo_scores);
     the quantile is linearly interpolated. Needs at least k + 1 points.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    GemConfig(alpha=alpha)  # refuses an alpha outside (0, 1)
     return float(np.quantile(loo_scores(points, k), 1.0 - alpha, method="linear"))
 
 

@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import check_integers, class_index
+from .dataset import LabeledDataset, check_integers, check_rows, class_index
+from .gem import check_detector
 from .kernels import GramMatrix, KernelSpec
 
 RATE_RANGES = {"rate_lambda": (1e-4, 1e-2), "rate_mu": (1e-3, 1e-1),
@@ -161,6 +162,9 @@ class TrainedModel:
     nominal support (eta_hat > 1/2) and compares against theta.
     ``dual_estimate`` is the mean-field dual objective estimate at the
     final duals, or None if not recorded.
+
+    Construction refuses values ``trainer.train`` cannot produce, such as
+    eta_hat outside [0, 1] or a negative theta; y is stored as ints.
     """
 
     kernel: KernelSpec
@@ -176,6 +180,17 @@ class TrainedModel:
     target_coverage: float
     dual_estimate: float | None = None
     hyper: HyperParams | None = None
+
+    def __post_init__(self):
+        check_rows(self, "y", "lam", "eta_hat")
+        data = LabeledDataset(self.x, self.y)
+        self.x, self.y = data.x, data.y
+        if not (self.lam >= 0).all():
+            raise ValueError("lam must be at least 0")
+        if not ((self.eta_hat >= 0) & (self.eta_hat <= 1)).all():
+            raise ValueError("eta_hat must lie in [0, 1]")
+        check_detector(self.theta, self.k, self.nominal_idx.size, "nominal support",
+                       alpha=self.alpha, target_coverage=self.target_coverage)
 
     @property
     def nominal_idx(self) -> np.ndarray:

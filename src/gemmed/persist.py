@@ -5,6 +5,8 @@ All model kinds share an envelope with ``format_version`` and
 which round-trips float64 exactly, so reloaded models reproduce
 predictions bit for bit. Each kind's file is one table of (JSON key,
 model field, rule) rows, which ``save_model`` and ``load_model`` walk.
+A rule checks only the JSON form of its value; the model class checks
+ranges and row counts when ``load_model`` builds it.
 The ``json_*`` readers serve sweep configs too: ``json_fields`` builds a
 settings object, nested ones included, and a refusal names it or its key.
 """
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import SvmModel, TwoStageModel
-from .dataset import CLASSES, EXACT_VALUES
+from .dataset import CLASSES
 from .kernels import KernelSpec
 from .model import HyperParams, TrainedModel
 
@@ -67,18 +69,19 @@ def json_whole(value, what: str, minimum: int | None = None) -> int:
 
 def json_fields(value, name: str, base, refused=(), nouns=("field", "field")):
     """The object value read onto base, a dataclass instance whose other fields it
-    keeps or a dataclass whose every field it sets (KeyError names one it lacks);
-    keys in refused are unknown. An int field holds a whole number; a float field a
-    number, null if its type admits None, or a string default such as 'auto'; a
-    dataclass field an object read alike. Errors name the object as nouns[0] 'name',
-    also before the dataclass's own, and a key as nouns[1] 'name.key'."""
+    keeps or a dataclass whose every field it sets (KeyError 'name.field' names
+    one it lacks); keys in refused are unknown. An int field holds a whole number;
+    a float field a number, null if its type admits None, or a string default such
+    as 'auto'; a dataclass field an object read alike. Errors name the object as
+    nouns[0] 'name', also before the dataclass's own, and a key as nouns[1]
+    'name.key'."""
     cls = base if isinstance(base, type) else type(base)
     section = dict(json_object(value, f"{nouns[0]} '{name}'",
                                [f.name for f in fields(cls) if f.name not in refused]))
     for f in fields(cls):
         if f.name not in section:
             if base is cls:
-                raise KeyError(f.name)
+                raise KeyError(f"{name}.{f.name}")
             continue
         v, key = section[f.name], f"{name}.{f.name}"
         if is_dataclass(inner := getattr(base, f.name, None)):
@@ -94,7 +97,7 @@ def json_fields(value, name: str, base, refused=(), nouns=("field", "field")):
         raise ValueError(f"{nouns[0]} '{name}': {exc}") from None
 
 
-def _floats(key: str, value, read: dict) -> np.ndarray:
+def _floats(key: str, value) -> np.ndarray:
     """value as a float array of JSON numbers, all finite: the rules' base.
 
     np.array would read true as 1 and "0.1" as 0.1, so once the nesting
@@ -114,82 +117,71 @@ def _floats(key: str, value, read: dict) -> np.ndarray:
     return array
 
 
-# Rules: (key, JSON value, fields read so far) -> field; an error names the key.
+# Rules: (key, JSON value) -> the value in its field's form; an error names the
+# key. Each model checks its own ranges and row counts.
 
-def _kernel(key: str, value, read: dict) -> KernelSpec:
+def _kernel(key: str, value) -> KernelSpec:
     return json_fields(value, key, KernelSpec)
 
 
-def _matrix(key: str, value, read: dict) -> np.ndarray:
-    x = _floats(key, value, read)
+def _matrix(key: str, value) -> np.ndarray:
+    x = _floats(key, value)
     if x.ndim != 2 or not x.size:
         raise ValueError(f"field '{key}' must be a matrix with at least one "
                          "row and one column")
     return x
 
 
-def _per_row(key: str, value, read: dict) -> np.ndarray:
-    column = _floats(key, value, read)
-    if column.shape != (len(read["x"]),):
-        raise ValueError(f"field '{key}' must hold one entry per row of x")
-    return column
-
-
-def _labels(key: str, value, read: dict) -> np.ndarray:
-    y = _per_row(key, value, read)
-    if not set(value) <= set(EXACT_VALUES["y"]):
-        raise ValueError(f"field '{key}' must hold only the labels -1 and 1")
-    return y.astype(int)
-
-
-def _indices(key: str, value, read: dict) -> np.ndarray:
-    if _floats(key, value, read).ndim == 1:
+def _indices(key: str, value) -> np.ndarray:
+    if _floats(key, value).ndim == 1:
         try:
-            return np.array([json_whole(v, key, 0) for v in value], dtype=int)
-        except (ValueError, OverflowError):  # a fraction, below 0, or beyond an int64
+            return np.array([json_whole(v, key) for v in value], dtype=int)
+        except (ValueError, OverflowError):  # a fraction, or beyond an int64
             pass
-    raise ValueError(f"field '{key}' must list whole numbers of at least 0 "
-                     f"and at most {np.iinfo(int).max}")
+    raise ValueError(f"field '{key}' must list whole numbers that fit a 64-bit integer")
 
 
-def _by_class(key: str, value, read: dict) -> np.ndarray:
+def _by_class(key: str, value) -> np.ndarray:
     slots = json_object(value, f"field '{key}'", map(str, CLASSES))
-    return _floats(key, [slots[str(c)] for c in CLASSES], read)
+    for c in map(str, CLASSES):
+        if c not in slots:
+            raise KeyError(f"{key}.{c}")
+    return _floats(key, [slots[str(c)] for c in CLASSES])
 
 
-def _number(key: str, value, read: dict) -> float:
-    return float(_floats(key, json_number(value, f"field '{key}'"), read))
+def _number(key: str, value) -> float:
+    return float(_floats(key, json_number(value, f"field '{key}'")))
 
 
-def _optional_number(key: str, value, read: dict) -> float | None:
-    return None if value is None else _number(key, value, read)
+def _optional_number(key: str, value) -> float | None:
+    return None if value is None else _number(key, value)
 
 
-def _whole(key: str, value, read: dict) -> int:
-    return json_whole(value, f"field '{key}'", 1)
+def _whole(key: str, value) -> int:
+    return json_whole(value, f"field '{key}'")
 
 
-def _flag(key: str, value, read: dict) -> bool:
+def _flag(key: str, value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"field '{key}' must be true or false, got {value!r}")
     return value
 
 
-def _hyper(key: str, value, read: dict) -> HyperParams | None:
+def _hyper(key: str, value) -> HyperParams | None:
     return None if value is None else json_fields(value, key, HyperParams)
 
 
 # Each kind's file after format_version and model_kind: (JSON key, model
 # field, rule) rows in file order.
-_HEAD = (("kernel", "kernel", _kernel), ("x", "x", _matrix), ("y", "y", _labels))
+_HEAD = (("kernel", "kernel", _kernel), ("x", "x", _matrix), ("y", "y", _floats))
 _JOINT = _HEAD + (
-    ("lambda", "lam", _per_row), ("eta_hat", "eta_hat", _per_row),
+    ("lambda", "lam", _floats), ("eta_hat", "eta_hat", _floats),
     ("gamma_hat", "gamma_hat", _by_class), ("beta_hat", "beta_hat", _by_class),
     ("theta", "theta", _number), ("k", "k", _whole), ("alpha", "alpha", _number),
     ("target_coverage", "target_coverage", _number),
     ("dual_estimate", "dual_estimate", _optional_number), ("hyper", "hyper", _hyper))
 _SVM = _HEAD + (
-    ("alpha", "alpha", _per_row), ("C", "C", _number), ("converged", "converged", _flag),
+    ("alpha", "alpha", _floats), ("C", "C", _number), ("converged", "converged", _flag),
     ("kkt_violation", "kkt_violation", _optional_number))
 _TWO_STAGE = _SVM + (
     ("kept_idx", "kept_idx", _indices), ("removed_idx", "removed_idx", _indices),
@@ -233,15 +225,11 @@ def load_model(path):
     if not isinstance(kind, str) or kind not in _FILES:
         raise ValueError(f"{path}: unknown model_kind {kind!r}")
     cls, table = _FILES[kind]
-    read = {}
     try:
         json_object(payload, f"a {kind} model file",
                     ("format_version", "model_kind", *(row[0] for row in table)))
-        for key, field, rule in table:
-            read[field] = rule(key, payload[key], read)
-        return cls(**read)
-    except KeyError as exc:  # a key of the file, or one of the object at key
-        missing = exc.args[0] if exc.args[0] == key else f"{key}.{exc.args[0]}"
-        raise ValueError(f"{path}: missing field '{missing}'") from None
+        return cls(**{field: rule(key, payload[key]) for key, field, rule in table})
+    except KeyError as exc:  # a key of the file, or 'key.field' of an object in it
+        raise ValueError(f"{path}: missing field '{exc.args[0]}'") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None

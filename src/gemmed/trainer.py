@@ -240,7 +240,8 @@ def gibbs_expectations(state: DualState, problem: DualProblem,
 
 def dual_gradient(state: DualState, exps: GibbsExpectations,
                   problem: DualProblem):
-    """Exact dual gradient at sampled or exact (oracle.OracleResult) expectations."""
+    """Exact dual gradient at sampled expectations, or at the exact ones of
+    the oracle in tests/oracle.py."""
     if np.any(state.lam >= problem.hyper.c):
         raise ValueError("lam must stay strictly below c")
     g_lam = 1.0 - 1.0 / (problem.hyper.c - state.lam) - exps.e_eta_y_f
@@ -372,22 +373,12 @@ def predict(model: TrainedModel, xs: np.ndarray) -> np.ndarray:
     return np.where(decision_function(model, xs) < 0, -1, 1)
 
 
-def _nominal_points(model: TrainedModel) -> np.ndarray:
-    nominal = model.nominal_idx
-    if nominal.size < model.k:
-        raise ValueError(
-            f"nominal support has {nominal.size} point(s) but k={model.k}; "
-            "the detector is not usable on this model"
-        )
-    return model.x[nominal]
-
-
 def anomaly_scores(model: TrainedModel, xs: np.ndarray) -> np.ndarray:
     """k-NN distance sum of each query row into the nominal support.
 
     A 1-D xs is one query. All rows are scored in one batched call.
     """
-    return knn_distance_sum(xs, _nominal_points(model), model.k)
+    return knn_distance_sum(xs, model.x[model.nominal_idx], model.k)
 
 
 def detect(model: TrainedModel, xs: np.ndarray) -> np.ndarray:

@@ -16,6 +16,9 @@ does not depend on the duals, so gradients and finite differences are
 unaffected. ``exact_posterior`` and ``finite_diff_dual`` read the same
 ``model.DualProblem`` as the sampler; the exact dual gradient is
 ``trainer.dual_gradient`` evaluated at ``exact_posterior``'s expectations.
+
+Only tests read it; they import it by its bare name, as they do
+``instances``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .model import DualProblem, DualState, eta_logits
+from gemmed.model import DualProblem, DualState, eta_logits
 
 MAX_EXACT = 16
 

@@ -12,25 +12,39 @@ and is solved to its optimum, so the margin clause (beat the SVM by 2
 points) fails first: joint 25.00% against SVM 24.41% over the 10 seeds.
 The absolute 15% target is out of reach for any classifier. Both are
 expected to fail honestly rather than be weakened; see the test body.
+
+Beyond the nine, the two-stage detector's false-alarm rate is checked
+against its level on clean data, and the golden test recomputes the
+digests in golden.json that pin every output bit for bit.
 """
 
+import contextlib
+import hashlib
+import importlib.util
+import io
 import itertools
 import json
+import platform
+import re
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import gemmed
 from gemmed import trainer
 from gemmed.baselines import SvmModel
 from gemmed.cli import main
 from gemmed.experiments import default_settings, run_cell
-from gemmed.gem import gem_me_set
+from gemmed.gem import GemConfig, gem_me_set
 from gemmed.kernels import KernelSpec
 from gemmed.model import HyperParams
-from gemmed.oracle import exact_posterior, finite_diff_dual
 from gemmed.trainer import dual_gradient, gibbs_expectations
 from instances import random_instance
+from oracle import exact_posterior, finite_diff_dual
 
 
 def report(num, ok, detail):
@@ -323,17 +337,86 @@ def test_criterion_8_me_set_exactness():
                          f"in {elapsed:.1f}s")
 
 
-def test_criterion_9_sweep_is_byte_deterministic(tmp_path):
-    config = {
-        "R": [55.0], "ra": [0.2], "seeds": [0, 1],
-        "methods": ["gemmed", "svm", "two-stage"],
-        "out": str(tmp_path / "sweep.csv"),
-    }
+def _sweep(config: dict, tmp_path) -> bytes:
+    """The CSV bytes of gemmed sweep on config."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert main(["sweep", "--config", str(path)]) == 0
-    first = (tmp_path / "sweep.csv").read_bytes()
-    assert main(["sweep", "--config", str(path)]) == 0
-    second = (tmp_path / "sweep.csv").read_bytes()
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def criterion_9_sweeps(tmp_path_factory):
+    """Criterion 9's sweep run twice, as the bytes of each CSV."""
+    config = {"R": [55.0], "ra": [0.2], "seeds": [0, 1],
+              "methods": ["gemmed", "svm", "two-stage"]}
+    tmp_path = tmp_path_factory.mktemp("sweep")
+    return tuple(_sweep(config, tmp_path) for _ in range(2))
+
+
+def test_criterion_9_sweep_is_byte_deterministic(criterion_9_sweeps):
+    first, second = criterion_9_sweeps
     ok = first == second and len(first) > 0
     assert report(9, ok, f"two runs, {len(first)} identical bytes")
+
+
+# ------------------------------------------------------- false-alarm level
+
+def test_two_stage_false_alarm_rate_is_alpha_on_a_clean_calibration_set():
+    """The false-alarm promise where it holds. With no anomalies and no
+    screen (ra = 0, coverage 1) the two-stage detector calibrates theta on a
+    clean sample, and its mean false-alarm rate over 20 seeds, on 2000 clean
+    draws each, is within 2 standard errors of alpha. theta varies by seed,
+    so the SE is taken across seeds."""
+    alpha = GemConfig().alpha
+    fars = np.array([run_cell("two-stage", R=55.0, r_a=0.0, seed=seed, coverage=1.0,
+                              n_detect_ring=0, n_detect_clean=2000).far
+                     for seed in range(20)])
+    mean, se = fars.mean(), fars.std(ddof=1) / np.sqrt(fars.size)
+    assert abs(mean - alpha) <= 2 * se, f"mean FAR {mean:.4f}, SE {se:.4f}, alpha {alpha}"
+
+
+# ----------------------------------------------------------- golden outputs
+
+TESTS = Path(__file__).resolve().parent
+GOLDEN = json.loads((TESTS / "golden.json").read_text())
+
+
+def _bench_results_sha256(name: str, work_dir: Path) -> str:
+    """bench/run.py's untraced seed-0 results sha256 of one workload: the
+    hash of its result lines over its quality rounds, as run.py's digest
+    takes it. Only bench/workloads.py is imported; run.py is not, as
+    importing it sets BLAS thread variables in this process's environment."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", TESTS.parent / "bench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # its dataclasses need it in sys.modules
+    workload = workloads.make_workload(gemmed, name, 0)
+    if name == "cli-score":  # trains the served model and writes the queries
+        workload.setup(work_dir)
+    rounds = [workload.run_round(i) for i in range(workload.quality_rounds)]
+    return hashlib.sha256(("\n".join(workload.result_lines(rounds)) + "\n").encode()
+                          ).hexdigest()
+
+
+def test_golden_outputs(criterion_9_sweeps, tmp_path):
+    """Every output is the one golden.json records: the criterion-9 and
+    README sweep CSVs and the three bench workloads' results. A change that
+    moves an output on purpose updates golden.json with it. The digests hold
+    only for the NumPy and SciPy they were taken on."""
+    taken_on = GOLDEN["taken_on"]
+    here = {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+    if (here["numpy"], here["scipy"]) != (taken_on["numpy"], taken_on["scipy"]):
+        pytest.skip(f"golden digests were taken on {taken_on}, this run has {here}")
+    readme = (TESTS.parent / "README.md").read_text()
+    readme_config = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    with contextlib.redirect_stdout(io.StringIO()):
+        digests = {
+            "criterion-9 sweep CSV": hashlib.sha256(criterion_9_sweeps[0]).hexdigest(),
+            "README sweep CSV": hashlib.sha256(_sweep(readme_config, tmp_path)).hexdigest(),
+            **{f"{name} results": _bench_results_sha256(name, tmp_path / name)
+               for name in ("ring-n200", "cli-score", "baselines-n1000")},
+        }
+    assert digests == GOLDEN["sha256"]

@@ -13,6 +13,7 @@ from gemmed.dataset import LabeledDataset
 from gemmed.gem import GemConfig, loo_threshold
 from gemmed.kernels import KernelSpec, gram_matrix, kernel_matrix
 from gemmed.synthdata import RingExperimentConfig, generate
+from instances import assert_refused
 
 
 def brute_force_box_qp(K, y, C):
@@ -488,3 +489,54 @@ def test_non_finite_decision_values_raise():
         with pytest.raises(ValueError, match=r"not finite for 2 of 3 query "
                            r"rows \(first: row 1\); rescale the features"):
             score(xs)
+
+
+def _svm_fields():
+    """A two-row SVM's fields, alpha in [0, C]."""
+    return dict(kernel=KernelSpec("linear"), x=np.array([[-1.0], [2.0]]),
+                y=np.array([-1, 1]), alpha=np.array([0.5, 1.0]), C=1.0, converged=True)
+
+
+# Each value an SVM refuses, built in Python or read from a model file, as
+# (JSON key, value, message). solve_svm_dual refuses such a C and returns
+# alpha = C * clip(u / h, 0, 1), or a free-set solve clipped into [0, C].
+@pytest.mark.parametrize("key,bad,message", [
+    pytest.param("C", 0.0, "C must be positive and finite, got 0.0", id="C-zero"),
+    pytest.param("C", -1.0, "C must be positive and finite, got -1.0", id="C-negative"),
+    pytest.param("C", 0.75, "alpha must lie in [0, C], C = 0.75", id="C-below-alpha"),
+    pytest.param("alpha", [0.5, 1.5], "alpha must lie in [0, C], C = 1.0", id="alpha-above-C"),
+    pytest.param("alpha", [-0.5, 1.0], "alpha must lie in [0, C], C = 1.0",
+                 id="alpha-negative"),
+    pytest.param("alpha", [0.5, 1.0, 1.0], "alpha must hold one entry per row of x",
+                 id="alpha-long"),
+    pytest.param("y", [-1, 2], "labels must be -1 or +1", id="y-not-a-label"),
+])
+def test_svm_refuses_what_the_solver_cannot_produce(tmp_path, key, bad, message):
+    assert_refused(SvmModel(**_svm_fields()), key, bad, message, tmp_path)
+
+
+# The same for the two-stage model, beyond its SVM's values. train_two_stage
+# splits range(n) into GemStats.kept and the rest, fits x on the kept rows,
+# and calibrates theta, a quantile of k-NN distance sums, by loo_threshold,
+# which needs more than k survivors and an alpha_level in (0, 1).
+@pytest.mark.parametrize("key,bad,message", [
+    pytest.param("alpha_level", 5.0, "alpha_level must lie in (0, 1), got 5.0",
+                 id="alpha_level-above-1"),
+    pytest.param("alpha_level", 0.0, "alpha_level must lie in (0, 1), got 0.0",
+                 id="alpha_level-zero"),
+    pytest.param("theta", -1.0, "theta must be at least 0, got -1.0", id="theta-negative"),
+    pytest.param("k", 0, "k must be at least 1, got 0", id="k-zero"),
+    pytest.param("k", 3, "k=3 exceeds the 2 point(s) of the survivors x",
+                 id="k-above-survivors"),
+    pytest.param("kept_idx", [0], "kept_idx must hold one entry per row of x",
+                 id="kept_idx-short"),
+    pytest.param("kept_idx", [0, 1], "kept_idx and removed_idx must list each of the 3 "
+                 "training rows once between them", id="kept_idx-overlaps-removed_idx"),
+    pytest.param("removed_idx", [3], "kept_idx and removed_idx must list each of the 3 "
+                 "training rows once between them", id="removed_idx-leaves-a-gap"),
+    pytest.param("C", -1.0, "C must be positive and finite, got -1.0", id="C-negative"),
+])
+def test_two_stage_refuses_what_training_cannot_produce(tmp_path, key, bad, message):
+    model = TwoStageModel(**_svm_fields(), kept_idx=np.array([0, 2]),
+                          removed_idx=np.array([1]), theta=2.5, k=1, alpha_level=0.05)
+    assert_refused(model, key, bad, message, tmp_path)

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from gemmed.dataset import class_index
 from gemmed.gem import GemConfig
 from gemmed.kernels import GramMatrix, KernelSpec
-from gemmed.model import (DualProblem, DualState, HyperParams, eta_logits,
-                          per_sample_class_values, resolve_p0)
+from gemmed.model import (DualProblem, DualState, HyperParams, TrainedModel,
+                          eta_logits, per_sample_class_values, resolve_p0)
 from gemmed.synthdata import RingExperimentConfig, generate
 from gemmed.trainer import train
+from instances import assert_refused
 
 
 def test_hyper_defaults_and_cap():
@@ -117,3 +118,34 @@ def test_eta_logits_hand_computed():
     assert out[1] == pytest.approx(math.log(3.0) + 2.4)
 
 
+
+
+# Each value a joint model refuses, built in Python or read from a model file,
+# as (JSON key, value, message). trainer.train produces none of them: it
+# clips lam into [0, lambda_cap], eta_hat is a mean of 0/1 draws, theta is a
+# quantile of k-NN distance sums, GemConfig holds k, alpha and
+# target_coverage, and a nominal support of k or fewer points fails training.
+@pytest.mark.parametrize("key,bad,message", [
+    pytest.param("theta", -5.0, "theta must be at least 0, got -5.0", id="theta-negative"),
+    pytest.param("alpha", 2.0, "alpha must lie in (0, 1), got 2.0", id="alpha-above-1"),
+    pytest.param("alpha", 0.0, "alpha must lie in (0, 1), got 0.0", id="alpha-zero"),
+    pytest.param("target_coverage", 7.0, "target_coverage must lie in (0, 1], got 7.0",
+                 id="target_coverage-above-1"),
+    pytest.param("k", 0, "k must be at least 1, got 0", id="k-zero"),
+    pytest.param("k", 3, "k=3 exceeds the 2 point(s) of the nominal support",
+                 id="k-above-support"),
+    pytest.param("eta_hat", [0.25, 0.5], "k=1 exceeds the 0 point(s) of the nominal support",
+                 id="eta_hat-no-support"),
+    pytest.param("eta_hat", [0.75, 1.5], "eta_hat must lie in [0, 1]", id="eta_hat-above-1"),
+    pytest.param("eta_hat", [-0.5, 1.0], "eta_hat must lie in [0, 1]", id="eta_hat-negative"),
+    pytest.param("lambda", [-0.25, 0.5], "lam must be at least 0", id="lam-negative"),
+    pytest.param("lambda", [0.25], "lam must hold one entry per row of x", id="lam-short"),
+    pytest.param("y", [-1, 0], "labels must be -1 or +1", id="y-not-a-label"),
+])
+def test_joint_model_refuses_what_training_cannot_produce(tmp_path, key, bad, message):
+    model = TrainedModel(
+        kernel=KernelSpec("rbf", gamma=0.5), x=np.array([[-1.0], [2.0]]),
+        y=np.array([-1, 1]), lam=np.array([0.25, 0.5]), eta_hat=np.array([0.75, 1.0]),
+        gamma_hat=np.array([0.1, 0.2]), beta_hat=np.array([0.5, 0.75]),
+        theta=3.0, k=1, alpha=0.05, target_coverage=0.8)
+    assert_refused(model, key, bad, message, tmp_path)

@@ -15,10 +15,9 @@ from scipy.special import expit
 
 from gemmed.kernels import GramMatrix
 from gemmed.model import DualProblem, DualState, HyperParams
-from gemmed.oracle import (MAX_EXACT, OracleResult, exact_posterior,
-                           finite_diff_dual)
 from gemmed.trainer import dual_gradient
 from instances import random_instance
+from oracle import MAX_EXACT, OracleResult, exact_posterior, finite_diff_dual
 
 
 def reference_posterior(state, y, K, d_tilde, p0, n):

@@ -327,11 +327,18 @@ def test_model_file_bytes(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind,key,bad,needle", [
-    *((kind, "y", [-1, 0.5], "must hold only the labels -1 and 1")
-      for kind in sorted(_FILE_BYTES)),
+    # a label other than -1 and 1 is the model's to refuse, as are the row
+    # counts and the index split further down
+    *(pytest.param(kind, "y", [-1, 0.5], "labels must be -1 or +1",
+                   id=f"{kind}-y-bad{i}-must hold only the labels -1 and 1")
+      for i, kind in enumerate(sorted(_FILE_BYTES))),
     ("svm", "y", ["-1", "one"], "must hold only numbers"),
-    ("two_stage", "kept_idx", [0, 1.7], "must list whole numbers of at least 0"),
-    ("two_stage", "removed_idx", [-1], "must list whole numbers of at least 0"),
+    pytest.param("two_stage", "kept_idx", [0, 1.7],
+                 "must list whole numbers that fit a 64-bit integer",
+                 id="two_stage-kept_idx-bad4-must list whole numbers of at least 0"),
+    pytest.param("two_stage", "removed_idx", [-1], "kept_idx and removed_idx must list "
+                 "each of the 3 training rows once between them",
+                 id="two_stage-removed_idx-bad5-must list whole numbers of at least 0"),
     ("two_stage", "converged", "false", "must be true or false, got 'false'"),
     ("svm", "converged", 1, "must be true or false, got 1"),
     ("two_stage", "theta", "1.5", "expects a number"),
@@ -341,10 +348,12 @@ def test_model_file_bytes(tmp_path, kind):
     ("gemmed", "target_coverage", [0.8], "expects a number, got [0.8]"),
     ("svm", "kkt_violation", "0", "expects a number"),
     ("gemmed", "x", [[-1.0], [2.0, 3.0]], "must hold only numbers"),
-    *((kind, key, [1], "must hold one entry per row of x")
-      for kind, key in (("gemmed", "y"), ("gemmed", "lambda"),
-                        ("gemmed", "eta_hat"), ("svm", "alpha"),
-                        ("two_stage", "y"), ("two_stage", "alpha"))),
+    *(pytest.param(kind, key, [1], f"{field} must hold one entry per row of x",
+                   id=f"{kind}-{key}-bad{i}-must hold one entry per row of x")
+      for i, (kind, key, field) in enumerate((
+          ("gemmed", "y", "y"), ("gemmed", "lambda", "lam"),
+          ("gemmed", "eta_hat", "eta_hat"), ("svm", "alpha", "alpha"),
+          ("two_stage", "y", "y"), ("two_stage", "alpha", "alpha")), start=15)),
     # np.array would read true as 1 and "0.25" as 0.25
     ("gemmed", "y", [True, 1], "must hold only numbers"),
     ("svm", "y", [-1, False], "must hold only numbers"),
@@ -389,13 +398,17 @@ def test_model_file_bytes(tmp_path, kind):
     ("gemmed", "kernel", {"kind": "rbf", "gamma": 0.5}, "missing field 'kernel.jitter'"),
     ("gemmed", "kernel", {"kind": "rbf", "jitter": 1e-8}, "missing field 'kernel.gamma'"),
     ("svm", "kernel", {"kind": "linear", "jitter": 1e-8}, "missing field 'kernel.gamma'"),
-    # a k below 1; the int-field table below holds the values that are not whole
-    pytest.param("gemmed", "k", 0, "must be at least 1, got 0", id="gemmed-k-zero"),
-    pytest.param("two_stage", "k", -2, "must be at least 1, got -2", id="two_stage-k-negative"),
+    # a k below 1, refused by GemConfig; the int-field table below holds the
+    # values that are not whole
+    pytest.param("gemmed", "k", 0, "k must be at least 1, got 0", id="gemmed-k-zero"),
+    pytest.param("two_stage", "k", -2, "k must be at least 1, got -2",
+                 id="two_stage-k-negative"),
     # an index that does not fit an int64 is refused, not wrapped to a negative one
-    pytest.param("two_stage", "kept_idx", [0, 1e300], "must list whole numbers of at least 0",
+    pytest.param("two_stage", "kept_idx", [0, 1e300],
+                 "must list whole numbers that fit a 64-bit integer",
                  id="two_stage-kept_idx-float-beyond-int64"),
-    pytest.param("two_stage", "removed_idx", [2**63], "must list whole numbers of at least 0",
+    pytest.param("two_stage", "removed_idx", [2**63],
+                 "must list whole numbers that fit a 64-bit integer",
                  id="two_stage-removed_idx-integer-beyond-int64"),
 ])
 def test_load_refuses_a_field_of_the_wrong_form(tmp_path, kind, key, bad, needle):
@@ -403,9 +416,10 @@ def test_load_refuses_a_field_of_the_wrong_form(tmp_path, kind, key, bad, needle
     save_model(_hand_built(kind), path)
     payload = _put(json.loads(path.read_text()), key, bad)
     path.write_text(json.dumps(payload))
-    # a bad value is "field '<key>' <needle>"; a bad key, or the object whose
-    # dataclass refuses a value, is named in the needle
-    if not needle.startswith(("unknown key", "missing field", "field '")):
+    # a value of the wrong form is "field '<key>' <needle>"; a bad key, the
+    # object whose dataclass refuses a value, or the model's field is named in
+    # the needle
+    if needle.startswith(("must", "expects")):
         needle = f"field '{key}' {needle}"
     with pytest.raises(ValueError, match=re.escape(f"model.json: {needle}")):
         load_model(path)
@@ -531,8 +545,10 @@ def test_every_int_field_reads_a_whole_number_on_both_paths(tmp_path, capsys, mo
     cells = []  # the settings each cell would run with
     monkeypatch.setattr(cli, "run_cell", lambda *cell, **kwargs: cells.append(kwargs)
                         or CellResult(*cell, 0.25, None, None))
-    schedule = {"gibbs_sweeps": 9, "burn_in": 1}  # under which 8 is valid for either
-    for name, value in itertools.product(ints, (8.0, 8.5, True, "8", float("inf"), None, [8])):
+    # 2 is valid under this schedule for either field, and as a k on the two-row
+    # models, whose reference sets hold 2 points
+    schedule = {"gibbs_sweeps": 9, "burn_in": 1}
+    for name, value in itertools.product(ints, (2.0, 2.5, True, "2", float("inf"), None, [2])):
         sweep_keys, model_keys = _INT_FIELD_KEYS[cls, name]
         for key in sweep_keys:
             path = tmp_path / "sweep.json"
@@ -541,11 +557,11 @@ def test_every_int_field_reads_a_whole_number_on_both_paths(tmp_path, capsys, mo
                                              "gemmed": {"hyper": dict(schedule)}}, key, value)))
             code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep.csv")])
             err = capsys.readouterr().err
-            if value == 8.0:
+            if value == 2.0:
                 cell = cells.pop()
                 read = getattr(cell["gem_config"] if cls is GemConfig
                                else cell["settings"].hyper, name)
-                assert code == 0 and type(read) is int and read == 8
+                assert code == 0 and type(read) is int and read == 2
             else:
                 assert code == 2
                 assert f"sweep config key '{key}' must be a whole number, got {value!r}" in err
@@ -555,9 +571,9 @@ def test_every_int_field_reads_a_whole_number_on_both_paths(tmp_path, capsys, mo
                 payload["hyper"].update(schedule)
             path = tmp_path / "model.json"
             path.write_text(json.dumps(_put(payload, key, value)))
-            if value == 8.0:
+            if value == 2.0:
                 read = functools.reduce(getattr, key.split("."), load_model(path))
-                assert type(read) is int and read == 8
+                assert type(read) is int and read == 2
             else:
                 with pytest.raises(ValueError, match=re.escape(
                         f"model.json: field '{key}' must be a whole number, got {value!r}")):

@@ -17,12 +17,12 @@ from gemmed.gem import GemConfig, compute_gem_stats, knn_distance_sum
 from gemmed.kernels import GramMatrix, KernelSpec, gram_matrix, kernel_cross
 from gemmed.model import (DualProblem, DualState, HyperParams, TrainedModel,
                           resolve_p0)
-from gemmed.oracle import exact_posterior
 from gemmed.synthdata import RingExperimentConfig, generate
 from gemmed.trainer import (_batch_se, dual_gradient,
                             gibbs_expectations, init_duals,
                             mean_field_dual_estimate, sample_f_given_eta)
 from instances import per_row_knn, random_instance
+from oracle import exact_posterior
 
 
 def _fixed_instance(n=4, seed=0):
@@ -520,9 +520,9 @@ def test_detect_uses_nominal_support_only():
 
 
 def test_detector_unusable_without_support():
-    model = _toy_model([0.2, 0.3, 0.1])
-    with pytest.raises(ValueError, match="not usable"):
-        trainer.anomaly_scores(model, np.array([[0.0, 0.0]]))
+    # a model whose detector could not score a query is refused when built
+    with pytest.raises(ValueError, match=r"k=1 exceeds the 0 point\(s\) of the nominal support"):
+        _toy_model([0.2, 0.3, 0.1])
 
 
 def test_detector_rejects_mismatched_queries():
