@@ -28,7 +28,7 @@ from .dataset import LabeledDataset, feature_columns, features, read_csv, \
 from .errors import GemMedError
 from .experiments import METHODS, default_settings, run_cell
 from .gem import GemConfig
-from .kernels import KERNEL_KINDS, KernelSpec, resolve_kernel
+from .kernels import KERNEL_KINDS, resolve_kernel
 from .metrics import auc, detection_accuracy, misclassification_error, \
     precision_recall_curve
 from .model import HyperParams
@@ -59,6 +59,11 @@ def _parse_floats(text: str, flag: str, count: int) -> tuple[float, ...]:
     return tuple(float(v) for v in parts)
 
 
+def number_or_auto(text: str) -> float | str:
+    """--gamma's value: 'auto' (the median heuristic) or a number."""
+    return text if text == "auto" else float(text)
+
+
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
@@ -76,14 +81,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     data = LabeledDataset.from_csv(args.data)
-    gamma = args.gamma
-    if gamma != "auto":
-        try:
-            gamma = float(gamma)
-        except ValueError:
-            raise ValueError(
-                f"--gamma must be a number or 'auto', got {gamma!r}") from None
-    kernel = resolve_kernel(args.kernel, gamma, data.x, args.jitter)
+    kernel = resolve_kernel(args.kernel, args.gamma, data.x, args.jitter)
     phi, psi, tau = _parse_floats(args.rates, "--rates", 3)
     sweeps, burn = (json_whole(v, "--gibbs")
                     for v in _parse_floats(args.gibbs, "--gibbs", 2))
@@ -297,27 +295,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-test", default="test.csv")
     p.set_defaults(func=cmd_simulate)
 
+    joint = default_settings("gemmed")  # the settings every sweep cell uses too
+    hyper = joint.hyper
     p = sub.add_parser("train", help="fit the joint classifier and screen")
     p.add_argument("--data", required=True, help="training CSV (y,x1..xp[,is_anomaly])")
-    p.add_argument("--kernel", choices=KERNEL_KINDS, default="rbf")
-    p.add_argument("--gamma", default="auto",
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default=joint.kernel)
+    p.add_argument("--gamma", type=number_or_auto, default=joint.gamma,
                    help="rbf width, a number or 'auto' (median heuristic)")
-    p.add_argument("--jitter", type=float, default=KernelSpec.jitter)
+    p.add_argument("--jitter", type=float, default=joint.jitter)
     p.add_argument("--k", type=int, default=GemConfig.k, help="k-NN neighbor count")
     p.add_argument("--coverage", type=float, default=GemConfig.target_coverage,
                    help="target nominal mass per class")
     p.add_argument("--alpha", type=float, default=GemConfig.alpha,
                    help="detection false-alarm level")
-    p.add_argument("--c", type=float, default=HyperParams.c, help="margin slack rate")
-    p.add_argument("--lambda-cap", type=float, default=HyperParams.lambda_cap)
-    p.add_argument("--p0", type=float, default=HyperParams.p0,
+    p.add_argument("--c", type=float, default=hyper.c, help="margin slack rate")
+    p.add_argument("--lambda-cap", type=float, default=hyper.lambda_cap)
+    p.add_argument("--p0", type=float, default=hyper.p0,
                    help="explicit nominal prior probability")
-    p.add_argument("--rates", help="ascent rates phi,psi,tau", default=(
-        f"{HyperParams.rate_lambda},{HyperParams.rate_mu},{HyperParams.rate_kappa}"))
-    p.add_argument("--steps", type=int, default=HyperParams.steps)
+    p.add_argument("--rates", help="ascent rates phi,psi,tau",
+                   default=f"{hyper.rate_lambda},{hyper.rate_mu},{hyper.rate_kappa}")
+    p.add_argument("--steps", type=int, default=hyper.steps)
     p.add_argument("--gibbs", help="sampler schedule sweeps,burn_in",
-                   default=f"{HyperParams.gibbs_sweeps},{HyperParams.burn_in}")
-    p.add_argument("--seed", type=int, default=HyperParams.seed)
+                   default=f"{hyper.gibbs_sweeps},{hyper.burn_in}")
+    p.add_argument("--seed", type=int, default=hyper.seed)
     p.add_argument("--model-out", default="model.json")
     p.set_defaults(func=cmd_train)
 

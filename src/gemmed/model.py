@@ -62,17 +62,17 @@ class HyperParams:
         check_integers(self, steps=0, gibbs_sweeps=1, burn_in=0, seed=0)
         if not 0 < self.c < np.inf:
             raise ValueError(f"c must be positive and finite, got {self.c!r}")
-        cap = self.resolved_cap
-        if not 0 < cap < self.c:
-            raise ValueError("lambda_cap must lie strictly between 0 and c")
+        if not 0 < (cap := self.resolved_cap) < self.c:
+            raise ValueError(f"lambda_cap must lie strictly between 0 and c={self.c!r}, "
+                             f"got {cap!r}")
         if self.p0 is not None and not 0 < self.p0 < 1:
             raise ValueError(f"p0 must lie in (0, 1), got {self.p0!r}")
         for name in RATE_RANGES:
             if not 0 < (rate := getattr(self, name)) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {rate!r}")
         if not self.burn_in < self.gibbs_sweeps:
-            raise ValueError("need 0 <= burn_in < gibbs_sweeps: the sampler "
-                             "averages at least one sweep")
+            raise ValueError(f"need 0 <= burn_in < gibbs_sweeps, got {self.burn_in} and "
+                             f"{self.gibbs_sweeps}: the sampler averages at least one sweep")
 
     @property
     def resolved_cap(self) -> float:

@@ -30,17 +30,16 @@ from gemmed import cli
 from gemmed.baselines import train_svm, train_two_stage
 from gemmed.cli import main
 from gemmed.dataset import LabeledDataset
-from gemmed.experiments import CellResult, run_cell
+from gemmed.experiments import CellResult, default_settings, run_cell
 from gemmed.gem import GemConfig, knn_distance_sum
 from gemmed.kernels import KernelSpec
-from gemmed.model import HyperParams, TrainedModel
+from gemmed.model import TrainedModel
 from gemmed.persist import load_model, save_model
 from gemmed.synthdata import MAX_ROWS_PER_CLASS
 
 
 # the training flags of the shared model.json
-TRAIN_FLAGS = ["--kernel", "rbf", "--gamma", "0.1", "--k", "3", "--lambda-cap", "0.4",
-               "--steps", "2", "--gibbs", "8,2", "--seed", "0"]
+TRAIN_FLAGS = ["--k", "3", "--steps", "2", "--gibbs", "8,2", "--seed", "0"]
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +175,7 @@ def test_predict_and_detect_output_bytes(tmp_path):
 def test_predict_refuses_non_finite_decision_values(workdir, tmp_path, capsys):
     model = tmp_path / "linear.json"
     assert main(["train", "--data", str(workdir / "train.csv"),
-                 "--kernel", "linear", "--k", "3", "--lambda-cap", "0.4",
+                 "--kernel", "linear", "--k", "3",
                  "--steps", "2", "--gibbs", "8,2", "--seed", "0",
                  "--model-out", str(model)]) == 0
     # Finite rows, but <x, w> overflows for the sign pattern of w, whose
@@ -451,7 +450,7 @@ def test_unstable_rates_warn_in_train_only(workdir, tmp_path, capsys):
     ("--seed", "-1", "seed must be at least 0, got -1"),
     # with c = inf the margin-slack term would drop out of the dual
     ("--c", "inf", "c must be positive and finite, got inf"),
-    ("--gamma", "wide", "--gamma must be a number or 'auto', got 'wide'"),
+    ("--gamma", "wide", "argument --gamma: invalid number_or_auto value: 'wide'"),
     ("--rates", "1e-3,2e-2", "--rates expects 3 comma-separated values"),
     # the prior is --p0, else the coverage rule; --a-eta is gone
     ("--a-eta", "1", "unrecognized arguments: --a-eta 1"),
@@ -500,8 +499,7 @@ def test_train_gibbs_schedule_must_be_whole_numbers(workdir, tmp_path, capsys):
 
 def test_train_failure_maps_to_exit_one(workdir, tmp_path, capsys):
     rc = main(["train", "--data", str(workdir / "train.csv"),
-               "--kernel", "rbf", "--gamma", "0.1", "--k", "3",
-               "--p0", "0.001", "--lambda-cap", "0.001", "--steps", "0",
+               "--k", "3", "--p0", "0.001", "--lambda-cap", "0.001", "--steps", "0",
                "--gibbs", "8,2", "--model-out", str(tmp_path / "m.json")])
     assert rc == 1
     assert "eta_hat" in capsys.readouterr().err
@@ -509,8 +507,7 @@ def test_train_failure_maps_to_exit_one(workdir, tmp_path, capsys):
 
 def test_train_fails_below_k_plus_one_nominal_points(workdir, tmp_path, capsys):
     rc = main(["train", "--data", str(workdir / "train.csv"),
-               "--kernel", "rbf", "--gamma", "0.1", "--k", "8",
-               "--p0", "0.44", "--lambda-cap", "0.4", "--steps", "0",
+               "--k", "8", "--p0", "0.44", "--steps", "0",
                "--gibbs", "8,2", "--model-out", str(tmp_path / "m.json")])
     assert rc == 1
     assert "nominal support has 4 point(s); need at least k+1=9" in \
@@ -520,7 +517,7 @@ def test_train_fails_below_k_plus_one_nominal_points(workdir, tmp_path, capsys):
 @pytest.mark.parametrize("kernel,needle", [
     (["linear"], "kernel matrix is not finite"),
     # exp(-inf) = 0 keeps this kernel finite, but the k-NN distance sums overflow
-    (["rbf", "--gamma", "0.1"], "k-NN statistics are not finite"),
+    (["rbf"], "k-NN statistics are not finite"),
 ], ids=["linear", "rbf"])
 def test_train_rejects_features_that_overflow(workdir, tmp_path, capsys,
                                               kernel, needle):
@@ -537,16 +534,26 @@ def test_train_rejects_features_that_overflow(workdir, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_train_flags_default_to_the_dataclass_defaults(workdir, tmp_path, capsys):
-    out = tmp_path / "m.json"
-    assert main(["train", "--data", str(workdir / "train.csv"),
-                 "--model-out", str(out)]) == 0
-    model = load_model(out)
-    assert model.hyper == HyperParams()
+def test_train_flags_default_to_the_joint_model_settings(tmp_path, monkeypatch, capsys):
+    # the README walkthrough's commands, each writing to its default file
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--R", "55", "--ra", "0.2", "--seed", "0"]) == 0
+    train = ["train", "--data", "train.csv", "--seed", "0", "--model-out"]
+    assert main(train + ["model.json"]) == 0
+    model = load_model("model.json")
+    joint = default_settings("gemmed")
+    assert model.kernel == KernelSpec(joint.kernel, joint.gamma, joint.jitter)
+    assert model.hyper == joint.hyper
     gem = GemConfig()
     assert (model.k, model.alpha, model.target_coverage) == \
         (gem.k, gem.alpha, gem.target_coverage)
-    assert model.kernel.jitter == KernelSpec.jitter
+    assert main(train + ["flags.json", "--kernel", "rbf", "--gamma", "0.1",
+                         "--lambda-cap", "0.4"]) == 0
+    assert Path("model.json").read_bytes() == Path("flags.json").read_bytes()
+    assert main(["predict", "--model", "model.json", "--data", "test.csv"]) == 0
+    assert main(["evaluate", "--predictions", "predictions.csv", "--truth", "test.csv",
+                 "--report", "report.json"]) == 0
+    assert json.loads(Path("report.json").read_text()) == {"error": 0.249}
     capsys.readouterr()
 
 
@@ -702,7 +709,7 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     # a hyper section overrides the joint model's lambda_cap of 0.4 only
     # where it sets it, so a c at or below 0.4 needs its own cap
     pytest.param({"gemmed": {"hyper": {"c": 0.3}}},
-                 "lambda_cap must lie strictly between 0 and c",
+                 "lambda_cap must lie strictly between 0 and c=0.3, got 0.4",
                  id="gemmed-hyper-c-below-default-cap"),
     # every cell's data and detection counts are checked before any cell
     pytest.param({"ra": [0.2, 1.5]}, "r_a must lie in [0, 1), got 1.5",

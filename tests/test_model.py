@@ -26,7 +26,8 @@ def test_hyper_defaults_and_cap():
 def test_hyper_validation():
     with pytest.raises(ValueError):
         HyperParams(c=0.0)
-    with pytest.raises(ValueError, match="lambda_cap must lie strictly between 0 and c"):
+    with pytest.raises(ValueError,
+                       match=r"lambda_cap must lie strictly between 0 and c=10\.0, got 10\.0"):
         HyperParams(lambda_cap=10.0)
     with pytest.raises(ValueError):
         HyperParams(lambda_cap=0.0)
@@ -42,7 +43,7 @@ def test_hyper_validation():
                 HyperParams(**{name: value})
     with pytest.raises(ValueError):
         HyperParams(gibbs_sweeps=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="burn_in < gibbs_sweeps, got 30 and 30"):
         HyperParams(burn_in=30, gibbs_sweeps=30)
     for name in ("steps", "gibbs_sweeps", "burn_in", "seed"):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
