@@ -28,10 +28,19 @@ CLEAN_SEED_OFFSET = 224737
 
 @dataclass(frozen=True)
 class MethodSettings:
-    """Per-method knobs for one sweep cell."""
+    """Per-method knobs for one sweep cell; the defaults are the joint model's.
+
+    The joint model runs with a fixed rbf width and a tight dual cap
+    (``HyperParams().lambda_cap`` of 0.4). Both matter for stability on
+    the ring benchmark: the indicator posterior couples samples through
+    lam_m lam_n y_m y_n K_mn, and once those couplings grow past unit
+    size the sampler's class imbalance mode dominates the learned
+    boundary. Capping lam at 0.4 keeps the couplings weak, and gamma =
+    0.1 keeps the kernel short range so the cross-class terms stay local.
+    """
 
     kernel: str = "rbf"
-    gamma: float | str | None = "auto"
+    gamma: float | str | None = 0.1
     jitter: float = KernelSpec.jitter
     C: float = 1.0
     hyper: HyperParams = field(default_factory=HyperParams)
@@ -58,19 +67,9 @@ class CellResult:
 
 
 def default_settings(method: str) -> MethodSettings:
-    """Defaults per method: joint model on rbf, reference SVMs on linear.
-
-    The joint model runs with a fixed rbf width and a tight dual cap.
-    Both matter for stability on the ring benchmark: the indicator
-    posterior couples samples through lam_m lam_n y_m y_n K_mn, and
-    once those couplings grow past unit size the sampler's class
-    imbalance mode dominates the learned boundary. Capping lam at 0.4
-    keeps the couplings weak, and gamma = 0.1 keeps the kernel short
-    range so the cross-class terms stay local.
-    """
+    """Defaults per method: joint model on rbf, reference SVMs on linear."""
     if method == "gemmed":
-        return MethodSettings(kernel="rbf", gamma=0.1,
-                              hyper=HyperParams(lambda_cap=0.4))
+        return MethodSettings()
     return MethodSettings(kernel="linear", gamma=None)
 
 

@@ -33,8 +33,9 @@ RATE_RANGES = {"rate_lambda": (1e-4, 1e-2), "rate_mu": (1e-3, 1e-1),
 class HyperParams:
     """Trainer hyperparameters.
 
-    The margin-slack rate ``c`` also caps the per-sample duals through
-    ``lambda_cap`` (defaults to 0.99 * c). The nominal prior ``p0`` may
+    The per-sample duals lie in [0, ``lambda_cap``], and the cap must
+    stay below the margin-slack rate ``c``; the default 0.4 is the joint
+    model's (see ``experiments.MethodSettings``). The nominal prior ``p0`` may
     be given directly or left unset, in which case it follows the
     coverage target (clipped to [0.5, 0.99]) so that unpenalized samples
     sit on the nominal side.
@@ -48,7 +49,7 @@ class HyperParams:
     """
 
     c: float = 10.0
-    lambda_cap: float | None = None
+    lambda_cap: float = 0.4
     p0: float | None = None
     steps: int = 200
     rate_lambda: float = 2e-3
@@ -62,9 +63,9 @@ class HyperParams:
         check_integers(self, steps=0, gibbs_sweeps=1, burn_in=0, seed=0)
         if not 0 < self.c < np.inf:
             raise ValueError(f"c must be positive and finite, got {self.c!r}")
-        if not 0 < (cap := self.resolved_cap) < self.c:
+        if not 0 < self.lambda_cap < self.c:
             raise ValueError(f"lambda_cap must lie strictly between 0 and c={self.c!r}, "
-                             f"got {cap!r}")
+                             f"got {self.lambda_cap!r}")
         if self.p0 is not None and not 0 < self.p0 < 1:
             raise ValueError(f"p0 must lie in (0, 1), got {self.p0!r}")
         for name in RATE_RANGES:
@@ -73,10 +74,6 @@ class HyperParams:
         if not self.burn_in < self.gibbs_sweeps:
             raise ValueError(f"need 0 <= burn_in < gibbs_sweeps, got {self.burn_in} and "
                              f"{self.gibbs_sweeps}: the sampler averages at least one sweep")
-
-    @property
-    def resolved_cap(self) -> float:
-        return 0.99 * self.c if self.lambda_cap is None else self.lambda_cap
 
 
 def resolve_p0(hyper: HyperParams, coverage: float, n: int) -> np.ndarray:

@@ -71,8 +71,8 @@ def json_fields(value, name: str, base, refused=(), nouns=("field", "field")):
     """The object value read onto base, a dataclass instance whose other fields it
     keeps or a dataclass whose every field it sets (KeyError 'name.field' names
     one it lacks); keys in refused are unknown. An int field holds a whole number;
-    a float field a number, null if its type admits None, or a string default such
-    as 'auto'; a dataclass field an object read alike. Errors name the object as
+    a float field a number, null if its type admits None, or 'auto' if it admits
+    str; a dataclass field an object read alike. Errors name the object as
     nouns[0] 'name', also before the dataclass's own, and a key as nouns[1]
     'name.key'."""
     cls = base if isinstance(base, type) else type(base)
@@ -89,7 +89,7 @@ def json_fields(value, name: str, base, refused=(), nouns=("field", "field")):
         elif f.type == "int":
             section[f.name] = json_whole(v, f"{nouns[1]} '{key}'")
         elif f.type.startswith("float") and not (
-                v is None and "None" in f.type or isinstance(v, str) and v == f.default):
+                v is None and "None" in f.type or v == "auto" and "str" in f.type):
             section[f.name] = json_number(v, f"{nouns[1]} '{key}'")
     try:
         return cls(**section) if base is cls else replace(base, **section)
@@ -218,14 +218,14 @@ def load_model(path):
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict) or "model_kind" not in payload:
         raise ValueError(f"{path}: missing model_kind")
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format_version {version!r}")
     kind = payload["model_kind"]
-    if not isinstance(kind, str) or kind not in _FILES:
-        raise ValueError(f"{path}: unknown model_kind {kind!r}")
-    cls, table = _FILES[kind]
     try:
+        version = json_whole(payload["format_version"], "format_version")
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {version!r}")
+        if not isinstance(kind, str) or kind not in _FILES:
+            raise ValueError(f"unknown model_kind {kind!r}")
+        cls, table = _FILES[kind]
         json_object(payload, f"a {kind} model file",
                     ("format_version", "model_kind", *(row[0] for row in table)))
         return cls(**{field: rule(key, payload[key]) for key, field, rule in table})

@@ -55,7 +55,7 @@ def init_duals(problem: DualProblem) -> DualState:
     coefficients are clipped into [0, lambda_cap].
     """
     alpha, _, _ = solve_svm_dual(problem.gram.values, problem.y, C=1.0)
-    return DualState(lam=np.clip(alpha, 0.0, problem.hyper.resolved_cap),
+    return DualState(lam=np.clip(alpha, 0.0, problem.hyper.lambda_cap),
                      mu=np.zeros(2), kappa=np.zeros(2))
 
 
@@ -300,7 +300,6 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
     p0 = resolve_p0(hyper, gem_config.target_coverage, dataset.n)
     problem = DualProblem(dataset.y.astype(float), gram, stats.d_tilde, stats.gamma_hat,
                           stats.beta_hat, p0, hyper)
-    cap = hyper.resolved_cap
     state = init_duals(problem)
     rng = np.random.default_rng(hyper.seed)
 
@@ -310,7 +309,7 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
             exps = gibbs_expectations(state, problem, rng, exps.eta_last)
         g_lam, g_mu, g_kappa = dual_gradient(state, exps, problem)
         state = DualState(
-            np.clip(state.lam + hyper.rate_lambda * g_lam, 0.0, cap),
+            np.clip(state.lam + hyper.rate_lambda * g_lam, 0.0, hyper.lambda_cap),
             np.maximum(state.mu + hyper.rate_mu * g_mu, 0.0),
             np.maximum(state.kappa + hyper.rate_kappa * g_kappa, 0.0))
     eta_hat = exps.eta_hat

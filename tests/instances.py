@@ -21,11 +21,12 @@ from gemmed.persist import load_model, save_model
 
 def random_instance(n: int, seed: int, hyper: HyperParams | None = None
                     ) -> tuple[DualProblem, DualState]:
-    """Random feasible (problem, state): rbf Gram on random points, interior duals."""
+    """Random feasible (problem, state): rbf Gram on random points, interior duals;
+    hyper defaults to HyperParams(lambda_cap=9.9)."""
     if n < 2:
         raise ValueError("instances need at least two samples")
     rng = np.random.default_rng(seed)
-    hyper = hyper or HyperParams()
+    hyper = hyper or HyperParams(lambda_cap=9.9)
     x = rng.normal(scale=1.5, size=(n, 2))
     kernel = resolve_kernel("rbf", "auto", x)
     gram = gram_matrix(kernel, x)
@@ -34,7 +35,7 @@ def random_instance(n: int, seed: int, hyper: HyperParams | None = None
     gamma_hat = rng.uniform(0.2, 1.5, size=2)
     beta_hat = rng.uniform(0.1, 0.5, size=2)
     p0 = rng.uniform(0.3, 0.9, size=n)
-    high = min(1.5, hyper.resolved_cap - 0.05)
+    high = min(1.5, hyper.lambda_cap - 0.05)
     state = DualState(
         lam=rng.uniform(0.05, high, size=n),
         mu=rng.uniform(0.05, 1.5, size=2),

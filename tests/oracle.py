@@ -109,7 +109,7 @@ def finite_diff_dual(state: DualState, problem: DualProblem, h: float = 1e-4):
     cuts = (state.lam.size, state.lam.size + state.mu.size)
     point = np.concatenate([state.lam, state.mu, state.kappa])
     upper = np.full(point.size, np.inf)
-    upper[:cuts[0]] = problem.hyper.resolved_cap
+    upper[:cuts[0]] = problem.hyper.lambda_cap
 
     def value(i: int, v: float) -> float:
         moved = point.copy()

@@ -167,7 +167,7 @@ def test_criterion_1_gradients_match_finite_differences():
 
 def test_criterion_2_sampler_matches_oracle():
     t0 = time.perf_counter()
-    hyper = HyperParams(gibbs_sweeps=200, burn_in=20)
+    hyper = HyperParams(lambda_cap=9.9, gibbs_sweeps=200, burn_in=20)
     assert meets_sweep_floor(hyper.gibbs_sweeps, hyper.burn_in)
     matches, detail = sampler_check(*sampler_trials(6, 100, hyper))
     elapsed = time.perf_counter() - t0
@@ -199,7 +199,7 @@ def test_gradient_check_fails_a_nan_gradient():
 
 
 def test_sampler_check_fails_a_nan_expectation():
-    hyper = HyperParams(gibbs_sweeps=60, burn_in=10)
+    hyper = HyperParams(lambda_cap=9.9, gibbs_sweeps=60, burn_in=10)
     problem, state = random_instance(4, 0, hyper=hyper)
     oracle = exact_posterior(state, problem)
     exps = gibbs_expectations(state, problem, np.random.default_rng(0))
@@ -216,7 +216,7 @@ def test_sampler_check_fails_a_nan_expectation():
 
 def test_sampler_check_small_run():
     deviations, rhats = sampler_trials(
-        4, 3, HyperParams(gibbs_sweeps=150, burn_in=20))
+        4, 3, HyperParams(lambda_cap=9.9, gibbs_sweeps=150, burn_in=20))
     ok, detail = sampler_check(deviations, rhats)
     assert ok, detail
     assert 0.9 < np.max(rhats) < RHAT_MAX
@@ -226,7 +226,7 @@ def test_sweep_floor_rejects_one_averaged_sweep():
     assert not meets_sweep_floor(1, 0)
     # one averaged sweep per chain leaves no halves for the split R-hat
     deviations, rhats = sampler_trials(
-        4, 1, HyperParams(gibbs_sweeps=1, burn_in=0))
+        4, 1, HyperParams(lambda_cap=9.9, gibbs_sweeps=1, burn_in=0))
     assert np.isnan(rhats[0])
     ok, detail = sampler_check(deviations, rhats)
     assert not ok and "max split R-hat nan" in detail
@@ -235,7 +235,7 @@ def test_sweep_floor_rejects_one_averaged_sweep():
 def test_sweep_floor_is_four_sweeps_per_chain():
     assert not meets_sweep_floor(25, 10)
     assert meets_sweep_floor(26, 10)
-    hyper = HyperParams(gibbs_sweeps=26, burn_in=10)
+    hyper = HyperParams(lambda_cap=9.9, gibbs_sweeps=26, burn_in=10)
     problem, state = random_instance(4, 0, hyper=hyper)
     exps = gibbs_expectations(state, problem, np.random.default_rng(0))
     assert exps.rows[0].shape == (4, trainer.CHAINS, 4)

@@ -588,8 +588,7 @@ def test_sweep_of_the_joint_model_on_clean_training_data(tmp_path, capsys):
     # no training anomalies leaves nothing to rank: the auc cell is empty
     config = _sweep_config(
         tmp_path, ra=[0], methods=["gemmed"], gem={"k": 3},
-        gemmed={"gamma": 0.1, "hyper": {"lambda_cap": 0.4, "steps": 2,
-                                        "gibbs_sweeps": 8, "burn_in": 2}})
+        gemmed={"hyper": {"steps": 2, "gibbs_sweeps": 8, "burn_in": 2}})
     assert main(["sweep", "--config", str(config)]) == 0
     rows = _read_rows(tmp_path / "sweep.csv")
     assert rows[1][:3] == ["gemmed", "40.0", "0.0"]
@@ -599,7 +598,7 @@ def test_sweep_of_the_joint_model_on_clean_training_data(tmp_path, capsys):
 
 def test_sweep_partial_hyper_keeps_the_method_defaults(tmp_path, capsys):
     # a hyper section that sets only the schedule keeps the joint model's
-    # default lambda_cap of 0.4 instead of resetting it to 0.99 * c
+    # lambda_cap of 0.4
     schedule = {"steps": 3, "gibbs_sweeps": 8, "burn_in": 2}
     outputs = []
     for extra in ({}, {"lambda_cap": 0.4}):
@@ -700,6 +699,10 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     pytest.param({"gemmed": {"hyper": {"c": None}}},
                  "key 'gemmed.hyper.c' expects a number, got None",
                  id="gemmed-hyper-c-null"),
+    # the cap is a number: null does not mean a default
+    pytest.param({"gemmed": {"hyper": {"lambda_cap": None}}},
+                 "key 'gemmed.hyper.lambda_cap' expects a number, got None",
+                 id="gemmed-hyper-lambda_cap-null"),
     pytest.param({"R": ["55"]}, "key 'R' expects a number, got '55'",
                  id="grid-R-not-a-number"),
     # run_cell seeds each cell's sampler with the cell seed
@@ -747,9 +750,22 @@ def test_sweep_rejects_malformed_configs(tmp_path, capsys, monkeypatch, mutation
 
 def test_sweep_null_unsets_optional_floats(tmp_path, capsys):
     # null stays valid where a setting defaults to unset
-    config = _sweep_config(tmp_path, coverage=None,
-                           gemmed={"hyper": {"lambda_cap": None, "p0": None}})
+    config = _sweep_config(tmp_path, coverage=None, gemmed={"hyper": {"p0": None}})
     assert main(["sweep", "--config", str(config)]) == 0
+    capsys.readouterr()
+
+
+def test_sweep_gamma_auto_runs_a_cell(tmp_path, capsys, monkeypatch):
+    # 'auto' is the one string a float setting admits, and only where its
+    # type admits a string: the median heuristic on each cell's data
+    gammas = []
+    monkeypatch.setattr(cli, "run_cell", lambda *cell, **kwargs: gammas.append(
+        kwargs["settings"].gamma) or run_cell(*cell, **kwargs))
+    config = _sweep_config(tmp_path, methods=["gemmed"], gem={"k": 3}, gemmed={
+        "gamma": "auto", "hyper": {"steps": 2, "gibbs_sweeps": 8, "burn_in": 2}})
+    assert main(["sweep", "--config", str(config)]) == 0
+    assert gammas == ["auto"]
+    assert _read_rows(tmp_path / "sweep.csv")[1][0] == "gemmed"
     capsys.readouterr()
 
 

@@ -1,14 +1,22 @@
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
+from gemmed.cli import main
 from gemmed.experiments import (METHODS, CellResult, MethodSettings,
                                 default_settings, run_cell)
+from gemmed.metrics import misclassification_error
 from gemmed.model import HyperParams
+from gemmed.persist import save_model
 
 
 def test_default_settings_per_method():
+    # the joint model's settings are the dataclass defaults
     g = default_settings("gemmed")
+    assert g == MethodSettings() and g.hyper == HyperParams()
     assert g.kernel == "rbf"
     assert g.gamma == 0.1
     assert g.hyper.lambda_cap == 0.4
@@ -17,6 +25,23 @@ def test_default_settings_per_method():
         assert s.kernel == "linear"
         assert s.gamma is None
         assert s.C == 1.0
+
+
+def test_readme_library_use_is_the_flagless_cli_train(tmp_path, monkeypatch, capsys):
+    # the README's library block, run as written at the dataclass defaults,
+    # gets the walkthrough's test error and saves the bytes of a flagless
+    # `gemmed train --seed 0` on the same cell
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    library = {}
+    exec(block, library)
+    assert misclassification_error(library["yhat"], library["test_set"].y) == 0.249
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--R", "55", "--ra", "0.2", "--seed", "0"]) == 0
+    assert main(["train", "--data", "train.csv", "--seed", "0"]) == 0
+    save_model(library["model"], "library.json")
+    assert Path("library.json").read_bytes() == Path("model.json").read_bytes()
+    capsys.readouterr()
 
 
 def test_method_settings_refuse_a_bad_C_or_kernel():
@@ -32,10 +57,7 @@ def test_run_cell_rejects_unknown_method():
 
 
 def _tiny_gemmed_settings():
-    return MethodSettings(kernel="rbf", gamma=0.1,
-                          hyper=HyperParams(lambda_cap=0.4, steps=4,
-                                            gibbs_sweeps=8,
-                                            burn_in=2))
+    return MethodSettings(hyper=HyperParams(steps=4, gibbs_sweeps=8, burn_in=2))
 
 
 def test_run_cell_svm_fields():

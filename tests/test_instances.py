@@ -12,7 +12,7 @@ def test_random_instance_shape_and_feasibility():
                           again.gram.values)  # seeded, reproducible
     assert np.array_equal(state.lam, again_state.lam)
     assert problem.y[0] == -1 and problem.y[1] == 1  # both classes present
-    assert np.all(state.lam < problem.hyper.resolved_cap)
+    assert np.all(state.lam < problem.hyper.lambda_cap)
     assert np.all(state.lam > 0)
     assert np.all((problem.p0 > 0) & (problem.p0 < 1))
     assert np.all(problem.d_tilde > 0)

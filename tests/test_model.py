@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -18,9 +19,14 @@ from instances import assert_refused
 
 def test_hyper_defaults_and_cap():
     h = HyperParams()
-    assert h.c == 10.0
-    assert h.resolved_cap == pytest.approx(9.9)
-    assert HyperParams(lambda_cap=0.4).resolved_cap == 0.4
+    assert (h.c, h.lambda_cap) == (10.0, 0.4)
+    # only the nominal prior defaults to unset
+    assert [f.name for f in dataclasses.fields(h) if getattr(h, f.name) is None] == ["p0"]
+    # the cap does not follow c: a c at or below 0.4 needs its own cap
+    with pytest.raises(ValueError,
+                       match=r"lambda_cap must lie strictly between 0 and c=0\.3, got 0\.4"):
+        HyperParams(c=0.3)
+    assert HyperParams(c=0.3, lambda_cap=0.2).lambda_cap == 0.2
 
 
 def test_hyper_validation():
@@ -60,8 +66,8 @@ def test_hyper_warns_outside_stable_rate_band():
     # at the caller's line; building (or loading) the parameters is silent
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        hyper = HyperParams(lambda_cap=0.4, steps=1, gibbs_sweeps=8,
-                            burn_in=2, rate_lambda=5e-2, rate_mu=5e-4)
+        hyper = HyperParams(steps=1, gibbs_sweeps=8, burn_in=2, rate_lambda=5e-2,
+                            rate_mu=5e-4)
     train_set, _ = generate(RingExperimentConfig(
         R=55.0, r_a=0.2, n_train_per_class=20, n_test_per_class=5, seed=0))
     with pytest.warns(UserWarning) as record:

@@ -155,7 +155,7 @@ def test_finite_diff_boundary_coordinates_are_flagged():
     state = DualState(interior.lam.copy(), np.zeros(2),
                       interior.kappa.copy())
     state.lam[0] = 0.0
-    state.lam[1] = problem.hyper.resolved_cap
+    state.lam[1] = problem.hyper.lambda_cap
     g_lam, *_, flags = finite_diff_dual(state, problem)
     assert flags["lam"][0]
     assert flags["lam"][1] and not flags["lam"][2:].any()

@@ -27,8 +27,7 @@ def cell():
 
 def test_joint_model_round_trip(cell, tmp_path):
     train_set, test_set = cell
-    hyper = HyperParams(lambda_cap=0.4, steps=3, gibbs_sweeps=8,
-                        burn_in=2, seed=0)
+    hyper = HyperParams(steps=3, gibbs_sweeps=8, burn_in=2, seed=0)
     model = trainer.train(train_set, KernelSpec("rbf", gamma=0.1),
                           GemConfig(k=3, seed=0), hyper)
     path = tmp_path / "joint.json"
@@ -99,6 +98,10 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"format_version": 99, "model_kind": "svm"}))
     with pytest.raises(ValueError, match="format_version"):
         load_model(path)
+    # true is no version number, though True == 1 in Python
+    path.write_text(json.dumps({"format_version": True, "model_kind": "svm"}))
+    with pytest.raises(ValueError, match="format_version must be a whole number, got True"):
+        load_model(path)
     path.write_text(json.dumps({"format_version": 1, "model_kind": "what"}))
     with pytest.raises(ValueError, match="model_kind"):
         load_model(path)
@@ -143,8 +146,7 @@ def _fit(train_set, kind):
     gem = GemConfig(k=3, seed=0)
     if kind == "gemmed":
         return trainer.train(train_set, KernelSpec("rbf", gamma=0.1), gem,
-                             HyperParams(lambda_cap=0.4, steps=2, gibbs_sweeps=8,
-                                         burn_in=2, seed=0))
+                             HyperParams(steps=2, gibbs_sweeps=8, burn_in=2, seed=0))
     if kind == "svm":
         return train_svm(train_set, KernelSpec("linear"), C=1.0)
     return train_two_stage(train_set, KernelSpec("linear"), gem)
@@ -213,7 +215,7 @@ _FILE_BYTES = {
  "dual_estimate": -1.5,
  "hyper": {
   "c": 10.0,
-  "lambda_cap": null,
+  "lambda_cap": 0.4,
   "p0": null,
   "steps": 2,
   "rate_lambda": 0.002,
@@ -410,6 +412,9 @@ def test_model_file_bytes(tmp_path, kind):
     pytest.param("two_stage", "removed_idx", [2**63],
                  "must list whole numbers that fit a 64-bit integer",
                  id="two_stage-removed_idx-integer-beyond-int64"),
+    # the cap is a number: null does not mean a default
+    pytest.param("gemmed", "hyper.lambda_cap", None, "expects a number, got None",
+                 id="gemmed-hyper.lambda_cap-null"),
 ])
 def test_load_refuses_a_field_of_the_wrong_form(tmp_path, kind, key, bad, needle):
     path = tmp_path / "model.json"

@@ -192,7 +192,7 @@ def _ring_instance():
     train_set, _ = generate(RingExperimentConfig(R=55.0, r_a=0.2,
                                                  n_test_per_class=1, seed=3))
     gem_config = GemConfig(target_coverage=0.8)
-    hyper = HyperParams(lambda_cap=0.4)
+    hyper = HyperParams()
     gram = gram_matrix(KernelSpec("rbf", gamma=0.1), train_set.x)
     stats = compute_gem_stats(train_set, gem_config)
     p0 = resolve_p0(hyper, gem_config.target_coverage, train_set.n)
@@ -214,7 +214,7 @@ def test_gibbs_matches_reference_sampler_bitwise(case):
         problem, state = _ring_instance()
     else:
         problem, state = random_instance(*case, hyper=HyperParams(
-            gibbs_sweeps=40, burn_in=7))
+            lambda_cap=9.9, gibbs_sweeps=40, burn_in=7))
     got = gibbs_expectations(state, problem, np.random.default_rng(11))
     want = _reference_gibbs(state, problem, np.random.default_rng(11))
     _assert_same_expectations(got, want)
@@ -233,8 +233,8 @@ def _assert_same_expectations(got, want):
 
 
 def test_warm_started_call_runs_no_burn_in():
-    problem, state = random_instance(7, 1, hyper=HyperParams(gibbs_sweeps=40,
-                                                             burn_in=7))
+    problem, state = random_instance(7, 1, hyper=HyperParams(
+        lambda_cap=9.9, gibbs_sweeps=40, burn_in=7))
     args = (state, problem)
     cold = gibbs_expectations(*args, np.random.default_rng(11))
     assert cold.eta_last.shape == (trainer.CHAINS, 7)
@@ -261,8 +261,8 @@ def test_chains_are_not_copies_of_one_another():
     """Every chain draws its own noise and uniforms: after the same
     all-ones start, no two chains record the same sweeps or end on the
     same indicators."""
-    problem, state = random_instance(30, 2, hyper=HyperParams(gibbs_sweeps=40,
-                                                              burn_in=7))
+    problem, state = random_instance(30, 2, hyper=HyperParams(
+        lambda_cap=9.9, gibbs_sweeps=40, burn_in=7))
     exps = gibbs_expectations(state, problem, np.random.default_rng(11))
     for i, j in itertools.combinations(range(trainer.CHAINS), 2):
         for rows in exps.rows:
@@ -271,8 +271,8 @@ def test_chains_are_not_copies_of_one_another():
 
 
 def test_gibbs_tracks_oracle_loosely():
-    problem, state = random_instance(5, 0, hyper=HyperParams(gibbs_sweeps=300,
-                                                             burn_in=20))
+    problem, state = random_instance(5, 0, hyper=HyperParams(
+        lambda_cap=9.9, gibbs_sweeps=300, burn_in=20))
     oracle = exact_posterior(state, problem)
     exps = gibbs_expectations(state, problem, np.random.default_rng(0))
     for est, se, truth in ((exps.e_eta_y_f, exps.se_eta_y_f, oracle.e_eta_y_f),
@@ -350,7 +350,7 @@ def test_init_duals_from_svm():
     gram = gram_matrix(KernelSpec("rbf", gamma=0.5), x)
     state = init_duals(DualProblem(y.astype(float), gram, np.zeros(16),
                                    np.zeros(2), np.zeros(2), np.full(16, 0.5),
-                                   HyperParams(lambda_cap=0.4)))
+                                   HyperParams()))
     assert np.array_equal(state.mu, np.zeros(2))
     assert np.array_equal(state.kappa, np.zeros(2))
     alpha, _, _ = solve_svm_dual(gram.values, y.astype(float), C=1.0)
@@ -373,8 +373,7 @@ def _small_cell(seed=0, n=30):
 
 def test_train_end_to_end_small():
     train_set, test_set = _small_cell()
-    hyper = HyperParams(lambda_cap=0.4, steps=5, gibbs_sweeps=10,
-                        burn_in=3, seed=0)
+    hyper = HyperParams(steps=5, gibbs_sweeps=10, burn_in=3, seed=0)
     config = GemConfig(k=3, target_coverage=0.8, seed=0)
     model = trainer.train(train_set, KernelSpec("rbf", gamma=0.1), config,
                           hyper)
@@ -393,8 +392,7 @@ def test_train_end_to_end_small():
 
 def test_train_zero_steps_still_produces_indicators():
     train_set, _ = _small_cell()
-    hyper = HyperParams(lambda_cap=0.4, steps=0, gibbs_sweeps=8,
-                        burn_in=2, seed=0)
+    hyper = HyperParams(steps=0, gibbs_sweeps=8, burn_in=2, seed=0)
     model = trainer.train(train_set, KernelSpec("rbf", gamma=0.1),
                           GemConfig(k=3, seed=0), hyper)
     assert np.isfinite(model.dual_estimate)
@@ -412,8 +410,7 @@ def test_train_evaluates_the_dual_estimate_once(monkeypatch, steps):
 
     monkeypatch.setattr(trainer, "mean_field_dual_estimate", spy)
     train_set, _ = _small_cell()
-    hyper = HyperParams(lambda_cap=0.4, steps=steps, gibbs_sweeps=8,
-                        burn_in=2, seed=0)
+    hyper = HyperParams(steps=steps, gibbs_sweeps=8, burn_in=2, seed=0)
     model = trainer.train(train_set, KernelSpec("rbf", gamma=0.1),
                           GemConfig(k=3, seed=0), hyper)
     assert calls == [model.dual_estimate]
@@ -431,8 +428,7 @@ def test_train_continues_one_chain_across_steps(monkeypatch):
 
     monkeypatch.setattr(trainer, "gibbs_expectations", spy)
     train_set, _ = _small_cell()
-    hyper = HyperParams(lambda_cap=0.4, steps=4, gibbs_sweeps=8, burn_in=2,
-                        seed=0)
+    hyper = HyperParams(steps=4, gibbs_sweeps=8, burn_in=2, seed=0)
     trainer.train(train_set, KernelSpec("rbf", gamma=0.1),
                   GemConfig(k=3, seed=0), hyper)
     assert len(starts) == 4 and starts[0] is None
@@ -443,8 +439,7 @@ def _assert_train_never_calls(monkeypatch, name):
     """train fits the same model, bit for bit, with trainer.<name> refusing
     every call."""
     train_set, _ = _small_cell()
-    hyper = HyperParams(lambda_cap=0.4, steps=6, gibbs_sweeps=12, burn_in=3,
-                        seed=0)
+    hyper = HyperParams(steps=6, gibbs_sweeps=12, burn_in=3, seed=0)
     args = (train_set, KernelSpec("rbf", gamma=0.1), GemConfig(k=3, seed=0),
             hyper)
     want = trainer.train(*args)
@@ -542,7 +537,7 @@ def test_detectors_match_per_row_scoring_bitwise():
     train_set, test_set = generate(RingExperimentConfig(
         R=55.0, r_a=0.2, n_test_per_class=100, seed=3))
     kernel, gem_config = KernelSpec("rbf", gamma=0.1), GemConfig(target_coverage=0.8)
-    joint = trainer.train(train_set, kernel, gem_config, HyperParams(lambda_cap=0.4))
+    joint = trainer.train(train_set, kernel, gem_config, HyperParams())
     two_stage = train_two_stage(train_set, kernel, gem_config)
     # queries: fresh test points and every training point, nominal or not
     xs = np.vstack([test_set.x, train_set.x])
@@ -569,7 +564,7 @@ def test_a_1d_query_is_one_row_for_every_scorer():
     train_set, test_set = _small_cell()
     kernel, config = KernelSpec("rbf", gamma=0.1), GemConfig(k=3, seed=0)
     joint = trainer.train(train_set, kernel, config, HyperParams(
-        lambda_cap=0.4, steps=2, gibbs_sweeps=8, burn_in=2, seed=0))
+        steps=2, gibbs_sweeps=8, burn_in=2, seed=0))
     svm = train_svm(train_set, kernel)
     two_stage = train_two_stage(train_set, kernel, config)
     scorers = {
@@ -645,7 +640,7 @@ def test_fitted_linear_models_score_as_their_kernel_expansion(seed):
     svm = train_svm(train_set, kernel)
     two_stage = train_two_stage(train_set, kernel, config)
     joint = trainer.train(train_set, kernel, config,
-                          HyperParams(lambda_cap=0.4, steps=50, seed=seed))
+                          HyperParams(steps=50, seed=seed))
     xs = test_set.x
     cases = [
         (svm.decision_function(xs), svm.predict(xs), svm.x,
@@ -753,7 +748,7 @@ def test_training_is_equivariant_under_global_negation():
     """Negating every feature and label produces a statistically
     identical problem, so average test error should be unchanged."""
     from gemmed.metrics import misclassification_error
-    hyper = HyperParams(lambda_cap=0.4)
+    hyper = HyperParams()
     errs, errs_neg = [], []
     for seed in range(4):
         cfg = RingExperimentConfig(R=55.0, r_a=0.2, n_train_per_class=100,
