@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledDataset, check_rows
+from .dataset import LabeledDataset, check_real, check_reals, check_rows
 from .gem import (GemConfig, check_detector, compute_gem_stats, knn_distance_sum,
                   loo_threshold)
 from .kernels import (KernelSpec, compact_expansion, finite_decisions,
@@ -54,7 +54,7 @@ class SvmModel:
         check_rows(self, "y", "alpha")
         data = LabeledDataset(self.x, self.y)
         self.x, self.y = data.x, data.y
-        check_box(self.C)
+        check_reals(self, C="(0, inf)")
         if not ((self.alpha >= 0) & (self.alpha <= self.C)).all():
             raise ValueError(f"alpha must lie in [0, C], C = {self.C!r}")
 
@@ -88,12 +88,6 @@ class SvmModel:
 FINISH_ROUNDS = 5
 # Rows of K that _check_gram reads at a time.
 GRAM_CHECK_BLOCK = 64
-
-
-def check_box(C) -> None:
-    """Refuse a box bound C of the SVM dual that is not positive and finite."""
-    if not 0 < C < np.inf:
-        raise ValueError(f"C must be positive and finite, got {C!r}")
 
 
 def _check_gram(K: np.ndarray) -> None:
@@ -260,14 +254,13 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
     unconverged, flagged so.
 
     K must be square, finite and exactly symmetric, y must hold one
-    label per row, each -1 or +1, C must be positive and finite and tol
-    positive; anything else raises ValueError. K and y are not modified.
+    label per row, each -1 or +1, and C and tol must be positive and
+    finite; anything else raises ValueError. K and y are not modified.
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
-    check_box(C)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    check_real("C", C, "(0, inf)")
+    check_real("tol", tol, "(0, inf)")
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"K must be a square matrix, got shape {K.shape}")
     n = K.shape[0]
@@ -393,10 +386,7 @@ class TwoStageModel(SvmModel):
         if not np.array_equal(rows, np.arange(rows.size)):
             raise ValueError(f"kept_idx and removed_idx must list each of the "
                              f"{rows.size} training rows once between them")
-        try:
-            GemConfig(alpha=self.alpha_level)
-        except ValueError as exc:  # GemConfig calls it alpha, here the SVM duals' name
-            raise ValueError(str(exc).replace("alpha", "alpha_level", 1)) from None
+        check_reals(self, alpha_level="(0, 1)")
         check_detector(self.theta, self.k, len(self.x), "survivors x")
 
     def anomaly_scores(self, xs: np.ndarray) -> np.ndarray:

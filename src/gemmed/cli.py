@@ -235,7 +235,6 @@ def cmd_sweep(args) -> int:
                 for m in METHODS}
     coverage = config.get("coverage")
     if coverage is not None:  # run_cell sets it as each cell's target_coverage
-        coverage = json_number(coverage, "sweep config key 'coverage'")
         try:
             dataclasses.replace(gem_config, target_coverage=coverage)
         except ValueError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,35 @@ def check_integers(config, **minimums) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, interval: str) -> float:
+    """value as a float, refused unless it is a real number a float holds
+    inside the interval, written as the message prints it: '(0, 1]', '[0, inf)'.
+
+    A bool, None, a string or an int beyond float range is not such a
+    number, and NaN lies in no interval.
+    """
+    lo, hi = map(float, interval[1:-1].split(", "))
+    x, too_large = math.nan, False
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond about 1.8e308
+            too_large = True
+    inside = ((lo < x if interval[0] == "(" else lo <= x)
+              and (x < hi if interval[-1] == ")" else x <= hi))
+    if not inside:
+        shown = "an integer too large for a float" if too_large else repr(value)
+        raise ValueError(f"{name} must lie in {interval}, got {shown}")
+    return x
+
+
+def check_reals(config, **intervals) -> None:
+    """check_real on each named field of config, which then holds the float,
+    so that an int field (from JSON, say) computes as a float does."""
+    for name, interval in intervals.items():
+        object.__setattr__(config, name, check_real(name, getattr(config, name), interval))
 
 
 def check_rows(model, *names) -> None:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import trainer
-from .baselines import check_box, train_svm, train_two_stage
+from .baselines import train_svm, train_two_stage
+from .dataset import check_reals
 from .gem import GemConfig
 from .kernels import KernelSpec, resolve_kernel
 from .metrics import auc, detection_accuracy, misclassification_error, precision_recall_curve
@@ -46,11 +47,10 @@ class MethodSettings:
     hyper: HyperParams = field(default_factory=HyperParams)
 
     def __post_init__(self):
-        check_box(self.C)
+        check_reals(self, C="(0, inf)")
         # build the kernel now so that bad values fail before any cell runs;
         # an 'auto' width is resolved on each cell's data, so check it as 1
-        resolve_kernel(self.kernel, 1.0 if self.gamma == "auto" else self.gamma,
-                       jitter=self.jitter)
+        KernelSpec(self.kernel, 1.0 if self.gamma == "auto" else self.gamma, self.jitter)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .dataset import CLASSES, LabeledDataset, check_integers, class_index
+from .dataset import CLASSES, LabeledDataset, check_integers, check_real, check_reals, \
+    class_index
 
 
 @dataclass(frozen=True)
@@ -57,26 +58,16 @@ class GemConfig:
 
     def __post_init__(self):
         check_integers(self, k=1, seed=0)
-        if not 0 < self.partition_ratio < 1:
-            raise ValueError("partition_ratio must lie in (0, 1), "
-                             f"got {self.partition_ratio!r}")
-        if not 0 < self.target_coverage <= 1:
-            raise ValueError("target_coverage must lie in (0, 1], "
-                             f"got {self.target_coverage!r}")
-        if not 0 < self.epsilon_gamma < np.inf:
-            raise ValueError("epsilon_gamma must be positive and finite, "
-                             f"got {self.epsilon_gamma!r}")
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        check_reals(self, partition_ratio="(0, 1)", target_coverage="(0, 1]",
+                    epsilon_gamma="(0, inf)", alpha="(0, 1)")
 
 
 def check_detector(theta: float, k: int, references: int, what: str, **levels) -> None:
     """Refuse a k-NN detector unless k and its levels (alpha, target_coverage)
-    pass GemConfig's checks, theta is at least 0, and its reference set,
+    pass GemConfig's checks, theta lies in [0, inf), and its reference set,
     references points named what, holds at least k."""
     GemConfig(k=k, **levels)
-    if not theta >= 0:
-        raise ValueError(f"theta must be at least 0, got {theta!r}")
+    check_real("theta", theta, "[0, inf)")
     if references < k:
         raise ValueError(f"k={k} exceeds the {references} point(s) of the {what}")
 
@@ -172,7 +163,7 @@ def loo_threshold(points: np.ndarray, k: int, alpha: float) -> float:
     Each point is scored against the remaining points (see loo_scores);
     the quantile is linearly interpolated. Needs at least k + 1 points.
     """
-    GemConfig(alpha=alpha)  # refuses an alpha outside (0, 1)
+    check_real("alpha", alpha, "(0, 1)")
     return float(np.quantile(loo_scores(points, k), 1.0 - alpha, method="linear"))
 
 

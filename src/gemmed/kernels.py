@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
+from .dataset import check_reals
 from .errors import NumericsError
 
 KERNEL_KINDS = ("linear", "rbf")
@@ -25,9 +26,9 @@ SCORE_BLOCK = 1 << 16
 class KernelSpec:
     """Kernel family plus its parameters.
 
-    gamma is required (and must be positive and finite) for ``rbf``; it
-    is ignored for ``linear``. jitter is added to the Gram diagonal
-    before factorization to keep the Cholesky well posed.
+    gamma is required for ``rbf`` and ignored for ``linear``; a gamma that
+    is set must be a positive number for either kind. jitter is added to
+    the Gram diagonal before factorization to keep the Cholesky well posed.
     """
 
     kind: str
@@ -37,12 +38,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf" and (self.gamma is None or not 0 < self.gamma < np.inf):
-            raise ValueError("rbf kernel requires gamma > 0 and finite, "
-                             f"got {self.gamma!r}")
-        if not 0 <= self.jitter < np.inf:
-            raise ValueError("jitter must be nonnegative and finite, "
-                             f"got {self.jitter!r}")
+        if self.kind == "rbf" or self.gamma is not None:
+            check_reals(self, gamma="(0, inf)")
+        check_reals(self, jitter="[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -165,18 +163,11 @@ def resolve_kernel(kind: str, gamma, xs: np.ndarray | None = None,
                    jitter: float = KernelSpec.jitter) -> KernelSpec:
     """Build a KernelSpec, resolving an rbf gamma='auto' via the median
     heuristic; any other kind goes without a width, and KernelSpec refuses
-    a kind it does not know."""
+    a kind or a width it does not accept."""
     if kind != "rbf":
         return KernelSpec(kind=kind, gamma=None, jitter=jitter)
-    if isinstance(gamma, str):
-        if gamma != "auto":
-            raise ValueError(f"gamma must be a positive number or 'auto', got {gamma!r}")
+    if gamma == "auto":
         if xs is None:
             raise ValueError("gamma='auto' needs data points to resolve against")
         gamma = median_heuristic_gamma(xs)
-    try:
-        gamma = float(gamma)
-    except TypeError:
-        raise ValueError(f"gamma must be a positive number or 'auto', "
-                         f"got {gamma!r}") from None
     return KernelSpec(kind="rbf", gamma=gamma, jitter=jitter)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import LabeledDataset, check_integers, check_rows, class_index
+from .dataset import LabeledDataset, check_integers, check_reals, check_rows, class_index
 from .gem import check_detector
 from .kernels import GramMatrix, KernelSpec
 
@@ -61,16 +61,11 @@ class HyperParams:
 
     def __post_init__(self):
         check_integers(self, steps=0, gibbs_sweeps=1, burn_in=0, seed=0)
-        if not 0 < self.c < np.inf:
-            raise ValueError(f"c must be positive and finite, got {self.c!r}")
-        if not 0 < self.lambda_cap < self.c:
-            raise ValueError(f"lambda_cap must lie strictly between 0 and c={self.c!r}, "
-                             f"got {self.lambda_cap!r}")
-        if self.p0 is not None and not 0 < self.p0 < 1:
-            raise ValueError(f"p0 must lie in (0, 1), got {self.p0!r}")
-        for name in RATE_RANGES:
-            if not 0 < (rate := getattr(self, name)) < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {rate!r}")
+        check_reals(self, c="(0, inf)")
+        check_reals(self, lambda_cap=f"(0, {self.c!r})", rate_lambda="(0, inf)",
+                    rate_mu="(0, inf)", rate_kappa="(0, inf)")
+        if self.p0 is not None:
+            check_reals(self, p0="(0, 1)")
         if not self.burn_in < self.gibbs_sweeps:
             raise ValueError(f"need 0 <= burn_in < gibbs_sweeps, got {self.burn_in} and "
                              f"{self.gibbs_sweeps}: the sampler averages at least one sweep")

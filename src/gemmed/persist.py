@@ -70,11 +70,10 @@ def json_whole(value, what: str, minimum: int | None = None) -> int:
 def json_fields(value, name: str, base, refused=(), nouns=("field", "field")):
     """The object value read onto base, a dataclass instance whose other fields it
     keeps or a dataclass whose every field it sets (KeyError 'name.field' names
-    one it lacks); keys in refused are unknown. An int field holds a whole number;
-    a float field a number, null if its type admits None, or 'auto' if it admits
-    str; a dataclass field an object read alike. Errors name the object as
-    nouns[0] 'name', also before the dataclass's own, and a key as nouns[1]
-    'name.key'."""
+    one it lacks); keys in refused are unknown. An int field holds a whole number
+    and a dataclass field an object read alike; the dataclass checks every other
+    value itself. Errors name the object as nouns[0] 'name', also before the
+    dataclass's own, and a key as nouns[1] 'name.key'."""
     cls = base if isinstance(base, type) else type(base)
     section = dict(json_object(value, f"{nouns[0]} '{name}'",
                                [f.name for f in fields(cls) if f.name not in refused]))
@@ -88,9 +87,6 @@ def json_fields(value, name: str, base, refused=(), nouns=("field", "field")):
             section[f.name] = json_fields(v, key, inner, refused, nouns)
         elif f.type == "int":
             section[f.name] = json_whole(v, f"{nouns[1]} '{key}'")
-        elif f.type.startswith("float") and not (
-                v is None and "None" in f.type or v == "auto" and "str" in f.type):
-            section[f.name] = json_number(v, f"{nouns[1]} '{key}'")
     try:
         return cls(**section) if base is cls else replace(base, **section)
     except ValueError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledDataset, check_integers
+from .dataset import LabeledDataset, check_integers, check_reals
 
 MEANS = {-1: np.array([3.0, 3.0]), 1: np.array([-3.0, -3.0])}
 COV = np.array([[20.0, 16.0], [16.0, 20.0]])
@@ -42,15 +42,12 @@ class RingExperimentConfig:
         for name in ("n_train_per_class", "n_test_per_class"):
             if getattr(self, name) > MAX_ROWS_PER_CLASS:
                 raise ValueError(f"{name} must be at most {MAX_ROWS_PER_CLASS}")
-        if not 0 < self.R < np.inf:
-            raise ValueError(f"R must be positive and finite, got {self.R!r}")
+        check_reals(self, R="(0, inf)", r_a="[0, 1)")
         with np.errstate(over="ignore"):  # sample_ring squares the radii
             outer_squared = np.square(np.float64(self.R) + 1.0)
         if not np.isfinite(outer_squared):
             raise ValueError("R must be at most about 1.34e154, so that "
                              f"(R + 1)**2 is finite, got {self.R!r}")
-        if not 0 <= self.r_a < 1:
-            raise ValueError(f"r_a must lie in [0, 1), got {self.r_a!r}")
 
 
 def sample_ring(rng: np.random.Generator, n: int, R: float) -> np.ndarray:

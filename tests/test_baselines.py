@@ -132,10 +132,11 @@ def test_kkt_residuals_at_solution():
 
 def test_solver_input_validation():
     for C in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="^C must be positive"):
+        with pytest.raises(ValueError, match=r"^C must lie in \(0, inf\)"):
             solve_svm_dual(np.eye(2), np.array([1.0, -1.0]), C=C)
-    for tol in (0.0, -1e-3, np.nan):
-        with pytest.raises(ValueError, match="tol"):
+    # an infinite tol would pass the all-zero start as converged
+    for tol in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"^tol must lie in \(0, inf\)"):
             solve_svm_dual(np.eye(2), np.array([1.0, -1.0]), C=1.0, tol=tol)
     with pytest.raises(ValueError, match="both classes"):
         train_svm(LabeledDataset(np.zeros((2, 1)), np.array([1, 1])),
@@ -501,8 +502,8 @@ def _svm_fields():
 # (JSON key, value, message). solve_svm_dual refuses such a C and returns
 # alpha = C * clip(u / h, 0, 1), or a free-set solve clipped into [0, C].
 @pytest.mark.parametrize("key,bad,message", [
-    pytest.param("C", 0.0, "C must be positive and finite, got 0.0", id="C-zero"),
-    pytest.param("C", -1.0, "C must be positive and finite, got -1.0", id="C-negative"),
+    pytest.param("C", 0.0, "C must lie in (0, inf), got 0.0", id="C-zero"),
+    pytest.param("C", -1.0, "C must lie in (0, inf), got -1.0", id="C-negative"),
     pytest.param("C", 0.75, "alpha must lie in [0, C], C = 0.75", id="C-below-alpha"),
     pytest.param("alpha", [0.5, 1.5], "alpha must lie in [0, C], C = 1.0", id="alpha-above-C"),
     pytest.param("alpha", [-0.5, 1.0], "alpha must lie in [0, C], C = 1.0",
@@ -524,7 +525,7 @@ def test_svm_refuses_what_the_solver_cannot_produce(tmp_path, key, bad, message)
                  id="alpha_level-above-1"),
     pytest.param("alpha_level", 0.0, "alpha_level must lie in (0, 1), got 0.0",
                  id="alpha_level-zero"),
-    pytest.param("theta", -1.0, "theta must be at least 0, got -1.0", id="theta-negative"),
+    pytest.param("theta", -1.0, "theta must lie in [0, inf), got -1.0", id="theta-negative"),
     pytest.param("k", 0, "k must be at least 1, got 0", id="k-zero"),
     pytest.param("k", 3, "k=3 exceeds the 2 point(s) of the survivors x",
                  id="k-above-survivors"),
@@ -534,7 +535,7 @@ def test_svm_refuses_what_the_solver_cannot_produce(tmp_path, key, bad, message)
                  "training rows once between them", id="kept_idx-overlaps-removed_idx"),
     pytest.param("removed_idx", [3], "kept_idx and removed_idx must list each of the 3 "
                  "training rows once between them", id="removed_idx-leaves-a-gap"),
-    pytest.param("C", -1.0, "C must be positive and finite, got -1.0", id="C-negative"),
+    pytest.param("C", -1.0, "C must lie in (0, inf), got -1.0", id="C-negative"),
 ])
 def test_two_stage_refuses_what_training_cannot_produce(tmp_path, key, bad, message):
     model = TwoStageModel(**_svm_fields(), kept_idx=np.array([0, 2]),

@@ -444,12 +444,17 @@ def test_unstable_rates_warn_in_train_only(workdir, tmp_path, capsys):
 
 # one refused value per setting flag: each reaches the rule that checks it
 @pytest.mark.parametrize("flag,value,needle", [
-    ("--rates", "inf,2e-2,2e-2", "rate_lambda must be positive and finite, got inf"),
-    ("--jitter", "nan", "jitter must be nonnegative and finite, got nan"),
-    ("--gamma", "inf", "rbf kernel requires gamma > 0 and finite, got inf"),
+    # explicit ids, so that a change of needle renames no test
+    pytest.param("--rates", "inf,2e-2,2e-2", "rate_lambda must lie in (0, inf), got inf",
+                 id="--rates-inf,2e-2,2e-2-rate_lambda must be positive and finite, got inf"),
+    pytest.param("--jitter", "nan", "jitter must lie in [0, inf), got nan",
+                 id="--jitter-nan-jitter must be nonnegative and finite, got nan"),
+    pytest.param("--gamma", "inf", "gamma must lie in (0, inf), got inf",
+                 id="--gamma-inf-rbf kernel requires gamma > 0 and finite, got inf"),
     ("--seed", "-1", "seed must be at least 0, got -1"),
     # with c = inf the margin-slack term would drop out of the dual
-    ("--c", "inf", "c must be positive and finite, got inf"),
+    pytest.param("--c", "inf", "c must lie in (0, inf), got inf",
+                 id="--c-inf-c must be positive and finite, got inf"),
     ("--gamma", "wide", "argument --gamma: invalid number_or_auto value: 'wide'"),
     ("--rates", "1e-3,2e-2", "--rates expects 3 comma-separated values"),
     # the prior is --p0, else the coverage rule; --a-eta is gone
@@ -465,7 +470,8 @@ def test_train_refuses_non_finite_rates_and_jitter(workdir, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv,needle", [
-    (["--R", "nan", "--ra", "0"], "R must be positive and finite, got nan"),
+    pytest.param(["--R", "nan", "--ra", "0"], "R must lie in (0, inf), got nan",
+                 id="argv0-R must be positive and finite, got nan"),
     pytest.param(["--R", "55", "--ra", "0.2", "--seed", "-2"],
                  "seed must be at least 0, got -2", id="seed-negative"),
     # NumPy cannot size the arrays; a count below the limit would be allocated
@@ -682,26 +688,28 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
                  id="gemmed-C-unknown"),
     # kernel values of a section whose method the sweep does not run
     pytest.param({"gemmed": {"jitter": float("nan"), "gamma": -1}},
-                 "rbf kernel requires gamma > 0", id="gemmed-gamma-negative-not-run"),
+                 "section 'gemmed': gamma must lie in (0, inf), got -1",
+                 id="gemmed-gamma-negative-not-run"),
     pytest.param({"gemmed": {"jitter": float("nan")}},
-                 "jitter must be nonnegative and finite, got nan", id="gemmed-jitter-nan-not-run"),
-    pytest.param({"two-stage": {"kernel": "rbf", "gamma": None}}, "gamma must be a positive "
-                 "number or 'auto', got None", id="two-stage-gamma-null-not-run"),
+                 "section 'gemmed': jitter must lie in [0, inf), got nan",
+                 id="gemmed-jitter-nan-not-run"),
+    pytest.param({"two-stage": {"kernel": "rbf", "gamma": None}}, "section 'two-stage': "
+                 "gamma must lie in (0, inf), got None", id="two-stage-gamma-null-not-run"),
     # the coverage every cell sets as its target_coverage
     pytest.param({"coverage": 1.5}, "key 'coverage': target_coverage must lie in (0, 1], "
                  "got 1.5", id="coverage-above-one"),
     # a value the section's dataclass refuses names the section
     pytest.param({"methods": ["two-stage"], "svm": {"C": -1}},
-                 "section 'svm': C must be positive and finite, got -1.0", id="svm-C-negative"),
+                 "section 'svm': C must lie in (0, inf), got -1", id="svm-C-negative"),
     pytest.param({"two-stage": {"C": float("inf")}},
-                 "section 'two-stage': C must be positive and finite, got inf",
+                 "section 'two-stage': C must lie in (0, inf), got inf",
                  id="two-stage-C-infinite"),
     pytest.param({"gemmed": {"hyper": {"c": None}}},
-                 "key 'gemmed.hyper.c' expects a number, got None",
+                 "section 'gemmed.hyper': c must lie in (0, inf), got None",
                  id="gemmed-hyper-c-null"),
     # the cap is a number: null does not mean a default
     pytest.param({"gemmed": {"hyper": {"lambda_cap": None}}},
-                 "key 'gemmed.hyper.lambda_cap' expects a number, got None",
+                 "section 'gemmed.hyper': lambda_cap must lie in (0, 10.0), got None",
                  id="gemmed-hyper-lambda_cap-null"),
     pytest.param({"R": ["55"]}, "key 'R' expects a number, got '55'",
                  id="grid-R-not-a-number"),
@@ -712,7 +720,7 @@ def test_sweep_honors_method_sections(tmp_path, capsys):
     # a hyper section overrides the joint model's lambda_cap of 0.4 only
     # where it sets it, so a c at or below 0.4 needs its own cap
     pytest.param({"gemmed": {"hyper": {"c": 0.3}}},
-                 "lambda_cap must lie strictly between 0 and c=0.3, got 0.4",
+                 "lambda_cap must lie in (0, 0.3), got 0.4",
                  id="gemmed-hyper-c-below-default-cap"),
     # every cell's data and detection counts are checked before any cell
     pytest.param({"ra": [0.2, 1.5]}, "r_a must lie in [0, 1), got 1.5",

@@ -1,4 +1,5 @@
 import csv
+import re
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemmed import dataset
-from gemmed.dataset import CLASSES, LabeledDataset, class_index, \
+from gemmed.dataset import CLASSES, LabeledDataset, check_real, class_index, \
     feature_columns, read_csv, write_csv
 
 
@@ -18,6 +19,47 @@ def test_class_index_slots():
         slots = class_index(np.array(labels))
         assert slots.dtype.kind == "i" and slots.tolist() == [1, 0, 0, 1]
     assert class_index(np.array([], dtype=int)).shape == (0,)
+
+
+# check_real: each end is tested at exactly the endpoint, open or closed
+@pytest.mark.parametrize("value,interval,accepted", [
+    pytest.param(0.0, "(0, 1]", False, id="open-low-end"),
+    pytest.param(5e-324, "(0, 1]", True, id="just-inside-open-low-end"),
+    pytest.param(1.0, "(0, 1]", True, id="closed-high-end"),
+    pytest.param(0.0, "[0, 1)", True, id="closed-low-end"),
+    pytest.param(-5e-324, "[0, 1)", False, id="just-outside-closed-low-end"),
+    pytest.param(1.0, "[0, 1)", False, id="open-high-end"),
+    pytest.param(np.nextafter(1.0, 2.0), "[0, 1]", False, id="just-outside-closed-high-end"),
+    pytest.param(1.7976931348623157e308, "(0, inf)", True, id="largest-float"),
+    pytest.param(np.inf, "(0, inf)", False, id="inf"),
+    pytest.param(np.inf, "[0, 1]", False, id="inf-above-closed-end"),
+    pytest.param(-np.inf, "[0, inf)", False, id="minus-inf"),
+    pytest.param(np.nan, "[0, inf)", False, id="nan"),
+    # a NumPy scalar is a number, except a NumPy bool
+    pytest.param(np.float64(0.5), "(0, 1)", True, id="np-float64"),
+    pytest.param(np.int64(3), "(0, inf)", True, id="np-int64"),
+    pytest.param(np.True_, "(0, inf)", False, id="np-bool"),
+    pytest.param(np.array(0.5), "(0, 1)", False, id="np-0d-array"),
+    pytest.param(True, "(0, inf)", False, id="bool-true"),
+    pytest.param(False, "[0, 1)", False, id="bool-false"),
+    # an int is a number while a float holds it
+    pytest.param(3, "(0, inf)", True, id="int"),
+    pytest.param(10**308, "(0, inf)", True, id="int-1e308"),
+    pytest.param(10**400, "(0, inf)", False, id="int-beyond-float"),
+    pytest.param(None, "(0, inf)", False, id="None"),
+    pytest.param("1", "(0, inf)", False, id="string"),
+    pytest.param([1.0], "(0, inf)", False, id="list"),
+])
+def test_check_real(value, interval, accepted):
+    if accepted:  # and held as a float, whatever number type it came as
+        x = check_real("width", value, interval)
+        assert type(x) is float and x == float(value)
+    else:
+        too_large = type(value) is int and value == 10**400
+        shown = "an integer too large for a float" if too_large else repr(value)
+        with pytest.raises(ValueError, match=re.escape(
+                f"width must lie in {interval}, got {shown}") + "$"):
+            check_real("width", value, interval)
 
 
 def test_basic_construction():

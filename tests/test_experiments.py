@@ -45,7 +45,7 @@ def test_readme_library_use_is_the_flagless_cli_train(tmp_path, monkeypatch, cap
 
 
 def test_method_settings_refuse_a_bad_C_or_kernel():
-    with pytest.raises(ValueError, match=r"C must be positive and finite, got 0$"):
+    with pytest.raises(ValueError, match=r"C must lie in \(0, inf\), got 0$"):
         MethodSettings(C=0)
     with pytest.raises(ValueError, match="unknown kernel kind 'poly'"):
         MethodSettings(kernel="poly")

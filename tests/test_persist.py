@@ -367,21 +367,35 @@ def test_model_file_bytes(tmp_path, kind):
     ("gemmed", "x", [["-1"], [2.0]], "must hold only numbers"),
     *(("svm", "x", bad, "must be a matrix with at least one row and one column")
       for bad in ([-1.0, 2.0], [], [[], []], [[[-1.0]], [[2.0]]], 1.0)),
-    # the kernel and hyper objects, read by the sweep's section rules
-    ("gemmed", "kernel.gamma", True, "expects a number, got True"),
-    ("gemmed", "kernel.gamma", "0.1", "expects a number, got '0.1'"),
-    # KernelSpec refuses an rbf kernel without a width, naming the object
+    # the kernel and hyper objects, whose dataclasses refuse a non-number
+    # naming the object; explicit ids, so that a change of needle renames no test
+    pytest.param("gemmed", "kernel.gamma", True,
+                 "field 'kernel': gamma must lie in (0, inf), got True",
+                 id="gemmed-kernel.gamma-True-expects a number, got True"),
+    pytest.param("gemmed", "kernel.gamma", "0.1",
+                 "field 'kernel': gamma must lie in (0, inf), got '0.1'",
+                 id="gemmed-kernel.gamma-0.1-expects a number, got '0.1'"),
+    # KernelSpec refuses an rbf kernel without a width
     pytest.param("gemmed", "kernel.gamma", None,
-                 "field 'kernel': rbf kernel requires gamma > 0 and finite, got None",
+                 "field 'kernel': gamma must lie in (0, inf), got None",
                  id="gemmed-kernel.gamma-None-expects a number, got None"),
-    ("svm", "kernel.gamma", True, "expects a number, got True"),  # linear
-    ("two_stage", "kernel.jitter", None, "expects a number, got None"),
-    ("gemmed", "hyper.c", True, "expects a number, got True"),
-    ("gemmed", "hyper.c", "abc", "expects a number, got 'abc'"),
+    pytest.param("svm", "kernel.gamma", True,  # a linear kernel's width, when set
+                 "field 'kernel': gamma must lie in (0, inf), got True",
+                 id="svm-kernel.gamma-True-expects a number, got True"),
+    pytest.param("two_stage", "kernel.jitter", None,
+                 "field 'kernel': jitter must lie in [0, inf), got None",
+                 id="two_stage-kernel.jitter-None-expects a number, got None"),
+    pytest.param("gemmed", "hyper.c", True, "field 'hyper': c must lie in (0, inf), got True",
+                 id="gemmed-hyper.c-True-expects a number, got True"),
+    pytest.param("gemmed", "hyper.c", "abc", "field 'hyper': c must lie in (0, inf), got 'abc'",
+                 id="gemmed-hyper.c-abc-expects a number, got 'abc'"),
     pytest.param("gemmed", "hyper.c", 10**400,
-                 "expects a number, got an integer too large for a float",
+                 "field 'hyper': c must lie in (0, inf), got an integer too large "
+                 "for a float",
                  id="gemmed-hyper.c-10**400-expects a number"),
-    ("gemmed", "hyper.rate_mu", True, "expects a number, got True"),
+    pytest.param("gemmed", "hyper.rate_mu", True,
+                 "field 'hyper': rate_mu must lie in (0, inf), got True",
+                 id="gemmed-hyper.rate_mu-True-expects a number, got True"),
     *(("gemmed", "hyper", bad, "must be an object") for bad in (False, 0, [])),
     ("gemmed", "gamma_hat", [0.1, 0.2], "must be an object"),
     ("gemmed", "beta_hat", 0.5, "must be an object"),
@@ -413,7 +427,8 @@ def test_model_file_bytes(tmp_path, kind):
                  "must list whole numbers that fit a 64-bit integer",
                  id="two_stage-removed_idx-integer-beyond-int64"),
     # the cap is a number: null does not mean a default
-    pytest.param("gemmed", "hyper.lambda_cap", None, "expects a number, got None",
+    pytest.param("gemmed", "hyper.lambda_cap", None,
+                 "field 'hyper': lambda_cap must lie in (0, 10.0), got None",
                  id="gemmed-hyper.lambda_cap-null"),
 ])
 def test_load_refuses_a_field_of_the_wrong_form(tmp_path, kind, key, bad, needle):
@@ -451,7 +466,7 @@ def test_a_model_file_holds_exactly_its_kinds_keys(tmp_path, kind):
 # Where a sweep config and a model file set each float field of the
 # dataclasses read from JSON: sweep config keys, and (model kind, key) pairs.
 # A float field missing here fails the test below, so none can be added
-# without both readers refusing a non-number for it.
+# without its constructor and both readers refusing a non-number for it.
 _FLOAT_FIELD_KEYS = {
     (KernelSpec, "gamma"): (("gemmed.gamma",), (("gemmed", "kernel.gamma"),
                                                 ("svm", "kernel.gamma"))),
@@ -469,16 +484,30 @@ _FLOAT_FIELD_KEYS = {
                                             ("two_stage", "alpha_level"))),
     **{(HyperParams, name): ((f"gemmed.hyper.{name}",), (("gemmed", f"hyper.{name}"),))
        for name in ("c", "lambda_cap", "p0", "rate_lambda", "rate_mu", "rate_kappa")},
+    # a sweep reads R and ra as grid lists (test_cli's table), and no model saves them
+    (RingExperimentConfig, "R"): ((), ()),
+    (RingExperimentConfig, "r_a"): ((), ()),
 }
+# A valid instance of each class, which the constructor path changes one field of.
+_FLOAT_FIELD_BASES = {KernelSpec: KernelSpec("rbf", 0.1), HyperParams: HyperParams(),
+                      GemConfig: GemConfig(), MethodSettings: MethodSettings(),
+                      RingExperimentConfig: RingExperimentConfig(R=40.0, r_a=0.2)}
 
 
-@pytest.mark.parametrize("cls", [KernelSpec, HyperParams, GemConfig, MethodSettings],
-                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", list(_FLOAT_FIELD_BASES), ids=lambda cls: cls.__name__)
 def test_every_float_field_refuses_a_non_number_on_both_paths(tmp_path, capsys, cls):
-    floats = [f.name for f in dataclasses.fields(cls) if "float" in str(f.type)]
-    assert floats == [name for c, name in _FLOAT_FIELD_KEYS if c is cls]
-    for name, bad in itertools.product(floats, (True, "1")):
-        sweep_keys, model_keys = _FLOAT_FIELD_KEYS[cls, name]
+    # both JSON readers, and the constructor they call
+    floats = [f for f in dataclasses.fields(cls) if "float" in str(f.type)]
+    assert [f.name for f in floats] == [name for c, name in _FLOAT_FIELD_KEYS if c is cls]
+    for f, bad in itertools.product(floats, (True, "1", 10**400, None)):
+        if bad is None and "None" in f.type:  # None means unset there
+            continue
+        shown = "an integer too large for a float" if bad == 10**400 else repr(bad)
+        refusal = f"{f.name} must lie in .*, got {re.escape(shown)}"
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            dataclasses.replace(_FLOAT_FIELD_BASES[cls], **{f.name: bad})
+        # the readers' nulls are in the tables, as a sweep's null coverage means unset
+        sweep_keys, model_keys = ((), ()) if bad is None else _FLOAT_FIELD_KEYS[cls, f.name]
         for key in sweep_keys:
             config = _put({"R": [40.0], "ra": [0.2], "seeds": [1], "methods": ["svm"]},
                           key, bad)
@@ -486,15 +515,31 @@ def test_every_float_field_refuses_a_non_number_on_both_paths(tmp_path, capsys, 
             path.write_text(json.dumps(config))
             out = tmp_path / "sweep.csv"
             assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
-            assert (f"sweep config key '{key}' expects a number, got {bad!r}"
-                    in capsys.readouterr().err)
+            where = (f"key '{key}'" if "." not in key
+                     else f"section '{key.rpartition('.')[0]}'")
+            assert re.search(f"sweep config {re.escape(where)}: {refusal}\n",
+                             capsys.readouterr().err)
             assert not out.exists()
         for kind, key in model_keys:
             path = tmp_path / "model.json"
             path.write_text(json.dumps(_put(json.loads(_FILE_BYTES[kind]), key, bad)))
-            with pytest.raises(ValueError, match=re.escape(
-                    f"model.json: field '{key}' expects a number, got {bad!r}")):
+            # a settings object's dataclass refuses the value; a plain model
+            # field is a JSON number before its model checks its range
+            outer, _, inner = key.partition(".")
+            needle = (f"field '{outer}': {refusal}" if inner
+                      else f"field '{key}' expects a number, got {re.escape(shown)}")
+            with pytest.raises(ValueError, match=f"model.json: {needle}$"):
                 load_model(path)
+
+
+def test_a_json_int_in_a_settings_object_is_held_as_a_float(tmp_path):
+    # 10**20 lies beyond int64, so NumPy would not compute with it as an int
+    path = tmp_path / "model.json"
+    payload = _put(json.loads(_FILE_BYTES["gemmed"]), "hyper.c", 10**20)
+    path.write_text(json.dumps(_put(payload, "kernel.jitter", 0)))
+    model = load_model(path)
+    assert type(model.hyper.c) is float and model.hyper.c == 1e20
+    assert type(model.kernel.jitter) is float and model.kernel.jitter == 0.0
 
 
 # A value out of a settings dataclass's range, as a sweep config key and,
@@ -504,14 +549,14 @@ def test_every_float_field_refuses_a_non_number_on_both_paths(tmp_path, capsys, 
 @pytest.mark.parametrize("sweep_key,bad,refusal,model_key", [
     pytest.param("gemmed.hyper.steps", -1, "steps must be at least 0, got -1", "hyper.steps",
                  id="HyperParams-steps"),
-    pytest.param("gemmed.hyper.c", -1, "c must be positive and finite, got -1.0", "hyper.c",
+    pytest.param("gemmed.hyper.c", -1, "c must lie in (0, inf), got -1", "hyper.c",
                  id="HyperParams-c"),
     pytest.param("gem.k", 0, "k must be at least 1, got 0", None, id="GemConfig-k"),
-    pytest.param("gem.alpha", 2, "alpha must lie in (0, 1), got 2.0", None,
+    pytest.param("gem.alpha", 2, "alpha must lie in (0, 1), got 2", None,
                  id="GemConfig-alpha"),
-    pytest.param("gemmed.jitter", -1, "jitter must be nonnegative and finite, got -1.0",
+    pytest.param("gemmed.jitter", -1, "jitter must lie in [0, inf), got -1",
                  "kernel.jitter", id="KernelSpec-jitter"),
-    pytest.param("svm.C", 0, "C must be positive and finite, got 0.0", None,
+    pytest.param("svm.C", 0, "C must lie in (0, inf), got 0", None,
                  id="MethodSettings-C"),
 ])
 def test_every_settings_dataclass_names_its_object_on_a_range_refusal(
