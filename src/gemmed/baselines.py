@@ -19,7 +19,6 @@ survivors and calibrates a leave-one-out detection threshold on them.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,8 +225,8 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
     Returns (alpha, converged, trace) with one trace entry per Newton
     step, at most max_passes of them. converged means every sample
     satisfies its KKT condition within tol, tested on the true K (see
-    kkt_violation); otherwise a UserWarning is issued and the last
-    iterate is returned.
+    kkt_violation); otherwise the last iterate is returned with converged
+    False.
 
     K ~= G.T G is factored by pivoted Cholesky (_pivoted_cholesky), and
     Newton's method with an exact line search minimizes
@@ -343,13 +342,7 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
         if not polished_violation < violation:
             break
         alpha, violation = polished, polished_violation
-    converged = violation <= tol
-    if not converged:
-        warnings.warn(
-            f"SVM dual did not reach tol={tol:g} within {max_passes} Newton "
-            f"steps (KKT violation {violation:.3g}); returning the last iterate",
-            stacklevel=2)
-    return alpha, converged, trace
+    return alpha, violation <= tol, trace
 
 
 def train_svm(dataset: LabeledDataset, kernel: KernelSpec,

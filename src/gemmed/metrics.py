@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 
 def misclassification_error(predicted: np.ndarray, truth: np.ndarray) -> float:
     predicted = np.asarray(predicted)
@@ -60,7 +58,7 @@ def auc(curve: np.ndarray) -> float:
     if recall[0] > 0:
         precision = np.concatenate([[1.0], precision])
         recall = np.concatenate([[0.0], recall])
-    area = float(_trapezoid(precision, recall))
+    area = float(np.trapezoid(precision, recall))
     return float(np.clip(area, 0.0, 1.0))
 
 

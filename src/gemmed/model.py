@@ -25,9 +25,6 @@ from .dataset import LabeledDataset, check_integers, check_reals, check_rows, cl
 from .gem import check_detector
 from .kernels import GramMatrix, KernelSpec
 
-RATE_RANGES = {"rate_lambda": (1e-4, 1e-2), "rate_mu": (1e-3, 1e-1),
-               "rate_kappa": (1e-3, 1e-1)}
-
 
 @dataclass(frozen=True)
 class HyperParams:

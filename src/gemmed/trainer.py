@@ -25,7 +25,6 @@ nonnegative.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,8 +39,8 @@ from .gem import GemConfig, compute_gem_stats, knn_distance_sum, loo_threshold
 from .kernels import (GramMatrix, KernelSpec, compact_expansion,
                       finite_decisions, gram_matrix, kernel_cross,
                       query_blocks)
-from .model import (RATE_RANGES, DualProblem, DualState, HyperParams,
-                    TrainedModel, eta_logits, resolve_p0)
+from .model import (DualProblem, DualState, HyperParams, TrainedModel,
+                    eta_logits, resolve_p0)
 
 # sampler chains run in lockstep; at n=200, 4 and 5 chains tie on gradient
 # error per second of sampler time, and both beat 1 or 2 chains
@@ -284,15 +283,10 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
     With ``steps`` = 0 the duals stay at their initialization and one
     sampler pass still produces eta_hat. After the loop the mean-field
     dual estimate is evaluated once, at the final duals and eta_hat, and
-    the nominal support is {n : eta_hat_n > 1/2}; training fails if it
-    is empty or too small to calibrate the leave-one-out detection
-    threshold.
-    Each call warns once per ascent rate outside its stable range.
+    the nominal support is {n : eta_hat_n > 1/2}. Training fails if the
+    support is too small to calibrate the leave-one-out detection
+    threshold, or if the fitted classifier mislabels more than half of it.
     """
-    for name, (lo, hi) in RATE_RANGES.items():
-        if not lo <= (rate := getattr(hyper, name)) <= hi:
-            warnings.warn(f"{name}={rate:g} outside the stable range "
-                          f"[{lo:g}, {hi:g}]", stacklevel=2)
     if len(np.unique(dataset.y)) < 2:
         raise ValueError("training data must contain both classes")
     gram = gram_matrix(kernel, dataset.x)
@@ -316,19 +310,15 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
     estimate = mean_field_dual_estimate(state, problem, eta_hat)
 
     nominal = np.flatnonzero(eta_hat > 0.5)
-    if nominal.size == 0:
-        raise TrainingFailure(
-            "no sample ended with eta_hat > 1/2; mean eta_hat="
-            f"{float(eta_hat.mean()):.3f}, mu={state.mu}, check coverage/p0"
-        )
     if nominal.size < gem_config.k + 1:
         raise TrainingFailure(
             f"nominal support has {nominal.size} point(s); need at least "
-            f"k+1={gem_config.k + 1} to calibrate the detection threshold"
+            f"k+1={gem_config.k + 1} with eta_hat > 1/2 to calibrate the detection "
+            f"threshold; mean eta_hat={float(eta_hat.mean()):.3f}, check coverage/p0"
         )
     theta = loo_threshold(dataset.x[nominal], gem_config.k, gem_config.alpha)
 
-    return TrainedModel(
+    model = TrainedModel(
         kernel=kernel,
         x=dataset.x.copy(),
         y=dataset.y.copy(),
@@ -343,6 +333,11 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
         dual_estimate=estimate,
         hyper=hyper,
     )
+    wrong = np.mean(predict(model, model.x[nominal]) != model.y[nominal])
+    if wrong > 0.5:
+        raise TrainingFailure(f"the classifier mislabels {wrong:.1%} of its own "
+                              "nominal support, worse than chance")
+    return model
 
 
 def decision_function(model: TrainedModel, xs: np.ndarray) -> np.ndarray:

@@ -429,11 +429,10 @@ def test_detect_requires_a_detector(workdir, baselines, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_unstable_rates_warn_in_train_only(workdir, tmp_path, capsys):
+def test_rates_reach_the_model_without_a_warning(workdir, tmp_path, capsys):
     model = tmp_path / "fast.json"
-    with pytest.warns(UserWarning, match="rate_lambda=0.05 outside"):
-        rc = main(["train", "--data", str(workdir / "train.csv"), *TRAIN_FLAGS,
-                   "--rates", "5e-2,2e-2,2e-2", "--model-out", str(model)])
+    rc = main(["train", "--data", str(workdir / "train.csv"), *TRAIN_FLAGS,
+               "--rates", "5e-2,2e-2,2e-2", "--model-out", str(model)])
     assert rc == 0
     assert load_model(model).hyper.rate_lambda == 0.05
     for command, data in (("predict", "test.csv"), ("detect", "train.csv")):
@@ -509,6 +508,34 @@ def test_train_failure_maps_to_exit_one(workdir, tmp_path, capsys):
                "--gibbs", "8,2", "--model-out", str(tmp_path / "m.json")])
     assert rc == 1
     assert "eta_hat" in capsys.readouterr().err
+
+
+def test_train_refuses_a_fit_that_mislabels_its_nominal_support(tmp_path, monkeypatch,
+                                                                 capsys):
+    # on the walkthrough cell the linear kernel's lam jumps between 0 and
+    # the cap each step, and at 201 steps the classifier ends inverted
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--R", "55", "--ra", "0.2", "--seed", "0"]) == 0
+    capsys.readouterr()
+    rc = main(["train", "--data", "train.csv", "--kernel", "linear",
+               "--steps", "201", "--seed", "0", "--model-out", "m.json"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: the classifier mislabels 96.4% of its own nominal support, "
+        "worse than chance\n")
+    assert not Path("m.json").exists()
+
+
+def test_train_reports_an_allocation_too_big_for_memory(workdir, tmp_path, capsys):
+    # the sampler's records would take 426 PiB, more than any address space
+    # holds, so NumPy refuses at once without allocating
+    out = tmp_path / "m.json"
+    rc = main(["train", "--data", str(workdir / "train.csv"), "--k", "3",
+               "--steps", "1", "--gibbs", "1e15,10", "--model-out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 426. PiB") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_train_fails_below_k_plus_one_nominal_points(workdir, tmp_path, capsys):

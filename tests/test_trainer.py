@@ -474,9 +474,20 @@ def test_training_failure_when_prior_rules_everything_out():
     train_set, _ = _small_cell()
     hyper = HyperParams(p0=1e-3, lambda_cap=1e-3, steps=0, gibbs_sweeps=8,
                         burn_in=2, seed=0)
-    with pytest.raises(TrainingFailure, match="eta_hat"):
+    with pytest.raises(TrainingFailure, match=r"nominal support has 0 point\(s\); "
+                       r"need at least k\+1=4 with eta_hat > 1/2 .* check coverage/p0"):
         trainer.train(train_set, KernelSpec("rbf", gamma=0.1),
                       GemConfig(k=3, seed=0), hyper)
+
+
+def test_training_failure_when_the_fit_mislabels_its_nominal_support():
+    # the README walkthrough's cell on a linear kernel: lam jumps between 0
+    # and the cap each step, and at 201 steps the classifier ends inverted
+    train_set, _ = generate(RingExperimentConfig(R=55.0, r_a=0.2, seed=0))
+    with pytest.raises(TrainingFailure, match=r"^the classifier mislabels 96\.4% of "
+                       "its own nominal support, worse than chance$"):
+        trainer.train(train_set, KernelSpec("linear"), GemConfig(),
+                      HyperParams(steps=201))
 
 
 def _toy_model(eta_hat, k=1, theta=2.0):
