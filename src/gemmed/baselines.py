@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledDataset, check_real, check_reals, check_rows
+from .dataset import (LabeledDataset, check_array, check_real, check_reals, check_rows,
+                      check_type)
 from .gem import (GemConfig, check_detector, compute_gem_stats, knn_distance_sum,
                   loo_threshold)
 from .kernels import (KernelSpec, compact_expansion, finite_decisions,
@@ -38,7 +39,8 @@ class SvmModel:
     kernel matrix (see kkt_violation), or None if not recorded.
 
     Construction refuses values ``train_svm`` cannot produce, such as alpha
-    outside [0, C]; y is stored as ints.
+    outside [0, C] or a negative kkt_violation, as ``persist.load_model``
+    does; y is kept as ints, converged as a bool, other numbers as floats.
     """
 
     kernel: KernelSpec
@@ -50,12 +52,17 @@ class SvmModel:
     kkt_violation: float | None = None
 
     def __post_init__(self):
-        check_rows(self, "y", "alpha")
+        check_type("kernel", self.kernel, KernelSpec, "a KernelSpec")
         data = LabeledDataset(self.x, self.y)
         self.x, self.y = data.x, data.y
+        check_rows(self, "alpha")
         check_reals(self, C="(0, inf)")
         if not ((self.alpha >= 0) & (self.alpha <= self.C)).all():
             raise ValueError(f"alpha must lie in [0, C], C = {self.C!r}")
+        self.converged = bool(check_type("converged", self.converged, (bool, np.bool_),
+                                         "true or false"))
+        if self.kkt_violation is not None:
+            check_reals(self, kkt_violation="[0, inf)")
 
     def decision_function(self, xs: np.ndarray) -> np.ndarray:
         """sum_j alpha_j y_j k(x, x_j) for each query row.
@@ -375,12 +382,14 @@ class TwoStageModel(SvmModel):
     def __post_init__(self):
         super().__post_init__()
         check_rows(self, "kept_idx")
+        self.removed_idx = check_array("removed_idx", self.removed_idx, (None,), "be a list")
         rows = np.sort(np.concatenate([self.kept_idx, self.removed_idx]))
         if not np.array_equal(rows, np.arange(rows.size)):
             raise ValueError(f"kept_idx and removed_idx must list each of the "
                              f"{rows.size} training rows once between them")
+        self.kept_idx, self.removed_idx = self.kept_idx.astype(int), self.removed_idx.astype(int)
         check_reals(self, alpha_level="(0, 1)")
-        check_detector(self.theta, self.k, len(self.x), "survivors x")
+        check_detector(self, len(self.x), "survivors x")
 
     def anomaly_scores(self, xs: np.ndarray) -> np.ndarray:
         """k-NN distance sum of each query row into the survivors x, all in

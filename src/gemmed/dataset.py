@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -33,13 +34,14 @@ def class_index(labels) -> np.ndarray:
 
 def check_integers(config, **minimums) -> None:
     """Refuse a config whose named fields are not integers of at least
-    their minimums; a bool is not an integer here."""
+    their minimums; a bool is not an integer here. The fields then hold ints."""
     for name, minimum in minimums.items():
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+        object.__setattr__(config, name, int(value))
 
 
 def check_real(name: str, value, interval: str) -> float:
@@ -71,11 +73,44 @@ def check_reals(config, **intervals) -> None:
         object.__setattr__(config, name, check_real(name, getattr(config, name), interval))
 
 
+def check_array(name: str, value, shape: tuple, what: str) -> np.ndarray:
+    """value as a float array, refused unless it holds only finite real
+    numbers in the given shape, where None is any length; a wrong shape is
+    refused as f"{name} must {what}". np.asarray would read True as 1 and
+    "0.1" as 0.1, so each element of a regular nested list is checked too."""
+    try:
+        if getattr(value, "dtype", np.dtype(float)).kind not in "iuf":
+            raise TypeError  # an array of bools, text or objects
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # text, ragged rows, huge ints
+        raise ValueError(f"{name} must hold only numbers") from None
+    elements = [] if isinstance(value, np.ndarray) else [value] if array.ndim == 0 else value
+    for _ in range(array.ndim - 1):
+        elements = chain.from_iterable(elements)
+    if not all(issubclass(t, Real) and not issubclass(t, bool) for t in set(map(type, elements))):
+        raise ValueError(f"{name} must hold only numbers")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    if array.ndim != len(shape) or not all(
+            want in (None, size) for size, want in zip(array.shape, shape)):
+        raise ValueError(f"{name} must {what}")
+    return array
+
+
 def check_rows(model, *names) -> None:
-    """Refuse a model whose named arrays do not hold one entry per row of its x."""
+    """check_array on each named field of model, which then holds the float
+    array, one entry per row of its x."""
     for name in names:
-        if np.shape(getattr(model, name)) != (len(model.x),):
-            raise ValueError(f"{name} must hold one entry per row of x")
+        object.__setattr__(model, name, check_array(
+            name, getattr(model, name), (len(model.x),), "hold one entry per row of x"))
+
+
+def check_type(name: str, value, types, what: str):
+    """value itself, refused unless it is an instance of types, which what
+    names: 'a KernelSpec'."""
+    if not isinstance(value, types):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 def _float_or_nan(text: str) -> float:
@@ -235,28 +270,21 @@ class LabeledDataset:
     anomaly: np.ndarray | None = None
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        y = np.asarray(self.y)
-        if x.ndim != 2 or x.shape[0] == 0:
-            raise ValueError("features must form a nonempty 2-D array")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("features must be finite")
-        if y.shape != (x.shape[0],):
-            raise ValueError(
-                f"label count {y.shape} does not match {x.shape[0]} feature rows"
-            )
-        yi = y.astype(int)
-        if not np.array_equal(yi, y) or not np.all((yi == -1) | (yi == 1)):
+        matrix = "be a matrix with at least one row and one column"
+        object.__setattr__(self, "x", check_array("x", self.x, (None, None), matrix))
+        if not self.x.size:
+            raise ValueError(f"x must {matrix}")
+        check_rows(self, "y")
+        if not np.isin(self.y, CLASSES).all():
             raise ValueError("labels must be -1 or +1")
         anomaly = self.anomaly
         if anomaly is not None:
             anomaly = np.asarray(anomaly)
-            if (anomaly.shape != (x.shape[0],)
+            if (anomaly.shape != (self.n,)
                     or not ((anomaly == 0) | (anomaly == 1)).all()):
                 raise ValueError("anomaly flags must be 0 or 1, one per row")
             anomaly = anomaly.astype(bool)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", yi)
+        object.__setattr__(self, "y", self.y.astype(int))
         object.__setattr__(self, "anomaly", anomaly)
 
     @property

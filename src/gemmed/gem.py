@@ -62,14 +62,17 @@ class GemConfig:
                     epsilon_gamma="(0, inf)", alpha="(0, 1)")
 
 
-def check_detector(theta: float, k: int, references: int, what: str, **levels) -> None:
-    """Refuse a k-NN detector unless k and its levels (alpha, target_coverage)
-    pass GemConfig's checks, theta lies in [0, inf), and its reference set,
-    references points named what, holds at least k."""
-    GemConfig(k=k, **levels)
-    check_real("theta", theta, "[0, inf)")
-    if references < k:
-        raise ValueError(f"k={k} exceeds the {references} point(s) of the {what}")
+def check_detector(model, references: int, what: str, *levels: str) -> None:
+    """Refuse a model's k-NN detector unless its k and its named levels
+    (alpha, target_coverage) pass GemConfig's checks, which the model then
+    holds, its theta lies in [0, inf), and its reference set, references
+    points named what, holds at least k."""
+    gem = GemConfig(k=model.k, **{name: getattr(model, name) for name in levels})
+    for name in ("k", *levels):
+        setattr(model, name, getattr(gem, name))
+    check_reals(model, theta="[0, inf)")
+    if references < model.k:
+        raise ValueError(f"k={model.k} exceeds the {references} point(s) of the {what}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import LabeledDataset, check_integers, check_reals, check_rows, class_index
+from .dataset import (CLASSES, LabeledDataset, check_array, check_integers, check_reals,
+                      check_rows, check_type, class_index)
 from .gem import check_detector
 from .kernels import GramMatrix, KernelSpec
 
@@ -153,7 +154,8 @@ class TrainedModel:
     final duals, or None if not recorded.
 
     Construction refuses values ``trainer.train`` cannot produce, such as
-    eta_hat outside [0, 1] or a negative theta; y is stored as ints.
+    eta_hat outside [0, 1], a negative theta or an infinite lam, as
+    ``persist.load_model`` does; y and k are kept as ints, other numbers as floats.
     """
 
     kernel: KernelSpec
@@ -171,15 +173,22 @@ class TrainedModel:
     hyper: HyperParams | None = None
 
     def __post_init__(self):
-        check_rows(self, "y", "lam", "eta_hat")
+        check_type("kernel", self.kernel, KernelSpec, "a KernelSpec")
         data = LabeledDataset(self.x, self.y)
         self.x, self.y = data.x, data.y
+        check_rows(self, "lam", "eta_hat")
+        for name in ("gamma_hat", "beta_hat"):
+            setattr(self, name, check_array(name, getattr(self, name), (len(CLASSES),),
+                                            "hold one entry per class"))
         if not (self.lam >= 0).all():
             raise ValueError("lam must be at least 0")
         if not ((self.eta_hat >= 0) & (self.eta_hat <= 1)).all():
             raise ValueError("eta_hat must lie in [0, 1]")
-        check_detector(self.theta, self.k, self.nominal_idx.size, "nominal support",
-                       alpha=self.alpha, target_coverage=self.target_coverage)
+        check_detector(self, self.nominal_idx.size, "nominal support", "alpha",
+                       "target_coverage")
+        if self.dual_estimate is not None:
+            check_reals(self, dual_estimate="(-inf, inf)")
+        check_type("hyper", self.hyper, (HyperParams, type(None)), "a HyperParams or None")
 
     @property
     def nominal_idx(self) -> np.ndarray:

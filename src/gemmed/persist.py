@@ -3,10 +3,12 @@
 All model kinds share an envelope with ``format_version`` and
 ``model_kind``; floats go through Python's repr-based JSON encoding,
 which round-trips float64 exactly, so reloaded models reproduce
-predictions bit for bit. Each kind's file is one table of (JSON key,
-model field, rule) rows, which ``save_model`` and ``load_model`` walk.
-A rule checks only the JSON form of its value; the model class checks
-ranges and row counts when ``load_model`` builds it.
+predictions bit for bit. After the envelope, a file holds its model's
+fields in the class's order, lam under the key ``lambda``. ``load_model``
+maps JSON structure only: a settings object to its dataclass, a per-class
+object to a list, whole numbers to ints. The model class then checks every
+value as it checks one built in code, and a refusal gives the same message
+after the file's path: ``model.json: lam must be finite``.
 The ``json_*`` readers serve sweep configs too: ``json_fields`` builds a
 settings object, nested ones included, and a refusal names it or its key.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, fields, is_dataclass, replace
-from itertools import chain
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -93,101 +95,41 @@ def json_fields(value, name: str, base, refused=(), nouns=("field", "field")):
         raise ValueError(f"{nouns[0]} '{name}': {exc}") from None
 
 
-def _floats(key: str, value) -> np.ndarray:
-    """value as a float array of JSON numbers, all finite: the rules' base.
+# Rules mapping a key's JSON structure to its field's form; an error names the
+# key. Every other key's value goes to the model as it is, which checks it.
 
-    np.array would read true as 1 and "0.1" as 0.1, so once the nesting
-    is known to be regular every element must be an int or a float.
-    """
-    try:
-        array = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # text, ragged rows, huge ints
-        raise ValueError(f"field '{key}' must hold only numbers") from None
-    elements = [value] if array.ndim == 0 else value
-    for _ in range(array.ndim - 1):
-        elements = chain.from_iterable(elements)
-    if not set(map(type, elements)) <= {int, float}:
-        raise ValueError(f"field '{key}' must hold only numbers")
-    if not np.isfinite(array).all():
-        raise ValueError(f"field '{key}' must be finite")
-    return array
+def _settings(cls, key: str, value):
+    return json_fields(value, key, cls) if isinstance(value, dict) else value
 
 
-# Rules: (key, JSON value) -> the value in its field's form; an error names the
-# key. Each model checks its own ranges and row counts.
-
-def _kernel(key: str, value) -> KernelSpec:
-    return json_fields(value, key, KernelSpec)
-
-
-def _matrix(key: str, value) -> np.ndarray:
-    x = _floats(key, value)
-    if x.ndim != 2 or not x.size:
-        raise ValueError(f"field '{key}' must be a matrix with at least one "
-                         "row and one column")
-    return x
-
-
-def _indices(key: str, value) -> np.ndarray:
-    if _floats(key, value).ndim == 1:
-        try:
-            return np.array([json_whole(v, key) for v in value], dtype=int)
-        except (ValueError, OverflowError):  # a fraction, or beyond an int64
-            pass
-    raise ValueError(f"field '{key}' must list whole numbers that fit a 64-bit integer")
-
-
-def _by_class(key: str, value) -> np.ndarray:
+def _by_class(key: str, value) -> list:
     slots = json_object(value, f"field '{key}'", map(str, CLASSES))
     for c in map(str, CLASSES):
         if c not in slots:
             raise KeyError(f"{key}.{c}")
-    return _floats(key, [slots[str(c)] for c in CLASSES])
+    return [slots[str(c)] for c in CLASSES]
 
 
-def _number(key: str, value) -> float:
-    return float(_floats(key, json_number(value, f"field '{key}'")))
+def _indices(key: str, value) -> np.ndarray:
+    if isinstance(value, list):
+        try:
+            return np.array([json_whole(v, key) for v in value], dtype=int)
+        except (ValueError, OverflowError):  # not whole, or beyond an int64
+            pass
+    raise ValueError(f"field '{key}' must list whole numbers that fit a 64-bit integer")
 
 
-def _optional_number(key: str, value) -> float | None:
-    return None if value is None else _number(key, value)
-
-
-def _whole(key: str, value) -> int:
-    return json_whole(value, f"field '{key}'")
-
-
-def _flag(key: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"field '{key}' must be true or false, got {value!r}")
-    return value
-
-
-def _hyper(key: str, value) -> HyperParams | None:
-    return None if value is None else json_fields(value, key, HyperParams)
-
-
-# Each kind's file after format_version and model_kind: (JSON key, model
-# field, rule) rows in file order.
-_HEAD = (("kernel", "kernel", _kernel), ("x", "x", _matrix), ("y", "y", _floats))
-_JOINT = _HEAD + (
-    ("lambda", "lam", _floats), ("eta_hat", "eta_hat", _floats),
-    ("gamma_hat", "gamma_hat", _by_class), ("beta_hat", "beta_hat", _by_class),
-    ("theta", "theta", _number), ("k", "k", _whole), ("alpha", "alpha", _number),
-    ("target_coverage", "target_coverage", _number),
-    ("dual_estimate", "dual_estimate", _optional_number), ("hyper", "hyper", _hyper))
-_SVM = _HEAD + (
-    ("alpha", "alpha", _floats), ("C", "C", _number), ("converged", "converged", _flag),
-    ("kkt_violation", "kkt_violation", _optional_number))
-_TWO_STAGE = _SVM + (
-    ("kept_idx", "kept_idx", _indices), ("removed_idx", "removed_idx", _indices),
-    ("theta", "theta", _number), ("k", "k", _whole),
-    ("alpha_level", "alpha_level", _number))
-
-_FILES = {"gemmed": (TrainedModel, _JOINT), "svm": (SvmModel, _SVM),
-          "two_stage": (TwoStageModel, _TWO_STAGE)}
+_RULES = {"kernel": partial(_settings, KernelSpec), "hyper": partial(_settings, HyperParams),
+          "gamma_hat": _by_class, "beta_hat": _by_class, "kept_idx": _indices,
+          "removed_idx": _indices, "k": lambda key, value: json_whole(value, f"field '{key}'")}
+_KINDS = {"gemmed": TrainedModel, "svm": SvmModel, "two_stage": TwoStageModel}
 # saving looks up the exact class: a TwoStageModel is also an SvmModel
-_TAGS = {cls: kind for kind, (cls, _) in _FILES.items()}
+_TAGS = {cls: kind for kind, cls in _KINDS.items()}
+
+
+def _layout(cls) -> list[tuple[str, str]]:
+    """(JSON key, field) of each field of cls, in file order."""
+    return [("lambda" if f.name == "lam" else f.name, f.name) for f in fields(cls)]
 
 
 def save_model(model, path) -> None:
@@ -196,11 +138,11 @@ def save_model(model, path) -> None:
     if kind is None:
         raise ValueError(f"cannot serialize {type(model).__name__}")
     payload = {"format_version": FORMAT_VERSION, "model_kind": kind}
-    for key, field, rule in _FILES[kind][1]:
+    for key, field in _layout(type(model)):
         value = getattr(model, field)
         if isinstance(value, np.ndarray):
             value = value.tolist()
-        if rule is _by_class:
+        if _RULES.get(key) is _by_class:
             value = dict(zip(map(str, CLASSES), value))
         payload[key] = asdict(value) if is_dataclass(value) else value
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
@@ -219,13 +161,15 @@ def load_model(path):
         version = json_whole(payload["format_version"], "format_version")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {version!r}")
-        if not isinstance(kind, str) or kind not in _FILES:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise ValueError(f"unknown model_kind {kind!r}")
-        cls, table = _FILES[kind]
+        cls = _KINDS[kind]
+        layout = _layout(cls)
         json_object(payload, f"a {kind} model file",
-                    ("format_version", "model_kind", *(row[0] for row in table)))
-        return cls(**{field: rule(key, payload[key]) for key, field, rule in table})
+                    ("format_version", "model_kind", *(key for key, _ in layout)))
+        return cls(**{field: _RULES[key](key, payload[key]) if key in _RULES else payload[key]
+                      for key, field in layout})
     except KeyError as exc:  # a key of the file, or 'key.field' of an object in it
         raise ValueError(f"{path}: missing field '{exc.args[0]}'") from None
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

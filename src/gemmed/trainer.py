@@ -209,16 +209,20 @@ def gibbs_expectations(state: DualState, problem: DualProblem,
     sweeps = -(-(hyper.gibbs_sweeps - hyper.burn_in) // CHAINS)
     burn = hyper.burn_in if eta_start is None else 0
     shape = (burn + sweeps, CHAINS, n)
-    noise = _times_factor_t(rng.standard_normal(shape), gram.factor)
-    uniforms = rng.random(shape)
+    try:  # NumPy refuses a size no memory or address space holds before allocating
+        z, uniforms = rng.standard_normal(shape), rng.random(shape)
+    except (MemoryError, ValueError):
+        gib = 8 * n * CHAINS * (burn + sweeps) / 2**30
+        raise MemoryError(f"gibbs_sweeps={hyper.gibbs_sweeps} needs sampler records of "
+                          f"{gib:.3g} GiB each, more than memory holds") from None
+    noise = _times_factor_t(z, gram.factor)
+    f_rec, prob_rec = np.empty_like(noise), np.empty_like(noise)
     # the logit is affine in f: its f-free part plus a * f
     offset = eta_logits(state, problem)
     # eta is 0/1 and y is +-1, so a * eta is lam * eta * y and a * f is
     # lam * (y * f), both to the bit
     a = state.lam * y
     coef = np.tile(a, (CHAINS, 1)) if eta_start is None else a * eta_start
-    f_rec = np.empty_like(noise)
-    prob_rec = np.empty_like(noise)
     draw = np.empty((CHAINS, n), dtype=bool)
     for f, prob, z, u in zip(f_rec, prob_rec, noise, uniforms):
         sample_f_given_eta(coef, gram, z, f)

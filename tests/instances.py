@@ -53,10 +53,10 @@ def per_row_knn(xs, refs, k) -> np.ndarray:
 def assert_refused(model, key: str, bad, message: str, tmp_path) -> None:
     """A copy of model with the field saved under key set to bad raises
     ValueError(message), and so does loading model's file with key set to bad,
-    after the file's name."""
+    after the file's name. A per-class object of the file is a list in the model."""
     field = {"lambda": "lam"}.get(key, key)
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
-        dataclasses.replace(model, **{field: np.asarray(bad) if isinstance(bad, list) else bad})
+        dataclasses.replace(model, **{field: list(bad.values()) if isinstance(bad, dict) else bad})
     path = tmp_path / "model.json"
     save_model(model, path)
     path.write_text(json.dumps({**json.loads(path.read_text()), key: bad}))

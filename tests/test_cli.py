@@ -528,14 +528,17 @@ def test_train_refuses_a_fit_that_mislabels_its_nominal_support(tmp_path, monkey
 
 def test_train_reports_an_allocation_too_big_for_memory(workdir, tmp_path, capsys):
     # the sampler's records would take 426 PiB, more than any address space
-    # holds, so NumPy refuses at once without allocating
+    # holds, so NumPy refuses at once without allocating; at 1e18 their size
+    # overflows NumPy's, which it refuses as a ValueError
     out = tmp_path / "m.json"
-    rc = main(["train", "--data", str(workdir / "train.csv"), "--k", "3",
-               "--steps", "1", "--gibbs", "1e15,10", "--model-out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate 426. PiB") and err.count("\n") == 1
-    assert not out.exists()
+    for sweeps, gib in (("1e15", "4.47e+08"), ("1e18", "4.47e+11")):
+        rc = main(["train", "--data", str(workdir / "train.csv"), "--k", "3",
+                   "--steps", "1", "--gibbs", f"{sweeps},10", "--model-out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: gibbs_sweeps={int(float(sweeps))} needs sampler records of "
+            f"{gib} GiB each, more than memory holds\n")
+        assert not out.exists()
 
 
 def test_train_fails_below_k_plus_one_nominal_points(workdir, tmp_path, capsys):

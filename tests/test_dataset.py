@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemmed import dataset
-from gemmed.dataset import CLASSES, LabeledDataset, check_real, class_index, \
+from gemmed.dataset import CLASSES, LabeledDataset, check_array, check_real, class_index, \
     feature_columns, read_csv, write_csv
 
 
@@ -62,6 +62,34 @@ def test_check_real(value, interval, accepted):
             check_real("width", value, interval)
 
 
+# check_array: what a JSON array or a NumPy array may hold, and its shape
+@pytest.mark.parametrize("value,shape,refusal", [
+    pytest.param([[1, 2.5]], (None, 2), None, id="list-of-numbers"),
+    pytest.param(np.arange(3), (3,), None, id="int-array"),
+    pytest.param([np.float64(0.5), np.int64(1)], (2,), None, id="numpy-scalars"),
+    pytest.param([], (None,), None, id="empty-any-length"),
+    pytest.param(np.array([True, False]), (2,), "hold only numbers", id="bool-array"),
+    pytest.param(np.array(["0.5", "1"]), (2,), "hold only numbers", id="text-array"),
+    pytest.param(np.array([0.5, 1.0], dtype=object), (2,), "hold only numbers", id="object-array"),
+    pytest.param(np.True_, (), "hold only numbers", id="numpy-bool"),
+    pytest.param([[True, 2.0]], (1, 2), "hold only numbers", id="bool-in-list"),
+    pytest.param(["0.5", 1.0], (2,), "hold only numbers", id="text-in-list"),
+    pytest.param([None, 1.0], (2,), "hold only numbers", id="None-in-list"),
+    pytest.param([[1.0], [1.0, 2.0]], (2, None), "hold only numbers", id="ragged"),
+    pytest.param([10**400], (1,), "hold only numbers", id="int-beyond-float"),
+    pytest.param([[1.0, np.inf]], (1, 2), "be finite", id="inf"),
+    pytest.param([1.0, 2.0], (None, None), "be a vector", id="one-axis-short"),
+    pytest.param([1.0, 2.0], (3,), "be a vector", id="wrong-length"),
+])
+def test_check_array(value, shape, refusal):
+    if refusal is None:  # and held as floats
+        array = check_array("v", value, shape, "be a vector")
+        assert array.dtype == float and array.tolist() == np.asarray(value, float).tolist()
+    else:
+        with pytest.raises(ValueError, match=f"^v must {refusal}$"):
+            check_array("v", value, shape, "be a vector")
+
+
 def test_basic_construction():
     ds = LabeledDataset(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([-1, 1]))
     assert ds.n == 2
@@ -70,9 +98,11 @@ def test_basic_construction():
     assert ds.y.dtype.kind == "i"
 
 
-def test_single_row_is_promoted_to_2d():
-    ds = LabeledDataset(np.array([1.0, 2.0, 3.0]), np.array([1]))
-    assert ds.x.shape == (1, 3)
+def test_a_1d_x_is_refused_not_promoted():
+    # x is a matrix wherever a dataset or a model comes from, as in a model file
+    with pytest.raises(ValueError, match=re.escape(
+            "x must be a matrix with at least one row and one column") + "$"):
+        LabeledDataset(np.array([1.0, 2.0, 3.0]), np.array([1]))
 
 
 def test_rejects_bad_labels():
@@ -83,12 +113,13 @@ def test_rejects_bad_labels():
 
 
 def test_rejects_shape_mismatch_and_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^y must hold one entry per row of x$"):
         LabeledDataset(np.zeros((3, 2)), np.array([1, -1]))
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^x must be finite$"):
         LabeledDataset(np.array([[np.nan, 0.0]]), np.array([1]))
-    with pytest.raises(ValueError):
-        LabeledDataset(np.zeros((0, 2)), np.array([]))
+    for empty in (np.zeros((0, 2)), np.zeros((2, 0))):
+        with pytest.raises(ValueError, match="^x must be a matrix with at least one row"):
+            LabeledDataset(empty, np.array([]))
 
 
 def test_anomaly_flags_validated():

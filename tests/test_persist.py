@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import itertools
@@ -16,6 +17,7 @@ from gemmed.kernels import KernelSpec
 from gemmed.model import HyperParams, TrainedModel
 from gemmed.persist import load_model, save_model
 from gemmed.synthdata import RingExperimentConfig, generate
+from instances import assert_refused
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +112,10 @@ def test_load_rejects_malformed(tmp_path):
         load_model(path)
 
 
+# the model field of a JSON key, where they differ
+_FIELD = {"lambda": "lam"}
+# the keys whose file holds an object keyed "-1" and "1" and whose model a list
+_PER_CLASS = ("gamma_hat", "beta_hat")
 # the float fields of each model kind that must be finite to load
 _FINITE_FIELDS = {
     "gemmed": ("x", "lambda", "eta_hat", "alpha", "theta", "gamma_hat", "beta_hat"),
@@ -160,10 +166,14 @@ def test_load_rejects_non_finite_numbers(cell, tmp_path, kind):
     text = path.read_text()
     assert json.loads(text)["model_kind"] == kind
     for key in _FINITE_FIELDS[kind]:
+        field = _FIELD.get(key, key)
         for bad in (float("nan"), float("inf"), float("-inf")):
-            path.write_text(json.dumps(_spoil(json.loads(text), key, bad)))
-            with pytest.raises(ValueError,
-                               match=f"model.json: field '{key}' must be finite"):
+            payload = _spoil(json.loads(text), key, bad)
+            path.write_text(json.dumps(payload))
+            # an array must be finite; a number names its range
+            needle = (re.escape(f"{field} must be finite") if payload[key] is not bad
+                      else re.escape(f"{field} must lie in ") + ".*" + re.escape(f", got {bad!r}"))
+            with pytest.raises(ValueError, match=f"model.json: {needle}$"):
                 load_model(path)
     path.write_text(text)
     assert type(load_model(path)) is type(model)
@@ -336,19 +346,25 @@ def test_model_file_bytes(tmp_path, kind):
       for i, kind in enumerate(sorted(_FILE_BYTES))),
     ("svm", "y", ["-1", "one"], "must hold only numbers"),
     pytest.param("two_stage", "kept_idx", [0, 1.7],
-                 "must list whole numbers that fit a 64-bit integer",
+                 "field 'kept_idx' must list whole numbers that fit a 64-bit integer",
                  id="two_stage-kept_idx-bad4-must list whole numbers of at least 0"),
     pytest.param("two_stage", "removed_idx", [-1], "kept_idx and removed_idx must list "
                  "each of the 3 training rows once between them",
                  id="two_stage-removed_idx-bad5-must list whole numbers of at least 0"),
     ("two_stage", "converged", "false", "must be true or false, got 'false'"),
     ("svm", "converged", 1, "must be true or false, got 1"),
-    ("two_stage", "theta", "1.5", "expects a number"),
-    ("gemmed", "theta", None, "expects a number"),
-    ("svm", "C", "1", "expects a number"),
-    ("two_stage", "C", True, "expects a number"),
-    ("gemmed", "target_coverage", [0.8], "expects a number, got [0.8]"),
-    ("svm", "kkt_violation", "0", "expects a number"),
+    # a number a model refuses names its range; the ids keep an older needle
+    pytest.param("two_stage", "theta", "1.5", "must lie in [0, inf), got '1.5'",
+                 id="two_stage-theta-1.5-expects a number"),
+    pytest.param("gemmed", "theta", None, "must lie in [0, inf), got None",
+                 id="gemmed-theta-None-expects a number"),
+    pytest.param("svm", "C", "1", "must lie in (0, inf), got '1'", id="svm-C-1-expects a number"),
+    pytest.param("two_stage", "C", True, "must lie in (0, inf), got True",
+                 id="two_stage-C-True-expects a number"),
+    pytest.param("gemmed", "target_coverage", [0.8], "must lie in (0, 1], got [0.8]",
+                 id="gemmed-target_coverage-bad12-expects a number, got [0.8]"),
+    pytest.param("svm", "kkt_violation", "0", "must lie in [0, inf), got '0'",
+                 id="svm-kkt_violation-0-expects a number"),
     ("gemmed", "x", [[-1.0], [2.0, 3.0]], "must hold only numbers"),
     *(pytest.param(kind, key, [1], f"{field} must hold one entry per row of x",
                    id=f"{kind}-{key}-bad{i}-must hold one entry per row of x")
@@ -362,7 +378,9 @@ def test_model_file_bytes(tmp_path, kind):
     ("gemmed", "lambda", ["0.25", 0.5], "must hold only numbers"),
     ("svm", "alpha", [0.5, True], "must hold only numbers"),
     ("gemmed", "gamma_hat", {"-1": True, "1": 0.2}, "must hold only numbers"),
-    ("two_stage", "kept_idx", [False, 2], "must hold only numbers"),
+    pytest.param("two_stage", "kept_idx", [False, 2],
+                 "field 'kept_idx' must list whole numbers that fit a 64-bit integer",
+                 id="two_stage-kept_idx-bad26-must hold only numbers"),
     ("two_stage", "x", [[True], [2.0]], "must hold only numbers"),
     ("gemmed", "x", [["-1"], [2.0]], "must hold only numbers"),
     *(("svm", "x", bad, "must be a matrix with at least one row and one column")
@@ -396,10 +414,16 @@ def test_model_file_bytes(tmp_path, kind):
     pytest.param("gemmed", "hyper.rate_mu", True,
                  "field 'hyper': rate_mu must lie in (0, inf), got True",
                  id="gemmed-hyper.rate_mu-True-expects a number, got True"),
-    *(("gemmed", "hyper", bad, "must be an object") for bad in (False, 0, [])),
-    ("gemmed", "gamma_hat", [0.1, 0.2], "must be an object"),
-    ("gemmed", "beta_hat", 0.5, "must be an object"),
-    ("gemmed", "kernel", "rbf", "must be an object"),
+    # a kernel or hyper that is no object goes to the model, which refuses it
+    *(pytest.param("gemmed", "hyper", bad, f"must be a HyperParams or None, got {bad!r}",
+                   id=f"gemmed-hyper-{shown}-must be an object")
+      for bad, shown in ((False, "False"), (0, "0"), ([], "bad45"))),
+    pytest.param("gemmed", "gamma_hat", [0.1, 0.2], "field 'gamma_hat' must be an object",
+                 id="gemmed-gamma_hat-bad46-must be an object"),
+    pytest.param("gemmed", "beta_hat", 0.5, "field 'beta_hat' must be an object",
+                 id="gemmed-beta_hat-0.5-must be an object"),
+    pytest.param("gemmed", "kernel", "rbf", "must be a KernelSpec, got 'rbf'",
+                 id="gemmed-kernel-rbf-must be an object"),
     # a key the object may not hold, or one it lacks, is named in full
     ("gemmed", "hyper.bogus", 1, "unknown key 'bogus' in field 'hyper'"),
     ("gemmed", "hyper.early_stop", False, "unknown key 'early_stop' in field 'hyper'"),
@@ -421,10 +445,10 @@ def test_model_file_bytes(tmp_path, kind):
                  id="two_stage-k-negative"),
     # an index that does not fit an int64 is refused, not wrapped to a negative one
     pytest.param("two_stage", "kept_idx", [0, 1e300],
-                 "must list whole numbers that fit a 64-bit integer",
+                 "field 'kept_idx' must list whole numbers that fit a 64-bit integer",
                  id="two_stage-kept_idx-float-beyond-int64"),
     pytest.param("two_stage", "removed_idx", [2**63],
-                 "must list whole numbers that fit a 64-bit integer",
+                 "field 'removed_idx' must list whole numbers that fit a 64-bit integer",
                  id="two_stage-removed_idx-integer-beyond-int64"),
     # the cap is a number: null does not mean a default
     pytest.param("gemmed", "hyper.lambda_cap", None,
@@ -432,17 +456,69 @@ def test_model_file_bytes(tmp_path, kind):
                  id="gemmed-hyper.lambda_cap-null"),
 ])
 def test_load_refuses_a_field_of_the_wrong_form(tmp_path, kind, key, bad, needle):
+    # the model refuses a value as "<field> <needle>", built in Python or loaded
+    if needle.startswith("must"):
+        needle = f"{_FIELD.get(key, key)} {needle}"
+    if "field '" not in needle:
+        assert_refused(_hand_built(kind), key, bad, needle, tmp_path)
+        return
+    # the file's structure, which no model sees: a key it lacks or may not
+    # hold, a settings object's value, a per-class object, a whole number
     path = tmp_path / "model.json"
     save_model(_hand_built(kind), path)
-    payload = _put(json.loads(path.read_text()), key, bad)
-    path.write_text(json.dumps(payload))
-    # a value of the wrong form is "field '<key>' <needle>"; a bad key, the
-    # object whose dataclass refuses a value, or the model's field is named in
-    # the needle
-    if needle.startswith(("must", "expects")):
-        needle = f"field '{key}' {needle}"
-    with pytest.raises(ValueError, match=re.escape(f"model.json: {needle}")):
+    path.write_text(json.dumps(_put(json.loads(path.read_text()), key, bad)))
+    with pytest.raises(ValueError, match=re.escape(f"model.json: {needle}") + "$"):
         load_model(path)
+
+
+def _odd_payloads(saved, key):
+    """Copies of a model file's payload with an odd value at key: each of NaN,
+    inf, -inf, true, "0.1" and null in place of the value and of its first
+    number, and the value in one more list (each entry, for a per-class object)."""
+    per_class = key in _PER_CLASS
+    for bad in (float("nan"), float("inf"), float("-inf"), True, "0.1", None):
+        if not per_class:  # whose file is an object whatever the model holds
+            yield {**saved, key: bad}
+        if per_class or isinstance(saved[key], list):
+            yield _spoil(copy.deepcopy(saved), key, bad)
+    yield {**saved, key: ({c: [v] for c, v in saved[key].items()} if per_class
+                          else [saved[key]])}
+
+
+def _fields(model) -> list:
+    return [np.asarray(v).tolist() if isinstance(v, np.ndarray) else v
+            for v in vars(model).values()]
+
+
+@pytest.mark.parametrize("kind", sorted(_FILE_BYTES))
+def test_a_model_refuses_a_value_built_exactly_as_loaded(tmp_path, kind):
+    path, saved = tmp_path / "model.json", json.loads(_FILE_BYTES[kind])
+    for key in list(saved)[2:]:  # after format_version and model_kind
+        for payload in _odd_payloads(saved, key):
+            value = payload[key]
+            try:
+                built = dataclasses.replace(_hand_built(kind), **{
+                    _FIELD.get(key, key): list(value.values()) if key in _PER_CLASS else value})
+            except ValueError as exc:
+                built = str(exc)
+            path.write_text(json.dumps(payload))
+            try:
+                loaded = load_model(path)
+            except ValueError as exc:
+                loaded = str(exc).removeprefix(f"{path}: ")
+            if isinstance(built, str):
+                # the whole-number readers name the key as a sweep config's do
+                assert loaded == built or (isinstance(loaded, str) and key in (
+                    "k", "kept_idx", "removed_idx")), (key, value, built, loaded)
+                continue
+            assert not isinstance(loaded, str), (key, value, loaded)
+            assert _fields(loaded) == _fields(built)
+            save_model(built, path)
+            text = path.read_text()
+            back = load_model(path)
+            assert type(back) is type(built) and _fields(back) == _fields(built)
+            save_model(back, path)
+            assert path.read_text() == text
 
 
 @pytest.mark.parametrize("kind", sorted(_FILE_BYTES))
@@ -523,11 +599,11 @@ def test_every_float_field_refuses_a_non_number_on_both_paths(tmp_path, capsys, 
         for kind, key in model_keys:
             path = tmp_path / "model.json"
             path.write_text(json.dumps(_put(json.loads(_FILE_BYTES[kind]), key, bad)))
-            # a settings object's dataclass refuses the value; a plain model
-            # field is a JSON number before its model checks its range
+            # a settings object's dataclass refuses the value naming the
+            # object; a model refuses its own field, alpha_level say, alike
             outer, _, inner = key.partition(".")
             needle = (f"field '{outer}': {refusal}" if inner
-                      else f"field '{key}' expects a number, got {re.escape(shown)}")
+                      else key + refusal.removeprefix(f.name))
             with pytest.raises(ValueError, match=f"model.json: {needle}$"):
                 load_model(path)
 

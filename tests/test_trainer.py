@@ -13,6 +13,7 @@ from scipy.stats import norm, t as student_t
 from gemmed import kernels, trainer
 from gemmed.dataset import LabeledDataset
 from gemmed.errors import TrainingFailure
+from gemmed.experiments import MethodSettings, run_cell
 from gemmed.gem import GemConfig, compute_gem_stats, knn_distance_sum
 from gemmed.kernels import GramMatrix, KernelSpec, gram_matrix, kernel_cross
 from gemmed.model import (DualProblem, DualState, HyperParams, TrainedModel,
@@ -778,3 +779,22 @@ def test_training_is_equivariant_under_global_negation():
         errs_neg.append(misclassification_error(
             trainer.predict(m2, flipped_test.x), flipped_test.y))
     assert abs(np.mean(errs) - np.mean(errs_neg)) < 0.05
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 19: off its tuned rbf kernel the joint trainer "
+                          "returns inverted fits, refused as TrainingFailure")
+def test_linear_joint_model_trains_on_the_ring_cells():
+    # the ascent's lam steps span the whole box on a linear kernel, so the
+    # parity of steps decides the sign of the fit; the fix tightens the bound
+    failed = []
+    for R, seed, steps in itertools.product((55.0, 10.0), range(10), (200, 201)):
+        settings = MethodSettings(kernel="linear", gamma=None, hyper=HyperParams(steps=steps))
+        try:
+            error = run_cell("gemmed", R, 0.2, seed, settings=settings,
+                             n_detect_ring=0, n_detect_clean=0).error
+        except TrainingFailure:
+            error = None
+        if error is None or error > 0.5:
+            failed.append((R, seed, steps, error))
+    assert not failed, f"{len(failed)} of 40 fits failed: {failed}"
