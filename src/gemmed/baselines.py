@@ -226,11 +226,13 @@ def _free_set_solve(K: np.ndarray, y: np.ndarray, alpha: np.ndarray,
 
 
 def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
-                   max_passes: int = 200, tol: float = 1e-3):
+                   max_passes: int | None = None, tol: float = 1e-3):
     """Solve the box-constrained SVM dual by Newton steps in the primal.
 
     Returns (alpha, converged, trace) with one trace entry per Newton
-    step, at most max_passes of them. converged means every sample
+    step, at most max_passes of them, by default max(200, n) for n
+    samples: an rbf problem with a large gamma and C can need more than
+    200 steps, and the count grows with n. converged means every sample
     satisfies its KKT condition within tol, tested on the true K (see
     kkt_violation); otherwise the last iterate is returned with converged
     False.
@@ -276,6 +278,8 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
     if not np.all((y == 1.0) | (y == -1.0)):
         raise ValueError("labels must be -1 or +1")
     _check_gram(K)
+    if max_passes is None:
+        max_passes = max(200, n)
     h = tol / 2.0
     G = _pivoted_cholesky(K)
     w = np.zeros(G.shape[0])

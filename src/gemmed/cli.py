@@ -81,7 +81,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     data = LabeledDataset.from_csv(args.data)
-    kernel = resolve_kernel(args.kernel, args.gamma, data.x, args.jitter)
+    kernel = resolve_kernel(args.kernel, args.gamma, data.x)
     phi, psi, tau = _parse_floats(args.rates, "--rates", 3)
     sweeps, burn = (json_whole(v, "--gibbs")
                     for v in _parse_floats(args.gibbs, "--gibbs", 2))
@@ -196,11 +196,10 @@ def cmd_evaluate(args) -> int:
 # ------------------------------------------------------------------- sweep
 
 # the fields run_cell sets in each cell, which no section may set, and the
-# keys each method's section may not set: only the joint model factors a
-# jittered Gram matrix and has HyperParams; only the SVMs have a box C
+# keys each method's section may not set: only the joint model has
+# HyperParams; only the SVMs have a box C
 CELL_FIELDS = {"seed", "target_coverage"}
-METHOD_REFUSED = {"gemmed": {"C"}, "svm": {"jitter", "hyper"},
-                  "two-stage": {"jitter", "hyper"}}
+METHOD_REFUSED = {"gemmed": {"C"}, "svm": {"hyper"}, "two-stage": {"hyper"}}
 # sweep config key -> run_cell parameter, for the counts a config may set
 ROW_COUNTS = {"n_train_per_class": "n_train_per_class",
               "n_test_per_class": "n_test_per_class",
@@ -301,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=KERNEL_KINDS, default=joint.kernel)
     p.add_argument("--gamma", type=number_or_auto, default=joint.gamma,
                    help="rbf width, a number or 'auto' (median heuristic)")
-    p.add_argument("--jitter", type=float, default=joint.jitter)
     p.add_argument("--k", type=int, default=GemConfig.k, help="k-NN neighbor count")
     p.add_argument("--coverage", type=float, default=GemConfig.target_coverage,
                    help="target nominal mass per class")

@@ -42,7 +42,6 @@ class MethodSettings:
 
     kernel: str = "rbf"
     gamma: float | str | None = 0.1
-    jitter: float = KernelSpec.jitter
     C: float = 1.0
     hyper: HyperParams = field(default_factory=HyperParams)
 
@@ -50,7 +49,7 @@ class MethodSettings:
         check_reals(self, C="(0, inf)")
         # build the kernel now so that bad values fail before any cell runs;
         # an 'auto' width is resolved on each cell's data, so check it as 1
-        KernelSpec(self.kernel, 1.0 if self.gamma == "auto" else self.gamma, self.jitter)
+        KernelSpec(self.kernel, 1.0 if self.gamma == "auto" else self.gamma)
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,7 @@ def run_cell(method: str, R: float, r_a: float, seed: int,
         coverage = 1.0 - r_a
     gem_config = replace(gem_config or GemConfig(), target_coverage=coverage,
                          seed=seed)
-    kernel = resolve_kernel(settings.kernel, settings.gamma, train_set.x,
-                            settings.jitter)
+    kernel = resolve_kernel(settings.kernel, settings.gamma, train_set.x)
 
     if method == "gemmed":
         model = trainer.train(train_set, kernel, gem_config,

@@ -3,7 +3,8 @@
 Two kernels are supported: the raw dot product (``linear``) and the
 Gaussian kernel ``exp(-gamma * ||x - x'||^2)`` (``rbf``). Decision
 functions built on these kernels carry no intercept term, so a Gram
-matrix plus dual coefficients fully determines a model.
+matrix plus dual coefficients fully determines a model. The Gram matrix
+the joint model factors takes 1e-8 times its largest diagonal as jitter.
 """
 
 from __future__ import annotations
@@ -27,20 +28,17 @@ class KernelSpec:
     """Kernel family plus its parameters.
 
     gamma is required for ``rbf`` and ignored for ``linear``; a gamma that
-    is set must be a positive number for either kind. jitter is added to
-    the Gram diagonal before factorization to keep the Cholesky well posed.
+    is set must be a positive number for either kind.
     """
 
     kind: str
     gamma: float | None = None
-    jitter: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf" or self.gamma is not None:
             check_reals(self, gamma="(0, inf)")
-        check_reals(self, jitter="[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -122,25 +120,29 @@ def kernel_matrix(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
 
 
 def gram_matrix(spec: KernelSpec, xs: np.ndarray) -> GramMatrix:
-    """Build the jittered Gram matrix and factor it.
+    """Build the Gram matrix K + 1e-8 max diag(K) I and factor it.
 
-    Raises ValueError when the kernel matrix is not finite, which
-    rescaled features avoid, and NumericsError when the Cholesky
-    factorization fails; the fix for that is almost always a larger
-    jitter.
+    The jitter scales with the kernel, so it holds at any feature scale.
+    Raises ValueError when the kernel matrix is not finite or too small
+    for a normal-float jitter (all-zero features, or ones whose x . x
+    underflows), which rescaled features avoid, and NumericsError when
+    the Cholesky factorization still fails.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         values = kernel_matrix(spec, xs)
     if not np.isfinite(values).all():
         raise ValueError("kernel matrix is not finite; rescale the features")
-    values = values + spec.jitter * np.eye(values.shape[0])
+    # an rbf diagonal is exactly 1, so there the jitter is 1e-8 itself
+    scale = values.diagonal().max()
+    jitter = 1e-8 * scale
+    if jitter < np.finfo(float).tiny:  # zero, or too small to hold full precision
+        raise ValueError("kernel matrix is too small to factor (largest diagonal "
+                         f"entry {scale:g}); rescale the features")
+    values[np.diag_indices_from(values)] += jitter
     try:
         factor = np.linalg.cholesky(values)
     except np.linalg.LinAlgError as exc:
-        raise NumericsError(
-            "Gram factorization failed; increase the kernel jitter "
-            f"(currently {spec.jitter:g})"
-        ) from exc
+        raise NumericsError("Gram factorization failed") from exc
     return GramMatrix(values=values, factor=factor)
 
 
@@ -159,15 +161,14 @@ def median_heuristic_gamma(xs: np.ndarray) -> float:
     return 1.0 / med
 
 
-def resolve_kernel(kind: str, gamma, xs: np.ndarray | None = None,
-                   jitter: float = KernelSpec.jitter) -> KernelSpec:
+def resolve_kernel(kind: str, gamma, xs: np.ndarray | None = None) -> KernelSpec:
     """Build a KernelSpec, resolving an rbf gamma='auto' via the median
     heuristic; any other kind goes without a width, and KernelSpec refuses
     a kind or a width it does not accept."""
     if kind != "rbf":
-        return KernelSpec(kind=kind, gamma=None, jitter=jitter)
+        return KernelSpec(kind=kind, gamma=None)
     if gamma == "auto":
         if xs is None:
             raise ValueError("gamma='auto' needs data points to resolve against")
         gamma = median_heuristic_gamma(xs)
-    return KernelSpec(kind="rbf", gamma=gamma, jitter=jitter)
+    return KernelSpec(kind="rbf", gamma=gamma)

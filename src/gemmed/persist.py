@@ -8,7 +8,8 @@ fields in the class's order, lam under the key ``lambda``. ``load_model``
 maps JSON structure only: a settings object to its dataclass, a per-class
 object to a list, whole numbers to ints. The model class then checks every
 value as it checks one built in code, and a refusal gives the same message
-after the file's path: ``model.json: lam must be finite``.
+after the file's path: ``model.json: lam must be finite``. A version-1
+file loads without its kernel's ``jitter``, which nothing read.
 The ``json_*`` readers serve sweep configs too: ``json_fields`` builds a
 settings object, nested ones included, and a refusal names it or its key.
 """
@@ -27,7 +28,7 @@ from .dataset import CLASSES
 from .kernels import KernelSpec
 from .model import HyperParams, TrainedModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def json_object(value, name: str, allowed) -> dict:
@@ -159,8 +160,10 @@ def load_model(path):
     kind = payload["model_kind"]
     try:
         version = json_whole(payload["format_version"], "format_version")
-        if version != FORMAT_VERSION:
+        if version not in (1, FORMAT_VERSION):
             raise ValueError(f"unsupported format_version {version!r}")
+        if version == 1 and isinstance(payload.get("kernel"), dict):
+            payload["kernel"] = {k: v for k, v in payload["kernel"].items() if k != "jitter"}
         if not isinstance(kind, str) or kind not in _KINDS:
             raise ValueError(f"unknown model_kind {kind!r}")
         cls = _KINDS[kind]

@@ -387,6 +387,19 @@ def test_solver_beats_reference_on_ring_instances():
         assert dual_objective(K, y, alpha) > dual_objective(K, y, ref_alpha)
 
 
+def test_pass_cap_grows_with_the_problem():
+    # a narrow rbf kernel at a large C takes 211 Newton steps on these 300
+    # rows; a fixed cap of 200 stopped it unconverged
+    train_set, _ = generate(RingExperimentConfig(R=3.0, r_a=0.2, n_train_per_class=150,
+                                                 n_test_per_class=1, seed=0))
+    K = kernel_matrix(KernelSpec("rbf", gamma=2.0), train_set.x)
+    alpha, converged, trace = solve_svm_dual(K, train_set.y, C=30.0)
+    assert converged and kkt_holds(K, train_set.y, alpha, 30.0, 1e-3)
+    assert 200 < len(trace) <= train_set.n
+    _, converged, trace = solve_svm_dual(K, train_set.y, C=30.0, max_passes=200)
+    assert not converged and len(trace) == 200
+
+
 def test_kkt_violation_matches_the_convergence_test():
     rng = np.random.default_rng(11)
     K = kernel_matrix(KernelSpec("rbf", gamma=0.5), rng.normal(size=(30, 2)))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gemmed.kernels import (GramMatrix, KernelSpec, compact_expansion,
                             gram_matrix, kernel_cross, kernel_matrix,
                             median_heuristic_gamma, query_blocks,
                             resolve_kernel)
+from gemmed.synthdata import RingExperimentConfig, generate
 
 
 def _pair(spec, a, b):
@@ -32,11 +34,6 @@ def test_spec_validation():
     for value in (math.inf, math.nan):
         with pytest.raises(ValueError, match=rf"gamma must lie in \(0, inf\), got {value}"):
             KernelSpec(kind="rbf", gamma=value)
-    with pytest.raises(ValueError, match="jitter"):
-        KernelSpec(kind="rbf", gamma=1.0, jitter=-1e-9)
-    for value in (math.inf, math.nan):
-        with pytest.raises(ValueError, match=rf"jitter must lie in \[0, inf\), got {value}"):
-            KernelSpec(kind="rbf", gamma=1.0, jitter=value)
     KernelSpec(kind="linear")  # gamma not needed
 
 
@@ -160,7 +157,7 @@ def test_rbf_diagonal_is_one():
 
 def test_gram_factor_reconstructs():
     xs = np.random.default_rng(3).normal(size=(8, 2))
-    spec = KernelSpec("rbf", gamma=0.5, jitter=1e-8)
+    spec = KernelSpec("rbf", gamma=0.5)
     gram = gram_matrix(spec, xs)
     assert isinstance(gram, GramMatrix)
     assert gram.n == 8
@@ -171,14 +168,48 @@ def test_gram_factor_reconstructs():
     np.testing.assert_allclose(np.diag(gram.values) - np.diag(plain), 1e-8)
 
 
-def test_gram_failure_raises_numerics_error():
-    # duplicated rows make the linear Gram exactly singular; with zero
-    # jitter the factorization cannot proceed
-    xs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    spec = KernelSpec("linear", jitter=0.0)
-    with pytest.raises(NumericsError, match="jitter"):
-        gram_matrix(spec, xs)
-    gram_matrix(KernelSpec("linear", jitter=1e-8), xs)  # jitter rescues it
+def test_rbf_gram_keeps_its_fixed_jitter_bit_for_bit():
+    # an rbf diagonal is exactly 1, so 1e-8 max diag(K) is the 1e-8 that
+    # rbf Grams always had: the same values and factor on the ring benchmark
+    train_set, _ = generate(RingExperimentConfig(R=55.0, r_a=0.2, seed=0))
+    spec = KernelSpec("rbf", gamma=0.1)
+    gram = gram_matrix(spec, train_set.x)
+    values = kernel_matrix(spec, train_set.x) + 1e-8 * np.eye(train_set.n)
+    assert gram.values.tobytes() == values.tobytes()
+    assert gram.factor.tobytes() == np.linalg.cholesky(values).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4, 1e100])
+def test_gram_jitter_scales_with_the_kernel(scale):
+    # duplicated rows make a linear Gram exactly singular; 1e-8 max diag(K)
+    # on the diagonal makes it positive definite at any feature scale
+    xs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) * scale
+    gram = gram_matrix(KernelSpec("linear"), xs)
+    plain = kernel_matrix(KernelSpec("linear"), xs)
+    assert np.array_equal(gram.values, plain + 1e-8 * plain.max() * np.eye(3))
+    np.testing.assert_allclose(gram.factor @ gram.factor.T, gram.values,
+                               rtol=1e-12, atol=0)
+
+
+def test_gram_failure_raises_numerics_error(monkeypatch):
+    # a kernel matrix is positive semidefinite, so only one that is not,
+    # here with eigenvalues 3 and -1, gets past the jitter
+    monkeypatch.setattr(kernels, "kernel_matrix",
+                        lambda spec, xs: np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(NumericsError, match="^Gram factorization failed$"):
+        gram_matrix(KernelSpec("linear"), np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("scale,largest", [(0.0, "0"), (1e-200, "0"), (1e-152, "1e-303")])
+def test_gram_rejects_a_kernel_matrix_too_small_to_factor(scale, largest):
+    # all-zero features, or ones whose x . x underflows, leave no kernel to
+    # factor; the jitter would be 0 or a subnormal float short of bits
+    xs = np.array([[1.0, 2.0], [-3.0, 1.0], [0.5, 0.5]]) * scale
+    with pytest.raises(ValueError, match=re.escape(
+            f"kernel matrix is too small to factor (largest diagonal entry {largest}); "
+            "rescale the features")):
+        gram_matrix(KernelSpec("linear"), xs)
+    gram_matrix(KernelSpec("rbf", gamma=1.0), xs)  # an rbf diagonal is 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -224,7 +255,9 @@ def test_resolve_kernel_paths():
 @given(st.integers(0, 10_000), st.floats(0.05, 5.0))
 def test_rbf_gram_psd_property(seed, gamma):
     xs = np.random.default_rng(seed).normal(size=(7, 2))
-    gram = gram_matrix(KernelSpec("rbf", gamma=gamma, jitter=1e-10), xs)
+    gram = gram_matrix(KernelSpec("rbf", gamma=gamma), xs)
     w = np.linalg.eigvalsh(gram.values)
     assert w.min() > 0
-    assert np.all(gram.values <= 1.0 + 1e-9)
+    # the rbf kernel is at most 1, and the jitter adds 1e-8 on the diagonal
+    assert np.array_equal(np.diag(gram.values), np.full(7, 1.0 + 1e-8))
+    assert np.all(gram.values[~np.eye(7, dtype=bool)] <= 1.0)

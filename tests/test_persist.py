@@ -183,6 +183,131 @@ def test_load_rejects_non_finite_numbers(cell, tmp_path, kind):
 # reprs, null for an absent value and the one-space indent are the format
 _FILE_BYTES = {
     "gemmed": b"""{
+ "format_version": 2,
+ "model_kind": "gemmed",
+ "kernel": {
+  "kind": "rbf",
+  "gamma": 0.5
+ },
+ "x": [
+  [
+   -1.0
+  ],
+  [
+   2.0
+  ]
+ ],
+ "y": [
+  -1,
+  1
+ ],
+ "lambda": [
+  0.25,
+  0.5
+ ],
+ "eta_hat": [
+  0.75,
+  1.0
+ ],
+ "gamma_hat": {
+  "-1": 0.1,
+  "1": 0.2
+ },
+ "beta_hat": {
+  "-1": 0.5,
+  "1": 0.75
+ },
+ "theta": 3.0,
+ "k": 1,
+ "alpha": 0.05,
+ "target_coverage": 0.8,
+ "dual_estimate": -1.5,
+ "hyper": {
+  "c": 10.0,
+  "lambda_cap": 0.4,
+  "p0": null,
+  "steps": 2,
+  "rate_lambda": 0.002,
+  "rate_mu": 0.02,
+  "rate_kappa": 0.02,
+  "gibbs_sweeps": 3,
+  "burn_in": 1,
+  "seed": 0
+ }
+}
+""",
+    "svm": b"""{
+ "format_version": 2,
+ "model_kind": "svm",
+ "kernel": {
+  "kind": "linear",
+  "gamma": null
+ },
+ "x": [
+  [
+   -1.0
+  ],
+  [
+   2.0
+  ]
+ ],
+ "y": [
+  -1,
+  1
+ ],
+ "alpha": [
+  0.5,
+  1.0
+ ],
+ "C": 1.0,
+ "converged": true,
+ "kkt_violation": 0.0
+}
+""",
+    "two_stage": b"""{
+ "format_version": 2,
+ "model_kind": "two_stage",
+ "kernel": {
+  "kind": "linear",
+  "gamma": null
+ },
+ "x": [
+  [
+   -1.0
+  ],
+  [
+   2.0
+  ]
+ ],
+ "y": [
+  -1,
+  1
+ ],
+ "alpha": [
+  0.5,
+  1.0
+ ],
+ "C": 1.0,
+ "converged": false,
+ "kkt_violation": null,
+ "kept_idx": [
+  0,
+  2
+ ],
+ "removed_idx": [
+  1
+ ],
+ "theta": 2.5,
+ "k": 1,
+ "alpha_level": 0.05
+}
+""",
+}
+
+
+# a version-1 file of _hand_built("gemmed"), as saved before the kernel's
+# jitter was worked out from the kernel; it loads as that model
+_V1_FILE = b"""{
  "format_version": 1,
  "model_kind": "gemmed",
  "kernel": {
@@ -236,76 +361,7 @@ _FILE_BYTES = {
   "seed": 0
  }
 }
-""",
-    "svm": b"""{
- "format_version": 1,
- "model_kind": "svm",
- "kernel": {
-  "kind": "linear",
-  "gamma": null,
-  "jitter": 1e-08
- },
- "x": [
-  [
-   -1.0
-  ],
-  [
-   2.0
-  ]
- ],
- "y": [
-  -1,
-  1
- ],
- "alpha": [
-  0.5,
-  1.0
- ],
- "C": 1.0,
- "converged": true,
- "kkt_violation": 0.0
-}
-""",
-    "two_stage": b"""{
- "format_version": 1,
- "model_kind": "two_stage",
- "kernel": {
-  "kind": "linear",
-  "gamma": null,
-  "jitter": 1e-08
- },
- "x": [
-  [
-   -1.0
-  ],
-  [
-   2.0
-  ]
- ],
- "y": [
-  -1,
-  1
- ],
- "alpha": [
-  0.5,
-  1.0
- ],
- "C": 1.0,
- "converged": false,
- "kkt_violation": null,
- "kept_idx": [
-  0,
-  2
- ],
- "removed_idx": [
-  1
- ],
- "theta": 2.5,
- "k": 1,
- "alpha_level": 0.05
-}
-""",
-}
+"""
 
 
 def _hand_built(kind):
@@ -336,6 +392,20 @@ def test_model_file_bytes(tmp_path, kind):
     # loading and saving again writes the same bytes
     save_model(load_model(path), path)
     assert path.read_bytes() == _FILE_BYTES[kind]
+
+
+def test_a_version_1_file_loads_without_its_jitter(tmp_path):
+    # version 1 also saved the kernel's jitter, which no scorer read
+    path = tmp_path / "model.json"
+    path.write_bytes(_V1_FILE)
+    assert _fields(load_model(path)) == _fields(_hand_built("gemmed"))
+    save_model(load_model(path), path)
+    assert path.read_bytes() == _FILE_BYTES["gemmed"]
+    # version 2 holds no jitter
+    path.write_text(json.dumps({**json.loads(_V1_FILE), "format_version": 2}))
+    with pytest.raises(ValueError, match=re.escape(
+            "model.json: unknown key 'jitter' in field 'kernel'") + "$"):
+        load_model(path)
 
 
 @pytest.mark.parametrize("kind,key,bad,needle", [
@@ -400,8 +470,9 @@ def test_model_file_bytes(tmp_path, kind):
     pytest.param("svm", "kernel.gamma", True,  # a linear kernel's width, when set
                  "field 'kernel': gamma must lie in (0, inf), got True",
                  id="svm-kernel.gamma-True-expects a number, got True"),
+    # the Gram jitter is worked out from the kernel, and no file holds one
     pytest.param("two_stage", "kernel.jitter", None,
-                 "field 'kernel': jitter must lie in [0, inf), got None",
+                 "unknown key 'jitter' in field 'kernel'",
                  id="two_stage-kernel.jitter-None-expects a number, got None"),
     pytest.param("gemmed", "hyper.c", True, "field 'hyper': c must lie in (0, inf), got True",
                  id="gemmed-hyper.c-True-expects a number, got True"),
@@ -435,9 +506,9 @@ def test_model_file_bytes(tmp_path, kind):
     ("gemmed", "hyper", {}, "missing field 'hyper.c'"),
     ("gemmed", "hyper", {k: v for k, v in dataclasses.asdict(HyperParams()).items()
                          if k != "seed"}, "missing field 'hyper.seed'"),
-    ("gemmed", "kernel", {"kind": "rbf", "gamma": 0.5}, "missing field 'kernel.jitter'"),
-    ("gemmed", "kernel", {"kind": "rbf", "jitter": 1e-8}, "missing field 'kernel.gamma'"),
-    ("svm", "kernel", {"kind": "linear", "jitter": 1e-8}, "missing field 'kernel.gamma'"),
+    ("gemmed", "kernel", {"gamma": 0.5}, "missing field 'kernel.kind'"),
+    ("gemmed", "kernel", {"kind": "rbf"}, "missing field 'kernel.gamma'"),
+    ("svm", "kernel", {"kind": "linear"}, "missing field 'kernel.gamma'"),
     # a k below 1, refused by GemConfig; the int-field table below holds the
     # values that are not whole
     pytest.param("gemmed", "k", 0, "k must be at least 1, got 0", id="gemmed-k-zero"),
@@ -546,11 +617,8 @@ def test_a_model_file_holds_exactly_its_kinds_keys(tmp_path, kind):
 _FLOAT_FIELD_KEYS = {
     (KernelSpec, "gamma"): (("gemmed.gamma",), (("gemmed", "kernel.gamma"),
                                                 ("svm", "kernel.gamma"))),
-    (KernelSpec, "jitter"): (("gemmed.jitter",), (("gemmed", "kernel.jitter"),
-                                                  ("svm", "kernel.jitter"))),
     (MethodSettings, "gamma"): (("gemmed.gamma", "svm.gamma", "two-stage.gamma"),
                                 (("two_stage", "kernel.gamma"),)),
-    (MethodSettings, "jitter"): (("gemmed.jitter",), (("two_stage", "kernel.jitter"),)),
     (MethodSettings, "C"): (("svm.C", "two-stage.C"), (("svm", "C"), ("two_stage", "C"))),
     # partition_ratio and epsilon_gamma are not saved with a model
     (GemConfig, "partition_ratio"): (("gem.partition_ratio",), ()),
@@ -612,10 +680,10 @@ def test_a_json_int_in_a_settings_object_is_held_as_a_float(tmp_path):
     # 10**20 lies beyond int64, so NumPy would not compute with it as an int
     path = tmp_path / "model.json"
     payload = _put(json.loads(_FILE_BYTES["gemmed"]), "hyper.c", 10**20)
-    path.write_text(json.dumps(_put(payload, "kernel.jitter", 0)))
+    path.write_text(json.dumps(_put(payload, "kernel.gamma", 1)))
     model = load_model(path)
     assert type(model.hyper.c) is float and model.hyper.c == 1e20
-    assert type(model.kernel.jitter) is float and model.kernel.jitter == 0.0
+    assert type(model.kernel.gamma) is float and model.kernel.gamma == 1.0
 
 
 # A value out of a settings dataclass's range, as a sweep config key and,
@@ -630,8 +698,8 @@ def test_a_json_int_in_a_settings_object_is_held_as_a_float(tmp_path):
     pytest.param("gem.k", 0, "k must be at least 1, got 0", None, id="GemConfig-k"),
     pytest.param("gem.alpha", 2, "alpha must lie in (0, 1), got 2", None,
                  id="GemConfig-alpha"),
-    pytest.param("gemmed.jitter", -1, "jitter must lie in [0, inf), got -1",
-                 "kernel.jitter", id="KernelSpec-jitter"),
+    pytest.param("gemmed.gamma", -1, "gamma must lie in (0, inf), got -1",
+                 "kernel.gamma", id="KernelSpec-gamma"),
     pytest.param("svm.C", 0, "C must lie in (0, inf), got 0", None,
                  id="MethodSettings-C"),
 ])
