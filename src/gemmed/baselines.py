@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (LabeledDataset, check_array, check_real, check_reals, check_rows,
-                      check_type)
+from .dataset import LabeledDataset, check_real, check_reals, check_rows, check_type
 from .gem import (GemConfig, check_detector, compute_gem_stats, knn_distance_sum,
                   loo_threshold)
 from .kernels import (KernelSpec, compact_expansion, finite_decisions,
@@ -36,7 +35,7 @@ class SvmModel:
     """A fitted SVM.
 
     kkt_violation is the largest KKT violation of alpha on the training
-    kernel matrix (see kkt_violation), or None if not recorded.
+    kernel matrix (see kkt_violation).
 
     Construction refuses values ``train_svm`` cannot produce, such as alpha
     outside [0, C] or a negative kkt_violation, as ``persist.load_model``
@@ -49,7 +48,7 @@ class SvmModel:
     alpha: np.ndarray
     C: float
     converged: bool
-    kkt_violation: float | None = None
+    kkt_violation: float
 
     def __post_init__(self):
         check_type("kernel", self.kernel, KernelSpec, "a KernelSpec")
@@ -61,8 +60,7 @@ class SvmModel:
             raise ValueError(f"alpha must lie in [0, C], C = {self.C!r}")
         self.converged = bool(check_type("converged", self.converged, (bool, np.bool_),
                                          "true or false"))
-        if self.kkt_violation is not None:
-            check_reals(self, kkt_violation="[0, inf)")
+        check_reals(self, kkt_violation="[0, inf)")
 
     def decision_function(self, xs: np.ndarray) -> np.ndarray:
         """sum_j alpha_j y_j k(x, x_j) for each query row.
@@ -137,9 +135,10 @@ def _pivoted_cholesky(K: np.ndarray) -> np.ndarray:
     """G of shape (rank, n) with K ~= G.T @ G, one row per pivot.
 
     Each pivot is the largest residual diagonal entry (Fine & Scheinberg
-    2001); the factorization stops once none exceeds 1e-12 * max diag(K).
-    Rows go into a buffer that doubles when full, so a low-rank K never
-    costs n x n memory.
+    2001); the factorization stops once none exceeds 1e-12 * max diag(K),
+    or before a pivot row whose square is not finite, as on an indefinite
+    K with tiny diagonal entries. Rows go into a buffer that doubles when
+    full, so a low-rank K never costs n x n memory.
     """
     n = K.shape[0]
     resid = np.diag(K).copy()
@@ -150,12 +149,15 @@ def _pivoted_cholesky(K: np.ndarray) -> np.ndarray:
         p = int(np.argmax(resid))
         if not resid[p] > stop:
             break
-        row = K[p] - G[:r, p] @ G[:r]
-        row /= math.sqrt(resid[p])
+        with np.errstate(over="ignore", invalid="ignore"):  # tested below
+            row = (K[p] - G[:r, p] @ G[:r]) / math.sqrt(resid[p])
+            square = row * row
+        if not np.isfinite(square).all():
+            break
         if r == len(G):
             G = np.concatenate([G, np.empty((min(r, n - r), n))])
         G[r] = row
-        resid -= row * row
+        resid -= square
         resid[p] = 0.0
         r += 1
     return G[:r]
@@ -369,30 +371,19 @@ def train_svm(dataset: LabeledDataset, kernel: KernelSpec,
                     kkt_violation=kkt_violation(K, y, alpha, C))
 
 
-@dataclass(kw_only=True)
+@dataclass
 class TwoStageModel(SvmModel):
     """Screen-then-fit baseline: its SVM, fitted on the survivors x, plus a detector.
 
-    Construction also refuses values ``train_two_stage`` cannot produce,
-    such as kept_idx and removed_idx that do not split the training rows.
+    Construction also refuses a detector ``train_two_stage`` cannot produce,
+    such as a negative theta or a k above the number of survivors.
     """
 
-    kept_idx: np.ndarray
-    removed_idx: np.ndarray
     theta: float
     k: int
-    alpha_level: float
 
     def __post_init__(self):
         super().__post_init__()
-        check_rows(self, "kept_idx")
-        self.removed_idx = check_array("removed_idx", self.removed_idx, (None,), "be a list")
-        rows = np.sort(np.concatenate([self.kept_idx, self.removed_idx]))
-        if not np.array_equal(rows, np.arange(rows.size)):
-            raise ValueError(f"kept_idx and removed_idx must list each of the "
-                             f"{rows.size} training rows once between them")
-        self.kept_idx, self.removed_idx = self.kept_idx.astype(int), self.removed_idx.astype(int)
-        check_reals(self, alpha_level="(0, 1)")
         check_detector(self, len(self.x), "survivors x")
 
     def anomaly_scores(self, xs: np.ndarray) -> np.ndarray:
@@ -412,10 +403,7 @@ def train_two_stage(dataset: LabeledDataset, kernel: KernelSpec,
     The survivors are compute_gem_stats' kept set: per class z, the
     max(1, round(coverage * |class z|)) lowest-statistic samples.
     """
-    kept_idx = compute_gem_stats(dataset, gem_config).kept
-    removed_idx = np.setdiff1d(np.arange(dataset.n), kept_idx)
-    survivors = dataset.subset(kept_idx)
+    survivors = dataset.subset(compute_gem_stats(dataset, gem_config).kept)
     svm = train_svm(survivors, kernel, C=C)
     theta = loo_threshold(survivors.x, gem_config.k, gem_config.alpha)
-    return TwoStageModel(**vars(svm), kept_idx=kept_idx, removed_idx=removed_idx,
-                         theta=theta, k=gem_config.k, alpha_level=gem_config.alpha)
+    return TwoStageModel(**vars(svm), theta=theta, k=gem_config.k)

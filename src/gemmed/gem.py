@@ -62,14 +62,11 @@ class GemConfig:
                     epsilon_gamma="(0, inf)", alpha="(0, 1)")
 
 
-def check_detector(model, references: int, what: str, *levels: str) -> None:
-    """Refuse a model's k-NN detector unless its k and its named levels
-    (alpha, target_coverage) pass GemConfig's checks, which the model then
-    holds, its theta lies in [0, inf), and its reference set, references
-    points named what, holds at least k."""
-    gem = GemConfig(k=model.k, **{name: getattr(model, name) for name in levels})
-    for name in ("k", *levels):
-        setattr(model, name, getattr(gem, name))
+def check_detector(model, references: int, what: str) -> None:
+    """Refuse a model's k-NN detector unless its k is an integer of at least
+    1, which the model then holds as an int, its theta lies in [0, inf), and
+    its reference set, references points named what, holds at least k."""
+    check_integers(model, k=1)
     check_reals(model, theta="[0, inf)")
     if references < model.k:
         raise ValueError(f"k={model.k} exceeds the {references} point(s) of the {what}")

@@ -161,14 +161,12 @@ def median_heuristic_gamma(xs: np.ndarray) -> float:
     return 1.0 / med
 
 
-def resolve_kernel(kind: str, gamma, xs: np.ndarray | None = None) -> KernelSpec:
-    """Build a KernelSpec, resolving an rbf gamma='auto' via the median
-    heuristic; any other kind goes without a width, and KernelSpec refuses
-    a kind or a width it does not accept."""
+def resolve_kernel(kind: str, gamma, xs: np.ndarray) -> KernelSpec:
+    """Build a KernelSpec, resolving an rbf gamma='auto' on the points xs
+    via the median heuristic; any other kind goes without a width, and
+    KernelSpec refuses a kind or a width it does not accept."""
     if kind != "rbf":
         return KernelSpec(kind=kind, gamma=None)
     if gamma == "auto":
-        if xs is None:
-            raise ValueError("gamma='auto' needs data points to resolve against")
         gamma = median_heuristic_gamma(xs)
     return KernelSpec(kind="rbf", gamma=gamma)

@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import (CLASSES, LabeledDataset, check_array, check_integers, check_reals,
-                      check_rows, check_type, class_index)
+from .dataset import (LabeledDataset, check_integers, check_reals, check_rows, check_type,
+                      class_index)
 from .gem import check_detector
 from .kernels import GramMatrix, KernelSpec
 
@@ -151,7 +151,7 @@ class TrainedModel:
     to +1. Detection scores a query by its k-NN distance sum into the
     nominal support (eta_hat > 1/2) and compares against theta.
     ``dual_estimate`` is the mean-field dual objective estimate at the
-    final duals, or None if not recorded.
+    final duals.
 
     Construction refuses values ``trainer.train`` cannot produce, such as
     eta_hat outside [0, 1], a negative theta or an infinite lam, as
@@ -163,32 +163,21 @@ class TrainedModel:
     y: np.ndarray
     lam: np.ndarray
     eta_hat: np.ndarray
-    gamma_hat: np.ndarray
-    beta_hat: np.ndarray
     theta: float
     k: int
-    alpha: float
-    target_coverage: float
-    dual_estimate: float | None = None
-    hyper: HyperParams | None = None
+    dual_estimate: float
 
     def __post_init__(self):
         check_type("kernel", self.kernel, KernelSpec, "a KernelSpec")
         data = LabeledDataset(self.x, self.y)
         self.x, self.y = data.x, data.y
         check_rows(self, "lam", "eta_hat")
-        for name in ("gamma_hat", "beta_hat"):
-            setattr(self, name, check_array(name, getattr(self, name), (len(CLASSES),),
-                                            "hold one entry per class"))
         if not (self.lam >= 0).all():
             raise ValueError("lam must be at least 0")
         if not ((self.eta_hat >= 0) & (self.eta_hat <= 1)).all():
             raise ValueError("eta_hat must lie in [0, 1]")
-        check_detector(self, self.nominal_idx.size, "nominal support", "alpha",
-                       "target_coverage")
-        if self.dual_estimate is not None:
-            check_reals(self, dual_estimate="(-inf, inf)")
-        check_type("hyper", self.hyper, (HyperParams, type(None)), "a HyperParams or None")
+        check_detector(self, self.nominal_idx.size, "nominal support")
+        check_reals(self, dual_estimate="(-inf, inf)")
 
     @property
     def nominal_idx(self) -> np.ndarray:

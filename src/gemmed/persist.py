@@ -4,12 +4,14 @@ All model kinds share an envelope with ``format_version`` and
 ``model_kind``; floats go through Python's repr-based JSON encoding,
 which round-trips float64 exactly, so reloaded models reproduce
 predictions bit for bit. After the envelope, a file holds its model's
-fields in the class's order, lam under the key ``lambda``. ``load_model``
-maps JSON structure only: a settings object to its dataclass, a per-class
-object to a list, whole numbers to ints. The model class then checks every
-value as it checks one built in code, and a refusal gives the same message
-after the file's path: ``model.json: lam must be finite``. A version-1
-file loads without its kernel's ``jitter``, which nothing read.
+fields in the class's order, lam under the key ``lambda``: what scoring
+reads, and no training setting. ``load_model`` maps JSON structure only:
+the kernel object to its KernelSpec, a whole-number k to an int. The
+model class then checks every value as it checks one built in code, and
+a refusal gives the same message after the file's path: ``model.json:
+lam must be finite``. A version-1 or -2 file loads without the keys it
+held that no scorer reads (``_RETIRED``, and a version-1 kernel's
+``jitter``), whatever their values.
 The ``json_*`` readers serve sweep configs too: ``json_fields`` builds a
 settings object, nested ones included, and a refusal names it or its key.
 """
@@ -18,17 +20,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, fields, is_dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import SvmModel, TwoStageModel
-from .dataset import CLASSES
 from .kernels import KernelSpec
-from .model import HyperParams, TrainedModel
+from .model import TrainedModel
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def json_object(value, name: str, allowed) -> dict:
@@ -98,34 +98,16 @@ def json_fields(value, name: str, base, refused=(), nouns=("field", "field")):
 
 # Rules mapping a key's JSON structure to its field's form; an error names the
 # key. Every other key's value goes to the model as it is, which checks it.
-
-def _settings(cls, key: str, value):
-    return json_fields(value, key, cls) if isinstance(value, dict) else value
-
-
-def _by_class(key: str, value) -> list:
-    slots = json_object(value, f"field '{key}'", map(str, CLASSES))
-    for c in map(str, CLASSES):
-        if c not in slots:
-            raise KeyError(f"{key}.{c}")
-    return [slots[str(c)] for c in CLASSES]
-
-
-def _indices(key: str, value) -> np.ndarray:
-    if isinstance(value, list):
-        try:
-            return np.array([json_whole(v, key) for v in value], dtype=int)
-        except (ValueError, OverflowError):  # not whole, or beyond an int64
-            pass
-    raise ValueError(f"field '{key}' must list whole numbers that fit a 64-bit integer")
-
-
-_RULES = {"kernel": partial(_settings, KernelSpec), "hyper": partial(_settings, HyperParams),
-          "gamma_hat": _by_class, "beta_hat": _by_class, "kept_idx": _indices,
-          "removed_idx": _indices, "k": lambda key, value: json_whole(value, f"field '{key}'")}
+_RULES = {"kernel": lambda key, value: (json_fields(value, key, KernelSpec)
+                                        if isinstance(value, dict) else value),
+          "k": lambda key, value: json_whole(value, f"field '{key}'")}
 _KINDS = {"gemmed": TrainedModel, "svm": SvmModel, "two_stage": TwoStageModel}
 # saving looks up the exact class: a TwoStageModel is also an SvmModel
 _TAGS = {cls: kind for kind, cls in _KINDS.items()}
+# Keys that files of versions 1 and 2 held and no scorer read: training
+# settings and screen intermediates. Such a file loads without them, unread.
+_RETIRED = {"gemmed": ("gamma_hat", "beta_hat", "alpha", "target_coverage", "hyper"),
+            "svm": (), "two_stage": ("kept_idx", "removed_idx", "alpha_level")}
 
 
 def _layout(cls) -> list[tuple[str, str]]:
@@ -143,8 +125,6 @@ def save_model(model, path) -> None:
         value = getattr(model, field)
         if isinstance(value, np.ndarray):
             value = value.tolist()
-        if _RULES.get(key) is _by_class:
-            value = dict(zip(map(str, CLASSES), value))
         payload[key] = asdict(value) if is_dataclass(value) else value
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
@@ -160,12 +140,14 @@ def load_model(path):
     kind = payload["model_kind"]
     try:
         version = json_whole(payload["format_version"], "format_version")
-        if version not in (1, FORMAT_VERSION):
+        if not 1 <= version <= FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {version!r}")
-        if version == 1 and isinstance(payload.get("kernel"), dict):
-            payload["kernel"] = {k: v for k, v in payload["kernel"].items() if k != "jitter"}
         if not isinstance(kind, str) or kind not in _KINDS:
             raise ValueError(f"unknown model_kind {kind!r}")
+        if version < FORMAT_VERSION:
+            payload = {k: v for k, v in payload.items() if k not in _RETIRED[kind]}
+        if version == 1 and isinstance(payload.get("kernel"), dict):
+            payload["kernel"] = {k: v for k, v in payload["kernel"].items() if k != "jitter"}
         cls = _KINDS[kind]
         layout = _layout(cls)
         json_object(payload, f"a {kind} model file",

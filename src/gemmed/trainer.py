@@ -328,14 +328,9 @@ def train(dataset: LabeledDataset, kernel: KernelSpec, gem_config: GemConfig,
         y=dataset.y.copy(),
         lam=state.lam.copy(),
         eta_hat=eta_hat.copy(),
-        gamma_hat=stats.gamma_hat.copy(),
-        beta_hat=stats.beta_hat.copy(),
         theta=theta,
         k=gem_config.k,
-        alpha=gem_config.alpha,
-        target_coverage=gem_config.target_coverage,
         dual_estimate=estimate,
-        hyper=hyper,
     )
     wrong = np.mean(predict(model, model.x[nominal]) != model.y[nominal])
     if wrong > 0.5:

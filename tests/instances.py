@@ -53,10 +53,15 @@ def per_row_knn(xs, refs, k) -> np.ndarray:
 def assert_refused(model, key: str, bad, message: str, tmp_path) -> None:
     """A copy of model with the field saved under key set to bad raises
     ValueError(message), and so does loading model's file with key set to bad,
-    after the file's name. A per-class object of the file is a list in the model."""
+    after the file's name. A key that names no field of the model, such as
+    one an older file held, is refused as an unexpected keyword instead."""
     field = {"lambda": "lam"}.get(key, key)
-    with pytest.raises(ValueError, match=re.escape(message) + "$"):
-        dataclasses.replace(model, **{field: list(bad.values()) if isinstance(bad, dict) else bad})
+    if hasattr(model, field):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            dataclasses.replace(model, **{field: bad})
+    else:
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            dataclasses.replace(model, **{field: bad})
     path = tmp_path / "model.json"
     save_model(model, path)
     path.write_text(json.dumps({**json.loads(path.read_text()), key: bad}))

@@ -259,10 +259,9 @@ def test_criterion_3_reduces_to_kernel_machine():
     kernel = KernelSpec("rbf", gamma=0.4)
     frozen = trainer.TrainedModel(
         kernel=kernel, x=x, y=y, lam=lam, eta_hat=np.ones(40),
-        gamma_hat=np.zeros(2), beta_hat=np.zeros(2), theta=1.0, k=1,
-        alpha=0.05, target_coverage=0.8)
+        theta=1.0, k=1, dual_estimate=0.0)
     reference = SvmModel(kernel=kernel, x=x, y=y, alpha=lam, C=10.0,
-                         converged=True)
+                         converged=True, kkt_violation=0.0)
     points = rng.normal(scale=3.0, size=(1000, 2))
     agree = np.mean(trainer.predict(frozen, points)
                     == reference.predict(points))

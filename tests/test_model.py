@@ -109,13 +109,16 @@ def test_eta_logits_hand_computed():
 # Each value a joint model refuses, built in Python or read from a model file,
 # as (JSON key, value, message). trainer.train produces none of them: it
 # clips lam into [0, lambda_cap], eta_hat is a mean of 0/1 draws, theta is a
-# quantile of k-NN distance sums, GemConfig holds k, alpha and
-# target_coverage, and a nominal support of k or fewer points fails training.
+# quantile of k-NN distance sums, GemConfig holds k, and a nominal support
+# of k or fewer points fails training. The training settings alpha and
+# target_coverage are no fields: a model refuses them by name, and a file
+# that holds them as unknown keys.
 @pytest.mark.parametrize("key,bad,message", [
     pytest.param("theta", -5.0, "theta must lie in [0, inf), got -5.0", id="theta-negative"),
-    pytest.param("alpha", 2.0, "alpha must lie in (0, 1), got 2.0", id="alpha-above-1"),
-    pytest.param("alpha", 0.0, "alpha must lie in (0, 1), got 0.0", id="alpha-zero"),
-    pytest.param("target_coverage", 7.0, "target_coverage must lie in (0, 1], got 7.0",
+    pytest.param("alpha", 2.0, "unknown key 'alpha' in a gemmed model file",
+                 id="alpha-above-1"),
+    pytest.param("alpha", 0.0, "unknown key 'alpha' in a gemmed model file", id="alpha-zero"),
+    pytest.param("target_coverage", 7.0, "unknown key 'target_coverage' in a gemmed model file",
                  id="target_coverage-above-1"),
     pytest.param("k", 0, "k must be at least 1, got 0", id="k-zero"),
     pytest.param("k", 3, "k=3 exceeds the 2 point(s) of the nominal support",
@@ -132,6 +135,5 @@ def test_joint_model_refuses_what_training_cannot_produce(tmp_path, key, bad, me
     model = TrainedModel(
         kernel=KernelSpec("rbf", gamma=0.5), x=np.array([[-1.0], [2.0]]),
         y=np.array([-1, 1]), lam=np.array([0.25, 0.5]), eta_hat=np.array([0.75, 1.0]),
-        gamma_hat=np.array([0.1, 0.2]), beta_hat=np.array([0.5, 0.75]),
-        theta=3.0, k=1, alpha=0.05, target_coverage=0.8)
+        theta=3.0, k=1, dual_estimate=-1.5)
     assert_refused(model, key, bad, message, tmp_path)

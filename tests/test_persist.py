@@ -41,7 +41,6 @@ def test_joint_model_round_trip(cell, tmp_path):
     assert np.array_equal(back.eta_hat, model.eta_hat)
     assert back.theta == model.theta
     assert back.dual_estimate == model.dual_estimate
-    assert back.hyper == model.hyper
     np.testing.assert_array_equal(trainer.predict(back, test_set.x),
                                   trainer.predict(model, test_set.x))
     np.testing.assert_array_equal(
@@ -75,7 +74,7 @@ def test_two_stage_round_trip(cell, tmp_path):
     assert type(back) is TwoStageModel and isinstance(back, SvmModel)
     assert not hasattr(back, "svm")
     assert json.loads(path.read_text())["model_kind"] == "two_stage"
-    assert np.array_equal(back.kept_idx, model.kept_idx)
+    assert np.array_equal(back.x, model.x)
     assert back.converged is model.converged is True
     assert (back.theta, back.kkt_violation) == (model.theta, model.kkt_violation)
     np.testing.assert_array_equal(back.predict(test_set.x),
@@ -114,13 +113,11 @@ def test_load_rejects_malformed(tmp_path):
 
 # the model field of a JSON key, where they differ
 _FIELD = {"lambda": "lam"}
-# the keys whose file holds an object keyed "-1" and "1" and whose model a list
-_PER_CLASS = ("gamma_hat", "beta_hat")
 # the float fields of each model kind that must be finite to load
 _FINITE_FIELDS = {
-    "gemmed": ("x", "lambda", "eta_hat", "alpha", "theta", "gamma_hat", "beta_hat"),
-    "svm": ("x", "alpha", "C"),
-    "two_stage": ("x", "alpha", "C", "theta"),
+    "gemmed": ("x", "lambda", "eta_hat", "theta", "dual_estimate"),
+    "svm": ("x", "alpha", "C", "kkt_violation"),
+    "two_stage": ("x", "alpha", "C", "kkt_violation", "theta"),
 }
 
 
@@ -137,9 +134,7 @@ def _put(payload, key, value):
 def _spoil(payload, key, bad):
     """payload with one number of field key replaced by bad."""
     value = payload[key]
-    if isinstance(value, dict):  # per-class levels
-        value["1"] = bad
-    elif isinstance(value, list):
+    if isinstance(value, list):
         row = value[0] if isinstance(value[0], list) else value
         row[0] = bad
     else:
@@ -180,8 +175,104 @@ def test_load_rejects_non_finite_numbers(cell, tmp_path, kind):
 
 
 # the bytes of each model kind's file, pinned: the key order, the float
-# reprs, null for an absent value and the one-space indent are the format
+# reprs, null for an unset kernel width and the one-space indent are the format
 _FILE_BYTES = {
+    "gemmed": b"""{
+ "format_version": 3,
+ "model_kind": "gemmed",
+ "kernel": {
+  "kind": "rbf",
+  "gamma": 0.5
+ },
+ "x": [
+  [
+   -1.0
+  ],
+  [
+   2.0
+  ]
+ ],
+ "y": [
+  -1,
+  1
+ ],
+ "lambda": [
+  0.25,
+  0.5
+ ],
+ "eta_hat": [
+  0.75,
+  1.0
+ ],
+ "theta": 3.0,
+ "k": 1,
+ "dual_estimate": -1.5
+}
+""",
+    "svm": b"""{
+ "format_version": 3,
+ "model_kind": "svm",
+ "kernel": {
+  "kind": "linear",
+  "gamma": null
+ },
+ "x": [
+  [
+   -1.0
+  ],
+  [
+   2.0
+  ]
+ ],
+ "y": [
+  -1,
+  1
+ ],
+ "alpha": [
+  0.5,
+  1.0
+ ],
+ "C": 1.0,
+ "converged": true,
+ "kkt_violation": 0.0
+}
+""",
+    "two_stage": b"""{
+ "format_version": 3,
+ "model_kind": "two_stage",
+ "kernel": {
+  "kind": "linear",
+  "gamma": null
+ },
+ "x": [
+  [
+   -1.0
+  ],
+  [
+   2.0
+  ]
+ ],
+ "y": [
+  -1,
+  1
+ ],
+ "alpha": [
+  0.5,
+  1.0
+ ],
+ "C": 1.0,
+ "converged": false,
+ "kkt_violation": 0.25,
+ "theta": 2.5,
+ "k": 1
+}
+""",
+}
+
+
+# a version-2 file of each _hand_built model, as saved while a file also held
+# training settings and screen intermediates; each loads as that model
+_V2_FILES = {
     "gemmed": b"""{
  "format_version": 2,
  "model_kind": "gemmed",
@@ -289,7 +380,7 @@ _FILE_BYTES = {
  ],
  "C": 1.0,
  "converged": false,
- "kkt_violation": null,
+ "kkt_violation": 0.25,
  "kept_idx": [
   0,
   2
@@ -371,17 +462,12 @@ def _hand_built(kind):
         return TrainedModel(
             kernel=KernelSpec("rbf", gamma=0.5), x=x, y=y,
             lam=np.array([0.25, 0.5]), eta_hat=np.array([0.75, 1.0]),
-            gamma_hat=np.array([0.1, 0.2]), beta_hat=np.array([0.5, 0.75]),
-            theta=3.0, k=1, alpha=0.05, target_coverage=0.8,
-            dual_estimate=-1.5,
-            hyper=HyperParams(steps=2, gibbs_sweeps=3, burn_in=1))
+            theta=3.0, k=1, dual_estimate=-1.5)
     svm = dict(kernel=KernelSpec("linear"), x=x, y=y,
                alpha=np.array([0.5, 1.0]), C=1.0)
     if kind == "svm":
         return SvmModel(**svm, converged=True, kkt_violation=0.0)
-    return TwoStageModel(**svm, converged=False,
-                         kept_idx=np.array([0, 2]), removed_idx=np.array([1]),
-                         theta=2.5, k=1, alpha_level=0.05)
+    return TwoStageModel(**svm, converged=False, kkt_violation=0.25, theta=2.5, k=1)
 
 
 @pytest.mark.parametrize("kind", sorted(_FILE_BYTES))
@@ -408,18 +494,46 @@ def test_a_version_1_file_loads_without_its_jitter(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("kind", sorted(_FILE_BYTES))
+def test_a_version_2_file_loads_without_its_retired_keys(tmp_path, kind):
+    # version 2 also saved training settings and screen intermediates, which
+    # no scorer read; they load unread, whatever their values, and version 3
+    # refuses each of them
+    v2, v3 = json.loads(_V2_FILES[kind]), json.loads(_FILE_BYTES[kind])
+    retired = [key for key in v2 if key not in v3]
+    assert retired == {"gemmed": ["gamma_hat", "beta_hat", "alpha", "target_coverage", "hyper"],
+                       "svm": [], "two_stage": ["kept_idx", "removed_idx", "alpha_level"]}[kind]
+    path = tmp_path / "model.json"
+    path.write_bytes(_V2_FILES[kind])
+    assert _fields(load_model(path)) == _fields(_hand_built(kind))
+    save_model(load_model(path), path)
+    assert path.read_bytes() == _FILE_BYTES[kind]
+    for key in retired:
+        path.write_text(json.dumps({**v2, key: "spoiled"}))
+        assert _fields(load_model(path)) == _fields(_hand_built(kind))
+        path.write_text(json.dumps({**v3, key: v2[key]}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"model.json: unknown key '{key}' in a {kind} model file") + "$"):
+            load_model(path)
+
+
+def _unknown(key, kind) -> str:
+    """The refusal of a key that a file of the kind may not hold."""
+    return f"unknown key '{key}' in a {kind} model file"
+
+
 @pytest.mark.parametrize("kind,key,bad,needle", [
     # a label other than -1 and 1 is the model's to refuse, as are the row
-    # counts and the index split further down
+    # counts further down
     *(pytest.param(kind, "y", [-1, 0.5], "labels must be -1 or +1",
                    id=f"{kind}-y-bad{i}-must hold only the labels -1 and 1")
       for i, kind in enumerate(sorted(_FILE_BYTES))),
     ("svm", "y", ["-1", "one"], "must hold only numbers"),
-    pytest.param("two_stage", "kept_idx", [0, 1.7],
-                 "field 'kept_idx' must list whole numbers that fit a 64-bit integer",
+    # a key an older file held, the screen's index split say, is refused
+    # whatever its value, and an older file's loads unread
+    pytest.param("two_stage", "kept_idx", [0, 1.7], _unknown("kept_idx", "two_stage"),
                  id="two_stage-kept_idx-bad4-must list whole numbers of at least 0"),
-    pytest.param("two_stage", "removed_idx", [-1], "kept_idx and removed_idx must list "
-                 "each of the 3 training rows once between them",
+    pytest.param("two_stage", "removed_idx", [-1], _unknown("removed_idx", "two_stage"),
                  id="two_stage-removed_idx-bad5-must list whole numbers of at least 0"),
     ("two_stage", "converged", "false", "must be true or false, got 'false'"),
     ("svm", "converged", 1, "must be true or false, got 1"),
@@ -431,7 +545,7 @@ def test_a_version_1_file_loads_without_its_jitter(tmp_path):
     pytest.param("svm", "C", "1", "must lie in (0, inf), got '1'", id="svm-C-1-expects a number"),
     pytest.param("two_stage", "C", True, "must lie in (0, inf), got True",
                  id="two_stage-C-True-expects a number"),
-    pytest.param("gemmed", "target_coverage", [0.8], "must lie in (0, 1], got [0.8]",
+    pytest.param("gemmed", "target_coverage", [0.8], _unknown("target_coverage", "gemmed"),
                  id="gemmed-target_coverage-bad12-expects a number, got [0.8]"),
     pytest.param("svm", "kkt_violation", "0", "must lie in [0, inf), got '0'",
                  id="svm-kkt_violation-0-expects a number"),
@@ -447,16 +561,16 @@ def test_a_version_1_file_loads_without_its_jitter(tmp_path):
     ("svm", "y", [-1, False], "must hold only numbers"),
     ("gemmed", "lambda", ["0.25", 0.5], "must hold only numbers"),
     ("svm", "alpha", [0.5, True], "must hold only numbers"),
-    ("gemmed", "gamma_hat", {"-1": True, "1": 0.2}, "must hold only numbers"),
-    pytest.param("two_stage", "kept_idx", [False, 2],
-                 "field 'kept_idx' must list whole numbers that fit a 64-bit integer",
+    pytest.param("gemmed", "gamma_hat", {"-1": True, "1": 0.2}, _unknown("gamma_hat", "gemmed"),
+                 id="gemmed-gamma_hat-bad25-must hold only numbers"),
+    pytest.param("two_stage", "kept_idx", [False, 2], _unknown("kept_idx", "two_stage"),
                  id="two_stage-kept_idx-bad26-must hold only numbers"),
     ("two_stage", "x", [[True], [2.0]], "must hold only numbers"),
     ("gemmed", "x", [["-1"], [2.0]], "must hold only numbers"),
     *(("svm", "x", bad, "must be a matrix with at least one row and one column")
       for bad in ([-1.0, 2.0], [], [[], []], [[[-1.0]], [[2.0]]], 1.0)),
-    # the kernel and hyper objects, whose dataclasses refuse a non-number
-    # naming the object; explicit ids, so that a change of needle renames no test
+    # the kernel object, whose dataclass refuses a non-number naming the
+    # object; explicit ids, so that a change of needle renames no test
     pytest.param("gemmed", "kernel.gamma", True,
                  "field 'kernel': gamma must lie in (0, inf), got True",
                  id="gemmed-kernel.gamma-True-expects a number, got True"),
@@ -474,86 +588,84 @@ def test_a_version_1_file_loads_without_its_jitter(tmp_path):
     pytest.param("two_stage", "kernel.jitter", None,
                  "unknown key 'jitter' in field 'kernel'",
                  id="two_stage-kernel.jitter-None-expects a number, got None"),
-    pytest.param("gemmed", "hyper.c", True, "field 'hyper': c must lie in (0, inf), got True",
-                 id="gemmed-hyper.c-True-expects a number, got True"),
-    pytest.param("gemmed", "hyper.c", "abc", "field 'hyper': c must lie in (0, inf), got 'abc'",
-                 id="gemmed-hyper.c-abc-expects a number, got 'abc'"),
-    pytest.param("gemmed", "hyper.c", 10**400,
-                 "field 'hyper': c must lie in (0, inf), got an integer too large "
-                 "for a float",
-                 id="gemmed-hyper.c-10**400-expects a number"),
-    pytest.param("gemmed", "hyper.rate_mu", True,
-                 "field 'hyper': rate_mu must lie in (0, inf), got True",
-                 id="gemmed-hyper.rate_mu-True-expects a number, got True"),
-    # a kernel or hyper that is no object goes to the model, which refuses it
-    *(pytest.param("gemmed", "hyper", bad, f"must be a HyperParams or None, got {bad!r}",
-                   id=f"gemmed-hyper-{shown}-must be an object")
-      for bad, shown in ((False, "False"), (0, "0"), ([], "bad45"))),
-    pytest.param("gemmed", "gamma_hat", [0.1, 0.2], "field 'gamma_hat' must be an object",
+    # the training settings a joint file held: refused in any form, and
+    # loaded unread from an older file
+    *(pytest.param("gemmed", key, bad, _unknown("hyper", "gemmed"), id=f"gemmed-{key}-{shown}")
+      for key, bad, shown in (
+          ("hyper.c", True, "True-expects a number, got True"),
+          ("hyper.c", "abc", "abc-expects a number, got 'abc'"),
+          ("hyper.c", 10**400, "10**400-expects a number"),
+          ("hyper.rate_mu", True, "True-expects a number, got True"),
+          ("hyper", False, "False-must be an object"), ("hyper", 0, "0-must be an object"),
+          ("hyper", [], "bad45-must be an object"))),
+    pytest.param("gemmed", "gamma_hat", [0.1, 0.2], _unknown("gamma_hat", "gemmed"),
                  id="gemmed-gamma_hat-bad46-must be an object"),
-    pytest.param("gemmed", "beta_hat", 0.5, "field 'beta_hat' must be an object",
+    pytest.param("gemmed", "beta_hat", 0.5, _unknown("beta_hat", "gemmed"),
                  id="gemmed-beta_hat-0.5-must be an object"),
+    # a kernel that is no object goes to the model, which refuses it
     pytest.param("gemmed", "kernel", "rbf", "must be a KernelSpec, got 'rbf'",
                  id="gemmed-kernel-rbf-must be an object"),
-    # a key the object may not hold, or one it lacks, is named in full
-    ("gemmed", "hyper.bogus", 1, "unknown key 'bogus' in field 'hyper'"),
-    ("gemmed", "hyper.early_stop", False, "unknown key 'early_stop' in field 'hyper'"),
-    ("gemmed", "beta_hat.0", 0.2, "unknown key '0' in field 'beta_hat'"),
+    # a key the kernel may not hold, or one it lacks, is named in full; a
+    # retired object is refused whole, whatever keys it holds
+    pytest.param("gemmed", "hyper.bogus", 1, _unknown("hyper", "gemmed"),
+                 id="gemmed-hyper.bogus-1-unknown key 'bogus' in field 'hyper'"),
+    pytest.param("gemmed", "hyper.early_stop", False, _unknown("hyper", "gemmed"),
+                 id="gemmed-hyper.early_stop-False-unknown key 'early_stop' in field 'hyper'"),
+    pytest.param("gemmed", "beta_hat.0", 0.2, _unknown("beta_hat", "gemmed"),
+                 id="gemmed-beta_hat.0-0.2-unknown key '0' in field 'beta_hat'"),
     ("gemmed", "kernel.width", 2.0, "unknown key 'width' in field 'kernel'"),
-    ("gemmed", "gamma_hat", {"-1": 0.1}, "missing field 'gamma_hat.1'"),
+    pytest.param("gemmed", "gamma_hat", {"-1": 0.1}, _unknown("gamma_hat", "gemmed"),
+                 id="gemmed-gamma_hat-bad53-missing field 'gamma_hat.1'"),
     ("two_stage", "kernel", {"gamma": None}, "missing field 'kernel.kind'"),
-    # a nested object holds every field: none is filled in with its default
-    ("gemmed", "hyper", {}, "missing field 'hyper.c'"),
-    ("gemmed", "hyper", {k: v for k, v in dataclasses.asdict(HyperParams()).items()
-                         if k != "seed"}, "missing field 'hyper.seed'"),
+    # the kernel object holds every field: none is filled in with its default
+    pytest.param("gemmed", "hyper", {}, _unknown("hyper", "gemmed"),
+                 id="gemmed-hyper-bad55-missing field 'hyper.c'"),
+    pytest.param("gemmed", "hyper", {k: v for k, v in dataclasses.asdict(HyperParams()).items()
+                                     if k != "seed"}, _unknown("hyper", "gemmed"),
+                 id="gemmed-hyper-bad56-missing field 'hyper.seed'"),
     ("gemmed", "kernel", {"gamma": 0.5}, "missing field 'kernel.kind'"),
     ("gemmed", "kernel", {"kind": "rbf"}, "missing field 'kernel.gamma'"),
     ("svm", "kernel", {"kind": "linear"}, "missing field 'kernel.gamma'"),
-    # a k below 1, refused by GemConfig; the int-field table below holds the
-    # values that are not whole
+    # a k below 1, refused by the detector check; the int-field table below
+    # holds the values that are not whole
     pytest.param("gemmed", "k", 0, "k must be at least 1, got 0", id="gemmed-k-zero"),
     pytest.param("two_stage", "k", -2, "k must be at least 1, got -2",
                  id="two_stage-k-negative"),
-    # an index that does not fit an int64 is refused, not wrapped to a negative one
-    pytest.param("two_stage", "kept_idx", [0, 1e300],
-                 "field 'kept_idx' must list whole numbers that fit a 64-bit integer",
+    pytest.param("two_stage", "kept_idx", [0, 1e300], _unknown("kept_idx", "two_stage"),
                  id="two_stage-kept_idx-float-beyond-int64"),
-    pytest.param("two_stage", "removed_idx", [2**63],
-                 "field 'removed_idx' must list whole numbers that fit a 64-bit integer",
+    pytest.param("two_stage", "removed_idx", [2**63], _unknown("removed_idx", "two_stage"),
                  id="two_stage-removed_idx-integer-beyond-int64"),
-    # the cap is a number: null does not mean a default
-    pytest.param("gemmed", "hyper.lambda_cap", None,
-                 "field 'hyper': lambda_cap must lie in (0, 10.0), got None",
+    pytest.param("gemmed", "hyper.lambda_cap", None, _unknown("hyper", "gemmed"),
                  id="gemmed-hyper.lambda_cap-null"),
 ])
 def test_load_refuses_a_field_of_the_wrong_form(tmp_path, kind, key, bad, needle):
     # the model refuses a value as "<field> <needle>", built in Python or loaded
     if needle.startswith("must"):
         needle = f"{_FIELD.get(key, key)} {needle}"
-    if "field '" not in needle:
+    if "field '" not in needle and " model file" not in needle:
         assert_refused(_hand_built(kind), key, bad, needle, tmp_path)
         return
     # the file's structure, which no model sees: a key it lacks or may not
-    # hold, a settings object's value, a per-class object, a whole number
+    # hold, the kernel object's value, a whole number
     path = tmp_path / "model.json"
     save_model(_hand_built(kind), path)
     path.write_text(json.dumps(_put(json.loads(path.read_text()), key, bad)))
     with pytest.raises(ValueError, match=re.escape(f"model.json: {needle}") + "$"):
         load_model(path)
+    if " model file" in needle:  # a retired key, which a version-2 file held unread
+        path.write_text(json.dumps(_put(json.loads(_V2_FILES[kind]), key, bad)))
+        assert _fields(load_model(path)) == _fields(_hand_built(kind))
 
 
 def _odd_payloads(saved, key):
     """Copies of a model file's payload with an odd value at key: each of NaN,
     inf, -inf, true, "0.1" and null in place of the value and of its first
-    number, and the value in one more list (each entry, for a per-class object)."""
-    per_class = key in _PER_CLASS
+    number, and the value in one more list."""
     for bad in (float("nan"), float("inf"), float("-inf"), True, "0.1", None):
-        if not per_class:  # whose file is an object whatever the model holds
-            yield {**saved, key: bad}
-        if per_class or isinstance(saved[key], list):
+        yield {**saved, key: bad}
+        if isinstance(saved[key], list):
             yield _spoil(copy.deepcopy(saved), key, bad)
-    yield {**saved, key: ({c: [v] for c, v in saved[key].items()} if per_class
-                          else [saved[key]])}
+    yield {**saved, key: [saved[key]]}
 
 
 def _fields(model) -> list:
@@ -568,8 +680,7 @@ def test_a_model_refuses_a_value_built_exactly_as_loaded(tmp_path, kind):
         for payload in _odd_payloads(saved, key):
             value = payload[key]
             try:
-                built = dataclasses.replace(_hand_built(kind), **{
-                    _FIELD.get(key, key): list(value.values()) if key in _PER_CLASS else value})
+                built = dataclasses.replace(_hand_built(kind), **{_FIELD.get(key, key): value})
             except ValueError as exc:
                 built = str(exc)
             path.write_text(json.dumps(payload))
@@ -578,9 +689,9 @@ def test_a_model_refuses_a_value_built_exactly_as_loaded(tmp_path, kind):
             except ValueError as exc:
                 loaded = str(exc).removeprefix(f"{path}: ")
             if isinstance(built, str):
-                # the whole-number readers name the key as a sweep config's do
-                assert loaded == built or (isinstance(loaded, str) and key in (
-                    "k", "kept_idx", "removed_idx")), (key, value, built, loaded)
+                # the whole-number reader names the key as a sweep config's do
+                assert loaded == built or (isinstance(loaded, str) and key == "k"), (
+                    key, value, built, loaded)
                 continue
             assert not isinstance(loaded, str), (key, value, loaded)
             assert _fields(loaded) == _fields(built)
@@ -620,13 +731,12 @@ _FLOAT_FIELD_KEYS = {
     (MethodSettings, "gamma"): (("gemmed.gamma", "svm.gamma", "two-stage.gamma"),
                                 (("two_stage", "kernel.gamma"),)),
     (MethodSettings, "C"): (("svm.C", "two-stage.C"), (("svm", "C"), ("two_stage", "C"))),
-    # partition_ratio and epsilon_gamma are not saved with a model
+    # training settings, which no model saves
     (GemConfig, "partition_ratio"): (("gem.partition_ratio",), ()),
-    (GemConfig, "target_coverage"): (("coverage",), (("gemmed", "target_coverage"),)),
+    (GemConfig, "target_coverage"): (("coverage",), ()),
     (GemConfig, "epsilon_gamma"): (("gem.epsilon_gamma",), ()),
-    (GemConfig, "alpha"): (("gem.alpha",), (("gemmed", "alpha"),
-                                            ("two_stage", "alpha_level"))),
-    **{(HyperParams, name): ((f"gemmed.hyper.{name}",), (("gemmed", f"hyper.{name}"),))
+    (GemConfig, "alpha"): (("gem.alpha",), ()),
+    **{(HyperParams, name): ((f"gemmed.hyper.{name}",), ())
        for name in ("c", "lambda_cap", "p0", "rate_lambda", "rate_mu", "rate_kappa")},
     # a sweep reads R and ra as grid lists (test_cli's table), and no model saves them
     (RingExperimentConfig, "R"): ((), ()),
@@ -668,7 +778,7 @@ def test_every_float_field_refuses_a_non_number_on_both_paths(tmp_path, capsys, 
             path = tmp_path / "model.json"
             path.write_text(json.dumps(_put(json.loads(_FILE_BYTES[kind]), key, bad)))
             # a settings object's dataclass refuses the value naming the
-            # object; a model refuses its own field, alpha_level say, alike
+            # object; a model refuses its own field, C say, alike
             outer, _, inner = key.partition(".")
             needle = (f"field '{outer}': {refusal}" if inner
                       else key + refusal.removeprefix(f.name))
@@ -679,21 +789,20 @@ def test_every_float_field_refuses_a_non_number_on_both_paths(tmp_path, capsys, 
 def test_a_json_int_in_a_settings_object_is_held_as_a_float(tmp_path):
     # 10**20 lies beyond int64, so NumPy would not compute with it as an int
     path = tmp_path / "model.json"
-    payload = _put(json.loads(_FILE_BYTES["gemmed"]), "hyper.c", 10**20)
-    path.write_text(json.dumps(_put(payload, "kernel.gamma", 1)))
-    model = load_model(path)
-    assert type(model.hyper.c) is float and model.hyper.c == 1e20
-    assert type(model.kernel.gamma) is float and model.kernel.gamma == 1.0
+    for value in (1, 10**20):
+        path.write_text(json.dumps(_put(json.loads(_FILE_BYTES["gemmed"]), "kernel.gamma",
+                                        value)))
+        gamma = load_model(path).kernel.gamma
+        assert type(gamma) is float and gamma == value
 
 
 # A value out of a settings dataclass's range, as a sweep config key and,
 # where a model file saves the field inside the dataclass's object, as that
-# key; a model file's k is a field of its own (gemmed-k-zero above), and its
-# alpha and C are not saved inside a settings object.
+# key; a model file's k and C are fields of its own (gemmed-k-zero above).
 @pytest.mark.parametrize("sweep_key,bad,refusal,model_key", [
-    pytest.param("gemmed.hyper.steps", -1, "steps must be at least 0, got -1", "hyper.steps",
+    pytest.param("gemmed.hyper.steps", -1, "steps must be at least 0, got -1", None,
                  id="HyperParams-steps"),
-    pytest.param("gemmed.hyper.c", -1, "c must lie in (0, inf), got -1", "hyper.c",
+    pytest.param("gemmed.hyper.c", -1, "c must lie in (0, inf), got -1", None,
                  id="HyperParams-c"),
     pytest.param("gem.k", 0, "k must be at least 1, got 0", None, id="GemConfig-k"),
     pytest.param("gem.alpha", 2, "alpha must lie in (0, 1), got 2", None,
@@ -723,8 +832,7 @@ def test_every_settings_dataclass_names_its_object_on_a_range_refusal(
 # The same for each int field. Each cell's GemConfig.seed and HyperParams.seed
 # are its grid seed, so a sweep sets neither; test_cli's sweep table holds seeds.
 _INT_FIELD_KEYS = {
-    **{(HyperParams, name): ((f"gemmed.hyper.{name}",) if name != "seed" else (),
-                             (("gemmed", f"hyper.{name}"),))
+    **{(HyperParams, name): ((f"gemmed.hyper.{name}",) if name != "seed" else (), ())
        for name in ("steps", "gibbs_sweeps", "burn_in", "seed")},
     (GemConfig, "k"): (("gem.k",), (("gemmed", "k"), ("two_stage", "k"))),
     (GemConfig, "seed"): ((), ()),
@@ -760,11 +868,8 @@ def test_every_int_field_reads_a_whole_number_on_both_paths(tmp_path, capsys, mo
                 assert code == 2
                 assert f"sweep config key '{key}' must be a whole number, got {value!r}" in err
         for kind, key in model_keys:
-            payload = json.loads(_FILE_BYTES[kind])
-            if kind == "gemmed":
-                payload["hyper"].update(schedule)
             path = tmp_path / "model.json"
-            path.write_text(json.dumps(_put(payload, key, value)))
+            path.write_text(json.dumps(_put(json.loads(_FILE_BYTES[kind]), key, value)))
             if value == 2.0:
                 read = functools.reduce(getattr, key.split("."), load_model(path))
                 assert type(read) is int and read == 2

@@ -451,7 +451,7 @@ def _assert_train_never_calls(monkeypatch, name):
 
     monkeypatch.setattr(trainer, name, refuse)
     got = trainer.train(*args)
-    for field in ("lam", "eta_hat", "gamma_hat", "beta_hat"):
+    for field in ("lam", "eta_hat"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
     assert (got.theta, got.dual_estimate) == (want.theta, want.dual_estimate)
 
@@ -511,16 +511,14 @@ def _toy_model(eta_hat, k=1, theta=2.0):
     return TrainedModel(
         kernel=KernelSpec("linear"), x=x, y=np.array([1, -1, 1]),
         lam=np.array([0.5, 0.5, 0.1]), eta_hat=np.asarray(eta_hat, float),
-        gamma_hat=np.zeros(2), beta_hat=np.zeros(2), theta=theta, k=k,
-        alpha=0.05, target_coverage=0.8)
+        theta=theta, k=k, dual_estimate=0.0)
 
 
 def test_predict_breaks_ties_positive():
     model = TrainedModel(
         kernel=KernelSpec("linear"), x=np.array([[1.0], [-1.0]]),
         y=np.array([1, -1]), lam=np.array([0.5, 0.5]),
-        eta_hat=np.ones(2), gamma_hat=np.zeros(2), beta_hat=np.zeros(2),
-        theta=1.0, k=1, alpha=0.05, target_coverage=0.8)
+        eta_hat=np.ones(2), theta=1.0, k=1, dual_estimate=0.0)
     # coef = eta*lam*y = [0.5, -0.5]; decision(x) = 0.5 x - 0.5 (-x) = x
     assert trainer.decision_function(model, np.array([[2.0]]))[0] == pytest.approx(2.0)
     assert trainer.predict(model, np.array([0.0])).tolist() == [1]
@@ -579,7 +577,7 @@ def test_detectors_match_per_row_scoring_bitwise():
         assert np.array_equal(trainer.detect(joint, xs[i]),
                               want[i:i + 1] > joint.theta)
 
-    want = per_row_knn(xs, train_set.x[two_stage.kept_idx], two_stage.k)
+    want = per_row_knn(xs, two_stage.x, two_stage.k)
     assert np.array_equal(two_stage.anomaly_scores(xs), want)
     assert np.array_equal(two_stage.detect(xs), want > two_stage.theta)
     assert 0 < np.count_nonzero(want > two_stage.theta) < xs.shape[0]
@@ -623,11 +621,9 @@ def test_med_reduction_equals_svm_rule():
     grid = rng.normal(scale=2.0, size=(200, 2))
     for kernel in (KernelSpec("rbf", gamma=0.3), KernelSpec("linear")):
         joint = TrainedModel(kernel=kernel, x=x, y=y, lam=lam,
-                             eta_hat=np.ones(20), gamma_hat=np.zeros(2),
-                             beta_hat=np.zeros(2), theta=1.0, k=1,
-                             alpha=0.05, target_coverage=0.8)
+                             eta_hat=np.ones(20), theta=1.0, k=1, dual_estimate=0.0)
         svm = SvmModel(kernel=kernel, x=x, y=y, alpha=lam, C=10.0,
-                       converged=True)
+                       converged=True, kkt_violation=0.0)
         np.testing.assert_array_equal(trainer.predict(joint, grid),
                                       svm.predict(grid))
         np.testing.assert_allclose(trainer.decision_function(joint, grid),
@@ -695,8 +691,7 @@ def _scoring_model(kind, kernel, train_set):
     model = TrainedModel(kernel=kernel, x=train_set.x, y=train_set.y,
                          lam=rng.uniform(0.0, 0.4, size=n),
                          eta_hat=rng.uniform(size=n),
-                         gamma_hat=np.zeros(2), beta_hat=np.zeros(2),
-                         theta=1.0, k=3, alpha=0.05, target_coverage=0.8)
+                         theta=1.0, k=3, dual_estimate=0.0)
     return (functools.partial(trainer.decision_function, model), model.x,
             model.eta_hat * model.lam * model.y)
 
