@@ -33,7 +33,7 @@ from .metrics import auc, detection_accuracy, misclassification_error, \
     precision_recall_curve
 from .model import HyperParams
 from .persist import json_fields, json_list, json_number, json_object, \
-    json_whole, load_model, save_model
+    json_whole, load_model, read_json, save_model
 from .synthdata import MAX_ROWS_PER_CLASS, RingExperimentConfig, generate
 
 
@@ -50,6 +50,13 @@ def _read_points(path, model) -> np.ndarray:
         raise ValueError(f"{path} has {xs.shape[1]} feature column(s) but the "
                          f"model expects {model.x.shape[1]}")
     return xs
+
+
+def _check_out(*paths) -> None:
+    """Refuse an output path outside any existing directory, before the work."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"{path}: '{Path(path).parent}' is not an existing directory")
 
 
 def _parse_floats(text: str, flag: str, count: int) -> tuple[float, ...]:
@@ -69,6 +76,7 @@ def number_or_auto(text: str) -> float | str:
 def cmd_simulate(args) -> int:
     config = RingExperimentConfig(R=args.R, r_a=args.ra, n_train_per_class=args.n_train,
                                   n_test_per_class=args.n_test, seed=args.seed)
+    _check_out(args.out_train, args.out_test)
     train_set, test_set = generate(config)
     train_set.to_csv(args.out_train)
     test_set.to_csv(args.out_test)
@@ -80,6 +88,7 @@ def cmd_simulate(args) -> int:
 # ------------------------------------------------------------------- train
 
 def cmd_train(args) -> int:
+    _check_out(args.model_out)
     data = LabeledDataset.from_csv(args.data)
     kernel = resolve_kernel(args.kernel, args.gamma, data.x)
     phi, psi, tau = _parse_floats(args.rates, "--rates", 3)
@@ -149,6 +158,7 @@ def cmd_evaluate(args) -> int:
     for flag, partner in partners.items():
         if getattr(args, flag) and not getattr(args, partner):
             raise ValueError(f"--{flag} requires --{partner}".replace("_", "-"))
+    _check_out(args.curve_out, args.report)
 
     def aligned(values, path, truth, truth_path):
         if len(values) != len(truth):
@@ -211,10 +221,7 @@ SWEEP = ("sweep config section", "sweep config key")
 
 
 def cmd_sweep(args) -> int:
-    try:
-        config = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{args.config}: not valid JSON ({exc})") from None
+    config = read_json(args.config)
     json_object(config, "sweep config", SWEEP_TOP_KEYS)
     for key in ("R", "ra", "seeds"):
         if key not in config:
@@ -253,6 +260,7 @@ def cmd_sweep(args) -> int:
     if not isinstance(out, str) or not out:
         raise ValueError(f"sweep config key 'out' must be a nonempty string, got {out!r}")
     out = args.out or out
+    _check_out(out)
 
     rows = []
     for method, R, ra, seed in itertools.product(methods, grid_R, grid_ra, seeds):

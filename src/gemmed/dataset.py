@@ -9,6 +9,7 @@ and write_csv writes every CSV file the package writes.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -125,18 +126,19 @@ def read_csv(path, columns) -> tuple[list[str], np.ndarray]:
 
     columns raises ValueError for a header it does not accept. Blank rows
     are skipped; each field read equals its ``float()``. ValueError names
-    the file, and for a bad row its physical line: no header, no data
-    rows, a row not as wide as the header, a value not finite or not in
-    EXACT_VALUES. A file is parsed in one vectorized pass; one that fails
-    it is re-read row by row, which finds and names the error.
+    the file, and for a bad row its physical line: text not UTF-8, no
+    header, no data rows, a row not as wide as the header, a value not
+    finite or not in EXACT_VALUES. The file is read once. Its text is
+    parsed in one vectorized pass; a text that fails it is parsed row by
+    row from the same text, not re-read, which finds and names the error.
     """
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
+        with path.open(encoding="utf-8", newline="") as fh:
             text = fh.read()
-    except UnicodeDecodeError:   # raised again, unchanged, by the row loop
-        return _read_rows(path, columns)
-    return _parse_text(text, columns) or _read_rows(path, columns)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+    return _parse_text(text, columns) or _read_rows(path, text, columns)
 
 
 # np.loadtxt strips \x1c-\x1f around a number, which float() rejects;
@@ -180,32 +182,31 @@ def _valid_cells(names: list[str], table: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _read_rows(path: Path, columns) -> tuple[list[str], np.ndarray]:
-    """read_csv one csv row at a time, numbering rows by physical line."""
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+def _read_rows(path: Path, text: str, columns) -> tuple[list[str], np.ndarray]:
+    """read_csv on path's text, one csv row at a time, numbered by physical line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(filter(None, reader), None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
         try:
-            header = next(filter(None, reader), None)
-            if header is None:
-                raise ValueError(f"{path}: empty file")
+            names = columns(header)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        picks = None if names == header else [header.index(c) for c in names]
+        rows, lines = [], []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{reader.line_num}: bad row; expected "
+                                 f"{len(header)} fields, got {len(row)}")
+            fields = row if picks is None else [row[j] for j in picks]
             try:
-                names = columns(header)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-            picks = None if names == header else [header.index(c) for c in names]
-            rows, lines = [], []
-            for row in filter(None, reader):
-                if len(row) != len(header):
-                    raise ValueError(f"{path}:{reader.line_num}: bad row; expected "
-                                     f"{len(header)} fields, got {len(row)}")
-                fields = row if picks is None else [row[j] for j in picks]
-                try:
-                    rows.append(list(map(float, fields)))
-                except ValueError:   # NaN marks the fields the check below names
-                    rows.append(list(map(_float_or_nan, fields)))
-                lines.append(reader.line_num)
-        except csv.Error as exc:   # e.g. a field over csv.field_size_limit()
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+                rows.append(list(map(float, fields)))
+            except ValueError:   # NaN marks the fields the check below names
+                rows.append(list(map(_float_or_nan, fields)))
+            lines.append(reader.line_num)
+    except csv.Error as exc:   # e.g. a field over csv.field_size_limit()
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     table = np.array(rows)

@@ -129,12 +129,19 @@ def save_model(model, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
-def load_model(path):
-    """Load a model file: the kind tag picks the class and the keys."""
+def read_json(path):
+    """The value a JSON file holds, read once as UTF-8; ValueError names the file."""
     try:
-        payload = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
+
+
+def load_model(path):
+    """Load a model file: the kind tag picks the class and the keys."""
+    payload = read_json(path)
     if not isinstance(payload, dict) or "model_kind" not in payload:
         raise ValueError(f"{path}: missing model_kind")
     kind = payload["model_kind"]

@@ -813,6 +813,52 @@ def test_sweep_rejects_malformed_configs(tmp_path, capsys, monkeypatch, mutation
         assert not any(tmp_path.glob("*.csv"))
 
 
+def test_sweep_refuses_a_missing_output_directory_before_any_cell(tmp_path, capsys,
+                                                                  monkeypatch):
+    # from the config's out or from --out, and before the first cell line
+    monkeypatch.setattr(cli, "run_cell", lambda *cell, **kwargs: pytest.fail("a cell ran"))
+    missing = tmp_path / "missing" / "sweep.csv"
+    for out, flag in ((missing, []), (tmp_path / "sweep.csv", ["--out", str(missing)])):
+        config = _sweep_config(tmp_path, out=str(out))
+        assert main(["sweep", "--config", str(config), *flag]) == 2
+        printed, err = capsys.readouterr()
+        assert printed == ""
+        assert err == f"error: {missing}: '{missing.parent}' is not an existing directory\n"
+    assert not any(tmp_path.rglob("*.csv"))
+
+
+def test_train_refuses_a_missing_output_directory_before_fitting(workdir, tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setattr(trainer, "train", lambda *args: pytest.fail("a model was fit"))
+    missing = tmp_path / "missing" / "model.json"
+    assert main(["train", "--data", str(workdir / "train.csv"),
+                 "--model-out", str(missing)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err == f"error: {missing}: '{missing.parent}' is not an existing directory\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_two_file_commands_refuse_a_missing_output_directory_first(workdir, tmp_path,
+                                                                   capsys, monkeypatch,
+                                                                   command):
+    # the second output's directory is missing: no work runs, the first is not written
+    monkeypatch.setattr(cli, "generate", lambda *args: pytest.fail("data was drawn"))
+    monkeypatch.setattr(cli, "load_model", lambda *args: pytest.fail("a model was read"))
+    first, missing = tmp_path / "first.csv", tmp_path / "missing" / "second"
+    argv = {"simulate": ["simulate", "--R", "40", "--ra", "0.2", "--n-train", "5",
+                         "--n-test", "5", "--out-train", str(first),
+                         "--out-test", str(missing)],
+            "evaluate": ["evaluate", "--model", str(workdir / "model.json"),
+                         "--anomaly-truth", str(workdir / "train.csv"),
+                         "--curve-out", str(first), "--report", str(missing)]}
+    assert main(argv[command]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err == f"error: {missing}: '{missing.parent}' is not an existing directory\n"
+    assert not first.exists()
+
+
 def test_sweep_null_unsets_optional_floats(tmp_path, capsys):
     # null stays valid where a setting defaults to unset
     config = _sweep_config(tmp_path, coverage=None, gemmed={"hyper": {"p0": None}})
@@ -898,3 +944,54 @@ def test_every_model_reader_refuses_a_malformed_file(workdir, tmp_path, capsys):
         printed, err = capsys.readouterr()
         assert f"{path}: field 'k' must be a whole number, got 3.9" in err
         assert printed == "" and not out.exists()
+
+
+# a byte that starts no UTF-8 character, in the second line of an input
+UNDECODABLE = b'{"y": 1,\n"x1": "\xff"}\n'
+
+
+def _assert_refused_undecodable(capsys, path, out):
+    """One error line, naming path as not UTF-8 text; nothing written."""
+    printed, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {path}: not UTF-8 text ('utf-8' codec can't "
+                           "decode byte 0xff in position ")
+    assert printed == "" and not out.exists()
+
+
+def test_every_model_reader_refuses_an_undecodable_file(workdir, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(UNDECODABLE)
+    out = tmp_path / "out.csv"
+    data = ["--data", str(workdir / "test.csv"), "--out", str(out)]
+    for argv in (["predict", *data], ["detect", *data],
+                 ["evaluate", "--anomaly-truth", str(workdir / "train.csv"),
+                  "--curve-out", str(out)]):
+        assert main([*argv, "--model", str(path)]) == 2
+        _assert_refused_undecodable(capsys, path, out)
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "detect", "evaluate"])
+def test_every_csv_reader_refuses_an_undecodable_file(workdir, tmp_path, capsys, command):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"y,x1,x2\n-1,0.5,\xff\n")
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--data", str(path), "--model-out", str(out)],
+            "predict": ["predict", "--model", str(workdir / "model.json"),
+                        "--data", str(path), "--out", str(out)],
+            "detect": ["detect", "--model", str(workdir / "model.json"),
+                       "--data", str(path), "--out", str(out)],
+            "evaluate": ["evaluate", "--predictions", str(path),
+                         "--truth", str(workdir / "test.csv"), "--report", str(out)]}
+    assert main(argv[command]) == 2
+    _assert_refused_undecodable(capsys, path, out)
+
+
+def test_sweep_refuses_an_undecodable_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_cell", lambda *cell, **kwargs: pytest.fail("a cell ran"))
+    path = tmp_path / "config.json"
+    path.write_bytes(UNDECODABLE)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    _assert_refused_undecodable(capsys, path, out)
+

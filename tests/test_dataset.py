@@ -1,5 +1,6 @@
 import csv
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -319,10 +320,11 @@ def _outcome(read, path, columns):
 def test_read_csv_matches_the_row_loop(tmp_path_factory, drawn):
     text, kind = drawn
     path = tmp_path_factory.mktemp("rd") / "d.csv"
-    path.write_text(text, newline="")
+    path.write_text(text, encoding="utf-8", newline="")
     columns = COLUMNS[kind]
+    # the row loop parses the text read_csv read from the file
     assert _outcome(read_csv, path, columns) == \
-        _outcome(dataset._read_rows, path, columns)
+        _outcome(lambda p, c: dataset._read_rows(p, text, c), path, columns)
 
 
 def test_read_csv_parses_a_valid_file_in_one_pass(tmp_path):
@@ -343,6 +345,16 @@ def test_read_csv_reads_a_refused_file_row_by_row(tmp_path):
                            wraps=dataset._read_rows) as rows:
         names, table = read_csv(path, feature_columns)
     rows.assert_called_once()
+    assert table.tolist() == [[1.0, 2.0]]
+
+
+def test_read_csv_opens_a_refused_file_once(tmp_path):
+    # the row loop parses the text the fast path declined; it does not re-open
+    path = tmp_path / "d.csv"
+    path.write_text('y,x1\n1,"2"\n')
+    with mock.patch.object(Path, "open", autospec=True, side_effect=Path.open) as opened:
+        names, table = read_csv(path, feature_columns)
+    assert opened.call_count == 1
     assert table.tolist() == [[1.0, 2.0]]
 
 
