@@ -110,6 +110,7 @@ def cmd_train(args) -> int:
 # --------------------------------------------------- predict/detect/evaluate
 
 def cmd_predict(args) -> int:
+    _check_out(args.out)
     model = load_model(args.model)
     xs = _read_points(args.data, model)
     if hasattr(model, "predict"):
@@ -122,6 +123,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    _check_out(args.out)
     model = load_model(args.model)
     if not hasattr(model, "theta"):               # plain SVM
         raise ValueError("this model kind has no anomaly detector")

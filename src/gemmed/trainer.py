@@ -26,11 +26,10 @@ nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import blas
-from scipy.special import entr, expit, ndtr, stdtrit
+from scipy.special import entr, expit
 
 from .baselines import solve_svm_dual
 from .dataset import LabeledDataset
@@ -85,17 +84,16 @@ def _times_factor_t(z: np.ndarray, factor: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GibbsExpectations:
-    """Sampler averages over the post-burn-in sweeps of ``CHAINS`` chains,
-    with standard errors and R-hat.
+    """Sampler averages over the post-burn-in sweeps of ``CHAINS`` chains.
 
     e_eta_y_f approximates E[eta_n y_n f_n] per sample; e_sum_eta_d the
     per-class E[sum eta_n dt_n] (1/n units); e_sum_eta the per-class
     raw indicator sums E[sum eta_n]. eta_hat is the averaged indicator
     mean, and eta_last the chains' final indicator vectors, one row per
     chain. ``rows`` holds the values behind the first three averages,
-    each of shape (sweeps, chains, k). Their standard errors come from
-    batch means that never straddle two chains, and ``rhat`` is their
-    split R-hat across chains; both are computed on first read.
+    each of shape (sweeps, chains, k); the ascent never reads them, and
+    the tests compute the averages' standard errors and split R-hat from
+    them.
     """
 
     e_eta_y_f: np.ndarray
@@ -104,86 +102,6 @@ class GibbsExpectations:
     eta_hat: np.ndarray
     eta_last: np.ndarray
     rows: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @cached_property
-    def se_eta_y_f(self) -> np.ndarray:
-        return _batch_se(self.rows[0])
-
-    @cached_property
-    def se_sum_eta_d(self) -> np.ndarray:
-        return _batch_se(self.rows[1])
-
-    @cached_property
-    def se_sum_eta(self) -> np.ndarray:
-        return _batch_se(self.rows[2])
-
-    @cached_property
-    def rhat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Split R-hat of e_eta_y_f, e_sum_eta_d and e_sum_eta."""
-        return tuple(_split_rhat(r) for r in self.rows)
-
-
-def _batch_se(rows: np.ndarray) -> np.ndarray:
-    """Batch-means standard error of the means of rows, shaped
-    (sweeps, chains, k), over their first two axes.
-
-    There are as many batches as one chain of all the samples would get,
-    about the square root of their number (2 to 25), rounded up to whole
-    batches per chain. Each chain's sweeps are cut into its batches of
-    equal size, its oldest leftover sweeps dropped, so no batch straddles
-    two chains and the batch means absorb the sweep-to-sweep correlation
-    of a chain.
-    The raw batch-means scale is inflated by a Student-t factor chosen
-    so that a +/-3 SE band keeps the two-sided normal 3-sigma coverage
-    despite the handful of batches behind the variance estimate; with
-    few batches the uncorrected band undercovers noticeably.
-    """
-    sweeps, chains = rows.shape[:2]
-    if sweeps * chains < 2:
-        return np.full(rows.shape[2], np.inf)
-    total = int(np.clip(np.floor(np.sqrt(sweeps * chains)), 2, 25))
-    per_chain = -(-total // chains)
-    n_batches = per_chain * chains
-    size = sweeps // per_chain
-    trimmed = rows[sweeps - per_chain * size:]
-    batches = trimmed.reshape(per_chain, size, chains, -1).mean(axis=1)
-    return (_t_correction(n_batches)
-            * batches.reshape(n_batches, -1).std(axis=0, ddof=1)
-            / np.sqrt(n_batches))
-
-
-def _t_correction(n_batches: int) -> float:
-    """Student-t to normal ratio of the 3-sigma band's half-width.
-
-    The two scipy.special ufuncs behind scipy.stats' norm.sf and t.isf,
-    to the same bits, without importing scipy.stats.
-    """
-    level = 2.0 * ndtr(-3.0)  # two-sided tail mass of the 3-sigma band
-    return float(-stdtrit(n_batches - 1, level / 2.0) / 3.0)
-
-
-def _split_rhat(rows: np.ndarray) -> np.ndarray:
-    """Split R-hat (Gelman & Rubin 1992; Vehtari et al. 2021) of rows,
-    shaped (sweeps, chains, k), per column.
-
-    Each chain is cut into halves of floor(sweeps / 2) sweeps, dropping
-    its oldest sweep when the count is odd, and the halves are compared
-    as chains of their own. Near 1 the chains agree; 1.01 or more says
-    they have not mixed. NaN when a half holds fewer than two sweeps,
-    and 1 for a column with no spread at all.
-    """
-    sweeps, chains = rows.shape[:2]
-    half = sweeps // 2
-    if half < 2:
-        return np.full(rows.shape[2], np.nan)
-    split = rows[sweeps - 2 * half:].reshape(2, half, chains, -1)
-    within = split.var(axis=1, ddof=1).mean(axis=(0, 1))
-    between = half * split.mean(axis=1).reshape(2 * chains, -1).var(axis=0, ddof=1)
-    pooled = (half - 1) / half * within + between / half
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhat = np.sqrt(pooled / within)
-    rhat[pooled == 0] = 1.0
-    return rhat
 
 
 def gibbs_expectations(state: DualState, problem: DualProblem,

@@ -17,16 +17,23 @@ unaffected. ``exact_posterior`` and ``finite_diff_dual`` read the same
 ``model.DualProblem`` as the sampler; the exact dual gradient is
 ``trainer.dual_gradient`` evaluated at ``exact_posterior``'s expectations.
 
+``batch_se`` and ``split_rhat`` are the sampler's standard errors and
+split R-hat, computed from its per-sweep ``rows``; criterion 2 holds the
+sampler to the exact expectations within those errors. The package
+computes neither.
+
 Only tests read it; they import it by its bare name, as they do
 ``instances``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
+from scipy.stats import norm, t as student_t
 
 from gemmed.model import DualProblem, DualState, eta_logits
 
@@ -129,3 +136,54 @@ def finite_diff_dual(state: DualState, problem: DualProblem, h: float = 1e-4):
     g_lam, g_mu, g_kappa = np.split(grads, cuts)
     f_lam, f_mu, f_kappa = np.split(flags, cuts)
     return g_lam, g_mu, g_kappa, {"lam": f_lam, "mu": f_mu, "kappa": f_kappa}
+
+
+def batch_se(rows: np.ndarray) -> np.ndarray:
+    """Batch-means standard error of the means of rows, shaped
+    (sweeps, chains, k), over their first two axes, chain by chain.
+
+    There are as many batches as one chain of all the rows would get,
+    about the square root of their number (2 to 25), rounded up to whole
+    batches per chain, each cut from its chain's newest sweeps, so no
+    batch straddles two chains and the batch means absorb the
+    sweep-to-sweep correlation of a chain. The raw scale is inflated by
+    the Student-t to normal ratio of the 3-sigma band's half-width, so
+    that a +/-3 SE band keeps its normal coverage despite the handful of
+    batches behind the variance estimate. inf below two rows.
+    """
+    sweeps, chains = rows.shape[:2]
+    if sweeps * chains < 2:
+        return np.full(rows.shape[2], np.inf)
+    total = int(np.clip(np.floor(np.sqrt(sweeps * chains)), 2, 25))
+    per_chain = math.ceil(total / chains)
+    size = sweeps // per_chain
+    means = [rows[sweeps - (b + 1) * size:sweeps - b * size, j].mean(axis=0)
+             for j in range(chains) for b in range(per_chain)]
+    n_batches = len(means)
+    level = 2.0 * norm.sf(3.0)  # two-sided tail mass of the 3-sigma band
+    t_ratio = student_t.isf(level / 2.0, df=n_batches - 1) / 3.0
+    return t_ratio * np.std(means, axis=0, ddof=1) / np.sqrt(n_batches)
+
+
+def split_rhat(rows: np.ndarray) -> np.ndarray:
+    """Split R-hat of rows, shaped (sweeps, chains, k), per column, as
+    Gelman et al. (BDA3, section 11.4) define it: each chain's newest
+    2 * floor(sweeps / 2) sweeps cut into two half-chains, then between-
+    and within-half-chain variances. Near 1 the chains agree; 1.01 or
+    more says they have not mixed. NaN when a half holds fewer than two
+    sweeps, and 1 for a column with no spread at all.
+    """
+    sweeps, chains = rows.shape[:2]
+    half = sweeps // 2
+    if half < 2:
+        return np.full(rows.shape[2], np.nan)
+    halves = [rows[sweeps - 2 * half + h * half:sweeps - 2 * half + (h + 1) * half, j]
+              for j in range(chains) for h in range(2)]
+    out = []
+    for col in range(rows.shape[2]):
+        series = [piece[:, col] for piece in halves]
+        between = half * np.var([np.mean(x) for x in series], ddof=1)
+        within = np.mean([np.var(x, ddof=1) for x in series])
+        pooled = (half - 1) / half * within + between / half
+        out.append(np.sqrt(pooled / within) if pooled > 0 else 1.0)
+    return np.array(out)

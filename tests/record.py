@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout (nothing needs to be installed):
 
-    python tests/record.py [--out BENCH_<n>.json]
+    python tests/record.py --out BENCH_<n>.json
 
 ``bench/run.py`` answers end-to-end questions: how long a workload's round
 takes. This script answers per-layer ones: how long each layer that ROADMAP
@@ -99,7 +99,8 @@ def layers(n: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_45.json")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="the record to write, e.g. BENCH_<n>.json")
     args = parser.parse_args(argv)
     start = time.perf_counter()
     record = {

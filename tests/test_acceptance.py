@@ -44,7 +44,7 @@ from gemmed.kernels import KernelSpec
 from gemmed.model import HyperParams
 from gemmed.trainer import dual_gradient, gibbs_expectations
 from instances import random_instance
-from oracle import exact_posterior, finite_diff_dual
+from oracle import batch_se, exact_posterior, finite_diff_dual, split_rhat
 
 
 def report(num, ok, detail):
@@ -100,16 +100,16 @@ def gradient_check(pairs) -> tuple[bool, float]:
 
 
 def standardized_deviations(exps, oracle) -> np.ndarray:
-    """|sampled - exact| / SE for each expectation the gradient reads; 0
-    where they agree exactly, NaN where the sample is NaN."""
+    """|sampled - exact| / SE for each expectation the gradient reads, the
+    SE computed from the sampler's per-sweep rows; 0 where they agree
+    exactly, NaN where the sample is NaN."""
     devs = []
-    for est, se, truth in (
-        (exps.e_eta_y_f, exps.se_eta_y_f, oracle.e_eta_y_f),
-        (exps.e_sum_eta_d, exps.se_sum_eta_d, oracle.e_sum_eta_d),
-        (exps.e_sum_eta, exps.se_sum_eta, oracle.e_sum_eta),
+    for est, rows, truth in zip(
+        (exps.e_eta_y_f, exps.e_sum_eta_d, exps.e_sum_eta), exps.rows,
+        (oracle.e_eta_y_f, oracle.e_sum_eta_d, oracle.e_sum_eta), strict=True,
     ):
         diff = np.abs(np.asarray(est) - np.asarray(truth))
-        devs.append(np.where(diff == 0, 0.0, diff / np.maximum(se, 1e-12)))
+        devs.append(np.where(diff == 0, 0.0, diff / np.maximum(batch_se(rows), 1e-12)))
     return np.concatenate(devs)
 
 
@@ -129,7 +129,7 @@ def sampler_trials(n, trials, hyper):
         oracle = exact_posterior(state, problem)
         exps = gibbs_expectations(state, problem, np.random.default_rng(t))
         deviations.append(standardized_deviations(exps, oracle))
-        rhats.append(np.max(np.concatenate(exps.rhat)))
+        rhats.append(np.max(np.concatenate([split_rhat(r) for r in exps.rows])))
     return deviations, rhats
 
 
@@ -239,7 +239,7 @@ def test_sweep_floor_is_four_sweeps_per_chain():
     problem, state = random_instance(4, 0, hyper=hyper)
     exps = gibbs_expectations(state, problem, np.random.default_rng(0))
     assert exps.rows[0].shape == (4, trainer.CHAINS, 4)
-    assert np.all(np.isfinite(np.concatenate(exps.rhat)))
+    assert all(np.isfinite(split_rhat(r)).all() for r in exps.rows)
 
 
 @pytest.mark.parametrize("rhat", [np.nan, np.inf, RHAT_MAX])

@@ -859,6 +859,18 @@ def test_two_file_commands_refuse_a_missing_output_directory_first(workdir, tmp_
     assert not first.exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "detect"])
+def test_scoring_commands_refuse_a_missing_output_directory_before_loading(
+        workdir, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "load_model", lambda *args: pytest.fail("a model was read"))
+    missing = tmp_path / "missing" / "out.csv"
+    assert main([command, "--model", str(workdir / "model.json"),
+                 "--data", str(workdir / "test.csv"), "--out", str(missing)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err == f"error: {missing}: '{missing.parent}' is not an existing directory\n"
+
+
 def test_sweep_null_unsets_optional_floats(tmp_path, capsys):
     # null stays valid where a setting defaults to unset
     config = _sweep_config(tmp_path, coverage=None, gemmed={"hyper": {"p0": None}})

@@ -9,7 +9,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.special import expit
-from scipy.stats import norm, t as student_t
 
 from gemmed import kernels, trainer
 from gemmed.dataset import LabeledDataset
@@ -20,11 +19,10 @@ from gemmed.kernels import GramMatrix, KernelSpec, gram_matrix, kernel_cross
 from gemmed.model import (DualProblem, DualState, HyperParams, TrainedModel,
                           resolve_p0)
 from gemmed.synthdata import RingExperimentConfig, generate
-from gemmed.trainer import (_batch_se, dual_gradient,
-                            gibbs_expectations, init_duals,
+from gemmed.trainer import (dual_gradient, gibbs_expectations, init_duals,
                             mean_field_dual_estimate, sample_f_given_eta)
 from instances import per_row_knn, random_instance
-from oracle import exact_posterior
+from oracle import batch_se, exact_posterior, split_rhat
 
 
 def _fixed_instance(n=4, seed=0):
@@ -63,7 +61,7 @@ def test_decoupled_chain_recovers_prior():
                           p0, HyperParams(gibbs_sweeps=60, burn_in=10))
     exps = gibbs_expectations(state, problem, np.random.default_rng(0))
     assert np.all(np.abs(exps.eta_hat - p0) < 0.05)
-    assert np.all(np.abs(exps.e_eta_y_f) < 4 * exps.se_eta_y_f + 1e-12)
+    assert np.all(np.abs(exps.e_eta_y_f) < 4 * batch_se(exps.rows[0]) + 1e-12)
     # 50 averaged samples, rounded up to 13 sweeps of each of 4 chains
     assert exps.rows[0].shape == (13, trainer.CHAINS, 4)
 
@@ -81,58 +79,8 @@ def test_gibbs_is_bit_reproducible():
     c = gibbs_expectations(state, problem, np.random.default_rng(8))
     assert np.array_equal(a.e_eta_y_f, b.e_eta_y_f)
     assert np.array_equal(a.eta_hat, b.eta_hat)
-    assert np.array_equal(a.se_sum_eta, b.se_sum_eta)
+    assert all(map(np.array_equal, a.rows, b.rows))
     assert not np.array_equal(a.eta_hat, c.eta_hat)
-
-
-def _scipy_stats_t_correction(n_batches):
-    """The Student-t correction as scipy.stats computes it."""
-    level = 2.0 * norm.sf(3.0)
-    return float(student_t.isf(level / 2.0, df=n_batches - 1) / 3.0)
-
-
-def test_t_correction_matches_scipy_stats_bitwise():
-    # _batch_se uses 2 to 25 batches
-    for n_batches in range(2, 26):
-        assert (trainer._t_correction(n_batches)
-                == _scipy_stats_t_correction(n_batches)), n_batches
-
-
-def _reference_batch_se(rows):
-    """Chain-aware batch-means SE, chain by chain, with the scipy.stats
-    t-correction: as many batches as one chain of all the rows would get,
-    rounded up to whole batches per chain, cut from each chain's newest
-    sweeps."""
-    sweeps, chains = rows.shape[:2]
-    if sweeps * chains < 2:
-        return np.full(rows.shape[2], np.inf)
-    total = int(np.clip(np.floor(np.sqrt(sweeps * chains)), 2, 25))
-    per_chain = math.ceil(total / chains)
-    size = sweeps // per_chain
-    means = [rows[sweeps - (b + 1) * size:sweeps - b * size, j].mean(axis=0)
-             for j in range(chains) for b in range(per_chain)]
-    n_batches = len(means)
-    return (_scipy_stats_t_correction(n_batches)
-            * np.std(means, axis=0, ddof=1) / np.sqrt(n_batches))
-
-
-def _reference_rhat(rows):
-    """Split R-hat as Gelman et al. (BDA3, section 11.4) define it: each
-    chain's newest 2 * floor(sweeps / 2) sweeps cut into two half-chains,
-    then between- and within-half-chain variances, column by column."""
-    sweeps, chains = rows.shape[:2]
-    half = sweeps // 2
-    halves = [rows[sweeps - 2 * half + h * half:sweeps - 2 * half + (h + 1) * half, j]
-              for j in range(chains) for h in range(2)]
-    out = []
-    for col in range(rows.shape[2]):
-        series = [piece[:, col] for piece in halves]
-        means = [np.mean(x) for x in series]
-        between = half * np.var(means, ddof=1)
-        within = np.mean([np.var(x, ddof=1) for x in series])
-        pooled = (half - 1) / half * within + between / half
-        out.append(np.sqrt(pooled / within))
-    return np.array(out)
 
 
 def _reference_gibbs(state, problem, rng, eta_start=None):
@@ -174,18 +122,13 @@ def _reference_gibbs(state, problem, rng, eta_start=None):
     in_class = np.stack([y == -1, y == 1], axis=1).astype(float)
     rec_sum_eta_d = rec_eta @ (in_class * d_tilde[:, None])
     rec_sum_eta = rec_eta @ in_class
-    recs = (rec_eyf, rec_sum_eta_d, rec_sum_eta)
     return SimpleNamespace(
         e_eta_y_f=rec_eyf.mean(axis=(0, 1)),
         e_sum_eta_d=rec_sum_eta_d.mean(axis=(0, 1)),
         e_sum_eta=rec_sum_eta.mean(axis=(0, 1)),
         eta_hat=rec_eta.mean(axis=(0, 1)),
-        se_eta_y_f=_reference_batch_se(rec_eyf),
-        se_sum_eta_d=_reference_batch_se(rec_sum_eta_d),
-        se_sum_eta=_reference_batch_se(rec_sum_eta),
-        rhat=tuple(_reference_rhat(r) for r in recs),
-        sweeps=sweeps,
         eta_last=eta_last,
+        rows=(rec_eyf, rec_sum_eta_d, rec_sum_eta),
     )
 
 
@@ -208,8 +151,8 @@ def _ring_instance():
 @pytest.mark.parametrize("case", [(4, 0), (7, 1), (12, 5), (30, 2), "ring"])
 def test_gibbs_matches_reference_sampler_bitwise(case):
     """The lockstep sampler against the chain-by-chain loop: the same
-    indicator draws bit for bit, and every average, SE and R-hat to
-    rtol 1e-12. Its f draw is one matrix product for all chains, which
+    indicator draws bit for bit, and every average and per-sweep record
+    to rtol 1e-12. Its f draw is one matrix product for all chains, which
     sums in another order than the reference's matrix-vector products,
     so f and what is computed from it may differ in the last bits."""
     if case == "ring":
@@ -224,14 +167,11 @@ def test_gibbs_matches_reference_sampler_bitwise(case):
 
 def _assert_same_expectations(got, want):
     assert np.array_equal(got.eta_last, want.eta_last)
-    for name in ("e_eta_y_f", "e_sum_eta_d", "e_sum_eta", "eta_hat",
-                 "se_eta_y_f", "se_sum_eta_d", "se_sum_eta"):
+    for name in ("e_eta_y_f", "e_sum_eta_d", "e_sum_eta", "eta_hat"):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name),
                                    rtol=1e-12, atol=0, err_msg=name)
-    for got_rhat, want_rhat in zip(got.rhat, want.rhat, strict=True):
-        np.testing.assert_allclose(got_rhat, want_rhat, rtol=1e-12, atol=0)
-    assert all(rows.shape[:2] == (want.sweeps, trainer.CHAINS)
-               for rows in got.rows)
+    for got_rows, want_rows in zip(got.rows, want.rows, strict=True):
+        np.testing.assert_allclose(got_rows, want_rows, rtol=1e-12, atol=0)
 
 
 def test_warm_started_call_runs_no_burn_in():
@@ -277,25 +217,19 @@ def test_gibbs_tracks_oracle_loosely():
         lambda_cap=9.9, gibbs_sweeps=300, burn_in=20))
     oracle = exact_posterior(state, problem)
     exps = gibbs_expectations(state, problem, np.random.default_rng(0))
-    for est, se, truth in ((exps.e_eta_y_f, exps.se_eta_y_f, oracle.e_eta_y_f),
-                           (exps.e_sum_eta_d, exps.se_sum_eta_d,
-                            oracle.e_sum_eta_d),
-                           (exps.e_sum_eta, exps.se_sum_eta,
-                            oracle.e_sum_eta)):
-        devs = np.abs(est - truth) / np.maximum(se, 1e-12)
+    for est, rows, truth in zip((exps.e_eta_y_f, exps.e_sum_eta_d, exps.e_sum_eta),
+                                exps.rows,
+                                (oracle.e_eta_y_f, oracle.e_sum_eta_d, oracle.e_sum_eta)):
+        devs = np.abs(est - truth) / np.maximum(batch_se(rows), 1e-12)
         assert np.all(devs <= 5.0)
 
 
 def test_batch_se_basics():
-    assert np.isinf(_batch_se(np.zeros((1, 1, 3)))).all()
+    assert np.isinf(batch_se(np.zeros((1, 1, 3)))).all()
     rows = np.random.default_rng(0).normal(size=(100, 1, 2))
-    se = _batch_se(rows)
+    se = batch_se(rows)
     assert se.shape == (2,)
     assert np.all(se > 0) and np.all(np.isfinite(se))
-    for shape in ((1, 4, 2), (5, 4, 2), (45, 4, 2), (100, 1, 2), (3, 1, 2)):
-        rows = np.random.default_rng(1).normal(size=shape)
-        np.testing.assert_allclose(_batch_se(rows), _reference_batch_se(rows),
-                                   rtol=1e-12, atol=0)
 
 
 def test_batch_se_covers_iid_mean():
@@ -306,7 +240,7 @@ def test_batch_se_covers_iid_mean():
     reps = 300
     for _ in range(reps):
         rows = rng.normal(size=(81, 1, 1))
-        se = _batch_se(rows)[0]
+        se = batch_se(rows)[0]
         hits += abs(rows.mean()) <= 3 * se
     assert hits / reps >= 0.97
 
@@ -314,14 +248,14 @@ def test_batch_se_covers_iid_mean():
 def test_split_rhat_flags_chains_that_disagree():
     rng = np.random.default_rng(3)
     mixed = rng.normal(size=(400, 4, 2))
-    np.testing.assert_allclose(trainer._split_rhat(mixed), 1.0, atol=0.02)
+    np.testing.assert_allclose(split_rhat(mixed), 1.0, atol=0.02)
     shifted = mixed + np.array([0.0, 0.0, 0.0, 2.0])[None, :, None]
-    assert np.all(trainer._split_rhat(shifted) > 1.2)
+    assert np.all(split_rhat(shifted) > 1.2)
     # a chain that drifts disagrees with itself: its halves differ
     drifting = mixed + np.linspace(0.0, 4.0, 400)[:, None, None]
-    assert np.all(trainer._split_rhat(drifting) > 1.2)
-    assert np.array_equal(trainer._split_rhat(np.ones((10, 4, 1))), [1.0])
-    assert np.isnan(trainer._split_rhat(mixed[:3])).all()  # halves of 1 sweep
+    assert np.all(split_rhat(drifting) > 1.2)
+    assert np.array_equal(split_rhat(np.ones((10, 4, 1))), [1.0])
+    assert np.isnan(split_rhat(mixed[:3])).all()  # halves of 1 sweep
 
 
 def test_dual_gradient_formula():
@@ -435,33 +369,6 @@ def test_train_continues_one_chain_across_steps(monkeypatch):
                   GemConfig(k=3, seed=0), hyper)
     assert len(starts) == 4 and starts[0] is None
     assert all(s is e for s, e in zip(starts[1:], ends))
-
-
-def _assert_train_never_calls(monkeypatch, name):
-    """train fits the same model, bit for bit, with trainer.<name> refusing
-    every call."""
-    train_set, _ = _small_cell()
-    hyper = HyperParams(steps=6, gibbs_sweeps=12, burn_in=3, seed=0)
-    args = (train_set, KernelSpec("rbf", gamma=0.1), GemConfig(k=3, seed=0),
-            hyper)
-    want = trainer.train(*args)
-
-    def refuse(rows):
-        raise AssertionError(f"train called {name}")
-
-    monkeypatch.setattr(trainer, name, refuse)
-    got = trainer.train(*args)
-    for field in ("lam", "eta_hat"):
-        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-    assert (got.theta, got.dual_estimate) == (want.theta, want.dual_estimate)
-
-
-def test_train_reads_no_sampler_standard_error(monkeypatch):
-    _assert_train_never_calls(monkeypatch, "_batch_se")
-
-
-def test_train_computes_no_rhat(monkeypatch):
-    _assert_train_never_calls(monkeypatch, "_split_rhat")
 
 
 def test_train_rejects_single_class():
