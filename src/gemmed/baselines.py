@@ -149,9 +149,8 @@ def _pivoted_cholesky(K: np.ndarray) -> np.ndarray:
         p = int(np.argmax(resid))
         if not resid[p] > stop:
             break
-        with np.errstate(over="ignore", invalid="ignore"):  # tested below
-            row = (K[p] - G[:r, p] @ G[:r]) / math.sqrt(resid[p])
-            square = row * row
+        row = (K[p] - G[:r, p] @ G[:r]) / math.sqrt(resid[p])
+        square = row * row
         if not np.isfinite(square).all():
             break
         if r == len(G):
@@ -163,7 +162,6 @@ def _pivoted_cholesky(K: np.ndarray) -> np.ndarray:
     return G[:r]
 
 
-@np.errstate(over="ignore")
 def _line_search(u: np.ndarray, s: np.ndarray, slope: float, curv: float,
                  C: float, h: float) -> float:
     """Exact minimizer t > 0 of F(w + t d) along a descent direction d.
@@ -227,6 +225,7 @@ def _free_set_solve(K: np.ndarray, y: np.ndarray, alpha: np.ndarray,
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
                    max_passes: int | None = None, tol: float = 1e-3):
     """Solve the box-constrained SVM dual by Newton steps in the primal.
@@ -262,6 +261,10 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
     random linear, low-rank and RBF problems every solve converged up to
     about 1e10 and nearly all up to 1e14; beyond that many end
     unconverged, flagged so.
+
+    One floating-point error scope silences overflow, invalid values and
+    division by zero for the whole solve: a non-finite factor row or step
+    ends its phase, and the KKT test on K still decides converged.
 
     K must be square, finite and exactly symmetric, y must hold one
     label per row, each -1 or +1, and C and tol must be positive and
@@ -317,17 +320,12 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
                 M[np.diag_indices_from(M)] += h / C
                 d = Gf @ np.linalg.solve(M, Gf.T @ grad) - grad
             else:
-                with np.errstate(over="ignore"):
-                    H = (C / h) * (Gf @ Gf.T)
-                if not np.isfinite(H).all():
-                    break
+                H = (C / h) * (Gf @ Gf.T)
                 H[np.diag_indices_from(H)] += 1.0
                 d = -np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
             break
         s = y * (d @ G)
-        if not np.isfinite(s).all():
-            break
         t = _line_search(u, s, float(w @ d), float(d @ d), C, h)
         if not 0 < t < np.inf:
             break
@@ -358,17 +356,27 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
     return alpha, violation <= tol, trace
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported below
 def train_svm(dataset: LabeledDataset, kernel: KernelSpec,
               C: float = 1.0) -> SvmModel:
-    """Fit the soft-margin kernel SVM on the full dataset."""
+    """Fit the soft-margin kernel SVM on the full dataset.
+
+    Raises ValueError, asking for rescaled features, when a kernel value
+    or a training decision value K (alpha * y) overflows.
+    """
     if len(np.unique(dataset.y)) < 2:
         raise ValueError("training data must contain both classes")
     K = kernel_matrix(kernel, dataset.x)
+    if not np.isfinite(K).all():
+        raise ValueError("kernel products overflow; rescale the features")
     y = dataset.y.astype(float)
     alpha, converged, _ = solve_svm_dual(K, y, C)
+    grad = 1.0 - y * (K @ (alpha * y))  # as kkt_violation computes it
+    if not np.isfinite(grad).all():
+        raise ValueError("kernel products overflow; rescale the features")
     return SvmModel(kernel=kernel, x=dataset.x.copy(), y=dataset.y.copy(),
                     alpha=alpha, C=C, converged=converged,
-                    kkt_violation=kkt_violation(K, y, alpha, C))
+                    kkt_violation=_violation(alpha, grad, C))
 
 
 @dataclass

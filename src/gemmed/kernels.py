@@ -114,8 +114,8 @@ def finite_decisions(values: np.ndarray) -> np.ndarray:
 
 def kernel_matrix(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
     """Plain symmetric kernel matrix on one point set, no jitter."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    # one array as both operands keeps K == K.T exact (see the README)
+    # one contiguous array as both operands keeps K == K.T exact (see the README)
+    xs = np.atleast_2d(np.ascontiguousarray(xs, dtype=float))
     return kernel_cross(spec, xs, xs)
 
 

@@ -1,19 +1,29 @@
 """Small random dual instances for checking the sampler and the analytic
 gradients against the exact enumeration oracle, the per-row k-NN scores
-that the batched scorers must reproduce, and the check that a model
-refuses a value both when built and when loaded from its file.
+that the batched scorers must reproduce, the check that a model refuses
+a value both when built and when loaded from its file, and the digests
+of the outputs that golden.json pins (``tests/record.py`` records them
+too).
 
 The tests import this module by its bare name: pytest puts the tests
 directory on ``sys.path`` while it collects the test files there.
 """
 
+import contextlib
 import dataclasses
+import hashlib
+import importlib.util
+import io
 import json
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gemmed
+from gemmed.cli import main
 from gemmed.kernels import gram_matrix, resolve_kernel
 from gemmed.model import DualProblem, DualState, HyperParams
 from gemmed.persist import load_model, save_model
@@ -67,3 +77,52 @@ def assert_refused(model, key: str, bad, message: str, tmp_path) -> None:
     path.write_text(json.dumps({**json.loads(path.read_text()), key: bad}))
     with pytest.raises(ValueError, match=re.escape(f"model.json: {message}") + "$"):
         load_model(path)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CRITERION_9_CONFIG = {"R": [55.0], "ra": [0.2], "seeds": [0, 1],
+                      "methods": ["gemmed", "svm", "two-stage"]}
+
+
+def sweep_csv(config: dict, work_dir: Path) -> bytes:
+    """The CSV bytes of gemmed sweep on config, run in work_dir."""
+    path = work_dir / "config.json"
+    path.write_text(json.dumps(config))
+    out = work_dir / "sweep.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _bench_results_sha256(name: str, work_dir: Path) -> str:
+    """bench/run.py's untraced seed-0 results sha256 of one workload: the
+    hash of its result lines over its quality rounds, as run.py's digest
+    takes it. Only bench/workloads.py is imported; run.py is not, as
+    importing it sets BLAS thread variables in this process's environment."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # its dataclasses need it in sys.modules
+    workload = workloads.make_workload(gemmed, name, 0)
+    if name == "cli-score":  # trains the served model and writes the queries
+        workload.setup(work_dir)
+    rounds = [workload.run_round(i) for i in range(workload.quality_rounds)]
+    return hashlib.sha256(("\n".join(workload.result_lines(rounds)) + "\n").encode()
+                          ).hexdigest()
+
+
+def golden_digests(work_dir: Path, criterion_9_csv: bytes | None = None) -> dict:
+    """The sha256 of each output golden.json pins: the criterion-9 and
+    README sweep CSVs (criterion 9's is run unless given) and the three
+    bench workloads' results. work_dir must exist; the sweeps write there."""
+    readme = (ROOT / "README.md").read_text()
+    readme_config = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    with contextlib.redirect_stdout(io.StringIO()):
+        if criterion_9_csv is None:
+            criterion_9_csv = sweep_csv(CRITERION_9_CONFIG, work_dir)
+        return {
+            "criterion-9 sweep CSV": hashlib.sha256(criterion_9_csv).hexdigest(),
+            "README sweep CSV": hashlib.sha256(sweep_csv(readme_config, work_dir)
+                                               ).hexdigest(),
+            **{f"{name} results": _bench_results_sha256(name, work_dir / name)
+               for name in ("ring-n200", "cli-score", "baselines-n1000")},
+        }

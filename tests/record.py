@@ -8,12 +8,17 @@ Run from the root of a source checkout (nothing needs to be installed):
 takes. This script answers per-layer ones: how long each layer that ROADMAP
 aim 1 lists takes on its own, at n=200 and n=1000 training rows. The data is
 the R=55, ra=0.2, seed-0 ring training set, the settings those of a default
-``gemmed train``. Each layer is called once as a discarded warm-up, then
-timed over REPEATS calls; the record holds the median and minimum in
-seconds, with the environment as ``bench/run.py`` records it. Predict and
-detect score 1000 test rows per call, so their times are per 1k queries.
+``gemmed train``; ``train_svm_linear`` is the reference SVM of the benchmark
+cells (Gram build, check, solve and KKT product together). Each layer is
+called once as a discarded warm-up, then timed over REPEATS calls; the
+record holds the median and minimum in seconds, with the environment as
+``bench/run.py`` records it. Predict and detect score 1000 test rows per
+call, so their times are per 1k queries. The record also holds the five
+output digests that ``tests/golden.json`` pins, computed as
+``test_golden_outputs`` computes them, and whether they equal that file's.
 Importing ``bench/run.py`` pins BLAS to one thread before NumPy is
-imported. pytest does not collect this file.
+imported. pytest does not collect this file. A run takes about 9 s on a
+2-core x86-64 box.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import argparse
 import json
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,11 +39,13 @@ import run  # noqa: E402  (first, so that BLAS is pinned before NumPy loads)
 import numpy as np  # noqa: E402
 
 from gemmed import trainer  # noqa: E402
+from gemmed.baselines import train_svm  # noqa: E402
 from gemmed.experiments import default_settings  # noqa: E402
 from gemmed.gem import GemConfig  # noqa: E402
-from gemmed.kernels import resolve_kernel  # noqa: E402
+from gemmed.kernels import KernelSpec, resolve_kernel  # noqa: E402
 from gemmed.model import DualProblem, DualState, resolve_p0  # noqa: E402
 from gemmed.synthdata import RingExperimentConfig, generate  # noqa: E402
+from instances import golden_digests  # noqa: E402  (tests/ is the script's directory)
 
 SIZES = (200, 1000)  # training rows, half per class
 QUERIES = 1000
@@ -94,6 +102,7 @@ def layers(n: int) -> dict:
             support, gem_config.k, gem_config.alpha)),
         "predict_per_1k": timed(lambda: trainer.predict(model, queries)),
         "detect_per_1k": timed(lambda: trainer.detect(model, queries)),
+        "train_svm_linear": timed(lambda: train_svm(data, KernelSpec("linear"))),
     }
 
 
@@ -109,6 +118,11 @@ def main(argv=None) -> int:
         "repeats": REPEATS,
         "layers": {f"n={n}": layers(n) for n in SIZES},
     }
+    with tempfile.TemporaryDirectory() as work_dir:
+        digests = golden_digests(Path(work_dir))
+    golden = json.loads((ROOT / "tests" / "golden.json").read_text())
+    record["golden_sha256"] = {"digests": digests,
+                               "equal_to_golden_json": digests == golden["sha256"]}
     record["run_s"] = round(time.perf_counter() - start, 1)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out} in {record['run_s']} s")

@@ -293,10 +293,24 @@ def _overflowing_pivot_problem():
     return np.array([[t, 4.0], [4.0, t]]), np.array([1.0, -1.0]), 1.0, 200, 1e-3, False
 
 
+def _tiny_corner_problem(m):
+    """An indefinite m x m K: -2 everywhere, -1 in the last row and column,
+    the smallest normal float in the corner. Its one Newton step overflows
+    in the factor-space products (m = 5, 9) or makes the line search's
+    last interpolation 0 / 0 (m = 4)."""
+    K = np.full((m, m), -2.0)
+    K[-1], K[:, -1] = -1.0, -1.0
+    K[-1, -1] = 2.2250738585072014e-308
+    return K, np.full(m, -1.0), 0.5, 1, 1e-12, False
+
+
 @settings(max_examples=300, deadline=None)
 @given(_dual_problems())
 @example(_overflowing_step_problem())
 @example(_overflowing_pivot_problem())
+@example(_tiny_corner_problem(4))
+@example(_tiny_corner_problem(5))
+@example(_tiny_corner_problem(9))
 def test_solver_objective_at_least_reference(problem):
     K, y, C, max_passes, tol, psd = problem
     alpha, converged, trace = solve_svm_dual(K, y, C, max_passes=max_passes, tol=tol)
@@ -418,6 +432,48 @@ def test_kkt_violation_matches_the_convergence_test():
     assert kkt_violation(K, y, np.zeros(30), 1.0) == 1.0
     f = K @ y
     assert kkt_violation(K, y, np.ones(30), 1.0) == max(0.0, np.max(y * f - 1.0))
+
+
+def test_linear_svm_trains_on_a_column_strided_view():
+    # a view's two operands of x @ x.T were once copied and multiplied
+    # without the symmetric product, which left K asymmetric at n = 1500
+    rng = np.random.default_rng(0)
+    view = rng.normal(size=(1500, 4))[:, ::2]
+    y = np.where(view[:, 0] + 0.5 * rng.normal(size=1500) > 0, 1, -1)
+    model = train_svm(LabeledDataset(view, y), KernelSpec("linear"))
+    copy = train_svm(LabeledDataset(view.copy(), y), KernelSpec("linear"))
+    assert model.converged
+    assert model.alpha.tobytes() == copy.alpha.tobytes()
+
+
+@pytest.fixture(scope="module")
+def ring_n1000():
+    return generate(RingExperimentConfig(R=55.0, r_a=0.2, n_train_per_class=500,
+                                         seed=0))[0]
+
+
+def _fit_two_stage(data, kernel):
+    return train_two_stage(data, kernel, GemConfig())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fit", [train_svm, _fit_two_stage])
+@pytest.mark.parametrize("scale", [
+    1e152,  # every K entry is finite, up to about 3e307; K (alpha * y) is not
+    1e153,  # K overflows
+])
+def test_svm_refuses_features_whose_kernel_products_overflow(ring_n1000, fit, scale):
+    data = LabeledDataset(ring_n1000.x * scale, ring_n1000.y)
+    with pytest.raises(ValueError, match="rescale the features"):
+        fit(data, KernelSpec("linear"))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fit", [train_svm, _fit_two_stage])
+def test_svm_trains_unconverged_at_the_largest_finite_products(ring_n1000, fit):
+    data = LabeledDataset(ring_n1000.x * 1e150, ring_n1000.y)
+    model = fit(data, KernelSpec("linear"))
+    assert not model.converged and np.isfinite(model.kkt_violation)
 
 
 def _planted_dataset():

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gemmed import experiments, trainer
 from gemmed.cli import main
 from gemmed.experiments import (METHODS, CellResult, MethodSettings,
                                 default_settings, run_cell)
@@ -114,3 +115,40 @@ def test_run_cell_is_deterministic():
 
 def test_methods_tuple_is_the_public_contract():
     assert METHODS == ("gemmed", "svm", "two-stage")
+
+
+# The benchmark's traced job checks these two counts on its cells (see
+# bench/workloads.py); they are checked here too, on the same cells.
+
+def test_a_ring_n200_joint_cell_draws_f_1010_times(monkeypatch):
+    # one lockstep draw of the 4 chains per sweep: 10 burn-in sweeps, then
+    # 5 averaged sweeps for each of the 200 ascent steps
+    calls = []
+    draw = trainer.sample_f_given_eta
+
+    def counted(*args):
+        calls.append(None)
+        return draw(*args)
+
+    monkeypatch.setattr(trainer, "sample_f_given_eta", counted)
+    run_cell("gemmed", R=55.0, r_a=0.2, seed=0, n_train_per_class=100)
+    assert len(calls) == 1010
+
+
+def test_the_baselines_n1000_cells_converge(monkeypatch):
+    # cell seeds 0-7, the rounds the traced baselines-n1000 run covers
+    fits = []
+
+    def recorded(fit):
+        def wrapper(*args, **kwargs):
+            fits.append(fit(*args, **kwargs))
+            return fits[-1]
+        return wrapper
+
+    for name in ("train_svm", "train_two_stage"):
+        monkeypatch.setattr(experiments, name, recorded(getattr(experiments, name)))
+    for seed in range(8):
+        for method in ("svm", "two-stage"):
+            run_cell(method, R=55.0, r_a=0.2, seed=seed, n_train_per_class=500)
+    assert [type(model).__name__ for model in fits] == ["SvmModel", "TwoStageModel"] * 8
+    assert all(model.converged for model in fits)

@@ -94,6 +94,10 @@ def test_kernel_matrix_is_bitwise_the_mirrored_construction(kind):
                 K = kernel_matrix(spec, xs)
                 assert K.tobytes() == _mirrored_kernel_matrix(spec, xs).tobytes()
                 assert K.tobytes() == K.T.tobytes()
+            # a column-strided view of x: NumPy would copy each operand of
+            # x @ x.T and multiply them without the symmetric product
+            view = np.repeat(x, 2, axis=1)[:, ::2]
+            assert kernel_matrix(spec, view).tobytes() == kernel_matrix(spec, x).tobytes()
 
 
 def test_kernel_cross_matches_eval():
