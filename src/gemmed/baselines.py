@@ -26,8 +26,8 @@ import numpy as np
 from .dataset import LabeledDataset, check_real, check_reals, check_rows, check_type
 from .gem import (GemConfig, check_detector, compute_gem_stats, knn_distance_sum,
                   loo_threshold)
-from .kernels import (KernelSpec, compact_expansion, finite_decisions,
-                      kernel_cross, kernel_matrix, query_blocks)
+from .kernels import (KernelSpec, check_kernel_matrix, compact_expansion,
+                      finite_decisions, kernel_cross, kernel_matrix, query_blocks)
 
 
 @dataclass
@@ -90,26 +90,6 @@ class SvmModel:
 
 # Rounds of exact free-set solves that may follow the Newton steps.
 FINISH_ROUNDS = 5
-# Rows of K that _check_gram reads at a time.
-GRAM_CHECK_BLOCK = 64
-
-
-def _check_gram(K: np.ndarray) -> None:
-    """Raise unless K is finite and K == K.T exactly; finite is checked first.
-
-    One pass over K in blocks of GRAM_CHECK_BLOCK rows: each block must
-    be finite, and its part from the diagonal block rightward, transposed,
-    must equal the column block below it, so no n x n temporary is built.
-    """
-    symmetric = True
-    for s in range(0, K.shape[0], GRAM_CHECK_BLOCK):
-        rows = K[s:s + GRAM_CHECK_BLOCK]
-        if not np.isfinite(rows).all():
-            raise ValueError("K must be finite")
-        symmetric = symmetric and np.array_equal(
-            rows[:, s:].T, K[s:, s:s + GRAM_CHECK_BLOCK])
-    if not symmetric:
-        raise ValueError("K must be exactly symmetric")
 
 
 def _violation(alpha: np.ndarray, grad: np.ndarray, C: float) -> float:
@@ -266,7 +246,7 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
     division by zero for the whole solve: a non-finite factor row or step
     ends its phase, and the KKT test on K still decides converged.
 
-    K must be square, finite and exactly symmetric, y must hold one
+    K must be square and pass check_kernel_matrix, y must hold one
     label per row, each -1 or +1, and C and tol must be positive and
     finite; anything else raises ValueError. K and y are not modified.
     """
@@ -282,7 +262,7 @@ def solve_svm_dual(K: np.ndarray, y: np.ndarray, C: float,
                          f"got shape {y.shape}")
     if not np.all((y == 1.0) | (y == -1.0)):
         raise ValueError("labels must be -1 or +1")
-    _check_gram(K)
+    check_kernel_matrix(K)
     if max_passes is None:
         max_passes = max(200, n)
     h = tol / 2.0
@@ -367,8 +347,6 @@ def train_svm(dataset: LabeledDataset, kernel: KernelSpec,
     if len(np.unique(dataset.y)) < 2:
         raise ValueError("training data must contain both classes")
     K = kernel_matrix(kernel, dataset.x)
-    if not np.isfinite(K).all():
-        raise ValueError("kernel products overflow; rescale the features")
     y = dataset.y.astype(float)
     alpha, converged, _ = solve_svm_dual(K, y, C)
     grad = 1.0 - y * (K @ (alpha * y))  # as kkt_violation computes it

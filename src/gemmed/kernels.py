@@ -21,6 +21,8 @@ KERNEL_KINDS = ("linear", "rbf")
 # The most kernel values one block of query rows may hold when a decision
 # function is scored block by block (see query_blocks).
 SCORE_BLOCK = 1 << 16
+# Rows of K that check_kernel_matrix reads at a time.
+GRAM_CHECK_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,7 @@ def finite_decisions(values: np.ndarray) -> np.ndarray:
     return values
 
 
+@np.errstate(over="ignore", invalid="ignore")  # check_kernel_matrix reports overflow
 def kernel_matrix(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
     """Plain symmetric kernel matrix on one point set, no jitter."""
     # one contiguous array as both operands keeps K == K.T exact (see the README)
@@ -119,19 +122,36 @@ def kernel_matrix(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
     return kernel_cross(spec, xs, xs)
 
 
+def check_kernel_matrix(K: np.ndarray) -> None:
+    """Raise ValueError unless K is finite and K == K.T exactly, finite first;
+    gram_matrix and solve_svm_dual run it before they factor K.
+
+    One pass over K in blocks of GRAM_CHECK_BLOCK rows: each block must
+    be finite, and its part from the diagonal block rightward, transposed,
+    must equal the column block below it, so no n x n temporary is built.
+    """
+    symmetric = True
+    for s in range(0, K.shape[0], GRAM_CHECK_BLOCK):
+        rows = K[s:s + GRAM_CHECK_BLOCK]
+        if not np.isfinite(rows).all():
+            raise ValueError("kernel matrix is not finite; rescale the features")
+        symmetric = symmetric and np.array_equal(
+            rows[:, s:].T, K[s:, s:s + GRAM_CHECK_BLOCK])
+    if not symmetric:
+        raise ValueError("kernel matrix is not exactly symmetric")
+
+
 def gram_matrix(spec: KernelSpec, xs: np.ndarray) -> GramMatrix:
     """Build the Gram matrix K + 1e-8 max diag(K) I and factor it.
 
     The jitter scales with the kernel, so it holds at any feature scale.
-    Raises ValueError when the kernel matrix is not finite or too small
-    for a normal-float jitter (all-zero features, or ones whose x . x
-    underflows), which rescaled features avoid, and NumericsError when
-    the Cholesky factorization still fails.
+    Raises ValueError when the kernel matrix fails check_kernel_matrix
+    or is too small for a normal-float jitter (all-zero features, or
+    ones whose x . x underflows), which rescaled features avoid, and
+    NumericsError when the Cholesky factorization still fails.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        values = kernel_matrix(spec, xs)
-    if not np.isfinite(values).all():
-        raise ValueError("kernel matrix is not finite; rescale the features")
+    values = kernel_matrix(spec, xs)
+    check_kernel_matrix(values)
     # an rbf diagonal is exactly 1, so there the jitter is 1e-8 itself
     scale = values.diagonal().max()
     jitter = 1e-8 * scale

@@ -1,16 +1,19 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gemmed.baselines import (GRAM_CHECK_BLOCK, SvmModel, TwoStageModel,
+from gemmed import kernels
+from gemmed.baselines import (SvmModel, TwoStageModel, _line_search,
                               kkt_violation, solve_svm_dual, train_svm,
                               train_two_stage)
 from gemmed.dataset import LabeledDataset
 from gemmed.gem import GemConfig, compute_gem_stats, loo_threshold
-from gemmed.kernels import KernelSpec, gram_matrix, kernel_matrix
+from gemmed.kernels import (GRAM_CHECK_BLOCK, KernelSpec, check_kernel_matrix,
+                            gram_matrix, kernel_matrix)
 from gemmed.synthdata import RingExperimentConfig, generate
 from instances import assert_refused
 
@@ -168,6 +171,12 @@ def test_solver_checks_symmetry_in_every_row_block():
         solve_svm_dual(K, y, C=1.0)
 
 
+KERNEL_MATRIX_FAULTS = {
+    "symmetric": "kernel matrix is not exactly symmetric",
+    "finite": "kernel matrix is not finite; rescale the features",
+}
+
+
 @pytest.mark.parametrize("entries, match", [
     # (i, j, value) spoils K[i, j]; value None nudges it one ulp up
     ([(3, 100, None)], "symmetric"),  # first row block, off its diagonal tile
@@ -178,15 +187,28 @@ def test_solver_checks_symmetry_in_every_row_block():
     ([(77, 77, np.inf)], "finite"),  # on the diagonal
     ([(3, 100, None), (140, 145, np.nan)], "finite"),  # finite is checked first
 ])
-def test_solver_checks_every_entry_of_K(entries, match):
+def test_solver_checks_every_entry_of_K(entries, match, monkeypatch):
     n = 150
     assert n % GRAM_CHECK_BLOCK and n > 2 * GRAM_CHECK_BLOCK
     rng = np.random.default_rng(4)
     K = kernel_matrix(KernelSpec("linear"), rng.normal(size=(n, 2)))
     for i, j, value in entries:
         K[i, j] = np.nextafter(K[i, j], np.inf) if value is None else value
-    with pytest.raises(ValueError, match=match):
-        solve_svm_dual(K, rng.choice([-1.0, 1.0], size=n), C=1.0)
+    y = rng.choice([-1.0, 1.0], size=n)
+    # one message per fault, from the check itself and from both factorizations
+    message = re.escape(KERNEL_MATRIX_FAULTS[match]) + "$"
+    with pytest.raises(ValueError, match=message):
+        check_kernel_matrix(K)
+    with pytest.raises(ValueError, match=message):
+        solve_svm_dual(K, y, C=1.0)
+
+    def cholesky(values):
+        raise AssertionError("gram_matrix factored a spoiled kernel matrix")
+
+    monkeypatch.setattr(kernels, "kernel_matrix", lambda spec, xs: K)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    with pytest.raises(ValueError, match=message):
+        gram_matrix(KernelSpec("linear"), np.zeros((n, 2)))
 
 
 def test_zero_and_negative_zero_are_a_symmetric_pair():
@@ -382,6 +404,17 @@ def test_solver_overflow_raises_no_runtime_warning(y, max_passes):
         assert kkt_holds(K, y, alpha, 0.5, 1e-12)
 
 
+def test_line_search_steps_past_the_last_breakpoint():
+    # one sample whose margin crosses h and then 0 before the derivative
+    # slope + curv t - C sum_i s_i clip((u_i - t s_i) / h, 0, 1) reaches
+    # its root, where only the curvature term is left
+    h = 5e-4
+    u, s, slope, curv = np.array([2 * h]), np.array([1.0]), -10.0, 1.0
+    t = _line_search(u, s, slope, curv, 1.0, h)
+    assert t > 2 * h
+    assert slope + curv * t - s @ np.clip((u - t * s) / h, 0.0, 1.0) == 0.0
+
+
 def test_solver_beats_reference_on_ring_instances():
     train_set, _ = generate(RingExperimentConfig(R=55.0, r_a=0.2,
                                                  n_test_per_class=1, seed=3))
@@ -464,7 +497,12 @@ def _fit_two_stage(data, kernel):
 ])
 def test_svm_refuses_features_whose_kernel_products_overflow(ring_n1000, fit, scale):
     data = LabeledDataset(ring_n1000.x * scale, ring_n1000.y)
-    with pytest.raises(ValueError, match="rescale the features"):
+    # at 1e153 the two-stage screen refuses the points before K is built
+    message = {(train_svm, 1e153): KERNEL_MATRIX_FAULTS["finite"],
+               (_fit_two_stage, 1e153): "k-NN statistics are not finite; "
+                                        "rescale the features",
+               }.get((fit, scale), "kernel products overflow; rescale the features")
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
         fit(data, KernelSpec("linear"))
 
 
